@@ -26,7 +26,8 @@ def main() -> None:
     parser.add_argument("--base-replicas", type=int, default=20_000,
                         help="replicas at size n are base-replicas // n")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: replicas run in one thread")
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 
@@ -41,7 +42,7 @@ def main() -> None:
         for n in sizes:
             replicas = max(4, args.base_replicas // n)
             config = LlnConfig(n, args.beta, dist, replicas, seed=args.seed)
-            report = lln_experiment(config, threads=args.threads)
+            report = lln_experiment(config)
             name = f"growth_{token.replace(':', '')}_n{n}.json"
             (outdir / name).write_text(json.dumps(report.to_dict(), indent=2))
             rows.append([token, n, replicas, report.mean, target, target - report.mean])

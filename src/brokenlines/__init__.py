@@ -20,7 +20,6 @@ from .duality import (
     parse_triple,
     reversal_invariance_test,
     reverse_through_site,
-    sample,
     time_reverse,
     transition_kernel,
 )
@@ -48,7 +47,6 @@ from .lattice import (
     HexDomain,
     RectDomain,
     Site,
-    build_rect_domain,
     edge_between,
     incident_edges,
 )

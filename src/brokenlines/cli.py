@@ -185,7 +185,7 @@ def _lln(args) -> int:
             replicas=args.replicas,
             seed=args.seed,
         )
-    report = experiments.lln_experiment(config, threads=args.threads)
+    report = experiments.lln_experiment(config)
     if args.format == "csv":
         lines = ["replica,scaled_value"]
         lines += [f"{i},{v}" for i, v in enumerate(report.samples)]
@@ -210,7 +210,6 @@ def _concentration(args) -> int:
         args.beta,
         args.replicas,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.format == "csv":
         lines = ["n,exceedance_rate"]
@@ -318,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--n", type=int, default=250)
     p.add_argument("--replicas", type=int, default=20)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: replicas run in one thread")
     p.add_argument("--samples-csv", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="exp:1")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--replicas", type=int, default=500)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: replicas run in one thread")
     p.add_argument("--rates-csv", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)

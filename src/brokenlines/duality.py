@@ -22,9 +22,9 @@ from .checks import (
     ks_check,
     mean_z_check,
 )
-from .flow import BirthField, BoundaryFlow, FlowField, field_from_birth
-from .lattice import Domain, Edge, RectDomain, Site
-from .streams import Stream, stream_base, uniform, uniforms
+from .flow import BirthField, BoundaryFlow, FlowField, field_from_birth, site_outflows, sweep
+from .lattice import Domain, Edge, RectDomain, Site, edge_ne, edge_se
+from .streams import stream_base, uniform, uniforms
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -55,8 +55,8 @@ class DistSpec:
 
     @classmethod
     def exponential(cls, rate: float) -> "DistSpec":
-        if not rate > 0:
-            raise ValueError("exponential rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ValueError("exponential rate must be positive and finite")
         return cls(EXPONENTIAL, rate=rate)
 
     @classmethod
@@ -67,14 +67,14 @@ class DistSpec:
 
     @classmethod
     def pointmass(cls, value: float) -> "DistSpec":
-        if value < 0:
-            raise ValueError("point mass must be nonnegative")
-        return cls(POINTMASS, value=value)
+        if not 0 <= value < math.inf:
+            raise ValueError("point mass must be nonnegative and finite")
+        return cls(POINTMASS, value=value + 0.0)  # -0.0 becomes 0.0
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "DistSpec":
-        if low < 0 or not low < high:
-            raise ValueError("uniform needs 0 <= low < high")
+        if not 0 <= low < high < math.inf:
+            raise ValueError("uniform needs 0 <= low < high < inf")
         return cls(UNIFORM, low=low, high=high)
 
     def mean(self) -> float:
@@ -129,14 +129,6 @@ def parse_dist(token: str) -> DistSpec:
     if kind in ("unif", "uniform") and len(args) == 2:
         return DistSpec.uniform(args[0], args[1])
     raise ValueError(f"cannot parse distribution token {token!r}")
-
-
-def sample(spec: DistSpec, stream: Stream):
-    """One draw from ``spec`` at the stream's current position."""
-    value = spec.from_uniform(stream.next_uniform())
-    if spec.kind == GEOMETRIC:
-        return int(value)
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -204,12 +196,7 @@ def flow_through_site(in_up, in_down, birth):
     """
     if in_up < 0 or in_down < 0 or birth < 0:
         raise ValueError("flows must be nonnegative")
-    return (
-        in_up,
-        in_down,
-        birth + max(in_up - in_down, 0),
-        birth + max(in_down - in_up, 0),
-    )
+    return (in_up, in_down, *site_outflows(in_up, in_down, birth))
 
 
 def reverse_through_site(in_up, in_down, birth):
@@ -219,11 +206,7 @@ def reverse_through_site(in_up, in_down, birth):
     """
     if in_up < 0 or in_down < 0 or birth < 0:
         raise ValueError("flows must be nonnegative")
-    return (
-        birth + max(in_up - in_down, 0),
-        birth + max(in_down - in_up, 0),
-        min(in_up, in_down),
-    )
+    return (*site_outflows(in_up, in_down, birth), min(in_up, in_down))
 
 
 def transition_kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam: float) -> float:
@@ -292,8 +275,7 @@ def reversal_invariance_test(
         np.asarray(spec.sample_array(stream_base(seed, _TAG_FIELD, i), nsamples), dtype=float)
         for i, spec in enumerate(specs)
     )
-    out1 = t + np.maximum(r - s, 0.0)
-    out2 = t + np.maximum(s - r, 0.0)
+    out1, out2 = site_outflows(r, s, t)
     out3 = np.minimum(r, s)
     fresh = tuple(
         np.asarray(spec.sample_array(stream_base(seed, _TAG_FRESH, i), nsamples), dtype=float)
@@ -319,39 +301,24 @@ def reversal_invariance_test(
     )
 
 
-def _batched_sweep(
-    domain: Domain,
-    draw,
-) -> tuple[dict[Site, np.ndarray], dict[Site, np.ndarray], dict[Site, np.ndarray], dict[Site, np.ndarray]]:
-    """Forward evolution with one sample vector per (site, role).
+def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: int) -> dict:
+    """Forward sweep of ``count`` replicas at once: one sample array per edge.
 
-    ``draw(site, role)`` returns an array of replica values; the sweep runs
-    the usual site update vectorized across replicas.
+    Every (site, role) draws its own stream, so replicas and sites can be
+    sampled in any order.
     """
-    sw = set(domain.southwest_side)
-    nw = set(domain.northwest_side)
-    out_up: dict[Site, np.ndarray] = {}
-    out_down: dict[Site, np.ndarray] = {}
-    in_up: dict[Site, np.ndarray] = {}
-    in_down: dict[Site, np.ndarray] = {}
-    for y in domain.sites:
-        t, x = y
-        up = draw(y, ROLE_UP_IN) if y in sw else out_up[(t - 1, x - 1)]
-        down = draw(y, ROLE_DOWN_IN) if y in nw else out_down[(t - 1, x + 1)]
-        born = draw(y, ROLE_BIRTH)
-        in_up[y] = up
-        in_down[y] = down
-        out_up[y] = born + np.maximum(up - down, 0)
-        out_down[y] = born + np.maximum(down - up, 0)
-    return in_up, in_down, out_up, out_down
 
+    def draw(spec: DistSpec, sites, role: int) -> dict:
+        return {
+            y: spec.sample_array(stream_base(seed, tag, y[0], y[1], role), count) for y in sites
+        }
 
-def _triple_drawer(triple: Triple, seed: int, tag: int, count: int):
-    def draw(y: Site, role: int) -> np.ndarray:
-        spec = {ROLE_UP_IN: triple.pi1, ROLE_DOWN_IN: triple.pi2, ROLE_BIRTH: triple.pi3}[role]
-        return spec.sample_array(stream_base(seed, tag, y[0], y[1], role), count)
-
-    return draw
+    return sweep(
+        domain,
+        draw(triple.pi1, domain.southwest_side, ROLE_UP_IN),
+        draw(triple.pi2, domain.northwest_side, ROLE_DOWN_IN),
+        draw(triple.pi3, domain.sites, ROLE_BIRTH),
+    )
 
 
 def burke_exit_test(
@@ -374,10 +341,9 @@ def burke_exit_test(
     if not verdict.self_dual:
         raise ValueError(f"triple {triple.token()} is not self-dual ({verdict.reason})")
 
-    draw = _triple_drawer(triple, seed, _TAG_FIELD, nsamples)
-    _, _, out_up, out_down = _batched_sweep(domain, draw)
-    up_exits = [(y, out_up[y]) for y in domain.northeast_side]
-    down_exits = [(y, out_down[y]) for y in domain.southeast_side]
+    mass = _sampled_mass(domain, triple, seed, _TAG_FIELD, nsamples)
+    up_exits = [(y, mass[edge_ne(y)]) for y in domain.northeast_side]
+    down_exits = [(y, mass[edge_se(y)]) for y in domain.southeast_side]
 
     n_ks = len(up_exits) + len(down_exits)
     streams = up_exits + down_exits
@@ -494,35 +460,21 @@ def consistency_test(
     inner = RectDomain(n_inner, m_inner)
     lam_direct = lam if inner_lam is None else inner_lam
 
-    def geom_drawer(lam_: float, tag: int):
+    def chain(lam_: float) -> Triple:
         inflow = DistSpec.geometric(lam_)
-        birth = DistSpec.geometric(lam_ * lam_)
+        return Triple(inflow, inflow, DistSpec.geometric(lam_ * lam_))
 
-        def draw(y: Site, role: int) -> np.ndarray:
-            spec = birth if role == ROLE_BIRTH else inflow
-            return spec.sample_array(stream_base(seed, tag, y[0], y[1], role), nsamples)
-
-        return draw
-
-    o_in_up, o_in_down, o_out_up, o_out_down = _batched_sweep(outer, geom_drawer(lam, _TAG_OUTER))
-    d_in_up, d_in_down, d_out_up, d_out_down = _batched_sweep(inner, geom_drawer(lam_direct, _TAG_INNER))
-
-    def edge_values(e: Edge, in_up, in_down, out_up, out_down, domain) -> np.ndarray:
-        if domain.contains(e.base):
-            return out_up[e.base] if e.up else out_down[e.base]
-        head = e.head
-        return in_up[head] if e.up else in_down[head]
+    restricted = _sampled_mass(outer, chain(lam), seed, _TAG_OUTER, nsamples)
+    direct = _sampled_mass(inner, chain(lam_direct), seed, _TAG_INNER, nsamples)
 
     alpha = significance / (len(inner.edges) + len(inner.sites))
     checks: list[Check] = []
     for e in inner.edges:
-        restricted = edge_values(e, o_in_up, o_in_down, o_out_up, o_out_down, inner)
-        direct = edge_values(e, d_in_up, d_in_down, d_out_up, d_out_down, inner)
         name = f"edge_{e.t}_{e.x}_{'up' if e.up else 'down'}"
-        checks.append(chi2_homogeneity_check(name, restricted, direct, alpha))
+        checks.append(chi2_homogeneity_check(name, restricted[e], direct[e], alpha))
     for y in inner.sites:
-        joint_restricted = o_out_up[y] * o_out_down[y]
-        joint_direct = d_out_up[y] * d_out_down[y]
+        joint_restricted = restricted[edge_ne(y)] * restricted[edge_se(y)]
+        joint_direct = direct[edge_ne(y)] * direct[edge_se(y)]
         checks.append(mean_z_check(f"joint_{y}", joint_restricted, joint_direct, alpha))
     return TestReport(
         test="consistency",

@@ -10,8 +10,6 @@ Replicas are embarrassingly parallel: every draw is addressed by
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +17,6 @@ import numpy as np
 from .duality import EXPONENTIAL, GEOMETRIC, DistSpec
 from .lpp import passage_value
 from .streams import stream_base, uniform_grid
-
-THREADS_ENV = "BROKENLINES_THREADS"
 
 
 @dataclass(frozen=True)
@@ -104,28 +100,12 @@ def replica_passage(dist: DistSpec, n: int, m: int, seed: int, replica: int) -> 
     return passage_value(births)
 
 
-def _resolve_threads(threads: int | None, replicas: int) -> int:
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    return max(1, min(threads, replicas))
-
-
-def _run_replicas(dist, n, m, seed, replicas, threads) -> list[float]:
-    workers = _resolve_threads(threads, replicas)
-    if workers == 1:
-        return [replica_passage(dist, n, m, seed, r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda r: replica_passage(dist, n, m, seed, r), range(replicas))
-        )
-
-
-def lln_experiment(config: LlnConfig, threads: int | None = None) -> LlnReport:
+def lln_experiment(config: LlnConfig) -> LlnReport:
     """Estimate the scaled passage value over independent replicas."""
-    values = _run_replicas(
-        config.dist, config.n, config.m, config.seed, config.replicas, threads
+    samples = tuple(
+        replica_passage(config.dist, config.n, config.m, config.seed, r) / config.n
+        for r in range(config.replicas)
     )
-    samples = tuple(v / config.n for v in values)
     mean = float(np.mean(samples))
     stddev = float(np.std(samples, ddof=1)) if len(samples) > 1 else 0.0
     target = lln_target(config.dist, config.beta)
@@ -173,7 +153,6 @@ def concentration_scan(
     beta: float,
     replicas: int,
     seed: int = 0,
-    threads: int | None = None,
 ) -> ConcentrationReport:
     """Empirical exceedance rate of |G/n - target| > delta per size.
 
@@ -187,7 +166,8 @@ def concentration_scan(
     counts = []
     for idx, n in enumerate(ns):
         m = int(math.floor(beta * n))
-        values = _run_replicas(dist, n, m, stream_base(seed, idx, n), replicas, threads)
+        base = stream_base(seed, idx, n)
+        values = [replica_passage(dist, n, m, base, r) for r in range(replicas)]
         exceed = sum(1 for v in values if abs(v / n - target) > delta)
         counts.append(exceed)
         rates.append(exceed / replicas)

@@ -8,7 +8,9 @@ apart again into exactly those data.  Arithmetic runs in one of two modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .lattice import (
     Domain,
@@ -99,10 +101,49 @@ def _infer_mode(values) -> str:
     return "int"
 
 
-def _validate_nonnegative(pairs, what: str) -> None:
-    for key, v in pairs:
-        if v < 0:
-            raise ValueError(f"negative {what} {v!r} at {key}")
+def as_mass(value, mode: str, where):
+    """``value`` cast to the mode's number type, once it is a mass a field can carry.
+
+    Masses are finite and nonnegative, and integral in int mode; anything
+    else raises ValueError.  A negative zero is read as zero.
+    """
+    try:
+        number = value if isinstance(value, Integral) else float(value)
+        if 0 <= number < math.inf and (mode != "int" or number == int(number)):
+            return int(number) if mode == "int" else float(number) + 0.0
+    except OverflowError:  # an integer too large for a float
+        pass
+    kind = "integer" if mode == "int" else "number"
+    raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
+
+
+def site_outflows(in_up, in_down, born):
+    """The site update: ``born + [in_up - in_down]^+`` and its mirror image.
+
+    Elementwise, so it runs on plain numbers and on per-replica arrays alike.
+    """
+    up = in_up - in_down
+    down = in_down - in_up
+    return born + up * (up > 0), born + down * (down > 0)
+
+
+def sweep(domain: Domain, up_in: dict, down_in: dict, born: dict) -> dict[Edge, object]:
+    """Forward evolution of complete, already checked data; no validation.
+
+    ``up_in`` and ``down_in`` hold a value for every site of the southwest
+    and northwest sides, ``born`` one for every site.  Values may be numbers
+    or per-replica arrays.  Returns the mass of every edge in canonical order.
+    """
+    mass: dict[Edge, object] = dict.fromkeys(domain.edges)
+    for y in domain.sites:  # sorted by (t, x): predecessors come first
+        if y in up_in:
+            mass[edge_sw(y)] = up_in[y]
+        if y in down_in:
+            mass[edge_nw(y)] = down_in[y]
+        mass[edge_ne(y)], mass[edge_se(y)] = site_outflows(
+            mass[edge_sw(y)], mass[edge_nw(y)], born[y]
+        )
+    return mass
 
 
 def zero_field(domain: Domain, mode: str = "float") -> FlowField:
@@ -127,20 +168,15 @@ def field_from_birth(
     if births.domain != domain:
         raise ValueError("birth field belongs to a different domain")
 
-    sw = set(domain.southwest_side)
-    nw = set(domain.northwest_side)
-    bad = set(boundary.up_in) - sw
+    bad = set(boundary.up_in) - set(domain.southwest_side)
     if bad:
         raise ValueError(f"ascending inflow keyed off the southwest side: {sorted(bad)}")
-    bad = set(boundary.down_in) - nw
+    bad = set(boundary.down_in) - set(domain.northwest_side)
     if bad:
         raise ValueError(f"descending inflow keyed off the northwest side: {sorted(bad)}")
     bad = set(births.births) - domain.site_set
     if bad:
         raise ValueError(f"births outside the domain: {sorted(bad)}")
-    _validate_nonnegative(boundary.up_in.items(), "inflow")
-    _validate_nonnegative(boundary.down_in.items(), "inflow")
-    _validate_nonnegative(births.births.items(), "birth")
 
     if mode is None:
         mode = _infer_mode(
@@ -149,23 +185,16 @@ def field_from_birth(
             + list(births.births.values())
         )
     zero = 0 if mode == "int" else 0.0
-    cast = int if mode == "int" else float
 
-    mass: dict[Edge, float] = {e: zero for e in domain.edges}
-    for y in domain.sites:  # sorted by (t, x): predecessors come first
-        if y in sw:
-            in_up = cast(boundary.up_in.get(y, zero))
-            mass[edge_sw(y)] = in_up
-        else:
-            in_up = mass[edge_sw(y)]
-        if y in nw:
-            in_down = cast(boundary.down_in.get(y, zero))
-            mass[edge_nw(y)] = in_down
-        else:
-            in_down = mass[edge_nw(y)]
-        born = cast(births.births.get(y, zero))
-        mass[edge_ne(y)] = born + max(in_up - in_down, zero)
-        mass[edge_se(y)] = born + max(in_down - in_up, zero)
+    def checked(values: dict, sites) -> dict:
+        return {y: as_mass(values.get(y, zero), mode, y) for y in sites}
+
+    mass = sweep(
+        domain,
+        checked(boundary.up_in, domain.southwest_side),
+        checked(boundary.down_in, domain.northwest_side),
+        checked(births.births, domain.sites),
+    )
     return FlowField(domain, mass, mode)
 
 
@@ -268,15 +297,11 @@ def field_from_dict(d: dict) -> FlowField:
 
     domain = domain_from_dict(d["domain"])
     mode = d.get("mode", "float")
-    cast = int if mode == "int" else float
     zero = 0 if mode == "int" else 0.0
     mass = {e: zero for e in domain.edges}
     for row in d["edges"]:
         e = Edge(int(row["t"]), int(row["x"]), row["slope"] == "up")
         if e not in mass:
             raise ValueError(f"edge {e} outside the domain closure")
-        v = cast(row["mass"])
-        if v < 0:
-            raise ValueError(f"negative mass on {e}")
-        mass[e] = v
+        mass[e] = as_mass(row["mass"], mode, e)
     return FlowField(domain, mass, mode)

@@ -329,10 +329,6 @@ class HexDomain(_DomainMixin):
 Domain = RectDomain | HexDomain
 
 
-def build_rect_domain(n: int, m: int) -> RectDomain:
-    return RectDomain(n, m)
-
-
 def domain_from_dict(d: dict) -> Domain:
     kind = d.get("type")
     if kind == "rect":

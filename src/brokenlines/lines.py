@@ -20,7 +20,6 @@ from .flow import (
     BirthField,
     BoundaryFlow,
     FlowField,
-    field_from_birth,
     require_conserved,
 )
 from .lattice import Domain, Edge, RectDomain, Site, edge_between, midpoints
@@ -437,11 +436,6 @@ def line_fields(
         BoundaryFlow(up_in, down_in),
         FlowField(domain, mass, mode),
     )
-
-
-def field_of_line(domain: RectDomain, trace: BrokenTrace, weight) -> FlowField:
-    births, boundary, _ = line_fields(domain, trace, weight)
-    return field_from_birth(domain, boundary, births)
 
 
 def decomposition_to_csv_rows(dec: Decomposition) -> list[list]:

@@ -54,6 +54,8 @@ def birth_matrix(xi: BirthField) -> np.ndarray:
 
 def births_from_matrix(matrix: np.ndarray) -> BirthField:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.isfinite(matrix).all():
+        raise ValueError("birth matrix has non-finite cells")
     n, m = matrix.shape
     domain = RectDomain(n, m)
     births = {
@@ -77,28 +79,33 @@ def _rect(domain) -> RectDomain:
     return domain
 
 
-def _dp_table(matrix: np.ndarray) -> np.ndarray:
-    """Cumulative best-path table G[i, j] over matrix cells."""
-    n, m = matrix.shape
-    table = np.empty((n, m))
+def _columns(matrix: np.ndarray):
+    """Yield the best-path sums G[:, j] column by column, holding one column.
+
+    ``G[i, j] = matrix[i, j] + max(G[i-1, j], G[i, j-1])``, evaluated for a
+    whole column at once as a prefix sum plus a running maximum.
+    """
     col = np.cumsum(matrix[:, 0])
-    table[:, 0] = col
-    for j in range(1, m):
+    yield col
+    for j in range(1, matrix.shape[1]):
         cum = np.cumsum(matrix[:, j])
         shifted = np.concatenate(([0.0], cum[:-1]))
         col = cum + np.maximum.accumulate(col - shifted)
+        yield col
+
+
+def _dp_table(matrix: np.ndarray) -> np.ndarray:
+    """Cumulative best-path table G[i, j] over matrix cells."""
+    table = np.empty(matrix.shape)
+    for j, col in enumerate(_columns(matrix)):
         table[:, j] = col
     return table
 
 
 def passage_value(matrix: np.ndarray) -> float:
     """Best oriented path sum over a matrix, value only, O(n) memory."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    col = np.cumsum(matrix[:, 0])
-    for j in range(1, matrix.shape[1]):
-        cum = np.cumsum(matrix[:, j])
-        shifted = np.concatenate(([0.0], cum[:-1]))
-        col = cum + np.maximum.accumulate(col - shifted)
+    for col in _columns(np.atleast_2d(np.asarray(matrix, dtype=float))):
+        pass
     return float(col[-1])
 
 

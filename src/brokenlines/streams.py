@@ -8,8 +8,6 @@ order, or in parallel, without sharing generator state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -71,25 +69,3 @@ def uniform_grid(base: int, rows: int, cols: int) -> np.ndarray:
     col_keys = np.arange(cols, dtype=np.uint64) + _U_GOLDEN
     h = _mix_array(row_keys[:, None] ^ col_keys[None, :])
     return (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-
-@dataclass
-class Stream:
-    """Sequential view of a counter-based stream.
-
-    ``(seed, key)`` select the stream; the draw position advances with
-    every call, so a stream is an ordinary stateful sampler while staying
-    reproducible from its address alone.
-    """
-
-    seed: int
-    key: tuple[int, ...] = ()
-    position: int = field(default=0)
-
-    def next_uniform(self) -> float:
-        u = uniform(self.seed, *self.key, self.position)
-        self.position += 1
-        return u
-
-    def substream(self, *extra: int) -> "Stream":
-        return Stream(self.seed, self.key + extra)

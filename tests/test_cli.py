@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from brokenlines.cli import run
 from brokenlines.flow import field_to_dict, zero_field
 from brokenlines.lattice import RectDomain
@@ -30,6 +32,25 @@ def test_lpp_check_flow_exit_codes(tmp_path):
     out = tmp_path / "result.json"
     assert run(["lpp", "--xi", str(xi), "--check-flow", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["flow_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_lpp_rejects_non_finite_cells(tmp_path, cell):
+    xi = tmp_path / "xi.csv"
+    write_matrix(xi, [[1, 2], [cell, 4]])
+    out = tmp_path / "result.json"
+    assert run(["lpp", "--xi", str(xi), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_threads_option_is_accepted_and_ignored(tmp_path):
+    for threads in ([], ["--threads", "4"]):
+        out = tmp_path / f"lln{len(threads)}.json"
+        assert run(["lln", "--n", "8", "--replicas", "3", "--seed", "2", *threads,
+                    "--out", str(out)]) == 0
+    assert (tmp_path / "lln0.json").read_text() == (tmp_path / "lln2.json").read_text()
+    assert run(["concentration", "--ns", "4,8", "--replicas", "5", "--threads", "2",
+                "--out", str(tmp_path / "scan.json")]) == 0
 
 
 def test_decompose_zero_field_writes_header_only(tmp_path):

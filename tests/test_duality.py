@@ -18,20 +18,21 @@ from brokenlines.duality import (
     restrict_field,
     reversal_invariance_test,
     reverse_through_site,
-    sample,
     time_reverse,
     transition_kernel,
 )
 from brokenlines.flow import (
     BirthField,
+    BoundaryFlow,
     check_conservation,
     field_from_birth,
     max_edge_gap,
+    sweep,
     total_crossing_flow,
     zero_field,
 )
 from brokenlines.lattice import RectDomain, edge_ne
-from brokenlines.streams import Stream
+from brokenlines.streams import stream_base, uniform
 
 nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 
@@ -63,9 +64,18 @@ def test_spec_validation():
         DistSpec.uniform(2, 1)
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["point:nan", "point:inf", "exp:inf", "exp:nan", "unif:0:inf", "unif:nan:1", "geom:nan"],
+)
+def test_non_finite_parameters_are_rejected(token):
+    with pytest.raises(ValueError):
+        parse_dist(token)
+
+
 def test_point_mass_sampling():
-    s = Stream(1)
-    assert all(sample(DistSpec.pointmass(3), s) == 3.0 for _ in range(5))
+    values = [DistSpec.pointmass(3).from_uniform(uniform(1, k)) for k in range(5)]
+    assert all(v == 3.0 for v in values)
 
 
 def test_geometric_sample_mean():
@@ -264,36 +274,30 @@ def test_exit_edge_is_geometric():
     assert p > 0.01
 
 
-def test_batched_sweep_matches_field_construction():
-    # the vectorized replica sweep behind the exit-law and consistency
-    # tests must agree with the one-field forward construction
-    from brokenlines.duality import ROLE_BIRTH, ROLE_DOWN_IN, ROLE_UP_IN, _batched_sweep
-    from brokenlines.flow import BoundaryFlow
-    from brokenlines.lattice import edge_se
-    import numpy as np
+def test_replica_sweep_matches_field_construction():
+    # the sweep run on per-replica arrays, as the exit-law and consistency
+    # tests run it, equals the one-field forward construction replica by replica
+    from brokenlines.duality import ROLE_BIRTH, ROLE_DOWN_IN, ROLE_UP_IN
 
     d = RectDomain(3, 4)
-    values = {
-        (y, role): float(10 * abs(y[0] - y[1]) + role)
-        for y in d.closure
-        for role in (ROLE_UP_IN, ROLE_DOWN_IN, ROLE_BIRTH)
-    }
 
-    def draw(y, role):
-        return np.array([values[(y, role)]])
+    def draw(spec, sites, role):
+        return {y: spec.sample_array(stream_base(9, *y, role), 6) for y in sites}
 
-    _, _, out_up, out_down = _batched_sweep(d, draw)
-    field = field_from_birth(
-        d,
-        BoundaryFlow(
-            {y: values[(y, ROLE_UP_IN)] for y in d.southwest_side},
-            {y: values[(y, ROLE_DOWN_IN)] for y in d.northwest_side},
-        ),
-        BirthField(d, {y: values[(y, ROLE_BIRTH)] for y in d.sites}),
-    )
-    for y in d.sites:
-        assert out_up[y][0] == pytest.approx(field.mass[edge_ne(y)])
-        assert out_down[y][0] == pytest.approx(field.mass[edge_se(y)])
+    for triple in ("exp:1,exp:2,exp:3", "geom:0.5,geom:0.4,geom:0.2"):
+        specs = parse_triple(triple)
+        up = draw(specs.pi1, d.southwest_side, ROLE_UP_IN)
+        down = draw(specs.pi2, d.northwest_side, ROLE_DOWN_IN)
+        born = draw(specs.pi3, d.sites, ROLE_BIRTH)
+        mass = sweep(d, up, down, born)
+        for r in range(6):
+            field = field_from_birth(
+                d,
+                BoundaryFlow({y: v[r].item() for y, v in up.items()},
+                             {y: v[r].item() for y, v in down.items()}),
+                BirthField(d, {y: v[r].item() for y, v in born.items()}),
+            )
+            assert {e: v[r].item() for e, v in mass.items()} == field.mass
 
 
 # ------------------------------------------------------------ burke

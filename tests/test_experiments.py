@@ -60,12 +60,11 @@ def test_single_site_reports_distribution_mean():
     assert report.mean == pytest.approx(EXP1.mean(), abs=4 * se)
 
 
-def test_experiment_is_deterministic_and_thread_invariant():
+def test_experiment_is_deterministic():
     config = LlnConfig(40, 1.0, GEOM5, replicas=6, seed=11)
     a = lln_experiment(config)
     b = lln_experiment(config)
-    c = lln_experiment(config, threads=3)
-    assert a.samples == b.samples == c.samples
+    assert a.samples == b.samples
     assert a.abs_error == abs(a.mean - a.target)
 
 
@@ -74,17 +73,6 @@ def test_replica_values_are_addressed_not_sequenced():
     one = replica_passage(EXP1, 16, 16, seed=7, replica=3)
     report = lln_experiment(LlnConfig(16, 1.0, EXP1, replicas=5, seed=7))
     assert report.samples[3] == pytest.approx(one / 16)
-
-
-def test_thread_cap_env_variable(monkeypatch):
-    from brokenlines.experiments import THREADS_ENV, _resolve_threads
-
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert _resolve_threads(None, replicas=8) == 4
-    assert _resolve_threads(None, replicas=2) == 2
-    assert _resolve_threads(1, replicas=8) == 1
-    config = LlnConfig(16, 1.0, EXP1, replicas=4, seed=3)
-    assert lln_experiment(config).samples == lln_experiment(config, threads=1).samples
 
 
 def test_split_seed_replica_doubling_is_stable():

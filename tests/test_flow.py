@@ -149,6 +149,60 @@ def test_input_validation():
         field_from_birth(d, births=BirthField(RectDomain(3, 3), {}))
 
 
+def _birth_entry(mode, value):
+    d = RectDomain(2, 2)
+    return field_from_birth(d, births=BirthField(d, {(1, 1): value}), mode=mode)
+
+
+def _inflow_entry(mode, value):
+    return field_from_birth(RectDomain(2, 2), BoundaryFlow({(0, 0): value}, {}), mode=mode)
+
+
+def _json_entry(mode, value):
+    d = field_to_dict(zero_field(RectDomain(2, 2), mode))
+    d["edges"][3]["mass"] = value
+    return field_from_dict(json.loads(json.dumps(d)))
+
+
+@pytest.mark.parametrize("entry", [_birth_entry, _inflow_entry, _json_entry])
+@pytest.mark.parametrize(
+    "mode, value",
+    [
+        ("float", float("nan")),
+        ("float", float("inf")),
+        ("float", float("-inf")),
+        ("float", -1.0),
+        ("int", -1),
+        ("int", 2.7),
+        ("int", float("nan")),
+        ("int", float("inf")),
+        ("float", 10**400),
+    ],
+)
+def test_bad_mass_is_rejected_where_it_enters(entry, mode, value):
+    with pytest.raises(ValueError):
+        entry(mode, value)
+
+
+def test_negative_zero_reads_as_zero():
+    d = RectDomain(2, 3)
+    births = {y: 0.5 * k for k, y in enumerate(d.sites)}
+    plain = field_from_birth(d, BoundaryFlow({(0, 0): 0.0}, {}), BirthField(d, births))
+    births[(0, 0)] = -0.0
+    signed = field_from_birth(d, BoundaryFlow({(0, 0): -0.0}, {}), BirthField(d, births))
+    assert json.dumps(field_to_dict(signed)) == json.dumps(field_to_dict(plain))
+    payload = field_to_dict(zero_field(d))
+    payload["edges"][0]["mass"] = -0.0
+    assert "-0.0" not in json.dumps(field_to_dict(field_from_dict(payload)))
+
+
+def test_integral_float_masses_are_read_as_ints():
+    d = RectDomain(2, 2)
+    f = field_from_birth(d, births=BirthField(d, {(1, 1): 2.0}), mode="int")
+    assert all(isinstance(v, int) for v in f.mass.values())
+    assert f.mass[edge_ne((1, 1))] == 2
+
+
 def test_hexagonal_evolution_matches_rectangle():
     rect = RectDomain(3, 4)
     hexa = HexDomain.from_rect(rect)

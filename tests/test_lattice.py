@@ -6,7 +6,6 @@ from brokenlines.lattice import (
     Edge,
     HexDomain,
     RectDomain,
-    build_rect_domain,
     domain_from_dict,
     edge_between,
     edge_ne,
@@ -37,7 +36,7 @@ def scan_edges(domain):
 
 
 def test_smallest_domain():
-    d = build_rect_domain(1, 1)
+    d = RectDomain(1, 1)
     assert d.sites == ((0, 0),)
     assert sorted(d.outer_sites) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 

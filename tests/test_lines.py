@@ -29,7 +29,6 @@ from brokenlines.lines import (
     decompose,
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
-    field_of_line,
     line_fields,
     maximal_line,
     trace_crosses,
@@ -728,8 +727,8 @@ def test_crossing_line_field_equals_forward_construction():
         if not dec.entries:
             continue
         trace, w = dec.entries[0]
-        _, _, direct = line_fields(domain, trace, w)
-        rebuilt = field_of_line(domain, trace, w)
+        births, boundary, direct = line_fields(domain, trace, w)
+        rebuilt = field_from_birth(domain, boundary, births)
         assert max_edge_gap(direct, rebuilt) <= 1e-12
 
 

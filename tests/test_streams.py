@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brokenlines.streams import Stream, stream_base, uniform, uniform_grid, uniforms
+from brokenlines.streams import stream_base, uniform, uniform_grid, uniforms
 
 
 def test_uniform_is_deterministic():
@@ -43,14 +43,12 @@ def test_uniforms_look_uniform():
 
 
 def test_stream_advances_and_replays():
-    s = Stream(5, (1, 2))
-    first = [s.next_uniform() for _ in range(4)]
-    replay = Stream(5, (1, 2))
-    assert first == [replay.next_uniform() for _ in range(4)]
+    # a stream is its address (seed, key) plus a running position
+    first = [uniform(5, 1, 2, k) for k in range(4)]
+    assert first == [uniform(5, 1, 2, k) for k in range(4)]
     assert len(set(first)) == 4
 
 
 def test_substream_is_disjoint():
-    s = Stream(5)
-    t = s.substream(9)
-    assert s.next_uniform() != t.next_uniform()
+    # an extra key selects a different stream at the same position
+    assert uniform(5, 0) != uniform(5, 9, 0)
