@@ -27,7 +27,7 @@ from .duality import (
     parse_triple,
     reversal_invariance_test,
 )
-from .flow import field_from_dict, field_to_dict
+from .flow import REL_TOL, field_from_dict, field_to_dict
 from .lattice import RectDomain
 from .lines import (
     compose,
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=None, help="output file (default stdout)")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-9)
+            p.add_argument("--tolerance", type=float, default=REL_TOL)
 
     p = sub.add_parser("sample", help="sample the geometric chain on a rectangle")
     p.add_argument("--n", type=int, required=True)

@@ -22,8 +22,17 @@ from .checks import (
     ks_check,
     mean_z_check,
 )
-from .flow import BirthField, BoundaryFlow, FlowField, field_from_birth, site_outflows, sweep
-from .lattice import Domain, Edge, RectDomain, Site, edge_ne, edge_se
+from .flow import (
+    BirthField,
+    BoundaryFlow,
+    FlowField,
+    as_mass,
+    field_from_birth,
+    infer_mode,
+    site_outflows,
+    sweep,
+)
+from .lattice import Domain, Edge, RectDomain, Site, edge_ne, edge_se, require_rect
 from .streams import stream_base, uniform, uniforms
 
 EXPONENTIAL = "exponential"
@@ -67,9 +76,7 @@ class DistSpec:
 
     @classmethod
     def pointmass(cls, value: float) -> "DistSpec":
-        if not 0 <= value < math.inf:
-            raise ValueError("point mass must be nonnegative and finite")
-        return cls(POINTMASS, value=value + 0.0)  # -0.0 becomes 0.0
+        return cls(POINTMASS, value=as_mass(value, "float", "the point mass"))
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "DistSpec":
@@ -194,8 +201,9 @@ def flow_through_site(in_up, in_down, birth):
 
     Output differences always match input differences, pairs only.
     """
-    if in_up < 0 or in_down < 0 or birth < 0:
-        raise ValueError("flows must be nonnegative")
+    mode = infer_mode((in_up, in_down, birth))
+    for v in (in_up, in_down, birth):
+        as_mass(v, mode, "the site")
     return (in_up, in_down, *site_outflows(in_up, in_down, birth))
 
 
@@ -204,9 +212,7 @@ def reverse_through_site(in_up, in_down, birth):
 
     An involution on nonnegative triples.
     """
-    if in_up < 0 or in_down < 0 or birth < 0:
-        raise ValueError("flows must be nonnegative")
-    return (*site_outflows(in_up, in_down, birth), min(in_up, in_down))
+    return (*flow_through_site(in_up, in_down, birth)[2:], min(in_up, in_down))
 
 
 def transition_kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam: float) -> float:
@@ -218,8 +224,11 @@ def transition_kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam:
     if not 0 < lam < 1:
         raise ValueError("kernel parameter must lie in (0, 1)")
     for v in (out_up, out_down, in_up, in_down):
-        if v < 0 or v != int(v):
-            raise ValueError("kernel arguments are nonnegative integers")
+        as_mass(v, "int", "kernel argument")
+    return _kernel(out_up, out_down, in_up, in_down, lam)
+
+
+def _kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam: float) -> float:
     if out_up - out_down != in_up - in_down:
         return 0.0
     norm = lam ** abs(in_up - in_down) / (1.0 - lam * lam)
@@ -234,6 +243,8 @@ def kernel_duality_residual(lam: float, kmax: int) -> float:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if not 0 < lam < 1:
+        raise ValueError("kernel parameter must lie in (0, 1)")
 
     def gpmf(k: int) -> float:
         return (1.0 - lam) * lam**k
@@ -245,11 +256,11 @@ def kernel_duality_residual(lam: float, kmax: int) -> float:
             left_weight = gpmf(m_up) * gpmf(m_down)
             for n_up in rng:
                 for n_down in rng:
-                    lhs = left_weight * transition_kernel(n_up, n_down, m_up, m_down, lam)
+                    lhs = left_weight * _kernel(n_up, n_down, m_up, m_down, lam)
                     rhs = (
                         gpmf(n_up)
                         * gpmf(n_down)
-                        * transition_kernel(m_down, m_up, n_down, n_up, lam)
+                        * _kernel(m_down, m_up, n_down, n_up, lam)
                     )
                     worst = max(worst, abs(lhs - rhs))
     return worst
@@ -380,8 +391,6 @@ def evolve_chain(domain: Domain, lam: float, seed: int, sampler=None) -> FlowFie
     the same seed.  ``sampler(site, role) -> int`` overrides the draws (test
     hook).
     """
-    if not 0 < lam < 1:
-        raise ValueError("lam must lie in (0, 1)")
     inflow = DistSpec.geometric(lam)
     birth = DistSpec.geometric(lam * lam)
     if sampler is None:
@@ -408,9 +417,7 @@ def time_reverse(field: FlowField) -> FlowField:
     descending slopes exchanged; applying the map twice gives the original
     field back, and conservation and the crossing flow are preserved.
     """
-    domain = field.domain
-    if not isinstance(domain, RectDomain):
-        raise ValueError("time reversal is defined on rectangular domains only")
+    domain = require_rect(field.domain, "time reversal")
     mirrored = RectDomain(domain.m, domain.n)
     ct = domain.n + domain.m - 2
     cx = domain.n - domain.m

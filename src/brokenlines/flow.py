@@ -1,9 +1,17 @@
 """Flow fields: nonnegative edge masses obeying the conservation law.
 
 A field is built forward from boundary inflows and a birth field, or taken
-apart again into exactly those data.  Arithmetic runs in one of two modes:
-``"int"`` keeps exact integer identities for the discrete process, while
-``"float"`` carries real masses with a fixed relative tolerance.
+apart again into exactly those data.  Masses are integers in ``"int"`` mode
+(the discrete process, every identity exact) and reals in ``"float"`` mode.
+The numeric policy lives here alone: :func:`as_mass` decides what a mass is,
+:func:`infer_mode` which mode values are in, and :func:`tolerance` when two
+numbers made of masses up to ``scale`` are equal.  The scale is the site's
+four masses for conservation, ``max(left, right)`` for the crossing-flow
+sums, the crossing flow ``C`` for brick heights, the largest interval
+endpoint for line widths, and the largest mass for the backward path's
+inflow check.  Brick heights within the rounding level ``ABS_TOL * max(1,
+max height)`` share a breakpoint; that width stays below the tolerance
+because real strips narrower than ``REL_TOL * C`` occur.
 """
 
 from __future__ import annotations
@@ -15,19 +23,21 @@ from numbers import Integral
 from .lattice import (
     Domain,
     Edge,
-    RectDomain,
     Site,
+    domain_from_dict,
     edge_ne,
     edge_nw,
     edge_se,
     edge_sw,
+    require_rect,
 )
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def _tolerance(scale, mode: str):
+def tolerance(scale, mode: str):
+    """Largest gap at which two quantities made of masses up to ``scale`` count as equal."""
     if mode == "int":
         return 0
     return max(ABS_TOL, REL_TOL * scale)
@@ -60,9 +70,6 @@ class BirthField:
     def zero(cls, domain: Domain) -> "BirthField":
         return cls(domain, {})
 
-    def at(self, y: Site):
-        return self.births.get(y, 0)
-
 
 @dataclass(frozen=True)
 class ExitFlow:
@@ -86,15 +93,17 @@ class FlowField:
     mass: dict[Edge, float]
     mode: str = "float"
 
-    def value(self, edge: Edge):
-        return self.mass.get(edge, 0)
+    def __post_init__(self) -> None:
+        if self.mode not in ("int", "float"):
+            raise ValueError(f"mode must be 'int' or 'float', not {self.mode!r}")
 
     @property
     def max_mass(self):
         return max(self.mass.values(), default=0)
 
 
-def _infer_mode(values) -> str:
+def infer_mode(values) -> str:
+    """``"int"`` when every value is an ``int`` (a bool is not), else ``"float"``."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
             return "float"
@@ -107,8 +116,8 @@ def as_mass(value, mode: str, where):
     Masses are finite and nonnegative, and integral in int mode; anything
     else raises ValueError.  A negative zero is read as zero.
     """
-    try:
-        number = value if isinstance(value, Integral) else float(value)
+    try:  # int and float first: the Integral ABC check is several times slower
+        number = value if isinstance(value, (int, float, Integral)) else float(value)
         if 0 <= number < math.inf and (mode != "int" or number == int(number)):
             return int(number) if mode == "int" else float(number) + 0.0
     except OverflowError:  # an integer too large for a float
@@ -179,15 +188,14 @@ def field_from_birth(
         raise ValueError(f"births outside the domain: {sorted(bad)}")
 
     if mode is None:
-        mode = _infer_mode(
+        mode = infer_mode(
             list(boundary.up_in.values())
             + list(boundary.down_in.values())
             + list(births.births.values())
         )
-    zero = 0 if mode == "int" else 0.0
 
     def checked(values: dict, sites) -> dict:
-        return {y: as_mass(values.get(y, zero), mode, y) for y in sites}
+        return {y: as_mass(values.get(y, 0), mode, y) for y in sites}
 
     mass = sweep(
         domain,
@@ -207,7 +215,7 @@ def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
         c = field.mass[edge_ne(y)]
         d = field.mass[edge_se(y)]
         residual = abs((b + c) - (a + d))
-        if residual > _tolerance(max(a, b, c, d), field.mode):
+        if residual > tolerance(max(a, b, c, d), field.mode):
             bad.append((y, residual))
     return bad
 
@@ -225,9 +233,7 @@ def extract(field: FlowField) -> tuple[BoundaryFlow, BirthField, ExitFlow]:
     through :func:`field_from_birth` reproduces the field exactly in integer
     mode and within tolerance in float mode.
     """
-    domain = field.domain
-    if not isinstance(domain, RectDomain):
-        raise ValueError("extraction is defined on rectangular domains only")
+    domain = require_rect(field.domain, "extraction")
     require_conserved(field)
     up_in = {y: field.mass[edge_sw(y)] for y in domain.southwest_side}
     down_in = {y: field.mass[edge_nw(y)] for y in domain.northwest_side}
@@ -251,16 +257,14 @@ def total_crossing_flow(field: FlowField):
     The same mass leaves through the other two sides; the two sums are
     compared and a disagreement beyond tolerance signals a corrupt field.
     """
-    domain = field.domain
-    if not isinstance(domain, RectDomain):
-        raise ValueError("crossing flow is defined on rectangular domains only")
+    domain = require_rect(field.domain, "crossing flow")
     left = sum(field.mass[edge_sw(y)] for y in domain.southwest_side) + sum(
         field.mass[edge_se(y)] for y in domain.southeast_side
     )
     right = sum(field.mass[edge_nw(y)] for y in domain.northwest_side) + sum(
         field.mass[edge_ne(y)] for y in domain.northeast_side
     )
-    if abs(left - right) > _tolerance(max(left, right, 1), field.mode):
+    if abs(left - right) > tolerance(max(left, right), field.mode):
         raise ValueError(f"crossing-flow sums disagree: {left} vs {right}")
     return left
 
@@ -293,12 +297,9 @@ def field_to_dict(f: FlowField) -> dict:
 
 
 def field_from_dict(d: dict) -> FlowField:
-    from .lattice import domain_from_dict
-
     domain = domain_from_dict(d["domain"])
     mode = d.get("mode", "float")
-    zero = 0 if mode == "int" else 0.0
-    mass = {e: zero for e in domain.edges}
+    mass = zero_field(domain, mode).mass
     for row in d["edges"]:
         e = Edge(int(row["t"]), int(row["x"]), row["slope"] == "up")
         if e not in mass:

@@ -36,10 +36,6 @@ class Edge(NamedTuple):
         return (self.t + 1, self.x + 1 if self.up else self.x - 1)
 
 
-def is_site(y: Site) -> bool:
-    return (y[0] + y[1]) % 2 == 0
-
-
 def edge_ne(y: Site) -> Edge:
     """Edge leaving ``y`` to the northeast (ascending outflow)."""
     return Edge(y[0], y[1], True)
@@ -327,6 +323,13 @@ class HexDomain(_DomainMixin):
 
 
 Domain = RectDomain | HexDomain
+
+
+def require_rect(domain: Domain, what: str) -> RectDomain:
+    """``domain`` itself when it is a rectangle; ``what`` names the operation that needs one."""
+    if not isinstance(domain, RectDomain):
+        raise ValueError(f"{what} is defined on rectangular domains only")
+    return domain
 
 
 def domain_from_dict(d: dict) -> Domain:

@@ -20,13 +20,14 @@ from .flow import (
     BirthField,
     BoundaryFlow,
     FlowField,
+    as_mass,
+    infer_mode,
     require_conserved,
+    tolerance,
+    total_crossing_flow,
+    zero_field,
 )
-from .lattice import Domain, Edge, RectDomain, Site, edge_between, midpoints
-
-# Height assignments reached along different search paths may disagree by
-# accumulated rounding; anything beyond this is a conservation violation.
-REL_SLACK = 1e-9
+from .lattice import Domain, Edge, RectDomain, Site, edge_between, midpoints, require_rect
 
 
 class Order(Enum):
@@ -148,7 +149,7 @@ class BrokenLine:
                 raise ValueError("need one interval per edge")
             widths = [b - a for a, b in self.intervals]
             spread = max(widths) - min(widths)
-            if spread > REL_SLACK * max(1.0, float(max(widths))):
+            if spread > tolerance(max(b for _, b in self.intervals), infer_mode(widths)):
                 raise ValueError(f"interval widths differ by {spread}")
 
     @property
@@ -258,9 +259,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     west corner, which anchors the minimum at zero; conservation makes the
     assignment path-independent.
     """
-    domain = field.domain
-    if not isinstance(domain, RectDomain):
-        raise ValueError("the brick diagram is defined on rectangular domains only")
+    domain = require_rect(field.domain, "the brick diagram")
     require_conserved(field)
     mass = field.mass
     is_int = field.mode == "int"
@@ -268,7 +267,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     anchor: Site = (-1, 0)
     heights: dict[Site, float] = {anchor: 0 if is_int else 0.0}
     queue = deque([anchor])
-    slack = 0 if is_int else REL_SLACK * max(1, field.max_mass) * len(mass)
+    slack = tolerance(total_crossing_flow(field), field.mode)
     while queue:
         u, v = queue.popleft()
         h = heights[(u, v)]
@@ -288,7 +287,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
         missing = set(expected) - set(heights)
         raise ValueError(f"unreached midpoints: {sorted(missing)[:4]}")
 
-    # Deduplicate heights into strictly increasing breakpoints.
+    # Deduplicate heights into strictly increasing breakpoints at the rounding level.
     eps = 0 if is_int else ABS_TOL * max(1.0, float(max(heights.values())))
     values = sorted(heights.values())
     breakpoints = [values[0]]
@@ -349,13 +348,13 @@ def compose(
     Built as the edgewise sum of ``weight * indicator(trace)``; the input
     must be strictly ordered left to right with positive weights.
     """
-    if not isinstance(domain, RectDomain):
-        raise ValueError("composition is defined on rectangular domains only")
+    require_rect(domain, "composition")
     traces = decomposition.traces()
-    weights = decomposition.weights()
-    for w in weights:
-        if not w > 0:
-            raise ValueError(f"weights must be positive, got {w!r}")
+    if mode is None:
+        mode = infer_mode(decomposition.weights())
+    weights = [as_mass(w, mode, f"line {j}") for j, w in enumerate(decomposition.weights(), 1)]
+    if 0 in weights:
+        raise ValueError(f"weights must be positive, got 0 at line {weights.index(0) + 1}")
     for trace in traces:
         if not trace_crosses(domain, trace):
             raise ValueError(f"trace does not cross the domain: {trace.sites}")
@@ -363,11 +362,8 @@ def compose(
         if compare_traces(a, b) is not Order.LEFT_OF:
             raise ValueError("traces are not strictly ordered left to right")
 
-    if mode is None:
-        mode = "int" if all(isinstance(w, int) for w in weights) else "float"
-    zero = 0 if mode == "int" else 0.0
-    mass = {e: zero for e in domain.edges}
-    for trace, w in decomposition:
+    mass = zero_field(domain, mode).mass
+    for trace, w in zip(traces, weights):
         for e in trace.edges:
             mass[e] += w
     return FlowField(domain, mass, mode)
@@ -408,12 +404,10 @@ def line_fields(
     segment enters the domain from the west sides.  For a crossing trace the
     flow field equals the forward construction run on these data.
     """
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
+    mode = infer_mode([weight])
+    weight = as_mass(weight, mode, "line weight")
     if not trace_in_closure(domain, trace):
         raise ValueError("trace leaves the domain closure")
-    mode = "int" if isinstance(weight, int) else "float"
-    zero = 0 if mode == "int" else 0.0
 
     births = {y: weight for y in trace.left_corners if weight != 0}
     up_in: dict[Site, float] = {}
@@ -427,7 +421,7 @@ def line_fields(
         if weight != 0:
             down_in[before] = weight
 
-    mass = {e: zero for e in domain.edges}
+    mass = zero_field(domain, mode).mass
     if weight != 0:
         for e in trace.edges:
             mass[e] = weight

@@ -14,8 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .flow import BirthField, FlowField, field_from_birth, total_crossing_flow
-from .lattice import RectDomain, Site, edge_nw, edge_sw
+from .flow import BirthField, FlowField, field_from_birth, tolerance, total_crossing_flow
+from .lattice import RectDomain, Site, edge_nw, edge_sw, require_rect
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LppResult:
 
 def birth_matrix(xi: BirthField) -> np.ndarray:
     """Births as the (n, m) matrix indexed by the cell bijection."""
-    domain = _rect(xi.domain)
+    domain = require_rect(xi.domain, "passage values")
     out = np.zeros((domain.n, domain.m))
     for y, v in xi.births.items():
         i, j = domain.site_to_cell(y)
@@ -71,12 +71,6 @@ def births_to_csv_text(xi: BirthField) -> str:
     """Births as CSV rows of the cell-indexed matrix."""
     matrix = birth_matrix(xi)
     return "\n".join(",".join(repr(float(v)) for v in row) for row in matrix) + "\n"
-
-
-def _rect(domain) -> RectDomain:
-    if not isinstance(domain, RectDomain):
-        raise ValueError("passage values are defined on rectangular domains only")
-    return domain
 
 
 def _columns(matrix: np.ndarray):
@@ -111,7 +105,7 @@ def passage_value(matrix: np.ndarray) -> float:
 
 def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
     """Forward dynamic program; ties prefer the predecessor in the first index."""
-    domain = _rect(xi.domain)
+    domain = require_rect(xi.domain, "passage values")
     table = _dp_table(birth_matrix(xi))
     value = float(table[-1, -1])
     if not with_path:
@@ -131,7 +125,7 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
 
 def lpp_bruteforce(xi: BirthField) -> float:
     """Exhaustive maximum over all oriented paths; oracle for small domains."""
-    domain = _rect(xi.domain)
+    domain = require_rect(xi.domain, "passage values")
     n, m = domain.n, domain.m
     if n + m > 14:
         raise ValueError("brute force is limited to n + m <= 14")
@@ -170,12 +164,11 @@ def optimal_path_backward(field: FlowField) -> LatticePath:
     Requires a field grown from births alone: nonzero boundary inflow breaks
     the optimality guarantee and is rejected.
     """
-    domain = _rect(field.domain)
+    domain = require_rect(field.domain, "passage values")
     inflow = sum(field.mass[edge_sw(y)] for y in domain.southwest_side) + sum(
         field.mass[edge_nw(y)] for y in domain.northwest_side
     )
-    tol = 0 if field.mode == "int" else 1e-12
-    if inflow > tol:
+    if inflow > tolerance(field.max_mass, field.mode):
         raise ValueError("backward path needs a field with zero boundary inflow")
     y = domain.east_corner
     rev = [y]

@@ -8,7 +8,7 @@ verticals at every breakpoint, strip colors matching the line picture.
 from __future__ import annotations
 
 from .flow import FlowField
-from .lattice import RectDomain
+from .lattice import require_rect
 from .lines import BrickDiagram, Decomposition, brick_diagram, decompose
 
 _PALETTE = (
@@ -126,8 +126,7 @@ def render_field_svg(field: FlowField, what: str = "both") -> str:
     """Render a rectangular field; ``what`` is one of lines/bricks/both."""
     if what not in ("lines", "bricks", "both"):
         raise ValueError("what must be lines, bricks, or both")
-    if not isinstance(field.domain, RectDomain):
-        raise ValueError("rendering is defined on rectangular domains only")
+    require_rect(field.domain, "rendering")
     dec = decompose(field)
     if len(dec) == 0:
         return _svg(220, 40, ['<text x="10" y="25" font-size="14">empty field</text>'])

@@ -74,6 +74,21 @@ def test_sample_decompose_compose_roundtrip_is_byte_identical(tmp_path):
     assert rebuilt_json.read_text() == field_json.read_text()
 
 
+def test_compose_rejects_an_infinite_weight(tmp_path):
+    field_json = tmp_path / "field.json"
+    lines_csv = tmp_path / "lines.csv"
+    out = tmp_path / "rebuilt.json"
+    assert run(["sample", "--n", "3", "--m", "3", "--lam", "0.5", "--seed", "7",
+                "--out", str(field_json)]) == 0
+    assert run(["decompose", "--field", str(field_json), "--out", str(lines_csv)]) == 0
+    rows = list(csv.reader(lines_csv.read_text().splitlines()))
+    rows[1][1] = "inf"
+    lines_csv.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    assert run(["compose", "--lines", str(lines_csv), "--n", "3", "--m", "3",
+                "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_decompose_diagram_json(tmp_path):
     field_json = tmp_path / "field.json"
     field_json.write_text(json.dumps(field_to_dict(random_field(RectDomain(2, 2), seed=3))))

@@ -104,6 +104,8 @@ def test_kernel_validation():
         transition_kernel(0, 0, 0, 0, 1.5)
     with pytest.raises(ValueError):
         transition_kernel(-1, 0, 1, 0, 0.5)
+    with pytest.raises(ValueError):
+        transition_kernel(float("inf"), 0, 1, 0, 0.5)
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
@@ -162,6 +164,10 @@ def test_operators_reject_negative_inputs():
         reverse_through_site(-1, 0, 0)
     with pytest.raises(ValueError):
         flow_through_site(0, -2.0, 0)
+    with pytest.raises(ValueError):
+        flow_through_site(float("inf"), 1.0, 0.0)
+    with pytest.raises(ValueError):
+        reverse_through_site(0.0, float("nan"), 0.0)
 
 
 # ------------------------------------------------------------ classification

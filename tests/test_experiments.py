@@ -104,6 +104,13 @@ def test_concentration_rates_decrease_at_tight_delta():
     assert sorted(report.rates, reverse=True) == list(report.rates)
 
 
+def test_concentration_rates_fall_strictly_with_size():
+    # unlike criterion 10, whose rates are all zero, these rates can fail
+    report = concentration_scan([25, 50, 100], 0.3, EXP1, 1.0, replicas=200, seed=0)
+    assert report.rates[0] > report.rates[1] > report.rates[2] > 0
+    assert report.slope < 0
+
+
 def test_concentration_wide_delta_never_exceeds():
     report = concentration_scan([20, 40], 10.0, EXP1, 1.0, replicas=50, seed=2)
     assert report.rates == (0.0, 0.0)

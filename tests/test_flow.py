@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokenlines import flow
 from brokenlines.flow import (
     BirthField,
     BoundaryFlow,
@@ -19,6 +22,12 @@ from brokenlines.flow import (
     zero_field,
 )
 from brokenlines.lattice import HexDomain, RectDomain, edge_ne, edge_nw, edge_se, edge_sw
+from brokenlines.lines import (
+    compose,
+    decompose,
+    decomposition_from_csv_rows,
+    decomposition_to_csv_rows,
+)
 from helpers import random_field
 
 ONE = RectDomain(1, 1)
@@ -164,7 +173,15 @@ def _json_entry(mode, value):
     return field_from_dict(json.loads(json.dumps(d)))
 
 
-@pytest.mark.parametrize("entry", [_birth_entry, _inflow_entry, _json_entry])
+def _compose_entry(mode, value):
+    d = RectDomain(2, 2)
+    f = field_from_birth(d, births=BirthField(d, {(1, 1): 1}))
+    rows = decomposition_to_csv_rows(decompose(f))
+    rows[1][1] = str(value)
+    return compose(d, decomposition_from_csv_rows(rows), mode=mode)
+
+
+@pytest.mark.parametrize("entry", [_birth_entry, _inflow_entry, _json_entry, _compose_entry])
 @pytest.mark.parametrize(
     "mode, value",
     [
@@ -182,6 +199,31 @@ def _json_entry(mode, value):
 def test_bad_mass_is_rejected_where_it_enters(entry, mode, value):
     with pytest.raises(ValueError):
         entry(mode, value)
+
+
+def test_unknown_mode_is_rejected():
+    d = RectDomain(2, 2)
+    payload = field_to_dict(zero_field(d, "int"))
+    payload["mode"] = "integer"
+    with pytest.raises(ValueError):
+        field_from_dict(payload)
+    with pytest.raises(ValueError):
+        field_from_birth(d, births=BirthField(d, {(1, 1): 1}), mode="integer")
+
+
+def test_tolerance_literals_live_in_flow_only():
+    # the numeric policy has one home: a tolerance written anywhere else
+    # would decide "equal" by a rule of its own
+    literal = re.compile(r"\b\d+(?:\.\d*)?e-\d+", re.IGNORECASE)
+    package = Path(flow.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "flow.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if literal.search(line)
+    ]
+    assert found == []
 
 
 def test_negative_zero_reads_as_zero():

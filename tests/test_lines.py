@@ -3,10 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenlines.flow import (
+    ABS_TOL,
     BirthField,
+    FlowField,
+    check_conservation,
     extract,
     field_from_birth,
     max_edge_gap,
+    tolerance,
     total_crossing_flow,
     zero_field,
 )
@@ -430,17 +434,31 @@ def test_breakpoints_end_at_total_crossing_flow():
         assert diagram.breakpoints[-1] == pytest.approx(total_crossing_flow(f), abs=1e-9)
 
 
-def test_near_tied_breakpoints_are_merged():
-    # two heights apart by well under the dedup width must not create a
-    # spurious sliver strip
+@given(
+    st.one_of(st.just(0.0), st.floats(-15, -9).map(lambda p: 10.0**p)),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_near_tied_births_decompose_into_valid_lines(offset, offset_first):
+    # The ascending mass of one birth meets the descending mass of the other
+    # at (3, 1); the surplus ``offset`` leaves as a strip of that width, which
+    # dedup merges away below the rounding level and keeps above it.
     d = RectDomain(5, 5)
-    births = BirthField(d, {(2, 0): 1.0, (6, 0): 1.0 + 5e-13})
-    f = field_from_birth(d, births=births)
+    big, small = (2, 0), (2, 2)
+    if not offset_first:
+        big, small = small, big
+    f = field_from_birth(d, births=BirthField(d, {big: 1.0 + offset, small: 1.0}))
+    dedup = ABS_TOL * max(1.0, max(brick_diagram(f).heights.values()))
     dec = decompose(f)
-    assert len(dec) == 2
-    assert all(w > 1e-6 for w in dec.weights())
+    assert all(trace_crosses(d, trace) for trace in dec.traces())
+    assert all(
+        compare_traces(a, b) is Order.LEFT_OF for a, b in zip(dec.traces(), dec.traces()[1:])
+    )
+    assert all(w > dedup for w in dec.weights())
+    if not dedup / 2 < offset < 2 * dedup:  # at the boundary, rounding decides
+        assert len(dec) == (2 if offset > dedup else 1)
     rebuilt = compose(d, dec)
-    assert max_edge_gap(f, rebuilt) <= 1e-9
+    assert max_edge_gap(f, rebuilt) <= tolerance(total_crossing_flow(f), "float")
 
 
 # ---------------------------------------------------- maximal lines
@@ -688,10 +706,21 @@ def test_brick_diagram_rejects_hexagons_and_bad_fields():
     broken = zero_field(D3)
     mass = dict(broken.mass)
     mass[edge_ne((2, 0))] = 1.0
-    from brokenlines.flow import FlowField
-
     with pytest.raises(ValueError):
         brick_diagram(FlowField(D3, mass, "float"))
+
+
+def test_decompose_refuses_heights_apart_beyond_tolerance():
+    # each site is off by 1.8e-9, inside its conservation tolerance of 2e-9,
+    # but the heights around the two sites disagree by 3.6e-9
+    f = field_from_birth(D3, births=BirthField(D3, {(2, 0): 2.0}))
+    mass = dict(f.mass)
+    mass[edge_ne((3, 1))] += 1.8e-9
+    mass[edge_se((3, -1))] -= 1.8e-9
+    bent = FlowField(D3, mass, "float")
+    assert not check_conservation(bent)
+    with pytest.raises(ValueError):
+        decompose(bent)
 
 
 # ---------------------------------------------------- line fields
@@ -712,6 +741,12 @@ def test_line_fields_straight_ascent():
     assert births.births == {}
     assert boundary.up_in == {(0, 0): 2.0}
     assert boundary.down_in == {}
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_line_fields_rejects_bad_weight(weight):
+    with pytest.raises(ValueError):
+        line_fields(D3, v_trace((2, 0)), weight)
 
 
 def test_line_fields_zero_weight():
