@@ -27,11 +27,11 @@ from .duality import (
     parse_triple,
     reversal_invariance_test,
 )
-from .flow import REL_TOL, field_from_dict, field_to_dict
+from .flow import REL_TOL, field_from_dict, field_to_dict, tolerance
 from .lattice import RectDomain
 from .lines import (
+    brick_diagram,
     compose,
-    decompose,
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
 )
@@ -75,14 +75,10 @@ def _sample(args) -> int:
 
 
 def _decompose(args) -> int:
-    field = _load_field(args.field)
-    rows = decomposition_to_csv_rows(decompose(field))
+    diagram = brick_diagram(_load_field(args.field))
+    rows = decomposition_to_csv_rows(diagram.decomposition())
     if args.diagram_json:
-        from .lines import brick_diagram
-
-        Path(args.diagram_json).write_text(
-            json.dumps(brick_diagram(field).to_dict(), indent=2)
-        )
+        Path(args.diagram_json).write_text(json.dumps(diagram.to_dict(), indent=2))
     if args.format == "json":
         header, *entries = rows
         payload = [dict(zip(header, entry)) for entry in entries]
@@ -111,8 +107,7 @@ def _lpp(args) -> int:
         residual = lpp.flow_identity_residual(xi)
         payload["flow_residual"] = residual
         _write_text(args.out, json.dumps(payload, indent=2))
-        tol = args.tolerance * max(1.0, result.value)
-        return OK if residual <= tol else CHECK_FAILED
+        return OK if residual <= tolerance(result.value, "float") else CHECK_FAILED
     _write_text(args.out, json.dumps(payload, indent=2))
     return OK
 
@@ -239,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed=True, out=True, tolerance=False):
+    def common(p, seed=True, out=True):
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if out:
             p.add_argument("--out", default=None, help="output file (default stdout)")
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=REL_TOL)
 
     p = sub.add_parser("sample", help="sample the geometric chain on a rectangle")
     p.add_argument("--n", type=int, required=True)
@@ -276,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also verify the passage value equals the total crossing flow",
     )
-    common(p, seed=False, tolerance=True)
+    common(p, seed=False)
     p.set_defaults(func=_lpp)
 
     p = sub.add_parser("path", help="backward optimal path of a zero-boundary field")
@@ -289,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", dest="nsamples", type=int, default=100_000)
     p.add_argument("--kernel-lams", help="comma list: run the kernel duality check instead")
     p.add_argument("--kmax", type=int, default=8)
-    common(p, tolerance=True)
+    p.add_argument("--tolerance", type=float, default=REL_TOL,
+                   help="absolute bound on each kernel residual, a quantity of scale 1")
+    common(p)
     p.set_defaults(func=_duality_check)
 
     p = sub.add_parser("burke", help="exit-law test for a self-dual triple")

@@ -350,10 +350,11 @@ def domain_from_dict(d: dict) -> Domain:
 
 
 def midpoints(domain: Domain) -> tuple[Site, ...]:
-    """Odd-parity points at unit distance from the domain, sorted.
+    """Odd-parity points at unit distance from the domain, sorted by ``(t, x)``.
 
     These are the interval boundaries of the brick diagram: one per face
-    corner of the site grid.
+    corner of the site grid.  The brick diagram sweeps them in this order,
+    so every midpoint comes after the midpoints of the column ``t - 1``.
     """
     out: set[Site] = set()
     for (t, x) in domain.sites:

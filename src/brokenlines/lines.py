@@ -10,7 +10,6 @@ the maximal crossing lines.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,7 +26,7 @@ from .flow import (
     total_crossing_flow,
     zero_field,
 )
-from .lattice import Domain, Edge, RectDomain, Site, edge_between, midpoints, require_rect
+from .lattice import Domain, Edge, RectDomain, Site, incident_edges, midpoints, require_rect
 
 
 class Order(Enum):
@@ -69,7 +68,12 @@ class BrokenTrace:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(edge_between(a, b) for a, b in zip(self.sites, self.sites[1:]))
+        # __post_init__ checked every step: a rising step is the up edge of its
+        # first site, a falling one the down edge of its second
+        return tuple(
+            Edge(ta, xa, True) if tb > ta else Edge(tb, xb, False)
+            for (ta, xa), (tb, xb) in zip(self.sites, self.sites[1:])
+        )
 
     @cached_property
     def left_corners(self) -> tuple[Site, ...]:
@@ -186,22 +190,25 @@ class Decomposition:
         return sum(self.weights())
 
 
+def _flanks(e: Edge) -> tuple[Site, Site]:
+    """Midpoints below and above edge ``e``: crossing it eastward adds ``mass[e]``."""
+    return (e.t, e.x + 1 if e.up else e.x - 1), (e.t + 1, e.x)
+
+
 @dataclass(frozen=True)
 class BrickDiagram:
     """Cumulative-coordinate view of a flow field on a rectangle.
 
     ``heights`` assigns every odd midpoint its cumulative coordinate; sorted
-    distinct values form ``breakpoints``.  Per closure site, ``strip_lo`` and
-    ``strip_hi`` bound the strip indices whose vertical band passes through
-    that site's brick.
+    distinct values form ``breakpoints``, and strip ``j`` is the band between
+    breakpoints ``j - 1`` and ``j``.  Each closure site owns a brick, and
+    ``site_range`` reads off the strips that pass through it.
     """
 
     domain: RectDomain
     mode: str
     breakpoints: tuple[float, ...]
     heights: dict[Site, float]
-    strip_lo: dict[Site, int]
-    strip_hi: dict[Site, int]
 
     @property
     def strip_count(self) -> int:
@@ -210,24 +217,50 @@ class BrickDiagram:
     def strip_weight(self, j: int):
         return self.breakpoints[j] - self.breakpoints[j - 1]
 
+    def site_range(self, y: Site) -> tuple[int, int]:
+        """Breakpoint indices ``lo, hi``: strips ``lo + 1 .. hi`` pass through ``y``.
+
+        An inner site's brick runs from the midpoint west of it to the one
+        east of it; an outer site's spans the flanks of its one domain edge.
+        """
+        t, x = y
+        if self.domain.contains(y):
+            lo_mid, hi_mid = (t - 1, x), (t + 1, x)
+        else:
+            (edge,) = (e for e in incident_edges(y) if e in self.domain.edge_set)
+            lo_mid, hi_mid = _flanks(edge)
+        q, h = self.breakpoints, self.heights
+        return bisect_right(q, h[lo_mid]) - 1, bisect_right(q, h[hi_mid]) - 1
+
     def edge_range(self, e: Edge) -> tuple[int, int]:
-        lo = max(self.strip_lo[e.base], self.strip_lo[e.head])
-        hi = min(self.strip_hi[e.base], self.strip_hi[e.head])
-        return lo, hi
+        (lo_a, hi_a), (lo_b, hi_b) = self.site_range(e.base), self.site_range(e.head)
+        return max(lo_a, lo_b), min(hi_a, hi_b)
 
     def trace_range(self, trace: BrokenTrace) -> tuple[int, int]:
-        try:
-            lo = max(self.strip_lo[y] for y in trace.sites)
-            hi = min(self.strip_hi[y] for y in trace.sites)
-        except KeyError as err:
-            raise ValueError(f"trace leaves the domain closure at {err.args[0]}") from None
-        return lo, hi
+        for y in trace.sites:
+            if not self.domain.in_closure(y):
+                raise ValueError(f"trace leaves the domain closure at {y}")
+        ranges = [self.site_range(y) for y in trace.sites]
+        return max(lo for lo, _ in ranges), min(hi for _, hi in ranges)
 
     def weight_of(self, trace: BrokenTrace):
         lo, hi = self.trace_range(trace)
         if hi <= lo:
             return 0 if self.mode == "int" else 0.0
         return self.breakpoints[hi] - self.breakpoints[lo]
+
+    def decomposition(self) -> Decomposition:
+        """The crossing traces left to right, one per strip, weighted by strip width."""
+        strips: list[list[Site]] = [[] for _ in range(self.strip_count + 1)]
+        for y in self.domain.closure:
+            lo, hi = self.site_range(y)
+            for j in range(lo + 1, hi + 1):
+                strips[j].append(y)
+        entries = []
+        for j in range(1, self.strip_count + 1):
+            trace = BrokenTrace(tuple(sorted(strips[j], key=lambda y: y[1])))
+            entries.append((trace, self.strip_weight(j)))
+        return Decomposition(tuple(entries))
 
     def to_dict(self) -> dict:
         return {
@@ -241,51 +274,35 @@ class BrickDiagram:
         }
 
 
-# Midpoint steps: moving east across an edge raises the height by its mass.
-# For a midpoint (u, v) the four adjacent crossings are fixed edge ids.
-def _midpoint_links(u: int, v: int):
-    return (
-        ((u + 1, v + 1), Edge(u, v + 1, False), +1),
-        ((u + 1, v - 1), Edge(u, v - 1, True), +1),
-        ((u - 1, v - 1), Edge(u - 1, v, False), -1),
-        ((u - 1, v + 1), Edge(u - 1, v, True), -1),
-    )
-
-
 def brick_diagram(field: FlowField) -> BrickDiagram:
     """Build the cumulative diagram of a conserved field on a rectangle.
 
-    Heights spread by breadth-first search from the midpoint west of the
-    west corner, which anchors the minimum at zero; conservation makes the
-    assignment path-independent.
+    One sweep over the midpoints in increasing ``t``.  The first, west of
+    the west corner, anchors the minimum at zero.  Every later midpoint is
+    the upper flank of one or two domain edges from the column before; it
+    takes its lower flank's height plus the mass of the ascending edge, or
+    of the descending one when there is no ascending edge, and the other
+    edge, where present, must agree within ``tolerance`` of the crossing
+    flow.  Every domain edge has exactly one upper flank, so each is used
+    or checked once.
     """
     domain = require_rect(field.domain, "the brick diagram")
     require_conserved(field)
     mass = field.mass
     is_int = field.mode == "int"
-
-    anchor: Site = (-1, 0)
-    heights: dict[Site, float] = {anchor: 0 if is_int else 0.0}
-    queue = deque([anchor])
     slack = tolerance(total_crossing_flow(field), field.mode)
-    while queue:
-        u, v = queue.popleft()
-        h = heights[(u, v)]
-        for other, edge, sign in _midpoint_links(u, v):
-            if edge not in mass:
-                continue
-            value = h + sign * mass[edge]
-            if other in heights:
-                if abs(heights[other] - value) > slack:
-                    raise ValueError(f"inconsistent heights at midpoint {other}")
-                continue
-            heights[other] = value
-            queue.append(other)
 
-    expected = midpoints(domain)
-    if len(heights) != len(expected):
-        missing = set(expected) - set(heights)
-        raise ValueError(f"unreached midpoints: {sorted(missing)[:4]}")
+    anchor, *rest = midpoints(domain)
+    heights: dict[Site, float] = {anchor: 0 if is_int else 0.0}
+    for u, v in rest:
+        crossings = [
+            heights[_flanks(e)[0]] + mass[e]
+            for e in (Edge(u - 1, v, True), Edge(u - 1, v, False))
+            if e in mass
+        ]
+        if len(crossings) == 2 and abs(crossings[1] - crossings[0]) > slack:
+            raise ValueError(f"inconsistent heights at midpoint {(u, v)}")
+        heights[(u, v)] = crossings[0]
 
     # Deduplicate heights into strictly increasing breakpoints at the rounding level.
     eps = 0 if is_int else ABS_TOL * max(1.0, float(max(heights.values())))
@@ -294,48 +311,12 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     for v in values[1:]:
         if v - breakpoints[-1] > eps:
             breakpoints.append(v)
-
-    def index_of(value) -> int:
-        return bisect_right(breakpoints, value) - 1
-
-    # Strip bounds per closure site.  Inner sites read the midpoints to
-    # their west and east; outer sites read the one midpoint that their
-    # single entering or exiting edge touches.
-    strip_lo: dict[Site, int] = {}
-    strip_hi: dict[Site, int] = {}
-    contains = domain.contains
-    for y in domain.closure:
-        t, x = y
-        if contains(y):
-            lo_mid, hi_mid = (t - 1, x), (t + 1, x)
-        elif contains((t + 1, x - 1)):  # outer northwest
-            lo_mid, hi_mid = (t, x - 1), (t + 1, x)
-        elif contains((t + 1, x + 1)):  # outer southwest
-            lo_mid, hi_mid = (t, x + 1), (t + 1, x)
-        elif contains((t - 1, x - 1)):  # outer northeast
-            lo_mid, hi_mid = (t - 1, x), (t, x - 1)
-        else:  # outer southeast
-            lo_mid, hi_mid = (t - 1, x), (t, x + 1)
-        strip_lo[y] = index_of(heights[lo_mid])
-        strip_hi[y] = index_of(heights[hi_mid])
-
-    return BrickDiagram(domain, field.mode, tuple(breakpoints), heights, strip_lo, strip_hi)
+    return BrickDiagram(domain, field.mode, tuple(breakpoints), heights)
 
 
 def decompose(field: FlowField) -> Decomposition:
     """Split a field into its ordered family of weighted crossing traces."""
-    diagram = brick_diagram(field)
-    strips: dict[int, list[Site]] = {j: [] for j in range(1, diagram.strip_count + 1)}
-    for y in field.domain.closure:
-        lo, hi = diagram.strip_lo[y], diagram.strip_hi[y]
-        for j in range(lo + 1, hi + 1):
-            strips[j].append(y)
-    entries = []
-    for j in range(1, diagram.strip_count + 1):
-        sites = sorted(strips[j], key=lambda y: y[1])
-        trace = BrokenTrace(tuple(sites))
-        entries.append((trace, diagram.strip_weight(j)))
-    return Decomposition(tuple(entries))
+    return brick_diagram(field).decomposition()
 
 
 def compose(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .flow import FlowField
 from .lattice import require_rect
-from .lines import BrickDiagram, Decomposition, brick_diagram, decompose
+from .lines import BrickDiagram, Decomposition, brick_diagram
 
 _PALETTE = (
     "#1b9e77",
@@ -127,7 +127,8 @@ def render_field_svg(field: FlowField, what: str = "both") -> str:
     if what not in ("lines", "bricks", "both"):
         raise ValueError("what must be lines, bricks, or both")
     require_rect(field.domain, "rendering")
-    dec = decompose(field)
+    diagram = brick_diagram(field)
+    dec = diagram.decomposition()
     if len(dec) == 0:
         return _svg(220, 40, ['<text x="10" y="25" font-size="14">empty field</text>'])
     parts: list[str] = []
@@ -139,7 +140,7 @@ def render_field_svg(field: FlowField, what: str = "both") -> str:
         offset += w
         height = max(height, h)
     if what in ("bricks", "both"):
-        body, w, h = _bricks_group(field, brick_diagram(field), offset)
+        body, w, h = _bricks_group(field, diagram, offset)
         parts.extend(body)
         offset += w
         height = max(height, h)

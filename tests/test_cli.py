@@ -34,6 +34,18 @@ def test_lpp_check_flow_exit_codes(tmp_path):
     assert json.loads(out.read_text())["flow_residual"] <= 1e-12
 
 
+def test_lpp_check_flow_tolerance_is_relative_to_the_passage_value(tmp_path, monkeypatch):
+    # passage value 8e-7: a residual of 1e-10 is far past tolerance(8e-7) = 1e-12
+    from brokenlines import lpp
+
+    monkeypatch.setattr(lpp, "flow_identity_residual", lambda xi: 1e-10)
+    xi = tmp_path / "xi.csv"
+    write_matrix(xi, [[1e-7, 2e-7], [3e-7, 4e-7]])
+    out = tmp_path / "result.json"
+    assert run(["lpp", "--xi", str(xi), "--check-flow", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["value"] == pytest.approx(8e-7)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_lpp_rejects_non_finite_cells(tmp_path, cell):
     xi = tmp_path / "xi.csv"
