@@ -249,6 +249,23 @@ class BrickDiagram:
             return 0 if self.mode == "int" else 0.0
         return self.breakpoints[hi] - self.breakpoints[lo]
 
+    def maximal_line(self, trace: BrokenTrace) -> BrokenLine:
+        """The widest line on ``trace`` compatible with the field.
+
+        The common strip range of all trace sites is translated back onto
+        each edge's own (0, mass] scale; an empty range yields the empty line.
+        """
+        lo, hi = self.trace_range(trace)
+        if hi <= lo:
+            return BrokenLine(trace, ())
+        q = self.breakpoints
+        width = q[hi] - q[lo]
+        intervals = []
+        for e in trace.edges:
+            start = q[lo] - q[self.edge_range(e)[0]]
+            intervals.append((start, start + width))
+        return BrokenLine(trace, tuple(intervals))
+
     def decomposition(self) -> Decomposition:
         """The crossing traces left to right, one per strip, weighted by strip width."""
         strips: list[list[Site]] = [[] for _ in range(self.strip_count + 1)]
@@ -351,27 +368,20 @@ def compose(
 
 
 def trace_weight(field: FlowField, trace: BrokenTrace):
-    """Weight of the maximal line with the given trace: its strips' total width."""
+    """Weight of the maximal line with the given trace: its strips' total width.
+
+    Builds the diagram for one query; probe many traces of one field through
+    :meth:`BrickDiagram.weight_of` on one :func:`brick_diagram`.
+    """
     return brick_diagram(field).weight_of(trace)
 
 
 def maximal_line(field: FlowField, trace: BrokenTrace) -> BrokenLine:
-    """The widest line on ``trace`` compatible with the field.
+    """The widest line on ``trace``; see :meth:`BrickDiagram.maximal_line`.
 
-    The common strip range of all trace sites is translated back onto each
-    edge's own (0, mass] scale; an empty range yields the empty line.
+    Builds the diagram for one query, like :func:`trace_weight`.
     """
-    diagram = brick_diagram(field)
-    lo, hi = diagram.trace_range(trace)
-    if hi <= lo:
-        return BrokenLine(trace, ())
-    q = diagram.breakpoints
-    width = q[hi] - q[lo]
-    intervals = []
-    for e in trace.edges:
-        start = q[lo] - q[diagram.edge_range(e)[0]]
-        intervals.append((start, start + width))
-    return BrokenLine(trace, tuple(intervals))
+    return brick_diagram(field).maximal_line(trace)
 
 
 def line_fields(

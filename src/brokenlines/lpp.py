@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -67,38 +66,36 @@ def births_from_matrix(matrix: np.ndarray) -> BirthField:
     return BirthField(domain, births)
 
 
-def births_to_csv_text(xi: BirthField) -> str:
-    """Births as CSV rows of the cell-indexed matrix."""
-    matrix = birth_matrix(xi)
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in matrix) + "\n"
+def _columns(columns):
+    """Yield the best-path sums column by column, holding one column.
 
-
-def _columns(matrix: np.ndarray):
-    """Yield the best-path sums G[:, j] column by column, holding one column.
-
-    ``G[i, j] = matrix[i, j] + max(G[i-1, j], G[i, j-1])``, evaluated for a
-    whole column at once as a prefix sum plus a running maximum.
+    ``G[..., i, j] = x[..., i, j] + max(G[..., i-1, j], G[..., i, j-1])``,
+    fed one column ``x[..., :, j]`` of shape ``(..., n)`` at a time and
+    evaluated for the whole column as a prefix sum plus a running maximum
+    along the last axis.  Leading axes are independent matrices.
     """
-    col = np.cumsum(matrix[:, 0])
+    columns = iter(columns)
+    col = np.cumsum(next(columns), axis=-1)
     yield col
-    for j in range(1, matrix.shape[1]):
-        cum = np.cumsum(matrix[:, j])
-        shifted = np.concatenate(([0.0], cum[:-1]))
-        col = cum + np.maximum.accumulate(col - shifted)
+    for x in columns:
+        cum = np.cumsum(x, axis=-1)
+        gap = col.copy()
+        gap[..., 1:] -= cum[..., :-1]
+        col = cum + np.maximum.accumulate(gap, axis=-1)
         yield col
 
 
 def _dp_table(matrix: np.ndarray) -> np.ndarray:
     """Cumulative best-path table G[i, j] over matrix cells."""
     table = np.empty(matrix.shape)
-    for j, col in enumerate(_columns(matrix)):
+    for j, col in enumerate(_columns(matrix.T)):
         table[:, j] = col
     return table
 
 
 def passage_value(matrix: np.ndarray) -> float:
     """Best oriented path sum over a matrix, value only, O(n) memory."""
-    for col in _columns(np.atleast_2d(np.asarray(matrix, dtype=float))):
+    for col in _columns(np.atleast_2d(np.asarray(matrix, dtype=float)).T):
         pass
     return float(col[-1])
 
@@ -144,10 +141,6 @@ def lpp_bruteforce(xi: BirthField) -> float:
             total += matrix[i, j]
         best = max(best, total)
     return float(best)
-
-
-def brute_force_path_count(n: int, m: int) -> int:
-    return comb(n + m - 2, n - 1)
 
 
 def flow_identity_residual(xi: BirthField) -> float:

@@ -61,11 +61,23 @@ def uniforms(base: int, count: int) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
+def uniform_columns(bases, rows: int, cols: int):
+    """Yield column ``j`` of the uniform grid of every base, for ``j = 0 .. cols-1``.
+
+    Column ``j`` is the ``(len(bases), rows)`` array addressed by
+    ``(base, row, j)``; the row keys are mixed once, so a block of replicas
+    is drawn one column at a time without holding any grid.
+    """
+    bases = np.asarray([b & _MASK for b in bases], dtype=np.uint64)
+    row_keys = _mix_array(bases[:, None] ^ (np.arange(rows, dtype=np.uint64) + _U_GOLDEN))
+    for j in range(cols):
+        h = _mix_array(row_keys ^ np.uint64((j + _GOLDEN) & _MASK))
+        yield (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
 def uniform_grid(base: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) array of uniforms addressed by (base, row, col)."""
-    row_keys = _mix_array(
-        np.uint64(base & _MASK) ^ (np.arange(rows, dtype=np.uint64) + _U_GOLDEN)
-    )
-    col_keys = np.arange(cols, dtype=np.uint64) + _U_GOLDEN
-    h = _mix_array(row_keys[:, None] ^ col_keys[None, :])
-    return (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    grid = np.empty((rows, cols))
+    for j, col in enumerate(uniform_columns([base], rows, cols)):
+        grid[:, j] = col[0]
+    return grid

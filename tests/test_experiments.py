@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brokenlines import experiments
 from brokenlines.duality import DistSpec
 from brokenlines.experiments import (
+    _BLOCK_CELLS,
     LlnConfig,
     concentration_scan,
     lln_experiment,
@@ -13,6 +16,8 @@ from brokenlines.experiments import (
     replica_passage,
     reversible_boundary_params,
 )
+from brokenlines.lpp import passage_value
+from brokenlines.streams import stream_base, uniform_grid
 
 EXP1 = DistSpec.exponential(1)
 GEOM5 = DistSpec.geometric(0.5)
@@ -70,9 +75,40 @@ def test_experiment_is_deterministic():
 
 def test_replica_values_are_addressed_not_sequenced():
     # replica 3 alone equals replica 3 inside a batch
-    one = replica_passage(EXP1, 16, 16, seed=7, replica=3)
+    (one,) = replica_passage(EXP1, 16, 16, 7, range(3, 4))
     report = lln_experiment(LlnConfig(16, 1.0, EXP1, replicas=5, seed=7))
-    assert report.samples[3] == pytest.approx(one / 16)
+    assert report.samples[3] == one / 16
+
+
+LAWS = [EXP1, GEOM5, DistSpec.pointmass(1.5), DistSpec.uniform(0.5, 2.0)]
+# (n, m, replicas): a single row, a single column, wide, tall, and a tall
+# shape whose replicas span two blocks at the module's own block size
+BATCHES = [(1, 1, 9), (1, 6, 9), (6, 1, 9), (3, 5, 9), (5, 3, 9),
+           (2100, 2, _BLOCK_CELLS // 2100 + 3)]
+
+
+def replica_alone(dist, n, m, seed, r):
+    u = uniform_grid(stream_base(seed, r), n, m)
+    return passage_value(np.asarray(dist.from_uniform(u), dtype=float))
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.token())
+@pytest.mark.parametrize("n, m, replicas", BATCHES)
+@pytest.mark.parametrize("block_cells", [_BLOCK_CELLS, 4])
+def test_batched_replicas_equal_each_replica_alone(monkeypatch, dist, n, m, replicas, block_cells):
+    # a block of 4 cells splits every batch above into several blocks
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", block_cells)
+    batch = replica_passage(dist, n, m, 5, range(replicas))
+    alone = [replica_alone(dist, n, m, 5, r) for r in range(replicas)]
+    assert batch.tolist() == alone
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.token())
+def test_replica_subrange_equals_its_slice_of_the_batch(monkeypatch, dist):
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 8)
+    whole = replica_passage(dist, 4, 3, 2, range(0, 8))
+    part = replica_passage(dist, 4, 3, 2, range(3, 6))
+    assert part.tolist() == whole[3:6].tolist()
 
 
 def test_split_seed_replica_doubling_is_stable():
@@ -90,6 +126,12 @@ def test_transposition_symmetry():
     mean_tall = tall.mean * 24
     spread = math.hypot(wide.stddev * 12, tall.stddev * 24) / math.sqrt(400)
     assert abs(mean_wide - mean_tall) < 5 * spread
+
+
+@pytest.mark.parametrize("ns, beta", [([1, 4], 0.5), ([0], 1.0)])
+def test_concentration_rejects_empty_matrices(ns, beta):
+    with pytest.raises(ValueError):
+        concentration_scan(ns, 0.5, EXP1, beta, replicas=3)
 
 
 def test_concentration_single_replica_rate_is_binary():

@@ -326,19 +326,21 @@ def test_total_weight_matches_crossing_flow(seed):
 
 def test_single_edge_traces_recover_masses():
     f = random_field(RectDomain(3, 3), seed=21)
+    diagram = brick_diagram(f)
     for e in f.domain.edges:
         tr_sites = tuple(sorted((e.base, e.head), key=lambda y: y[1]))
-        w = trace_weight(f, BrokenTrace(tr_sites))
+        w = diagram.weight_of(BrokenTrace(tr_sites))
         assert w == pytest.approx(f.mass[e], abs=1e-12)
 
 
 def test_wedge_traces_recover_births():
     f = random_field(RectDomain(3, 3), seed=22)
     _, births, _ = extract(f)
+    diagram = brick_diagram(f)
     for y in f.domain.sites:
         t, x = y
         wedge = BrokenTrace(((t + 1, x - 1), y, (t + 1, x + 1)))
-        assert trace_weight(f, wedge) == pytest.approx(births.births.get(y, 0), abs=1e-12)
+        assert diagram.weight_of(wedge) == pytest.approx(births.births.get(y, 0), abs=1e-12)
 
 
 def test_zero_field_weights():
@@ -357,7 +359,8 @@ def test_trace_weight_outside_closure_rejected():
 def test_weight_monotone_under_extension(seed):
     domain = random_domain(seed, max_side=5)
     f = random_field(domain, seed=seed)
-    dec = decompose(f)
+    diagram = brick_diagram(f)
+    dec = diagram.decomposition()
     if not dec.entries:
         return
     trace, w = dec.entries[int(uniform(seed, 7) * len(dec.entries))]
@@ -365,7 +368,7 @@ def test_weight_monotone_under_extension(seed):
     lo = int(uniform(seed, 8) * (n - 1))
     hi = min(n, lo + 2 + int(uniform(seed, 9) * (n - lo - 1)))
     sub = BrokenTrace(trace.sites[lo:hi])
-    assert trace_weight(f, sub) >= trace_weight(f, trace) - 1e-12
+    assert diagram.weight_of(sub) >= diagram.weight_of(trace) - 1e-12
     assert trace_weight(f, trace) == pytest.approx(w, abs=1e-9)
 
 
@@ -404,7 +407,8 @@ def test_containment_is_interval_shaped(seed):
 def test_positive_weight_traces_are_comparable(seed):
     domain = random_domain(seed, max_side=5)
     f = random_field(domain, seed=seed)
-    dec = decompose(f)
+    diagram = brick_diagram(f)
+    dec = diagram.decomposition()
     if len(dec.entries) < 2:
         return
     ts = dec.traces()
@@ -413,7 +417,7 @@ def test_positive_weight_traces_are_comparable(seed):
     a, b = ts[i], ts[j]
     sub_a = BrokenTrace(a.sites[: 2 + int(uniform(seed, 7) * (len(a.sites) - 1))])
     sub_b = BrokenTrace(b.sites[len(b.sites) - 2 :])
-    if trace_weight(f, sub_a) > 0 and trace_weight(f, sub_b) > 0:
+    if diagram.weight_of(sub_a) > 0 and diagram.weight_of(sub_b) > 0:
         assert compare_traces(sub_a, sub_b) is not Order.INCOMPARABLE
 
 
@@ -529,9 +533,9 @@ def test_maximal_lines_satisfy_association_rules(seed, mode):
     domain = random_domain(seed, max_side=5)
     f = random_field(domain, seed=seed, mode=mode)
     _, births, _ = extract(f)
-    dec = decompose(f)
-    for trace, w in dec.entries[:6]:
-        line = maximal_line(f, trace)
+    diagram = brick_diagram(f)
+    for trace, w in diagram.decomposition().entries[:6]:
+        line = diagram.maximal_line(trace)
         assert line.weight == pytest.approx(w, abs=1e-9)
         association_cases(f, births, line)
 
@@ -565,8 +569,9 @@ def test_integer_lines_are_maximal(seed):
     domain = random_domain(seed, max_side=4)
     f = random_field(domain, seed=seed, mode="int")
     _, births, _ = extract(f)
-    for trace, w in decompose(f).entries[:4]:
-        line = maximal_line(f, trace)
+    diagram = brick_diagram(f)
+    for trace, w in diagram.decomposition().entries[:4]:
+        line = diagram.maximal_line(trace)
         start = line.intervals[0][0]
         if start < 1:
             continue
@@ -589,8 +594,9 @@ def test_integer_lines_reproduce_discrete_labels(seed):
     domain = random_domain(seed, max_side=4)
     f = random_field(domain, seed=seed, mode="int")
     _, births, _ = extract(f)
-    for trace, w in decompose(f).entries[:4]:
-        line = maximal_line(f, trace)
+    diagram = brick_diagram(f)
+    for trace, w in diagram.decomposition().entries[:4]:
+        line = diagram.maximal_line(trace)
         assert all(isinstance(v, int) for ab in line.intervals for v in ab)
         # unit labels: p corresponds to the slice (p-1, p]
         for offset in range(1, int(w) + 1):
@@ -659,15 +665,16 @@ def test_decomposition_agrees_with_association_oracle(seed, mode):
     domain = random_domain(seed, max_side=3)
     f = random_field(domain, seed=seed, mode=mode)
     _, births, _ = extract(f)
-    dec = {tr: w for tr, w in decompose(f)}
+    diagram = brick_diagram(f)
+    dec = {tr: w for tr, w in diagram.decomposition()}
     tol = 0 if mode == "int" else 1e-9 * max(1.0, float(f.max_mass))
     positives = {}
     for trace in all_crossing_traces(domain):
         interval, width = association_weight(f, births, trace)
-        assert abs(trace_weight(f, trace) - width) <= tol
+        assert abs(diagram.weight_of(trace) - width) <= tol
         if width > max(tol, 1e-9):
             positives[trace] = width
-            line = maximal_line(f, trace)
+            line = diagram.maximal_line(trace)
             assert abs(line.intervals[-1][0] - interval[0]) <= tol
             assert abs(line.intervals[-1][1] - interval[1]) <= tol
     assert set(positives) == set(dec)

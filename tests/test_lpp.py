@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenlines.flow import BirthField, BoundaryFlow, field_from_birth
+from brokenlines.flow import (
+    BirthField,
+    BoundaryFlow,
+    field_from_birth,
+    tolerance,
+    total_crossing_flow,
+)
 from brokenlines.lattice import RectDomain
 from brokenlines.lines import decompose
 from brokenlines.lpp import (
@@ -18,7 +24,7 @@ from brokenlines.lpp import (
     path_sum,
 )
 from brokenlines.streams import uniform
-from helpers import random_birth_field
+from helpers import births_to_csv_text, random_birth_field, random_inputs
 
 XI_2X2 = births_from_matrix([[1.0, 2.0], [3.0, 4.0]])
 
@@ -79,8 +85,6 @@ def test_matrix_roundtrip_uses_cell_indexing():
 def test_matrix_csv_text_roundtrip():
     from io import StringIO
 
-    from brokenlines.lpp import births_to_csv_text
-
     xi = random_birth_field(RectDomain(3, 2), seed=17)
     text = births_to_csv_text(xi)
     back = births_from_matrix(np.loadtxt(StringIO(text), delimiter=","))
@@ -95,6 +99,24 @@ def test_passage_value_matches_dp():
 def test_flow_identity_on_example():
     assert flow_identity_residual(XI_2X2) <= 1e-12
     assert flow_identity_residual(births_from_matrix([[0.0]])) == 0.0
+
+
+@given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 7), st.sampled_from(["int", "float"]))
+@settings(max_examples=80, deadline=None)
+def test_crossing_flow_with_inflow_is_augmented_passage_value(seed, n, m, mode):
+    # inflows act as an extra row and column of births: up_in of the site in
+    # cell (i, 1) sits at [i, 0], down_in of the site in cell (1, j) at [0, j]
+    domain = RectDomain(n, m)
+    inflow, births = random_inputs(domain, seed, mode)
+    field = field_from_birth(domain, inflow, births, mode=mode)
+    matrix = np.zeros((n + 1, m + 1))
+    matrix[1:, 1:] = birth_matrix(births)
+    for y, v in inflow.up_in.items():
+        matrix[domain.site_to_cell(y)[0], 0] = v
+    for y, v in inflow.down_in.items():
+        matrix[0, domain.site_to_cell(y)[1]] = v
+    value = passage_value(matrix)
+    assert abs(total_crossing_flow(field) - value) <= tolerance(value, mode)
 
 
 @given(st.integers(0, 300))
@@ -157,13 +179,6 @@ def test_path_validation():
     path = LatticePath(((0, 0), (1, 1)))
     with pytest.raises(ValueError):
         path_sum(births_from_matrix([[1.0]]), path)
-
-
-def test_oriented_path_count_is_small_for_brute_domains():
-    from brokenlines.lpp import brute_force_path_count
-
-    assert brute_force_path_count(2, 2) == 2
-    assert brute_force_path_count(7, 7) == 924
 
 
 class _CountingMass(dict):

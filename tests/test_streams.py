@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brokenlines.streams import stream_base, uniform, uniform_grid, uniforms
+from brokenlines.streams import stream_base, uniform, uniform_columns, uniform_grid, uniforms
 
 
 def test_uniform_is_deterministic():
@@ -34,6 +34,16 @@ def test_uniform_grid_matches_order_independent_addressing():
     # sub-grids are prefixes: addressing is by (row, col), not draw order
     sub = uniform_grid(stream_base(9), 2, 3)
     assert np.array_equal(sub, grid[:2, :3])
+
+
+def test_uniform_columns_draw_each_cell_from_seed_replica_row_col():
+    bases = [stream_base(9, r) for r in range(3)]
+    columns = list(uniform_columns(bases, 4, 5))
+    assert len(columns) == 5
+    for j, col in enumerate(columns):
+        assert col.shape == (3, 4)
+        assert col.tolist() == [[uniform(9, r, i, j) for i in range(4)] for r in range(3)]
+    assert np.array_equal(uniform_grid(bases[2], 4, 5), np.stack(columns, axis=-1)[2])
 
 
 def test_uniforms_look_uniform():
