@@ -32,8 +32,8 @@ from .flow import (
     site_outflows,
     sweep,
 )
-from .lattice import Domain, Edge, RectDomain, Site, edge_ne, edge_se, require_rect
-from .streams import stream_base, uniform, uniforms
+from .lattice import Domain, Edge, RectDomain, edge_ne, edge_se, require_rect
+from .streams import stream_base, uniforms, uniforms_at
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -319,17 +319,17 @@ def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: in
     sampled in any order.
     """
 
-    def draw(spec: DistSpec, sites, role: int) -> dict:
-        return {
-            y: spec.sample_array(stream_base(seed, tag, y[0], y[1], role), count) for y in sites
-        }
+    def draw(spec: DistSpec, sites, role: int) -> np.ndarray:
+        return np.stack([
+            spec.sample_array(stream_base(seed, tag, y[0], y[1], role), count) for y in sites
+        ])
 
-    return sweep(
+    return dict(zip(domain.edges, sweep(
         domain,
         draw(triple.pi1, domain.southwest_side, ROLE_UP_IN),
         draw(triple.pi2, domain.northwest_side, ROLE_DOWN_IN),
         draw(triple.pi3, domain.sites, ROLE_BIRTH),
-    )
+    )))
 
 
 def burke_exit_test(
@@ -393,15 +393,17 @@ def evolve_chain(domain: Domain, lam: float, seed: int, sampler=None) -> FlowFie
     """
     inflow = DistSpec.geometric(lam)
     birth = DistSpec.geometric(lam * lam)
-    if sampler is None:
 
-        def sampler(y: Site, role: int) -> int:
-            spec = inflow if role != ROLE_BIRTH else birth
-            return int(spec.from_uniform(uniform(seed, y[0], y[1], role)))
+    def draws(sites, role: int) -> dict:
+        if sampler is not None:
+            return {y: sampler(y, role) for y in sites}
+        t, x = np.array(sites, dtype=np.int64).reshape(-1, 2).T
+        spec = inflow if role != ROLE_BIRTH else birth
+        return dict(zip(sites, spec.from_uniform(uniforms_at(seed, t, x, role)).tolist()))
 
-    up_in = {y: sampler(y, ROLE_UP_IN) for y in domain.southwest_side}
-    down_in = {y: sampler(y, ROLE_DOWN_IN) for y in domain.northwest_side}
-    births = {y: sampler(y, ROLE_BIRTH) for y in domain.sites}
+    up_in = draws(domain.southwest_side, ROLE_UP_IN)
+    down_in = draws(domain.northwest_side, ROLE_DOWN_IN)
+    births = draws(domain.sites, ROLE_BIRTH)
     return field_from_birth(
         domain,
         BoundaryFlow(up_in, down_in),
@@ -430,14 +432,6 @@ def time_reverse(field: FlowField) -> FlowField:
             mass[Edge(ct - e.t - 1, e.x - 1 + cx, True)] = v
     ordered = {e: mass[e] for e in mirrored.edges}
     return FlowField(mirrored, ordered, field.mode)
-
-
-def restrict_field(field: FlowField, sub: RectDomain) -> FlowField:
-    """Field restricted to a sub-rectangle sharing lattice coordinates."""
-    for y in sub.sites:
-        if not field.domain.contains(y):
-            raise ValueError("sub-domain leaves the field's domain")
-    return FlowField(sub, {e: field.mass[e] for e in sub.edges}, field.mode)
 
 
 def consistency_test(

@@ -12,35 +12,42 @@ endpoint for line widths, and the largest mass for the backward path's
 inflow check.  Brick heights within the rounding level ``ABS_TOL * max(1,
 max height)`` share a breakpoint; that width stays below the tolerance
 because real strips narrower than ``REL_TOL * C`` occur.
+
+Layout: ``FlowField.mass`` is the public ``Edge``-keyed dict that JSON,
+tests and callers read.  The field operations read ``FlowField.values``
+instead, the same masses as one flat array in canonical edge order
+(``domain.edges``), and :func:`sweep` runs on such arrays one ``t``-column
+at a time, with an optional trailing replica axis.  :func:`mass_array`
+picks the dtype: float64 in float mode; in int mode int64 when the sum of
+the masses' sizes (for a sweep, of its inflows and births) is below
+``2**63``, which bounds every mass, height and sum the operations form,
+and otherwise exact Python ints in an object array.  Values handed out
+are Python ``int`` and ``float`` either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
-from .lattice import (
-    Domain,
-    Edge,
-    Site,
-    domain_from_dict,
-    edge_ne,
-    edge_nw,
-    edge_se,
-    edge_sw,
-    require_rect,
-)
+import numpy as np
+
+from .lattice import Domain, Edge, Site, as_integer, domain_from_dict, require_rect
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
 def tolerance(scale, mode: str):
-    """Largest gap at which two quantities made of masses up to ``scale`` count as equal."""
+    """Largest gap at which two quantities made of masses up to ``scale`` count as equal.
+
+    ``scale`` may be an array, for one tolerance per element.
+    """
     if mode == "int":
         return 0
-    return max(ABS_TOL, REL_TOL * scale)
+    return np.maximum(ABS_TOL, REL_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,24 @@ class FlowField:
         if self.mode not in ("int", "float"):
             raise ValueError(f"mode must be 'int' or 'float', not {self.mode!r}")
 
+    @classmethod
+    def from_values(cls, domain: Domain, values: np.ndarray, mode: str) -> "FlowField":
+        """The field whose masses are ``values`` in canonical edge order."""
+        field = cls(domain, dict(zip(domain.edges, values.tolist())), mode)
+        field.__dict__["values"] = values
+        return field
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """``mass`` as one array in canonical edge order (see :func:`mass_array`)."""
+        edges = self.domain.edges
+        if list(self.mass) == list(edges):  # the order every producer builds
+            return mass_array(list(self.mass.values()), self.mode)
+        return mass_array([self.mass[e] for e in edges], self.mode)
+
     @property
     def max_mass(self):
-        return max(self.mass.values(), default=0)
+        return max(self.values.tolist(), default=0)
 
 
 def infer_mode(values) -> str:
@@ -126,6 +148,16 @@ def as_mass(value, mode: str, where):
     raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
 
 
+def mass_array(values: list, mode: str) -> np.ndarray:
+    """``values`` as an array: float64 in float mode; in int mode int64 when
+    the sum of their sizes is below ``2**63``, else an object array of the
+    Python ints themselves, so that no sum of them can wrap."""
+    if mode != "int":
+        return np.array(values, dtype=np.float64)
+    exact = all(type(v) is int for v in values) and sum(map(abs, values)) < 1 << 63
+    return np.array(values, dtype=np.int64 if exact else object)
+
+
 def site_outflows(in_up, in_down, born):
     """The site update: ``born + [in_up - in_down]^+`` and its mirror image.
 
@@ -136,28 +168,27 @@ def site_outflows(in_up, in_down, born):
     return born + up * (up > 0), born + down * (down > 0)
 
 
-def sweep(domain: Domain, up_in: dict, down_in: dict, born: dict) -> dict[Edge, object]:
+def sweep(domain: Domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarray) -> np.ndarray:
     """Forward evolution of complete, already checked data; no validation.
 
-    ``up_in`` and ``down_in`` hold a value for every site of the southwest
-    and northwest sides, ``born`` one for every site.  Values may be numbers
-    or per-replica arrays.  Returns the mass of every edge in canonical order.
+    ``up_in`` and ``down_in`` hold the inflow at each site of the southwest
+    and northwest sides, in their order, and ``born`` the birth at each site
+    of ``domain.sites``; a trailing replica axis is allowed.  Returns the
+    mass of every edge in canonical order, one ``t``-column of sites at a
+    time: each column reads only edges written by the column before it.
     """
-    mass: dict[Edge, object] = dict.fromkeys(domain.edges)
-    for y in domain.sites:  # sorted by (t, x): predecessors come first
-        if y in up_in:
-            mass[edge_sw(y)] = up_in[y]
-        if y in down_in:
-            mass[edge_nw(y)] = down_in[y]
-        mass[edge_ne(y)], mass[edge_se(y)] = site_outflows(
-            mass[edge_sw(y)], mass[edge_nw(y)], born[y]
-        )
+    sw, nw, ne, se = domain.plan.incident
+    entry_up, entry_down, _, _ = domain.side_edges
+    mass = np.zeros((len(domain.plan.edge_keys), *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass[entry_up] = up_in
+    mass[entry_down] = down_in
+    for col in domain.plan.columns:
+        mass[ne[col]], mass[se[col]] = site_outflows(mass[sw[col]], mass[nw[col]], born[col])
     return mass
 
 
 def zero_field(domain: Domain, mode: str = "float") -> FlowField:
-    z = 0 if mode == "int" else 0.0
-    return FlowField(domain, {e: z for e in domain.edges}, mode)
+    return FlowField(domain, dict.fromkeys(domain.edges, 0 if mode == "int" else 0.0), mode)
 
 
 def field_from_birth(
@@ -194,30 +225,27 @@ def field_from_birth(
             + list(births.births.values())
         )
 
-    def checked(values: dict, sites) -> dict:
-        return {y: as_mass(values.get(y, 0), mode, y) for y in sites}
+    def checked(values: dict, sites) -> list:
+        return [as_mass(values.get(y, 0), mode, y) for y in sites]
 
-    mass = sweep(
-        domain,
-        checked(boundary.up_in, domain.southwest_side),
-        checked(boundary.down_in, domain.northwest_side),
-        checked(births.births, domain.sites),
-    )
-    return FlowField(domain, mass, mode)
+    up = checked(boundary.up_in, domain.southwest_side)
+    down = checked(boundary.down_in, domain.northwest_side)
+    born = checked(births.births, domain.sites)
+    # every mass and every sum of masses is bounded by the total input
+    inputs = mass_array(up + down + born, mode)
+    k = len(up) + len(down)
+    mass = sweep(domain, inputs[: len(up)], inputs[len(up) : k], inputs[k:])
+    return FlowField.from_values(domain, mass, mode)
 
 
 def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
     """Sites where inflow and outflow disagree beyond tolerance, with residuals."""
-    bad = []
-    for y in field.domain.sites:
-        a = field.mass[edge_sw(y)]
-        b = field.mass[edge_nw(y)]
-        c = field.mass[edge_ne(y)]
-        d = field.mass[edge_se(y)]
-        residual = abs((b + c) - (a + d))
-        if residual > tolerance(max(a, b, c, d), field.mode):
-            bad.append((y, residual))
-    return bad
+    a, b, c, d = field.values[field.domain.plan.incident]
+    residual = abs((b + c) - (a + d))
+    scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    bad = np.flatnonzero(residual > tolerance(scale, field.mode))
+    sites = field.domain.sites
+    return [(sites[i], r) for i, r in zip(bad.tolist(), residual[bad].tolist())]
 
 
 def require_conserved(field: FlowField) -> None:
@@ -235,20 +263,27 @@ def extract(field: FlowField) -> tuple[BoundaryFlow, BirthField, ExitFlow]:
     """
     domain = require_rect(field.domain, "extraction")
     require_conserved(field)
-    up_in = {y: field.mass[edge_sw(y)] for y in domain.southwest_side}
-    down_in = {y: field.mass[edge_nw(y)] for y in domain.northwest_side}
-    births = {}
-    for y in domain.sites:
-        b = min(field.mass[edge_ne(y)], field.mass[edge_se(y)])
-        if b != 0:
-            births[y] = b
-    up_out = {y: field.mass[edge_ne(y)] for y in domain.northeast_side}
-    down_out = {y: field.mass[edge_se(y)] for y in domain.southeast_side}
+
+    def side(sites, slope: int) -> dict:
+        return dict(zip(sites, side_masses(field, slope)))
+
+    _, _, up, down = field.values[domain.plan.incident]
+    smaller = np.where(down < up, down, up)
+    born = np.flatnonzero(smaller != 0)
+    sites = domain.sites
+    births = {sites[i]: b for i, b in zip(born.tolist(), smaller[born].tolist())}
     return (
-        BoundaryFlow(up_in, down_in),
+        BoundaryFlow(side(domain.southwest_side, 0), side(domain.northwest_side, 1)),
         BirthField(domain, births),
-        ExitFlow(up_out, down_out),
+        ExitFlow(side(domain.northeast_side, 2), side(domain.southeast_side, 3)),
     )
+
+
+def side_masses(field: FlowField, side: int) -> list:
+    """Masses of ``domain.side_edges[side]``: 0 and 1 the inflow of the
+    southwest and northwest sides, 2 and 3 the outflow of the northeast and
+    southeast sides, in side order."""
+    return field.values[field.domain.side_edges[side]].tolist()
 
 
 def total_crossing_flow(field: FlowField):
@@ -258,31 +293,18 @@ def total_crossing_flow(field: FlowField):
     compared and a disagreement beyond tolerance signals a corrupt field.
     """
     domain = require_rect(field.domain, "crossing flow")
-    left = sum(field.mass[edge_sw(y)] for y in domain.southwest_side) + sum(
-        field.mass[edge_se(y)] for y in domain.southeast_side
-    )
-    right = sum(field.mass[edge_nw(y)] for y in domain.northwest_side) + sum(
-        field.mass[edge_ne(y)] for y in domain.northeast_side
-    )
+    left = sum(side_masses(field, 0)) + sum(side_masses(field, 3))
+    right = sum(side_masses(field, 1)) + sum(side_masses(field, 2))
     if abs(left - right) > tolerance(max(left, right), field.mode):
         raise ValueError(f"crossing-flow sums disagree: {left} vs {right}")
     return left
-
-
-def add_fields(a: FlowField, b: FlowField) -> FlowField:
-    """Edgewise sum; the conservation law is linear so validity is preserved."""
-    if a.domain != b.domain:
-        raise ValueError("cannot add fields on different domains")
-    if a.mode != b.mode:
-        raise ValueError("cannot mix integer and float fields")
-    return FlowField(a.domain, {e: a.mass[e] + b.mass[e] for e in a.domain.edges}, a.mode)
 
 
 def max_edge_gap(a: FlowField, b: FlowField):
     """Largest edgewise difference between two fields on one domain."""
     if a.domain != b.domain:
         raise ValueError("fields live on different domains")
-    return max(abs(a.mass[e] - b.mass[e]) for e in a.domain.edges)
+    return max(abs(a.values - b.values).tolist())
 
 
 def field_to_dict(f: FlowField) -> dict:
@@ -296,13 +318,40 @@ def field_to_dict(f: FlowField) -> dict:
     }
 
 
+_SLOPES = {"up": True, "down": False}
+
+
+def _integers(values: list, what: str) -> list:
+    if all(type(v) is int for v in values):
+        return values
+    return [as_integer(v, what) for v in values]
+
+
 def field_from_dict(d: dict) -> FlowField:
+    """Read :func:`field_to_dict` output; edges it omits carry zero.
+
+    Raises ValueError on an unknown mode or slope, a non-integral
+    coordinate, an edge outside the domain closure or listed twice, and a
+    mass :func:`as_mass` refuses.
+    """
     domain = domain_from_dict(d["domain"])
     mode = d.get("mode", "float")
-    mass = zero_field(domain, mode).mass
-    for row in d["edges"]:
-        e = Edge(int(row["t"]), int(row["x"]), row["slope"] == "up")
-        if e not in mass:
-            raise ValueError(f"edge {e} outside the domain closure")
-        mass[e] = as_mass(row["mass"], mode, e)
-    return FlowField(domain, mass, mode)
+    rows = d["edges"]
+    t = _integers([row["t"] for row in rows], "edge t")
+    x = _integers([row["x"] for row in rows], "edge x")
+    up = [_SLOPES.get(row["slope"]) for row in rows]
+    if None in up:
+        raise ValueError(f"edge slope must be 'up' or 'down', not {rows[up.index(None)]['slope']!r}")
+    edges, index = domain.edges, domain.edge_index
+    found = [index.get(e) for e in zip(t, x, up)]  # a plain tuple finds its Edge
+    if None in found:
+        k = found.index(None)
+        raise ValueError(f"edge {Edge(t[k], x[k], up[k])} outside the domain closure")
+    values = [None] * len(edges)
+    for i, row in zip(found, rows):
+        if values[i] is not None:
+            raise ValueError(f"edge {edges[i]} listed twice")
+        values[i] = as_mass(row["mass"], mode, edges[i])
+    zero = 0 if mode == "int" else 0.0
+    values = [zero if v is None else v for v in values]
+    return FlowField.from_values(domain, mass_array(values, mode), mode)

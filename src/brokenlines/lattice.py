@@ -4,14 +4,19 @@ Sites are pairs ``(t, x)`` with ``t + x`` even; edges join sites at diagonal
 distance 1 in each coordinate.  A rectangular domain is the degenerate case
 of a hexagonal one and is the only shape on which the decomposition
 machinery operates; hexagonal domains support membership, boundary queries
-and the Markov evolution.
+and the Markov evolution.  Both build the same index arrays from their
+column bounds (:class:`ColumnPlan`, :class:`MidpointPlan`), which the
+sweeps over ``t``-columns in ``flow`` and ``lines`` run on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
+
+import numpy as np
 
 Site = tuple[int, int]
 
@@ -69,30 +74,142 @@ def edge_between(a: Site, b: Site) -> Edge:
     return Edge(base[0], base[1], head[1] > base[1])
 
 
-def _edge_sort_key(e: Edge) -> tuple[int, int, bool]:
-    # base-lexicographic, up before down
-    return (e.t, e.x, not e.up)
+class ColumnPlan(NamedTuple):
+    """Index arrays of one domain, for sweeps one ``t``-column at a time.
+
+    A point ``(t, x)`` is keyed ``(t - t_lo) * width + (x - x_lo)`` on a box
+    two steps wider than the domain on every side, and an edge by twice its
+    base's key, plus one when it descends.  Sorting keys therefore sorts
+    points by ``(t, x)`` and edges in canonical order, so positions in the
+    sorted key arrays index ``domain.sites`` and ``domain.edges``.
+    """
+
+    t_lo: int
+    x_lo: int
+    width: int
+    site_keys: np.ndarray
+    edge_keys: np.ndarray
+    incident: np.ndarray  # (4, sites): the sw, nw, ne, se edge index of each site
+    columns: tuple[slice, ...]  # the sites of each t, in order
+
+    def key(self, t, x) -> np.ndarray:
+        return (np.asarray(t) - self.t_lo) * self.width + (np.asarray(x) - self.x_lo)
+
+    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return keys // self.width + self.t_lo, keys % self.width + self.x_lo
+
+    def points(self, keys: np.ndarray) -> tuple[Site, ...]:
+        t, x = self.decode(keys)
+        return tuple(zip(t.tolist(), x.tolist()))
+
+    def step_edges(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Canonical index of the edge of each step ``(t, x)[i] -> (t, x)[i + 1]``
+        between diagonal neighbours, -1 where it is no domain edge."""
+        a, b = self.key(t[:-1], x[:-1]), self.key(t[1:], x[1:])
+        return _find(self.edge_keys, np.where(t[1:] > t[:-1], 2 * a, 2 * b + 1))
 
 
-def _neighbours(y: Site) -> tuple[Site, Site, Site, Site]:
-    t, x = y
-    return ((t + 1, x + 1), (t + 1, x - 1), (t - 1, x + 1), (t - 1, x - 1))
+class MidpointPlan(NamedTuple):
+    """The brick-diagram sweep over the midpoints of a rectangle.
+
+    ``keys`` are the midpoints sorted by ``(t, x)`` and ``columns`` their
+    ``t``-columns.  The first midpoint is the anchor; every later one is
+    the upper flank of the edge ``edge`` and takes its height from the
+    lower flank ``low``: the ascending edge of the column before when the
+    domain has it, else the descending one.  The midpoints ``both`` have
+    the descending edge ``edge2`` with lower flank ``low2`` as well.
+    Closure site ``i``, at ``x = closure_x[i]``, owns the brick from
+    midpoint ``brick_lo[i]`` to ``brick_hi[i]``.
+    """
+
+    keys: np.ndarray
+    columns: tuple[slice, ...]
+    edge: np.ndarray
+    low: np.ndarray
+    both: np.ndarray
+    edge2: np.ndarray
+    low2: np.ndarray
+    closure_x: np.ndarray
+    brick_lo: np.ndarray
+    brick_hi: np.ndarray
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys`` (``np.unique``, through a plain sort)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _find(sorted_keys: np.ndarray, keys) -> np.ndarray:
+    """Position of each key in ``sorted_keys``, -1 where it is absent."""
+    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == keys, pos, -1)
+
+
+def _parts(a: np.ndarray, like: list) -> list[np.ndarray]:
+    """``a`` cut into consecutive pieces as long as the items of ``like``."""
+    ends = list(accumulate(map(len, like)))
+    return [a[i:j] for i, j in zip([0, *ends], ends)]
+
+
+def _column_slices(t: np.ndarray) -> tuple[slice, ...]:
+    """Slices of the runs of equal values in the sorted array ``t``."""
+    cuts = [0, *(np.flatnonzero(np.diff(t)) + 1).tolist(), len(t)]
+    return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
 
 class _DomainMixin:
-    """Derived geometry shared by rectangular and hexagonal domains."""
+    """Derived geometry shared by rectangular and hexagonal domains.
+
+    Everything is derived from the column bounds ``(t0, lo, hi)``: column
+    ``t0 + k`` holds the sites ``x = lo[k], lo[k] + 2, .., hi[k]``.  The
+    :class:`ColumnPlan` and, for rectangles, the :class:`MidpointPlan` are
+    built once per domain with numpy and cached with the tuples read off
+    them.
+    """
+
+    @cached_property
+    def plan(self) -> ColumnPlan:
+        t0, lo, hi = self._column_bounds()
+        x_lo = int(lo.min()) - 2
+        width = int(hi.max()) - x_lo + 3
+        counts = (hi - lo) // 2 + 1
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # column k's keys run from its lowest site's key up in steps of 2
+        first = (np.arange(2, len(lo) + 2) * width + lo - x_lo) - 2 * starts
+        s = np.repeat(first, counts) + 2 * np.arange(ends[-1])
+        # twice the key of each edge's base, plus one when it descends
+        incident = 2 * s + np.array([[-2 * width - 2], [-2 * width + 3], [0], [1]])
+        edge_keys = _distinct(incident.ravel())
+        columns = tuple(map(slice, starts.tolist(), ends.tolist()))
+        return ColumnPlan(
+            t0 - 2, x_lo, width, s, edge_keys, np.searchsorted(edge_keys, incident), columns
+        )
+
+    @cached_property
+    def sites(self) -> tuple[Site, ...]:
+        """The sites sorted by ``(t, x)``: column by column."""
+        return self.plan.points(self.plan.site_keys)
 
     @cached_property
     def site_set(self) -> frozenset[Site]:
         return frozenset(self.sites)
 
+    def _near(self, steps: tuple[int, ...]) -> np.ndarray:
+        """Sorted distinct keys of the sites moved by each key offset in ``steps``."""
+        s = self.plan.site_keys
+        return _distinct(np.concatenate([s + d for d in steps]))
+
+    @cached_property
+    def _closure_keys(self) -> np.ndarray:
+        w = self.plan.width
+        return self._near((0, w + 1, w - 1, -w + 1, -w - 1))
+
     @cached_property
     def closure(self) -> tuple[Site, ...]:
         """S plus all its diagonal neighbours, sorted."""
-        out = set(self.sites)
-        for y in self.sites:
-            out.update(_neighbours(y))
-        return tuple(sorted(out))
+        return self.plan.points(self._closure_keys)
 
     @cached_property
     def closure_set(self) -> frozenset[Site]:
@@ -105,14 +222,61 @@ class _DomainMixin:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Edges with at least one endpoint in the domain, canonical order."""
-        seen = set()
-        for y in self.sites:
-            seen.update(incident_edges(y))
-        return tuple(sorted(seen, key=_edge_sort_key))
+        keys = self.plan.edge_keys
+        t, x = self.plan.decode(keys >> 1)
+        return tuple(map(Edge, t.tolist(), x.tolist(), (keys & 1 == 0).tolist()))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Position of each edge in :attr:`edges`."""
+        return dict(zip(self.edges, range(len(self.edges))))
+
+    @cached_property
+    def side_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edge indices, in side order, of the inflow of the southwest and the
+        northwest sides and of the outflow of the northeast and southeast sides."""
+        plan = self.plan
+        sides = (self.southwest_side, self.northwest_side, self.northeast_side, self.southeast_side)
+        t, x = np.array(sum(sides, ()), dtype=np.int64).T
+        index = np.searchsorted(plan.site_keys, plan.key(t, x))
+        return tuple(plan.incident[k, part] for k, part in enumerate(_parts(index, sides)))
+
+    @cached_property
+    def midpoint_plan(self) -> MidpointPlan:
+        plan = self.plan
+        w = plan.width
+        keys = self._near((-w, w, -1, 1))
+        c = self._closure_keys
+        # below each midpoint (u, v) the edges (u-1, v, up) and (u-1, v, down);
+        # at each closure site its sw, nw, ne, se edges
+        below, at = 2 * (keys - w), 2 * c
+        edges = [below, below + 1, at - 2 * w - 2, at - 2 * w + 3, at, at + 1]
+        found = _find(plan.edge_keys, np.concatenate(edges))
+        up_edge, down_edge, *_ = _parts(found, edges)
+        up, down, sw, nw, ne, se = _parts(found >= 0, edges)
+        # an inner site's brick spans the midpoints west and east of it, an
+        # outer site's the flanks of its one domain edge
+        lo = np.where(sw | nw, c - w, np.where(ne, c + 1, c - 1))
+        hi = np.where(ne | se, c + w, np.where(sw, c - 1, c + 1))
+        flanks = [keys - w + 1, keys - w - 1, lo, hi]
+        up_low, down_low, brick_lo, brick_hi = _parts(_find(keys, np.concatenate(flanks)), flanks)
+        both = np.flatnonzero(up & down)
+        return MidpointPlan(
+            keys,
+            _column_slices(keys // w),
+            np.where(up, up_edge, down_edge),
+            np.where(up, up_low, down_low),
+            both,
+            down_edge[both],
+            down_low[both],
+            c % w + plan.x_lo,
+            brick_lo,
+            brick_hi,
+        )
 
     def contains(self, y: Site) -> bool:
         return y in self.site_set
@@ -138,13 +302,9 @@ class RectDomain(_DomainMixin):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"domain needs n >= 1 and m >= 1, got {self.n}x{self.m}")
 
-    @cached_property
-    def sites(self) -> tuple[Site, ...]:
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.m + 1):
-                out.append(self.cell_to_site(i, j))
-        return tuple(sorted(out))
+    def _column_bounds(self) -> tuple[int, np.ndarray, np.ndarray]:
+        t = np.arange(self.n + self.m - 1)
+        return 0, np.maximum(-t, t - 2 * (self.n - 1)), np.minimum(t, 2 * (self.m - 1) - t)
 
     def contains(self, y: Site) -> bool:
         t, x = y
@@ -189,24 +349,6 @@ class RectDomain(_DomainMixin):
     def southeast_side(self) -> tuple[Site, ...]:
         n = self.n
         return tuple((n - 1 + k, -(n - 1) + k) for k in range(self.m))
-
-    # Outer boundary classes: the sites of ``closure - S`` adjacent to each
-    # side.  Exactly one class holds each outer site of a rectangle.
-    @cached_property
-    def outer_southwest(self) -> tuple[Site, ...]:
-        return tuple(y for y in self.outer_sites if self.contains((y[0] + 1, y[1] + 1)))
-
-    @cached_property
-    def outer_northwest(self) -> tuple[Site, ...]:
-        return tuple(y for y in self.outer_sites if self.contains((y[0] + 1, y[1] - 1)))
-
-    @cached_property
-    def outer_northeast(self) -> tuple[Site, ...]:
-        return tuple(y for y in self.outer_sites if self.contains((y[0] - 1, y[1] - 1)))
-
-    @cached_property
-    def outer_southeast(self) -> tuple[Site, ...]:
-        return tuple(y for y in self.outer_sites if self.contains((y[0] - 1, y[1] + 1)))
 
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
@@ -256,13 +398,8 @@ class HexDomain(_DomainMixin):
         i = t - self.t0
         return self.x_lower[i], self.x_upper[i]
 
-    @cached_property
-    def sites(self) -> tuple[Site, ...]:
-        out = []
-        for t in range(self.t0, self.t1 + 1):
-            lo, hi = self._x_at(t)
-            out.extend((t, x) for x in range(lo, hi + 1, 2))
-        return tuple(sorted(out))
+    def _column_bounds(self) -> tuple[int, np.ndarray, np.ndarray]:
+        return self.t0, np.array(self.x_lower), np.array(self.x_upper)
 
     def contains(self, y: Site) -> bool:
         t, x = y
@@ -332,19 +469,28 @@ def require_rect(domain: Domain, what: str) -> RectDomain:
     return domain
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an ``int`` when it is an integer (an integral float counts); else ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 def domain_from_dict(d: dict) -> Domain:
     kind = d.get("type")
     if kind == "rect":
-        return RectDomain(int(d["N"]), int(d["M"]))
+        return RectDomain(as_integer(d["N"], "N"), as_integer(d["M"], "M"))
     if kind == "hex":
         t01 = d["t01"]
         return HexDomain(
-            int(d["t0"]),
-            int(d["t1"]),
-            int(t01[0]),
-            int(t01[1]),
-            tuple(int(v) for v in d["xminus"]),
-            tuple(int(v) for v in d["xplus"]),
+            as_integer(d["t0"], "t0"),
+            as_integer(d["t1"], "t1"),
+            as_integer(t01[0], "t01"),
+            as_integer(t01[1], "t01"),
+            tuple(as_integer(v, "xminus") for v in d["xminus"]),
+            tuple(as_integer(v, "xplus") for v in d["xplus"]),
         )
     raise ValueError(f"unknown domain type {kind!r}")
 
@@ -353,10 +499,8 @@ def midpoints(domain: Domain) -> tuple[Site, ...]:
     """Odd-parity points at unit distance from the domain, sorted by ``(t, x)``.
 
     These are the interval boundaries of the brick diagram: one per face
-    corner of the site grid.  The brick diagram sweeps them in this order,
-    so every midpoint comes after the midpoints of the column ``t - 1``.
+    corner of the site grid.  The brick diagram sweeps them in this order
+    (see :class:`MidpointPlan`), so every midpoint comes after the midpoints
+    of the column ``t - 1``.
     """
-    out: set[Site] = set()
-    for (t, x) in domain.sites:
-        out.update(((t - 1, x), (t + 1, x), (t, x - 1), (t, x + 1)))
-    return tuple(sorted(out))
+    return domain.plan.points(domain.midpoint_plan.keys)

@@ -13,6 +13,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .flow import (
     ABS_TOL,
@@ -21,6 +24,7 @@ from .flow import (
     FlowField,
     as_mass,
     infer_mode,
+    mass_array,
     require_conserved,
     tolerance,
     total_crossing_flow,
@@ -266,18 +270,34 @@ class BrickDiagram:
             intervals.append((start, start + width))
         return BrokenLine(trace, tuple(intervals))
 
+    @cached_property
+    def height_values(self) -> np.ndarray:
+        """``heights`` as one array in the order of :func:`lattice.midpoints`."""
+        return mass_array([self.heights[p] for p in midpoints(self.domain)], self.mode)
+
     def decomposition(self) -> Decomposition:
-        """The crossing traces left to right, one per strip, weighted by strip width."""
-        strips: list[list[Site]] = [[] for _ in range(self.strip_count + 1)]
-        for y in self.domain.closure:
-            lo, hi = self.site_range(y)
-            for j in range(lo + 1, hi + 1):
-                strips[j].append(y)
-        entries = []
-        for j in range(1, self.strip_count + 1):
-            trace = BrokenTrace(tuple(sorted(strips[j], key=lambda y: y[1])))
-            entries.append((trace, self.strip_weight(j)))
-        return Decomposition(tuple(entries))
+        """The crossing traces left to right, one per strip, weighted by strip width.
+
+        Every closure site's strip range at once, as in :meth:`site_range`;
+        strip ``j``'s trace is the sites whose range holds it, sorted by ``x``.
+        """
+        plan = self.domain.midpoint_plan
+        h = self.height_values
+        q = np.array(self.breakpoints, dtype=h.dtype)
+        lo = np.searchsorted(q, h[plan.brick_lo], side="right") - 1
+        hi = np.searchsorted(q, h[plan.brick_hi], side="right") - 1
+        counts = np.maximum(hi - lo, 0)
+        site = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        strip = np.repeat(lo + 1 - first, counts) + np.arange(len(site))
+        order = np.lexsort((plan.closure_x[site], strip))
+        closure = self.domain.closure
+        sites = [closure[i] for i in site[order].tolist()]
+        ends = np.cumsum(np.bincount(strip, minlength=self.strip_count + 1)).tolist()
+        return Decomposition(tuple(
+            (BrokenTrace(tuple(sites[ends[j - 1] : ends[j]])), self.strip_weight(j))
+            for j in range(1, self.strip_count + 1)
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -294,41 +314,46 @@ class BrickDiagram:
 def brick_diagram(field: FlowField) -> BrickDiagram:
     """Build the cumulative diagram of a conserved field on a rectangle.
 
-    One sweep over the midpoints in increasing ``t``.  The first, west of
-    the west corner, anchors the minimum at zero.  Every later midpoint is
-    the upper flank of one or two domain edges from the column before; it
-    takes its lower flank's height plus the mass of the ascending edge, or
-    of the descending one when there is no ascending edge, and the other
-    edge, where present, must agree within ``tolerance`` of the crossing
-    flow.  Every domain edge has exactly one upper flank, so each is used
-    or checked once.
+    One sweep over the midpoints in increasing ``t``, a column at a time
+    (see :class:`lattice.MidpointPlan`).  The first, west of the west
+    corner, anchors the minimum at zero.  Every later midpoint is the upper
+    flank of one or two domain edges from the column before; it takes its
+    lower flank's height plus the mass of the ascending edge, or of the
+    descending one when there is no ascending edge, and the other edge,
+    where present, must agree within ``tolerance`` of the crossing flow.
+    Every domain edge has exactly one upper flank, so each is used or
+    checked once.
     """
     domain = require_rect(field.domain, "the brick diagram")
     require_conserved(field)
-    mass = field.mass
-    is_int = field.mode == "int"
+    mass = field.values
     slack = tolerance(total_crossing_flow(field), field.mode)
 
-    anchor, *rest = midpoints(domain)
-    heights: dict[Site, float] = {anchor: 0 if is_int else 0.0}
-    for u, v in rest:
-        crossings = [
-            heights[_flanks(e)[0]] + mass[e]
-            for e in (Edge(u - 1, v, True), Edge(u - 1, v, False))
-            if e in mass
-        ]
-        if len(crossings) == 2 and abs(crossings[1] - crossings[0]) > slack:
-            raise ValueError(f"inconsistent heights at midpoint {(u, v)}")
-        heights[(u, v)] = crossings[0]
+    plan = domain.midpoint_plan
+    heights = np.zeros(len(plan.keys), mass.dtype)
+    for col in plan.columns[1:]:
+        heights[col] = heights[plan.low[col]] + mass[plan.edge[col]]
+    points = midpoints(domain)
+    gap = abs(heights[plan.low2] + mass[plan.edge2] - heights[plan.both])
+    bad = np.flatnonzero(gap > slack)
+    if bad.size:
+        raise ValueError(f"inconsistent heights at midpoint {points[plan.both[bad[0]]]}")
 
-    # Deduplicate heights into strictly increasing breakpoints at the rounding level.
-    eps = 0 if is_int else ABS_TOL * max(1.0, float(max(heights.values())))
-    values = sorted(heights.values())
-    breakpoints = [values[0]]
-    for v in values[1:]:
-        if v - breakpoints[-1] > eps:
-            breakpoints.append(v)
-    return BrickDiagram(domain, field.mode, tuple(breakpoints), heights)
+    # Deduplicate heights into strictly increasing breakpoints at the rounding
+    # level: each height is compared with the last one kept.  Equal heights
+    # never both survive, and where every gap exceeds the level all do.
+    values = np.sort(heights)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    breakpoints = values.tolist()
+    eps = 0 if field.mode == "int" else ABS_TOL * max(1.0, float(values[-1]))
+    if not (np.diff(values) > eps).all():
+        breakpoints = breakpoints[:1]
+        for v in values[1:].tolist():
+            if v - breakpoints[-1] > eps:
+                breakpoints.append(v)
+    diagram = BrickDiagram(domain, field.mode, tuple(breakpoints), dict(zip(points, heights.tolist())))
+    diagram.__dict__["height_values"] = heights
+    return diagram
 
 
 def decompose(field: FlowField) -> Decomposition:
@@ -360,11 +385,17 @@ def compose(
         if compare_traces(a, b) is not Order.LEFT_OF:
             raise ValueError("traces are not strictly ordered left to right")
 
-    mass = zero_field(domain, mode).mass
-    for trace, w in zip(traces, weights):
-        for e in trace.edges:
-            mass[e] += w
-    return FlowField(domain, mass, mode)
+    counts = np.array([len(trace.sites) for trace in traces], dtype=np.intp)
+    sites = chain.from_iterable(chain.from_iterable(trace.sites for trace in traces))
+    flat = np.fromiter(sites, np.int64, 2 * int(counts.sum()))
+    # the step from each trace's last site to the next trace's first is no step
+    edges = np.delete(domain.plan.step_edges(flat[0::2], flat[1::2]), np.cumsum(counts)[:-1] - 1)
+    if (edges < 0).any():
+        raise ValueError("a trace step leaves the domain's edges")
+    w = mass_array(weights, mode)  # their sum bounds every edge mass
+    values = np.zeros(len(domain.plan.edge_keys), w.dtype)
+    np.add.at(values, edges, np.repeat(w, counts - 1))  # in trace order, like a loop
+    return FlowField.from_values(domain, values, mode)
 
 
 def trace_weight(field: FlowField, trace: BrokenTrace):

@@ -13,7 +13,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .flow import BirthField, FlowField, field_from_birth, tolerance, total_crossing_flow
+from .flow import (
+    BirthField,
+    FlowField,
+    field_from_birth,
+    side_masses,
+    tolerance,
+    total_crossing_flow,
+)
 from .lattice import RectDomain, Site, edge_nw, edge_sw, require_rect
 
 
@@ -158,9 +165,7 @@ def optimal_path_backward(field: FlowField) -> LatticePath:
     the optimality guarantee and is rejected.
     """
     domain = require_rect(field.domain, "passage values")
-    inflow = sum(field.mass[edge_sw(y)] for y in domain.southwest_side) + sum(
-        field.mass[edge_nw(y)] for y in domain.northwest_side
-    )
+    inflow = sum(side_masses(field, 0)) + sum(side_masses(field, 1))
     if inflow > tolerance(field.max_mass, field.mode):
         raise ValueError("backward path needs a field with zero boundary inflow")
     y = domain.east_corner

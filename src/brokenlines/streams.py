@@ -44,6 +44,18 @@ def uniform(seed: int, *keys: int) -> float:
     return (stream_base(seed, *keys) >> 11) * _TO_UNIT
 
 
+def uniforms_at(seed: int, *keys) -> np.ndarray:
+    """``uniform(seed, *key)`` for every key of the broadcast integer arrays ``keys``.
+
+    A negative key is read modulo 2**64 through its two's-complement bits,
+    as :func:`stream_base` reads it.
+    """
+    h = np.uint64(_mix((seed & _MASK) ^ _GOLDEN))
+    for k in np.broadcast_arrays(*(np.atleast_1d(np.asarray(k, dtype=np.int64)) for k in keys)):
+        h = _mix_array(h ^ (k.view(np.uint64) + _U_GOLDEN))
+    return (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
 def _mix_array(h: np.ndarray) -> np.ndarray:
     h = h.astype(np.uint64, copy=True)
     h ^= h >> np.uint64(30)

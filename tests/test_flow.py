@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +12,13 @@ from brokenlines.flow import (
     BirthField,
     BoundaryFlow,
     FlowField,
-    add_fields,
     check_conservation,
     extract,
     field_from_birth,
     field_from_dict,
     field_to_dict,
     max_edge_gap,
+    sweep,
     total_crossing_flow,
     zero_field,
 )
@@ -28,7 +29,7 @@ from brokenlines.lines import (
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
 )
-from helpers import random_field
+from helpers import add_fields, dict_sweep, random_field
 
 ONE = RectDomain(1, 1)
 
@@ -279,3 +280,97 @@ def test_json_rejects_foreign_edges():
     d["edges"].append({"t": 9, "x": 9, "slope": "up", "mass": 1.0})
     with pytest.raises(ValueError):
         field_from_dict(d)
+
+
+def _row(payload):
+    return next(r for r in payload["edges"] if (r["t"], r["x"], r["slope"]) == (0, 0, "up"))
+
+
+# each once read as a different field: a descending edge, coordinates
+# truncated to the same edge, the last row of two winning, a 2x2 domain
+MALFORMED = {
+    "slope": lambda d: _row(d).update(slope="sideways"),
+    "fractional t": lambda d: _row(d).update(t=0.5),
+    "fractional x": lambda d: _row(d).update(x=0.5),
+    "duplicate edge": lambda d: d["edges"].append(dict(_row(d), mass=7)),
+    "fractional N": lambda d: d["domain"].update(N=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_json_rejects_malformed_fields(case, tmp_path):
+    from brokenlines.cli import run
+    from brokenlines.duality import evolve_chain
+
+    payload = field_to_dict(evolve_chain(RectDomain(2, 2), 0.5, 3))
+    MALFORMED[case](payload)
+    with pytest.raises(ValueError):
+        field_from_dict(payload)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(payload))
+    assert run(["decompose", "--field", str(path), "--out", str(tmp_path / "lines.csv")]) == 1
+
+
+@st.composite
+def hexagons(draw):
+    """Hexagons with both kinks anywhere, around negative and positive x."""
+    t0 = draw(st.integers(-3, 3))
+    lo = draw(st.integers(-5, 3))
+    lo += (t0 + lo) % 2
+    xl, xu = [lo], [lo + 2 * draw(st.integers(0, 3))]
+    kinks = t0 + draw(st.integers(0, 6)), t0 + draw(st.integers(0, 6))
+    for t in range(t0, t0 + draw(st.integers(0, 8))):
+        low, up = xl[-1] + (-1 if t < kinks[0] else 1), xu[-1] + (1 if t < kinks[1] else -1)
+        if low > up:
+            break
+        xl.append(low)
+        xu.append(up)
+    t1 = t0 + len(xl) - 1
+    return HexDomain(t0, t1, min(kinks[0], t1), min(kinks[1], t1), tuple(xl), tuple(xu))
+
+
+DOMAINS = st.one_of(
+    st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)).map(HexDomain.from_rect),
+    hexagons(),
+)
+MASSES = {
+    "int": st.integers(0, 9),
+    "float": st.floats(0, 1e3),
+    "beyond int64": st.integers(0, 2**64),  # sums pass 2**63: exact Python ints
+}
+
+
+@given(DOMAINS, st.sampled_from(sorted(MASSES)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_sweep_equals_the_per_site_sweep(domain, kind, data):
+    def draw(sites):
+        return {y: data.draw(MASSES[kind]) for y in sites}
+
+    up, down, born = draw(domain.southwest_side), draw(domain.northwest_side), draw(domain.sites)
+    mode = "float" if kind == "float" else "int"
+    field = field_from_birth(domain, BoundaryFlow(up, down), BirthField(domain, born), mode=mode)
+    expected = dict_sweep(domain, up, down, born)
+    assert field.mass == expected
+    assert [type(v) for v in field.mass.values()] == [type(v) for v in expected.values()]
+    assert json.dumps(field_to_dict(field)) == json.dumps(
+        field_to_dict(FlowField(domain, expected, mode))
+    )
+    total = sum(up.values()) + sum(down.values()) + sum(born.values())
+    if mode == "int":
+        assert field.values.dtype == (np.int64 if total < 2**63 else object)
+
+
+@given(DOMAINS, st.sampled_from(["int", "float"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_sweep_equals_the_per_site_sweep_on_a_replica_axis(domain, kind, data):
+    values = st.lists(MASSES[kind], min_size=3, max_size=3)
+
+    def draw(sites):
+        return {y: np.array(data.draw(values)) for y in sites}
+
+    up, down, born = draw(domain.southwest_side), draw(domain.northwest_side), draw(domain.sites)
+    mass = sweep(domain, *(np.stack(list(v.values())) for v in (up, down, born)))
+    expected = dict_sweep(domain, up, down, born)
+    assert mass.shape == (len(domain.edges), 3)
+    assert all(np.array_equal(row, expected[e]) for e, row in zip(domain.edges, mass))

@@ -15,6 +15,7 @@ from brokenlines.lattice import (
     incident_edges,
     midpoints,
 )
+from helpers import outer_northeast, outer_northwest, outer_southeast, outer_southwest
 
 
 def scan_sites(n, m, span=40):
@@ -111,14 +112,14 @@ def test_edges_sorted_up_before_down():
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
 def test_boundary_partition(n, m):
     d = RectDomain(n, m)
-    classes = [d.outer_southwest, d.outer_northwest, d.outer_northeast, d.outer_southeast]
+    classes = [outer_southwest(d), outer_northwest(d), outer_northeast(d), outer_southeast(d)]
     union = set().union(*map(set, classes))
     assert union == set(d.outer_sites)
     assert sum(map(len, classes)) == len(d.outer_sites)  # no overlaps
-    assert len(d.outer_southwest) == n
-    assert len(d.outer_northwest) == m
-    assert len(d.outer_northeast) == n
-    assert len(d.outer_southeast) == m
+    assert len(outer_southwest(d)) == n
+    assert len(outer_northwest(d)) == m
+    assert len(outer_northeast(d)) == n
+    assert len(outer_southeast(d)) == m
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=5))

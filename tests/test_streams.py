@@ -2,7 +2,15 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brokenlines.streams import stream_base, uniform, uniform_columns, uniform_grid, uniforms
+from brokenlines.lattice import HexDomain
+from brokenlines.streams import (
+    stream_base,
+    uniform,
+    uniform_columns,
+    uniform_grid,
+    uniforms,
+    uniforms_at,
+)
 
 
 def test_uniform_is_deterministic():
@@ -62,3 +70,13 @@ def test_stream_advances_and_replays():
 def test_substream_is_disjoint():
     # an extra key selects a different stream at the same position
     assert uniform(5, 0) != uniform(5, 9, 0)
+
+
+def test_keyed_vector_draw_equals_the_scalar_draw_at_every_site_and_role():
+    # a hexagon reaching x = -5: negative keys go in as their two's complement
+    hexa = HexDomain(0, 9, 3, 5, (-2, -3, -4, -5, -4, -3, -2, -1, 0, 1), (2, 3, 4, 5, 6, 7, 6, 5, 4, 3))
+    t, x = np.array(hexa.sites).T
+    for seed in (0, 7, -3, 2**64 + 5):
+        for role in (1, 2, 3):
+            expected = [uniform(seed, *y, role) for y in hexa.sites]
+            assert uniforms_at(seed, t, x, role).tolist() == expected
