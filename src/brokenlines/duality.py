@@ -32,7 +32,7 @@ from .flow import (
     site_outflows,
     sweep,
 )
-from .lattice import Domain, Edge, RectDomain, edge_ne, edge_se, require_rect
+from .lattice import Domain, RectDomain, edge_ne, edge_se, require_rect
 from .streams import stream_base, uniforms, uniforms_at
 
 EXPONENTIAL = "exponential"
@@ -424,14 +424,13 @@ def time_reverse(field: FlowField) -> FlowField:
     ct = domain.n + domain.m - 2
     cx = domain.n - domain.m
 
-    mass: dict[Edge, float] = {}
-    for e, v in field.mass.items():
-        if e.up:
-            mass[Edge(ct - e.t - 1, e.x + 1 + cx, False)] = v
-        else:
-            mass[Edge(ct - e.t - 1, e.x - 1 + cx, True)] = v
-    ordered = {e: mass[e] for e in mirrored.edges}
-    return FlowField(mirrored, ordered, field.mode)
+    # edge (t, x, up) goes to (ct - t - 1, x + 1 + cx, down) and a descending
+    # one to (ct - t - 1, x - 1 + cx, up); sorted, the images are mirrored.edges
+    keys = domain.plan.edge_keys
+    t, x = domain.plan.decode(keys >> 1)
+    descends = keys & 1
+    image = 2 * mirrored.plan.key(ct - t - 1, x + cx + 1 - 2 * descends) + 1 - descends
+    return FlowField.from_values(mirrored, field.values[np.argsort(image)], field.mode)
 
 
 def consistency_test(

@@ -81,19 +81,28 @@ class ColumnPlan(NamedTuple):
     two steps wider than the domain on every side, and an edge by twice its
     base's key, plus one when it descends.  Sorting keys therefore sorts
     points by ``(t, x)`` and edges in canonical order, so positions in the
-    sorted key arrays index ``domain.sites`` and ``domain.edges``.
+    sorted key arrays index ``domain.sites``, ``domain.closure`` and
+    ``domain.edges``.
     """
 
     t_lo: int
     x_lo: int
     width: int
     site_keys: np.ndarray
+    closure_keys: np.ndarray
     edge_keys: np.ndarray
     incident: np.ndarray  # (4, sites): the sw, nw, ne, se edge index of each site
     columns: tuple[slice, ...]  # the sites of each t, in order
 
     def key(self, t, x) -> np.ndarray:
-        return (np.asarray(t) - self.t_lo) * self.width + (np.asarray(x) - self.x_lo)
+        """Key of each point, unique inside the box: an ``x`` outside it keys -1,
+        and a ``t`` outside it keys below or above every key inside."""
+        t, x = np.asarray(t) - self.t_lo, np.asarray(x) - self.x_lo
+        return np.where((0 <= x) & (x < self.width), t * self.width + x, -1)
+
+    def find(self, sorted_keys: np.ndarray, t, x) -> np.ndarray:
+        """Position of each point ``(t, x)`` in ``sorted_keys``, -1 where it is absent."""
+        return _find(sorted_keys, self.key(t, x))
 
     def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return keys // self.width + self.t_lo, keys % self.width + self.x_lo
@@ -105,8 +114,8 @@ class ColumnPlan(NamedTuple):
     def step_edges(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Canonical index of the edge of each step ``(t, x)[i] -> (t, x)[i + 1]``
         between diagonal neighbours, -1 where it is no domain edge."""
-        a, b = self.key(t[:-1], x[:-1]), self.key(t[1:], x[1:])
-        return _find(self.edge_keys, np.where(t[1:] > t[:-1], 2 * a, 2 * b + 1))
+        k = 2 * self.key(t, x)
+        return _find(self.edge_keys, np.where(t[1:] > t[:-1], k[:-1], k[1:] + 1))
 
 
 class MidpointPlan(NamedTuple):
@@ -136,14 +145,14 @@ class MidpointPlan(NamedTuple):
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``keys`` (``np.unique``, through a plain sort)."""
-    keys = np.sort(keys)
+    keys = np.sort(keys, axis=None)
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _find(sorted_keys: np.ndarray, keys) -> np.ndarray:
     """Position of each key in ``sorted_keys``, -1 where it is absent."""
-    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
-    return np.where(sorted_keys[pos] == keys, pos, -1)
+    pos = np.searchsorted(sorted_keys, keys)
+    return np.where(sorted_keys.take(pos, mode="clip") == keys, pos, -1)
 
 
 def _parts(a: np.ndarray, like: list) -> list[np.ndarray]:
@@ -179,12 +188,15 @@ class _DomainMixin:
         # column k's keys run from its lowest site's key up in steps of 2
         first = (np.arange(2, len(lo) + 2) * width + lo - x_lo) - 2 * starts
         s = np.repeat(first, counts) + 2 * np.arange(ends[-1])
+        # each site and its four diagonal neighbours
+        near = np.array([[0], [width + 1], [width - 1], [1 - width], [-1 - width]])
+        closure = _distinct(s + near)
         # twice the key of each edge's base, plus one when it descends
         incident = 2 * s + np.array([[-2 * width - 2], [-2 * width + 3], [0], [1]])
-        edge_keys = _distinct(incident.ravel())
+        edge_keys = _distinct(incident)
         columns = tuple(map(slice, starts.tolist(), ends.tolist()))
         return ColumnPlan(
-            t0 - 2, x_lo, width, s, edge_keys, np.searchsorted(edge_keys, incident), columns
+            t0 - 2, x_lo, width, s, closure, edge_keys, np.searchsorted(edge_keys, incident), columns
         )
 
     @cached_property
@@ -196,20 +208,10 @@ class _DomainMixin:
     def site_set(self) -> frozenset[Site]:
         return frozenset(self.sites)
 
-    def _near(self, steps: tuple[int, ...]) -> np.ndarray:
-        """Sorted distinct keys of the sites moved by each key offset in ``steps``."""
-        s = self.plan.site_keys
-        return _distinct(np.concatenate([s + d for d in steps]))
-
-    @cached_property
-    def _closure_keys(self) -> np.ndarray:
-        w = self.plan.width
-        return self._near((0, w + 1, w - 1, -w + 1, -w - 1))
-
     @cached_property
     def closure(self) -> tuple[Site, ...]:
         """S plus all its diagonal neighbours, sorted."""
-        return self.plan.points(self._closure_keys)
+        return self.plan.points(self.plan.closure_keys)
 
     @cached_property
     def closure_set(self) -> frozenset[Site]:
@@ -249,8 +251,8 @@ class _DomainMixin:
     def midpoint_plan(self) -> MidpointPlan:
         plan = self.plan
         w = plan.width
-        keys = self._near((-w, w, -1, 1))
-        c = self._closure_keys
+        keys = _distinct(plan.site_keys + np.array([[-w], [w], [-1], [1]]))
+        c = plan.closure_keys
         # below each midpoint (u, v) the edges (u-1, v, up) and (u-1, v, down);
         # at each closure site its sw, nw, ne, se edges
         below, at = 2 * (keys - w), 2 * c
@@ -277,12 +279,6 @@ class _DomainMixin:
             brick_lo,
             brick_hi,
         )
-
-    def contains(self, y: Site) -> bool:
-        return y in self.site_set
-
-    def in_closure(self, y: Site) -> bool:
-        return y in self.closure_set
 
 
 @dataclass(frozen=True)

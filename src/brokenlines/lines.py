@@ -9,11 +9,11 @@ the maximal crossing lines.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import ge
 
 import numpy as np
 
@@ -28,9 +28,8 @@ from .flow import (
     require_conserved,
     tolerance,
     total_crossing_flow,
-    zero_field,
 )
-from .lattice import Domain, Edge, RectDomain, Site, incident_edges, midpoints, require_rect
+from .lattice import Domain, Edge, RectDomain, Site, midpoints, require_rect
 
 
 class Order(Enum):
@@ -56,8 +55,9 @@ class BrokenTrace:
             raise ValueError("trace leaves the even sublattice")
 
     @cached_property
-    def _t_by_x(self) -> dict[int, int]:
-        return {x: t for (t, x) in self.sites}
+    def t_values(self) -> tuple[int, ...]:
+        """The ``t`` of each site, indexed by ``x - x_low``."""
+        return tuple(t for t, _ in self.sites)
 
     @property
     def x_low(self) -> int:
@@ -67,8 +67,14 @@ class BrokenTrace:
     def x_high(self) -> int:
         return self.sites[-1][1]
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sites' ``t`` and ``x`` as two arrays, for the domain's index plans."""
+        return np.array(self.t_values), np.arange(self.x_low, self.x_high + 1)
+
     def t_at(self, x: int) -> int:
-        return self._t_by_x[x]
+        if not self.x_low <= x <= self.x_high:
+            raise KeyError(x)
+        return self.t_values[x - self.x_low]
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -82,35 +88,38 @@ class BrokenTrace:
     @cached_property
     def left_corners(self) -> tuple[Site, ...]:
         """Sites where the trace turns at a local t-minimum; births live here."""
-        out = []
-        for prev, cur, nxt in zip(self.sites, self.sites[1:], self.sites[2:]):
-            if prev[0] == cur[0] + 1 and nxt[0] == cur[0] + 1:
-                out.append(cur)
-        return tuple(out)
+        ts = self.t_values
+        return tuple(y for y, a, b in zip(self.sites[1:], ts, ts[2:]) if a == b == y[0] + 1)
 
     def t_span(self) -> tuple[int, int]:
-        ts = [t for (t, _) in self.sites]
-        return min(ts), max(ts)
+        return min(self.t_values), max(self.t_values)
 
     def is_subtrace_of(self, other: "BrokenTrace") -> bool:
         if self.x_low < other.x_low or self.x_high > other.x_high:
             return False
-        return all(other.t_at(x) == t for (t, x) in self.sites)
+        start = self.x_low - other.x_low
+        return other.t_values[start : start + len(self.t_values)] == self.t_values
 
 
 def trace_in_closure(domain: Domain, trace: BrokenTrace) -> bool:
     """True when every trace edge touches the domain."""
-    return all(e in domain.edge_set for e in trace.edges)
+    return bool((domain.plan.step_edges(*trace._arrays()) >= 0).all())
+
+
+def _crossing(domain: Domain, t: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For traces of ``counts`` sites each, laid end to end in ``t, x``: whether
+    each spans the domain, with outer endpoints and an inner body."""
+    plan = domain.plan
+    inside = plan.find(plan.site_keys, t, x) >= 0
+    outer = ~inside & (plan.find(plan.closure_keys, t, x) >= 0)
+    last = np.cumsum(counts) - 1
+    strays = np.bincount(np.repeat(np.arange(len(counts)), counts)[~inside], minlength=len(counts))
+    return outer[last - counts + 1] & outer[last] & (strays == 2)
 
 
 def trace_crosses(domain: Domain, trace: BrokenTrace) -> bool:
     """True when the trace spans the domain: outer endpoints, inner body."""
-    first, last = trace.sites[0], trace.sites[-1]
-    if domain.contains(first) or domain.contains(last):
-        return False
-    if not (domain.in_closure(first) and domain.in_closure(last)):
-        return False
-    return all(domain.contains(y) for y in trace.sites[1:-1])
+    return bool(_crossing(domain, *trace._arrays(), np.array([len(trace.sites)]))[0])
 
 
 def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
@@ -134,10 +143,11 @@ def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
 
 def _dominates(a: BrokenTrace, b: BrokenTrace) -> bool:
     lo = max(a.x_low, b.x_low)
-    hi = min(a.x_high, b.x_high)
-    if lo <= hi:
-        return all(a.t_at(x) >= b.t_at(x) for x in range(lo, hi + 1))
-    return a.t_span()[1] >= b.t_span()[0]
+    hi = min(a.x_high, b.x_high) + 1
+    if lo >= hi:
+        return a.t_span()[1] >= b.t_span()[0]
+    a_t, b_t = a.t_values[lo - a.x_low : hi - a.x_low], b.t_values[lo - b.x_low : hi - b.x_low]
+    return all(map(ge, a_t, b_t))
 
 
 @dataclass(frozen=True)
@@ -153,7 +163,7 @@ class BrokenLine:
 
     def __post_init__(self) -> None:
         if self.intervals:
-            if len(self.intervals) != len(self.trace.edges):
+            if len(self.intervals) != len(self.trace.sites) - 1:
                 raise ValueError("need one interval per edge")
             widths = [b - a for a, b in self.intervals]
             spread = max(widths) - min(widths)
@@ -194,25 +204,21 @@ class Decomposition:
         return sum(self.weights())
 
 
-def _flanks(e: Edge) -> tuple[Site, Site]:
-    """Midpoints below and above edge ``e``: crossing it eastward adds ``mass[e]``."""
-    return (e.t, e.x + 1 if e.up else e.x - 1), (e.t + 1, e.x)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BrickDiagram:
     """Cumulative-coordinate view of a flow field on a rectangle.
 
-    ``heights`` assigns every odd midpoint its cumulative coordinate; sorted
-    distinct values form ``breakpoints``, and strip ``j`` is the band between
-    breakpoints ``j - 1`` and ``j``.  Each closure site owns a brick, and
+    ``height_values`` holds each midpoint's cumulative coordinate, in
+    :func:`lattice.midpoints` order; sorted distinct values form ``breakpoints``,
+    and strip ``j`` is the band between breakpoints ``j - 1`` and ``j``.  Each
+    closure site owns a brick (:class:`lattice.MidpointPlan`), and
     ``site_range`` reads off the strips that pass through it.
     """
 
     domain: RectDomain
     mode: str
     breakpoints: tuple[float, ...]
-    heights: dict[Site, float]
+    height_values: np.ndarray
 
     @property
     def strip_count(self) -> int:
@@ -221,31 +227,37 @@ class BrickDiagram:
     def strip_weight(self, j: int):
         return self.breakpoints[j] - self.breakpoints[j - 1]
 
+    @cached_property
+    def heights(self) -> dict[Site, float]:
+        """``height_values`` keyed by midpoint."""
+        return dict(zip(midpoints(self.domain), self.height_values.tolist()))
+
+    @cached_property
+    def _brick_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`site_range` of every closure site, in closure order."""
+        plan = self.domain.midpoint_plan
+        h = self.height_values
+        q = np.array(self.breakpoints, dtype=h.dtype)
+        bricks = (plan.brick_lo, plan.brick_hi)
+        return tuple(np.searchsorted(q, h[b], side="right") - 1 for b in bricks)
+
+    def _site_ranges(self, t, x) -> tuple[np.ndarray, np.ndarray]:
+        plan = self.domain.plan
+        index = plan.find(plan.closure_keys, t, x)
+        if (index < 0).any():
+            k = int(np.argmax(index < 0))
+            raise ValueError(f"trace leaves the domain closure at {(int(t[k]), int(x[k]))}")
+        lo, hi = self._brick_ranges
+        return lo[index], hi[index]
+
     def site_range(self, y: Site) -> tuple[int, int]:
-        """Breakpoint indices ``lo, hi``: strips ``lo + 1 .. hi`` pass through ``y``.
-
-        An inner site's brick runs from the midpoint west of it to the one
-        east of it; an outer site's spans the flanks of its one domain edge.
-        """
-        t, x = y
-        if self.domain.contains(y):
-            lo_mid, hi_mid = (t - 1, x), (t + 1, x)
-        else:
-            (edge,) = (e for e in incident_edges(y) if e in self.domain.edge_set)
-            lo_mid, hi_mid = _flanks(edge)
-        q, h = self.breakpoints, self.heights
-        return bisect_right(q, h[lo_mid]) - 1, bisect_right(q, h[hi_mid]) - 1
-
-    def edge_range(self, e: Edge) -> tuple[int, int]:
-        (lo_a, hi_a), (lo_b, hi_b) = self.site_range(e.base), self.site_range(e.head)
-        return max(lo_a, lo_b), min(hi_a, hi_b)
+        """Breakpoint indices ``lo, hi``: strips ``lo + 1 .. hi`` pass through ``y``."""
+        lo, hi = self._site_ranges([y[0]], [y[1]])
+        return int(lo[0]), int(hi[0])
 
     def trace_range(self, trace: BrokenTrace) -> tuple[int, int]:
-        for y in trace.sites:
-            if not self.domain.in_closure(y):
-                raise ValueError(f"trace leaves the domain closure at {y}")
-        ranges = [self.site_range(y) for y in trace.sites]
-        return max(lo for lo, _ in ranges), min(hi for _, hi in ranges)
+        lo, hi = self._site_ranges(*trace._arrays())
+        return int(lo.max()), int(hi.min())
 
     def weight_of(self, trace: BrokenTrace):
         lo, hi = self.trace_range(trace)
@@ -257,23 +269,17 @@ class BrickDiagram:
         """The widest line on ``trace`` compatible with the field.
 
         The common strip range of all trace sites is translated back onto
-        each edge's own (0, mass] scale; an empty range yields the empty line.
+        each edge's own (0, mass] scale, whose bottom is the higher of its two
+        end sites' bottoms; an empty range yields the empty line.
         """
-        lo, hi = self.trace_range(trace)
+        site_lo, site_hi = self._site_ranges(*trace._arrays())
+        lo, hi = int(site_lo.max()), int(site_hi.min())
         if hi <= lo:
             return BrokenLine(trace, ())
         q = self.breakpoints
         width = q[hi] - q[lo]
-        intervals = []
-        for e in trace.edges:
-            start = q[lo] - q[self.edge_range(e)[0]]
-            intervals.append((start, start + width))
-        return BrokenLine(trace, tuple(intervals))
-
-    @cached_property
-    def height_values(self) -> np.ndarray:
-        """``heights`` as one array in the order of :func:`lattice.midpoints`."""
-        return mass_array([self.heights[p] for p in midpoints(self.domain)], self.mode)
+        starts = [q[lo] - q[k] for k in np.maximum(site_lo[:-1], site_lo[1:]).tolist()]
+        return BrokenLine(trace, tuple((start, start + width) for start in starts))
 
     def decomposition(self) -> Decomposition:
         """The crossing traces left to right, one per strip, weighted by strip width.
@@ -282,10 +288,7 @@ class BrickDiagram:
         strip ``j``'s trace is the sites whose range holds it, sorted by ``x``.
         """
         plan = self.domain.midpoint_plan
-        h = self.height_values
-        q = np.array(self.breakpoints, dtype=h.dtype)
-        lo = np.searchsorted(q, h[plan.brick_lo], side="right") - 1
-        hi = np.searchsorted(q, h[plan.brick_hi], side="right") - 1
+        lo, hi = self._brick_ranges
         counts = np.maximum(hi - lo, 0)
         site = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
@@ -305,8 +308,8 @@ class BrickDiagram:
             "mode": self.mode,
             "breakpoints": list(self.breakpoints),
             "heights": [
-                {"t": t, "x": x, "p": self.heights[(t, x)]}
-                for (t, x) in sorted(self.heights)
+                {"t": t, "x": x, "p": p}
+                for (t, x), p in zip(midpoints(self.domain), self.height_values.tolist())
             ],
         }
 
@@ -333,11 +336,10 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     heights = np.zeros(len(plan.keys), mass.dtype)
     for col in plan.columns[1:]:
         heights[col] = heights[plan.low[col]] + mass[plan.edge[col]]
-    points = midpoints(domain)
     gap = abs(heights[plan.low2] + mass[plan.edge2] - heights[plan.both])
     bad = np.flatnonzero(gap > slack)
     if bad.size:
-        raise ValueError(f"inconsistent heights at midpoint {points[plan.both[bad[0]]]}")
+        raise ValueError(f"inconsistent heights at midpoint {midpoints(domain)[plan.both[bad[0]]]}")
 
     # Deduplicate heights into strictly increasing breakpoints at the rounding
     # level: each height is compared with the last one kept.  Equal heights
@@ -351,9 +353,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
         for v in values[1:].tolist():
             if v - breakpoints[-1] > eps:
                 breakpoints.append(v)
-    diagram = BrickDiagram(domain, field.mode, tuple(breakpoints), dict(zip(points, heights.tolist())))
-    diagram.__dict__["height_values"] = heights
-    return diagram
+    return BrickDiagram(domain, field.mode, tuple(breakpoints), heights)
 
 
 def decompose(field: FlowField) -> Decomposition:
@@ -378,18 +378,19 @@ def compose(
     weights = [as_mass(w, mode, f"line {j}") for j, w in enumerate(decomposition.weights(), 1)]
     if 0 in weights:
         raise ValueError(f"weights must be positive, got 0 at line {weights.index(0) + 1}")
-    for trace in traces:
-        if not trace_crosses(domain, trace):
-            raise ValueError(f"trace does not cross the domain: {trace.sites}")
+    counts = np.array([len(trace.sites) for trace in traces], dtype=np.intp)
+    sites = chain.from_iterable(chain.from_iterable(trace.sites for trace in traces))
+    flat = np.fromiter(sites, np.int64, 2 * int(counts.sum()))
+    t, x = flat[0::2], flat[1::2]
+    crossing = _crossing(domain, t, x, counts)
+    if not crossing.all():
+        raise ValueError(f"trace does not cross the domain: {traces[np.argmin(crossing)].sites}")
     for a, b in zip(traces, traces[1:]):
         if compare_traces(a, b) is not Order.LEFT_OF:
             raise ValueError("traces are not strictly ordered left to right")
 
-    counts = np.array([len(trace.sites) for trace in traces], dtype=np.intp)
-    sites = chain.from_iterable(chain.from_iterable(trace.sites for trace in traces))
-    flat = np.fromiter(sites, np.int64, 2 * int(counts.sum()))
     # the step from each trace's last site to the next trace's first is no step
-    edges = np.delete(domain.plan.step_edges(flat[0::2], flat[1::2]), np.cumsum(counts)[:-1] - 1)
+    edges = np.delete(domain.plan.step_edges(t, x), np.cumsum(counts)[:-1] - 1)
     if (edges < 0).any():
         raise ValueError("a trace step leaves the domain's edges")
     w = mass_array(weights, mode)  # their sum bounds every edge mass
@@ -428,29 +429,27 @@ def line_fields(
     """
     mode = infer_mode([weight])
     weight = as_mass(weight, mode, "line weight")
-    if not trace_in_closure(domain, trace):
+    edges = domain.plan.step_edges(*trace._arrays())
+    if (edges < 0).any():
         raise ValueError("trace leaves the domain closure")
 
     births = {y: weight for y in trace.left_corners if weight != 0}
     up_in: dict[Site, float] = {}
     down_in: dict[Site, float] = {}
     first, second = trace.sites[0], trace.sites[1]
-    if not domain.contains(first) and second == (first[0] + 1, first[1] + 1):
-        if weight != 0:
-            up_in[second] = weight
+    if weight != 0 and not domain.contains(first) and second == (first[0] + 1, first[1] + 1):
+        up_in[second] = weight
     last, before = trace.sites[-1], trace.sites[-2]
-    if not domain.contains(last) and last == (before[0] - 1, before[1] + 1):
-        if weight != 0:
-            down_in[before] = weight
+    if weight != 0 and not domain.contains(last) and last == (before[0] - 1, before[1] + 1):
+        down_in[before] = weight
 
-    mass = zero_field(domain, mode).mass
-    if weight != 0:
-        for e in trace.edges:
-            mass[e] = weight
+    w = mass_array([weight], mode)
+    values = np.zeros(len(domain.plan.edge_keys), w.dtype)
+    values[edges] = w
     return (
         BirthField(domain, births),
         BoundaryFlow(up_in, down_in),
-        FlowField(domain, mass, mode),
+        FlowField.from_values(domain, values, mode),
     )
 
 
@@ -463,15 +462,19 @@ def decomposition_to_csv_rows(dec: Decomposition) -> list[list]:
 
 def decomposition_from_csv_rows(rows: list[list]) -> Decomposition:
     entries = []
-    for row in rows:
+    for k, row in enumerate(rows, start=1):
         if not row or row[0] == "j":
             continue
+        if len(row) < 3:
+            raise ValueError(f"row {k} has {len(row)} columns, not j, weight, sites")
         try:
             weight = int(row[1])
         except ValueError:
             weight = float(row[1])
-        sites = tuple(
-            (int(tok.split(":")[0]), int(tok.split(":")[1])) for tok in row[2].split()
-        )
+        try:
+            parts = (token.partition(":") for token in row[2].split())
+            sites = tuple((int(t), int(x)) for t, _, x in parts)
+        except ValueError:
+            raise ValueError(f"row {k} has a site that is not of the form t:x") from None
         entries.append((BrokenTrace(sites), weight))
     return Decomposition(tuple(entries))

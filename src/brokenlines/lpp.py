@@ -60,8 +60,8 @@ def birth_matrix(xi: BirthField) -> np.ndarray:
 
 def births_from_matrix(matrix: np.ndarray) -> BirthField:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if not np.isfinite(matrix).all():
-        raise ValueError("birth matrix has non-finite cells")
+    if not ((0 <= matrix) & (matrix < np.inf)).all():
+        raise ValueError("birth matrix cells must be finite and nonnegative")
     n, m = matrix.shape
     domain = RectDomain(n, m)
     births = {

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth
 from brokenlines.flow import site_outflows
-from brokenlines.lattice import edge_ne, edge_nw, edge_se, edge_sw
+from brokenlines.lattice import edge_ne, edge_nw, edge_se, edge_sw, incident_edges
 from brokenlines.lpp import birth_matrix
 from brokenlines.streams import uniform
 
@@ -98,3 +99,21 @@ def outer_northeast(domain: RectDomain) -> tuple:
 
 def outer_southeast(domain: RectDomain) -> tuple:
     return tuple(y for y in domain.outer_sites if domain.contains((y[0] - 1, y[1] + 1)))
+
+
+def flank_site_range(diagram, y) -> tuple[int, int]:
+    """Strip range ``lo, hi`` of closure site ``y``, by the scalar flank rule.
+
+    The reference for ``BrickDiagram.site_range``: an inner site's brick runs
+    from the midpoint west of it to the one east of it, an outer site's spans
+    the flanks of its one domain edge (below and above it: crossing the edge
+    eastward adds its mass).
+    """
+    t, x = y
+    if diagram.domain.contains(y):
+        lo_mid, hi_mid = (t - 1, x), (t + 1, x)
+    else:
+        (e,) = (e for e in incident_edges(y) if e in diagram.domain.edge_set)
+        lo_mid, hi_mid = (e.t, e.x + 1 if e.up else e.x - 1), (e.t + 1, e.x)
+    q, h = diagram.breakpoints, diagram.heights
+    return bisect_right(q, h[lo_mid]) - 1, bisect_right(q, h[hi_mid]) - 1

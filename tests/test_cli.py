@@ -46,7 +46,7 @@ def test_lpp_check_flow_tolerance_is_relative_to_the_passage_value(tmp_path, mon
     assert json.loads(out.read_text())["value"] == pytest.approx(8e-7)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1.0"])
 def test_lpp_rejects_non_finite_cells(tmp_path, cell):
     xi = tmp_path / "xi.csv"
     write_matrix(xi, [[1, 2], [cell, 4]])
@@ -98,6 +98,17 @@ def test_compose_rejects_an_infinite_weight(tmp_path):
     lines_csv.write_text("\n".join(",".join(row) for row in rows) + "\n")
     assert run(["compose", "--lines", str(lines_csv), "--n", "3", "--m", "3",
                 "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["1,2.0", "1,2.0,3 4:1"])
+def test_compose_rejects_a_malformed_row(tmp_path, capsys, row):
+    lines_csv = tmp_path / "lines.csv"
+    lines_csv.write_text(f"j,weight,sites\n{row}\n")
+    out = tmp_path / "rebuilt.json"
+    assert run(["compose", "--lines", str(lines_csv), "--n", "3", "--m", "3",
+                "--out", str(out)]) == 1
+    assert "error: row 2 " in capsys.readouterr().err
     assert not out.exists()
 
 

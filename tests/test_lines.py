@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,11 +42,18 @@ from brokenlines.lines import (
     line_fields,
     maximal_line,
     trace_crosses,
+    trace_in_closure,
     trace_weight,
 )
 from brokenlines.lpp import births_from_matrix
 from brokenlines.streams import stream_base, uniform
-from helpers import outer_southeast, outer_southwest, random_domain, random_field
+from helpers import (
+    flank_site_range,
+    outer_southeast,
+    outer_southwest,
+    random_domain,
+    random_field,
+)
 
 D3 = RectDomain(3, 3)
 
@@ -158,7 +166,7 @@ def random_crossing_trace(domain, seed):
                 continue
             if domain.contains(nxt):
                 legal.append((nxt, False))
-            elif domain.in_closure(nxt):
+            elif nxt in domain.closure_set:
                 legal.append((nxt, True))
         nxt, stop = legal[int(uniform(seed, k) * len(legal))]
         sites.append(nxt)
@@ -352,6 +360,39 @@ def test_trace_weight_outside_closure_rejected():
     f = zero_field(D3)
     with pytest.raises(ValueError):
         trace_weight(f, BrokenTrace(((10, 0), (11, 1))))
+
+
+def test_site_range_equals_the_flank_rule():
+    for n in range(1, 6):
+        for m in range(1, 6):
+            domain = RectDomain(n, m)
+            for mode in ("float", "int"):
+                diagram = brick_diagram(random_field(domain, seed=10 * n + m, mode=mode))
+                for y in domain.closure:
+                    assert diagram.site_range(y) == flank_site_range(diagram, y)
+    with pytest.raises(ValueError):
+        diagram.site_range((-2, 0))
+
+
+# A point's key in the index plans names it only inside the plans' box.  On
+# D3 the step (-2, 8) -> (-1, 9) would key as the edge (-1, -1, up), and the
+# wedge keys as the crossing wedge ((5, -1), (4, 0), (5, 1)).
+OUT_OF_BOX = (BrokenTrace(((-2, 8), (-1, 9))), BrokenTrace(((3, 17), (2, 18), (3, 19))))
+
+
+@pytest.mark.parametrize("trace", OUT_OF_BOX, ids=["step", "wedge"])
+def test_traces_outside_the_index_box_are_rejected(trace):
+    t, x = (np.array(c) for c in zip(*trace.sites))
+    assert (D3.plan.step_edges(t, x) == -1).all()
+    assert not trace_in_closure(D3, trace)
+    assert not trace_crosses(D3, trace)
+    f = field_from_birth(D3, births=BirthField(D3, {y: 1.0 for y in D3.sites}))
+    with pytest.raises(ValueError):
+        trace_weight(f, trace)
+    with pytest.raises(ValueError):
+        line_fields(D3, trace, 1.0)
+    with pytest.raises(ValueError):
+        compose(D3, Decomposition(((trace, 1.0),)))
 
 
 @given(st.integers(0, 300))
@@ -622,7 +663,7 @@ def all_crossing_traces(domain):
                 continue
             if domain.contains(nxt):
                 extend(sites + [nxt])
-            elif domain.in_closure(nxt):
+            elif nxt in domain.closure_set:
                 out.append(BrokenTrace(tuple(sites + [nxt])))
 
     for start in sorted(set(outer_southwest(domain)) | set(outer_southeast(domain))):
