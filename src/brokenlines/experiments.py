@@ -25,6 +25,11 @@ from .streams import uniform_grid  # noqa: F401  (traced by benchmarks/tracing.p
 _BLOCK_CELLS = 1 << 16
 
 
+def _require_finite_beta(beta: float) -> None:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta}")
+
+
 @dataclass(frozen=True)
 class LlnConfig:
     n: int
@@ -36,6 +41,7 @@ class LlnConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.replicas < 1:
             raise ValueError("need n >= 1 and replicas >= 1")
+        _require_finite_beta(self.beta)
         if self.m < 1:
             raise ValueError("beta * n must be at least 1")
 
@@ -180,6 +186,9 @@ def concentration_scan(
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    _require_finite_beta(beta)
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, not {delta}")
     if any(n < 1 or math.floor(beta * n) < 1 for n in ns):
         raise ValueError("need n >= 1 and beta * n >= 1 for every n")
     target = lln_target(dist, beta)

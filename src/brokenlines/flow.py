@@ -34,7 +34,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .lattice import Domain, Edge, Site, as_integer, domain_from_dict, require_rect
+from .lattice import Domain, Edge, Site, _find, as_integers, domain_from_dict, require_rect
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -142,7 +142,7 @@ def as_mass(value, mode: str, where):
         number = value if isinstance(value, (int, float, Integral)) else float(value)
         if 0 <= number < math.inf and (mode != "int" or number == int(number)):
             return int(number) if mode == "int" else float(number) + 0.0
-    except OverflowError:  # an integer too large for a float
+    except (OverflowError, TypeError, ValueError):  # too large for a float, or no number
         pass
     kind = "integer" if mode == "int" else "number"
     raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
@@ -318,37 +318,45 @@ def field_to_dict(f: FlowField) -> dict:
     }
 
 
-_SLOPES = {"up": True, "down": False}
-
-
-def _integers(values: list, what: str) -> list:
-    if all(type(v) is int for v in values):
-        return values
-    return [as_integer(v, what) for v in values]
+def _clipped(values: list, lo: int, hi: int) -> np.ndarray:
+    """Python ints clipped to ``[lo, hi]``, as int64: exact however large they are."""
+    return np.clip(np.array(values, dtype=object), lo, hi).astype(np.int64)
 
 
 def field_from_dict(d: dict) -> FlowField:
     """Read :func:`field_to_dict` output; edges it omits carry zero.
 
-    Raises ValueError on an unknown mode or slope, a non-integral
-    coordinate, an edge outside the domain closure or listed twice, and a
-    mass :func:`as_mass` refuses.
+    Raises ValueError on a payload that is not an object with a list of
+    edge objects, an unknown mode or slope, a non-integral coordinate, an
+    edge outside the domain closure or listed twice, and a mass
+    :func:`as_mass` refuses.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"a field must be a JSON object, not {type(d).__name__}")
     domain = domain_from_dict(d["domain"])
     mode = d.get("mode", "float")
     rows = d["edges"]
-    t = _integers([row["t"] for row in rows], "edge t")
-    x = _integers([row["x"] for row in rows], "edge x")
-    up = [_SLOPES.get(row["slope"]) for row in rows]
-    if None in up:
-        raise ValueError(f"edge slope must be 'up' or 'down', not {rows[up.index(None)]['slope']!r}")
-    edges, index = domain.edges, domain.edge_index
-    found = [index.get(e) for e in zip(t, x, up)]  # a plain tuple finds its Edge
-    if None in found:
-        k = found.index(None)
-        raise ValueError(f"edge {Edge(t[k], x[k], up[k])} outside the domain closure")
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError("field edges must be a list of objects")
+    t = as_integers([row["t"] for row in rows], "edge t")
+    x = as_integers([row["x"] for row in rows], "edge x")
+    slopes = [row["slope"] for row in rows]
+    bad = [s for s in slopes if s != "up" and s != "down"]
+    if bad:
+        raise ValueError(f"edge slope must be 'up' or 'down', not {bad[0]!r}")
+    down = np.array([s == "down" for s in slopes], dtype=bool)
+    # a coordinate beyond the plan's box is clipped to just outside it, where no edge is
+    plan = domain.plan
+    t_hi = int(plan.decode(plan.closure_keys[-1])[0]) + 1
+    boxed_t = _clipped(t, plan.t_lo - 1, t_hi)
+    boxed_x = _clipped(x, plan.x_lo - 1, plan.x_lo + plan.width)
+    found = _find(plan.edge_keys, 2 * plan.key(boxed_t, boxed_x) + down)
+    if (found < 0).any():
+        k = int(np.argmin(found))
+        raise ValueError(f"edge {Edge(t[k], x[k], not down[k])} outside the domain closure")
+    edges = domain.edges
     values = [None] * len(edges)
-    for i, row in zip(found, rows):
+    for i, row in zip(found.tolist(), rows):
         if values[i] is not None:
             raise ValueError(f"edge {edges[i]} listed twice")
         values[i] = as_mass(row["mass"], mode, edges[i])

@@ -167,6 +167,14 @@ def _column_slices(t: np.ndarray) -> tuple[slice, ...]:
     return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
 
+def _side(k: int, name: str) -> cached_property:
+    def side(self) -> tuple[Site, ...]:
+        return self.plan.points(self.plan.site_keys[self._on_side[k]])
+
+    side.__doc__ = f"The sites of the {name} side, sorted by ``(t, x)``."
+    return cached_property(side)
+
+
 class _DomainMixin:
     """Derived geometry shared by rectangular and hexagonal domains.
 
@@ -174,7 +182,10 @@ class _DomainMixin:
     ``t0 + k`` holds the sites ``x = lo[k], lo[k] + 2, .., hi[k]``.  The
     :class:`ColumnPlan` and, for rectangles, the :class:`MidpointPlan` are
     built once per domain with numpy and cached with the tuples read off
-    them.
+    them.  The boundary too: a site lies on the southwest, northwest,
+    northeast or southeast side when its neighbour across its edge of that
+    direction lies outside the domain.  Flows enter through the southwest
+    and northwest sides and leave through the other two.
     """
 
     @cached_property
@@ -217,9 +228,25 @@ class _DomainMixin:
     def closure_set(self) -> frozenset[Site]:
         return frozenset(self.closure)
 
+    def contains(self, y: Site) -> bool:
+        """Whether ``y`` is a site of the domain."""
+        return y in self.site_set
+
     @cached_property
     def outer_sites(self) -> tuple[Site, ...]:
-        return tuple(y for y in self.closure if y not in self.site_set)
+        c = self.plan.closure_keys
+        return self.plan.points(c[_find(self.plan.site_keys, c) < 0])
+
+    @cached_property
+    def _on_side(self) -> np.ndarray:
+        """(4, sites): whether each site's sw, nw, ne, se neighbour lies outside."""
+        s, w = self.plan.site_keys, self.plan.width
+        return _find(s, s + np.array([[-w - 1], [-w + 1], [w + 1], [w - 1]])) < 0
+
+    southwest_side = _side(0, "southwest")
+    northwest_side = _side(1, "northwest")
+    northeast_side = _side(2, "northeast")
+    southeast_side = _side(3, "southeast")
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -233,19 +260,10 @@ class _DomainMixin:
         return frozenset(self.edges)
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Position of each edge in :attr:`edges`."""
-        return dict(zip(self.edges, range(len(self.edges))))
-
-    @cached_property
     def side_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Edge indices, in side order, of the inflow of the southwest and the
         northwest sides and of the outflow of the northeast and southeast sides."""
-        plan = self.plan
-        sides = (self.southwest_side, self.northwest_side, self.northeast_side, self.southeast_side)
-        t, x = np.array(sum(sides, ()), dtype=np.int64).T
-        index = np.searchsorted(plan.site_keys, plan.key(t, x))
-        return tuple(plan.incident[k, part] for k, part in enumerate(_parts(index, sides)))
+        return tuple(edges[on] for edges, on in zip(self.plan.incident, self._on_side))
 
     @cached_property
     def midpoint_plan(self) -> MidpointPlan:
@@ -302,14 +320,6 @@ class RectDomain(_DomainMixin):
         t = np.arange(self.n + self.m - 1)
         return 0, np.maximum(-t, t - 2 * (self.n - 1)), np.minimum(t, 2 * (self.m - 1) - t)
 
-    def contains(self, y: Site) -> bool:
-        t, x = y
-        return (
-            (t + x) % 2 == 0
-            and 0 <= t + x <= 2 * (self.m - 1)
-            and 0 <= t - x <= 2 * (self.n - 1)
-        )
-
     def cell_to_site(self, i: int, j: int) -> Site:
         """Matrix cell ``(i, j)``, 1-based, to lattice coordinates."""
         return (i + j - 2, j - i)
@@ -326,26 +336,6 @@ class RectDomain(_DomainMixin):
     def east_corner(self) -> Site:
         return (self.n + self.m - 2, self.m - self.n)
 
-    # Entry sides (flows come in from the west half of the boundary) and
-    # exit sides.  For the degenerate hexagon these are:
-    @cached_property
-    def southwest_side(self) -> tuple[Site, ...]:
-        return tuple((t, -t) for t in range(self.n))
-
-    @cached_property
-    def northwest_side(self) -> tuple[Site, ...]:
-        return tuple((t, t) for t in range(self.m))
-
-    @cached_property
-    def northeast_side(self) -> tuple[Site, ...]:
-        m = self.m
-        return tuple((m - 1 + k, m - 1 - k) for k in range(self.n))
-
-    @cached_property
-    def southeast_side(self) -> tuple[Site, ...]:
-        n = self.n
-        return tuple((n - 1 + k, -(n - 1) + k) for k in range(self.m))
-
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
 
@@ -355,7 +345,11 @@ class HexDomain(_DomainMixin):
     """Hexagonal domain bounded by two kinked paths ``x_lower <= x <= x_upper``.
 
     The upper path ascends until ``kink_upper`` and descends afterwards; the
-    lower path descends until ``kink_lower`` then ascends.  Only membership,
+    lower path descends until ``kink_lower`` then ascends.  The side rule of
+    :class:`_DomainMixin` makes the southwest side the first column plus the
+    lower path up to its kink, the northwest side the first column plus the
+    upper path up to its kink, and the northeast and southeast sides the last
+    column plus the upper and lower paths from their kinks.  Only membership,
     boundary queries and the Markov evolution are supported here; the
     decomposition machinery requires a rectangle.
     """
@@ -397,45 +391,6 @@ class HexDomain(_DomainMixin):
     def _column_bounds(self) -> tuple[int, np.ndarray, np.ndarray]:
         return self.t0, np.array(self.x_lower), np.array(self.x_upper)
 
-    def contains(self, y: Site) -> bool:
-        t, x = y
-        if not (self.t0 <= t <= self.t1) or (t + x) % 2 != 0:
-            return False
-        lo, hi = self._x_at(t)
-        return lo <= x <= hi
-
-    @cached_property
-    def southwest_side(self) -> tuple[Site, ...]:
-        out = {(self.t0, x) for x in range(*self._west_range(), 2)}
-        out.update((t, self.x_lower[t - self.t0]) for t in range(self.t0, self.kink_lower + 1))
-        return tuple(sorted(out))
-
-    @cached_property
-    def northwest_side(self) -> tuple[Site, ...]:
-        out = {(self.t0, x) for x in range(*self._west_range(), 2)}
-        out.update((t, self.x_upper[t - self.t0]) for t in range(self.t0, self.kink_upper + 1))
-        return tuple(sorted(out))
-
-    @cached_property
-    def northeast_side(self) -> tuple[Site, ...]:
-        out = {(self.t1, x) for x in range(*self._east_range(), 2)}
-        out.update((t, self.x_upper[t - self.t0]) for t in range(self.kink_upper, self.t1 + 1))
-        return tuple(sorted(out))
-
-    @cached_property
-    def southeast_side(self) -> tuple[Site, ...]:
-        out = {(self.t1, x) for x in range(*self._east_range(), 2)}
-        out.update((t, self.x_lower[t - self.t0]) for t in range(self.kink_lower, self.t1 + 1))
-        return tuple(sorted(out))
-
-    def _west_range(self) -> tuple[int, int]:
-        lo, hi = self._x_at(self.t0)
-        return lo, hi + 1
-
-    def _east_range(self) -> tuple[int, int]:
-        lo, hi = self._x_at(self.t1)
-        return lo, hi + 1
-
     @classmethod
     def from_rect(cls, rect: RectDomain) -> "HexDomain":
         """The same site set presented as a (degenerate) hexagon."""
@@ -474,19 +429,32 @@ def as_integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
+def as_integers(values, what: str) -> list[int]:
+    """``values`` as a list of ints when it is a list of integers (see :func:`as_integer`)."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, not {values!r}")
+    if all(type(v) is int for v in values):
+        return values
+    return [as_integer(v, what) for v in values]
+
+
 def domain_from_dict(d: dict) -> Domain:
+    """Read ``to_dict`` output; ValueError on a value of the wrong type or size."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a domain must be a JSON object, not {d!r}")
     kind = d.get("type")
     if kind == "rect":
         return RectDomain(as_integer(d["N"], "N"), as_integer(d["M"], "M"))
     if kind == "hex":
-        t01 = d["t01"]
+        kinks = as_integers(d["t01"], "t01")
+        if len(kinks) != 2:
+            raise ValueError(f"t01 must hold the two kinks, not {kinks!r}")
         return HexDomain(
             as_integer(d["t0"], "t0"),
             as_integer(d["t1"], "t1"),
-            as_integer(t01[0], "t01"),
-            as_integer(t01[1], "t01"),
-            tuple(as_integer(v, "xminus") for v in d["xminus"]),
-            tuple(as_integer(v, "xplus") for v in d["xplus"]),
+            *kinks,
+            tuple(as_integers(d["xminus"], "xminus")),
+            tuple(as_integers(d["xplus"], "xplus")),
         )
     raise ValueError(f"unknown domain type {kind!r}")
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
+from hypothesis import strategies as st
+
 from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth
 from brokenlines.flow import site_outflows
-from brokenlines.lattice import edge_ne, edge_nw, edge_se, edge_sw, incident_edges
+from brokenlines.lattice import HexDomain, edge_ne, edge_nw, edge_se, edge_sw, incident_edges
 from brokenlines.lpp import birth_matrix
 from brokenlines.streams import uniform
 
@@ -117,3 +119,62 @@ def flank_site_range(diagram, y) -> tuple[int, int]:
         lo_mid, hi_mid = (e.t, e.x + 1 if e.up else e.x - 1), (e.t + 1, e.x)
     q, h = diagram.breakpoints, diagram.heights
     return bisect_right(q, h[lo_mid]) - 1, bisect_right(q, h[hi_mid]) - 1
+
+
+@st.composite
+def hexagons(draw):
+    """Hexagons with both kinks anywhere, around negative and positive x."""
+    t0 = draw(st.integers(-3, 3))
+    lo = draw(st.integers(-5, 3))
+    lo += (t0 + lo) % 2
+    xl, xu = [lo], [lo + 2 * draw(st.integers(0, 3))]
+    kinks = t0 + draw(st.integers(0, 6)), t0 + draw(st.integers(0, 6))
+    for t in range(t0, t0 + draw(st.integers(0, 8))):
+        low, up = xl[-1] + (-1 if t < kinks[0] else 1), xu[-1] + (1 if t < kinks[1] else -1)
+        if low > up:
+            break
+        xl.append(low)
+        xu.append(up)
+    t1 = t0 + len(xl) - 1
+    return HexDomain(t0, t1, min(kinks[0], t1), min(kinks[1], t1), tuple(xl), tuple(xu))
+
+
+# The sides and membership of each shape by their explicit definitions: the
+# reference for the neighbour rule that both domains read off their plan.
+def rect_sides(d: RectDomain) -> tuple[tuple, tuple, tuple, tuple]:
+    """Southwest, northwest, northeast and southeast sides, each along its path."""
+    n, m = d.n, d.m
+    return (
+        tuple((t, -t) for t in range(n)),
+        tuple((t, t) for t in range(m)),
+        tuple((m - 1 + k, m - 1 - k) for k in range(n)),
+        tuple((n - 1 + k, -(n - 1) + k) for k in range(m)),
+    )
+
+
+def rect_contains(d: RectDomain, y) -> bool:
+    t, x = y
+    return (t + x) % 2 == 0 and 0 <= t + x <= 2 * (d.m - 1) and 0 <= t - x <= 2 * (d.n - 1)
+
+
+def hex_sides(d: HexDomain) -> tuple[tuple, tuple, tuple, tuple]:
+    """Each west side is the first column plus the lower (southwest) or upper
+    (northwest) path up to its kink; each east side the last column plus the
+    upper (northeast) or lower (southeast) path from its kink."""
+
+    def side(column_t: int, path: tuple, ts: range) -> tuple:
+        lo, hi = d._x_at(column_t)
+        column = {(column_t, x) for x in range(lo, hi + 1, 2)}
+        return tuple(sorted(column | {(t, path[t - d.t0]) for t in ts}))
+
+    return (
+        side(d.t0, d.x_lower, range(d.t0, d.kink_lower + 1)),
+        side(d.t0, d.x_upper, range(d.t0, d.kink_upper + 1)),
+        side(d.t1, d.x_upper, range(d.kink_upper, d.t1 + 1)),
+        side(d.t1, d.x_lower, range(d.kink_lower, d.t1 + 1)),
+    )
+
+
+def hex_contains(d: HexDomain, y) -> bool:
+    t, x = y
+    return d.t0 <= t <= d.t1 and (t + x) % 2 == 0 and d._x_at(t)[0] <= x <= d._x_at(t)[1]

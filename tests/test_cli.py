@@ -232,6 +232,23 @@ def test_concentration_subcommand(tmp_path):
     assert rates.read_text().splitlines()[0] == "n,exceedance_rate"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lln", "--n", "5", "--beta", "inf"],
+        ["lln", "--n", "5", "--beta", "nan"],
+        ["concentration", "--ns", "5", "--beta", "inf"],
+        ["concentration", "--ns", "5", "--delta", "nan"],
+        ["concentration", "--ns", "5", "--delta", "-0.5"],
+    ],
+)
+def test_experiments_reject_a_bad_beta_or_delta(tmp_path, capsys, args):
+    out = tmp_path / "report.json"
+    assert run(args + ["--replicas", "3", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_subcommand(tmp_path):
     field_json = tmp_path / "field.json"
     field_json.write_text(json.dumps(field_to_dict(random_field(RectDomain(3, 3), seed=1))))

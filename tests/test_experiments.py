@@ -134,6 +134,20 @@ def test_concentration_rejects_empty_matrices(ns, beta):
         concentration_scan(ns, 0.5, EXP1, beta, replicas=3)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_non_finite_beta_is_rejected(beta):
+    with pytest.raises(ValueError, match="beta"):
+        LlnConfig(5, beta, EXP1, 1)
+    with pytest.raises(ValueError, match="beta"):
+        concentration_scan([5], 0.5, EXP1, beta, replicas=3)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.5])
+def test_concentration_rejects_a_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        concentration_scan([5], delta, EXP1, 1.0, replicas=3)
+
+
 def test_concentration_single_replica_rate_is_binary():
     report = concentration_scan([30], 0.5, EXP1, 1.0, replicas=1, seed=1)
     assert report.rates[0] in (0.0, 1.0)

@@ -29,7 +29,7 @@ from brokenlines.lines import (
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
 )
-from helpers import add_fields, dict_sweep, random_field
+from helpers import add_fields, dict_sweep, hexagons, random_field
 
 ONE = RectDomain(1, 1)
 
@@ -272,6 +272,9 @@ def test_json_roundtrip_is_stable():
     g = field_from_dict(json.loads(payload))
     assert g == f
     assert json.dumps(field_to_dict(g)) == payload
+    reverse = json.loads(payload)
+    reverse["edges"].reverse()
+    assert json.dumps(field_to_dict(field_from_dict(reverse))) == payload
 
 
 def test_json_rejects_foreign_edges():
@@ -286,14 +289,26 @@ def _row(payload):
     return next(r for r in payload["edges"] if (r["t"], r["x"], r["slope"]) == (0, 0, "up"))
 
 
-# each once read as a different field: a descending edge, coordinates
-# truncated to the same edge, the last row of two winning, a 2x2 domain
+HEX_2X2 = HexDomain.from_rect(RectDomain(2, 2)).to_dict()
+
+# Each edits the payload in place or returns one to read instead.  The first
+# five were once read as a different field: a descending edge, coordinates
+# truncated to the same edge, the last row of two winning, a 2x2 domain; the
+# others escaped as a TypeError, AttributeError or IndexError.
 MALFORMED = {
     "slope": lambda d: _row(d).update(slope="sideways"),
     "fractional t": lambda d: _row(d).update(t=0.5),
     "fractional x": lambda d: _row(d).update(x=0.5),
     "duplicate edge": lambda d: d["edges"].append(dict(_row(d), mass=7)),
     "fractional N": lambda d: d["domain"].update(N=2.5),
+    "top-level list": lambda d: [d],
+    "domain a string": lambda d: d.update(domain="rect"),
+    "hex t01 of length 1": lambda d: d.update(domain=dict(HEX_2X2, t01=[1])),
+    "hex xminus a number": lambda d: d.update(domain=dict(HEX_2X2, xminus=0)),
+    "edge row a number": lambda d: d["edges"].append(5),
+    "edges an object": lambda d: d.update(edges={"t": 0}),
+    "slope a list": lambda d: _row(d).update(slope=["up"]),
+    "null mass": lambda d: _row(d).update(mass=None),
 }
 
 
@@ -303,7 +318,7 @@ def test_json_rejects_malformed_fields(case, tmp_path):
     from brokenlines.duality import evolve_chain
 
     payload = field_to_dict(evolve_chain(RectDomain(2, 2), 0.5, 3))
-    MALFORMED[case](payload)
+    payload = MALFORMED[case](payload) or payload
     with pytest.raises(ValueError):
         field_from_dict(payload)
     path = tmp_path / "field.json"
@@ -311,22 +326,20 @@ def test_json_rejects_malformed_fields(case, tmp_path):
     assert run(["decompose", "--field", str(path), "--out", str(tmp_path / "lines.csv")]) == 1
 
 
-@st.composite
-def hexagons(draw):
-    """Hexagons with both kinks anywhere, around negative and positive x."""
-    t0 = draw(st.integers(-3, 3))
-    lo = draw(st.integers(-5, 3))
-    lo += (t0 + lo) % 2
-    xl, xu = [lo], [lo + 2 * draw(st.integers(0, 3))]
-    kinks = t0 + draw(st.integers(0, 6)), t0 + draw(st.integers(0, 6))
-    for t in range(t0, t0 + draw(st.integers(0, 8))):
-        low, up = xl[-1] + (-1 if t < kinks[0] else 1), xu[-1] + (1 if t < kinks[1] else -1)
-        if low > up:
-            break
-        xl.append(low)
-        xu.append(up)
-    t1 = t0 + len(xl) - 1
-    return HexDomain(t0, t1, min(kinks[0], t1), min(kinks[1], t1), tuple(xl), tuple(xu))
+@pytest.mark.parametrize("coordinate", ["t", "x"])
+@pytest.mark.parametrize("far", [10**30, -(10**30)])
+def test_json_names_a_far_coordinate_as_given(coordinate, far, tmp_path, capsys):
+    # the lookup runs on int64 keys: such a row must not clip or wrap onto a real edge
+    from brokenlines.cli import run
+
+    payload = field_to_dict(random_field(RectDomain(3, 3), seed=2))
+    _row(payload)[coordinate] = far
+    with pytest.raises(ValueError, match=f"{coordinate}={far},"):
+        field_from_dict(payload)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(payload))
+    assert run(["decompose", "--field", str(path), "--out", str(tmp_path / "lines.csv")]) == 1
+    assert f"{coordinate}={far}," in capsys.readouterr().err
 
 
 DOMAINS = st.one_of(

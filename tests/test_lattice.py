@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenlines.lattice import (
@@ -15,7 +15,17 @@ from brokenlines.lattice import (
     incident_edges,
     midpoints,
 )
-from helpers import outer_northeast, outer_northwest, outer_southeast, outer_southwest
+from helpers import (
+    hex_contains,
+    hex_sides,
+    hexagons,
+    outer_northeast,
+    outer_northwest,
+    outer_southeast,
+    outer_southwest,
+    rect_contains,
+    rect_sides,
+)
 
 
 def scan_sites(n, m, span=40):
@@ -163,6 +173,42 @@ def test_hexagon_view_of_rectangle(n, m):
     assert set(hexa.northeast_side) == set(rect.northeast_side)
     assert set(hexa.southeast_side) == set(rect.southeast_side)
     assert hexa.edges == rect.edges
+
+
+DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def check_sides_and_membership(domain, sides, contains, span=24):
+    """The four sides, ``outer_sites``, ``side_edges`` and ``contains`` against
+    explicit ``sides`` and a membership rule ``contains``, on a box around the domain."""
+    box = [(t, x) for t in range(-span, span + 1) for x in range(-span, span + 1)]
+    inside = {y for y in box if contains(y)}
+    assert domain.sites == tuple(sorted(inside))
+    got = (domain.southwest_side, domain.northwest_side, domain.northeast_side, domain.southeast_side)
+    assert got == sides
+    closure = {(t + dt, x + dx) for t, x in inside for dt, dx in ((0, 0), *DIAGONALS)}
+    assert domain.outer_sites == tuple(sorted(closure - inside))
+    index = {e: i for i, e in enumerate(domain.edges)}
+    for side, edge, indices in zip(sides, (edge_sw, edge_nw, edge_ne, edge_se), domain.side_edges):
+        assert indices.tolist() == [index[edge(y)] for y in side]
+    # the closure and every point one step off it lie in the box
+    assert all(domain.contains(y) is contains(y) for y in box)
+
+
+def test_rectangle_sides_and_membership_follow_the_paths():
+    for n in range(1, 7):
+        for m in range(1, 7):
+            rect = RectDomain(n, m)
+            check_sides_and_membership(rect, rect_sides(rect), lambda y: rect_contains(rect, y))
+            hexa = HexDomain.from_rect(rect)
+            assert hex_sides(hexa) == rect_sides(rect)
+            check_sides_and_membership(hexa, hex_sides(hexa), lambda y: hex_contains(hexa, y))
+
+
+@given(hexagons())
+@settings(max_examples=200, deadline=None)
+def test_hexagon_sides_and_membership_follow_the_paths(hexa):
+    check_sides_and_membership(hexa, hex_sides(hexa), lambda y: hex_contains(hexa, y))
 
 
 def test_proper_hexagon():
