@@ -1,8 +1,10 @@
 """Statistical checks shared by the distributional test reports.
 
-Each report aggregates named sub-checks; the per-check thresholds are
-Bonferroni-corrected so a whole report rejects a true hypothesis with
-probability at most its significance level.
+Each report aggregates named sub-checks.  The Bonferroni rule lives here
+alone, in :meth:`TestReport.bonferroni`: a report lists its pending checks
+and every one runs at the report's significance divided by their number,
+so a whole report rejects a true hypothesis with probability at most its
+significance level.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ class TestReport:
     nsamples: int
     significance: float
     checks: tuple[Check, ...]
+
+    @classmethod
+    def bonferroni(cls, test, params, seed, nsamples, significance, pending) -> "TestReport":
+        """Run each pending ``(check, name, a, b)`` at ``significance / len(pending)``."""
+        alpha = significance / len(pending)
+        checks = tuple(check(name, a, b, alpha) for check, name, a, b in pending)
+        return cls(test, params, seed, nsamples, significance, checks)
 
     @property
     def passed(self) -> bool:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .checks import (
-    Check,
     TestReport,
     chi2_homogeneity_check,
     correlation_check,
@@ -32,7 +32,7 @@ from .flow import (
     site_outflows,
     sweep,
 )
-from .lattice import Domain, RectDomain, edge_ne, edge_se, require_rect
+from .lattice import Domain, RectDomain, _find, require_rect
 from .streams import stream_base, uniforms, uniforms_at
 
 EXPONENTIAL = "exponential"
@@ -281,55 +281,61 @@ def reversal_invariance_test(
     """
     if nsamples < 10_000:
         raise ValueError("need at least 10^4 samples")
-    specs = (triple.pi1, triple.pi2, triple.pi3)
-    r, s, t = (
-        np.asarray(spec.sample_array(stream_base(seed, _TAG_FIELD, i), nsamples), dtype=float)
-        for i, spec in enumerate(specs)
-    )
+
+    def draws(tag: int) -> list[np.ndarray]:
+        specs = enumerate((triple.pi1, triple.pi2, triple.pi3))
+        return [
+            np.asarray(p.sample_array(stream_base(seed, tag, i), nsamples), float) for i, p in specs
+        ]
+
+    r, s, t = draws(_TAG_FIELD)
     out1, out2 = site_outflows(r, s, t)
     out3 = np.minimum(r, s)
-    fresh = tuple(
-        np.asarray(spec.sample_array(stream_base(seed, _TAG_FRESH, i), nsamples), dtype=float)
-        for i, spec in enumerate(specs)
-    )
+    fresh = draws(_TAG_FRESH)
 
-    alpha = significance / 6.0
-    checks = [
-        ks_check("ks_marginal_1", out1, fresh[0], alpha),
-        ks_check("ks_marginal_2", out2, fresh[1], alpha),
-        ks_check("ks_marginal_3", out3, fresh[2], alpha),
-        mean_z_check("moment_12", out1 * out2, fresh[0] * fresh[1], alpha),
-        mean_z_check("moment_13", out1 * out3, fresh[0] * fresh[2], alpha),
-        mean_z_check("moment_23", out2 * out3, fresh[1] * fresh[2], alpha),
+    pending = [
+        (ks_check, "ks_marginal_1", out1, fresh[0]),
+        (ks_check, "ks_marginal_2", out2, fresh[1]),
+        (ks_check, "ks_marginal_3", out3, fresh[2]),
+        (mean_z_check, "moment_12", out1 * out2, fresh[0] * fresh[1]),
+        (mean_z_check, "moment_13", out1 * out3, fresh[0] * fresh[2]),
+        (mean_z_check, "moment_23", out2 * out3, fresh[1] * fresh[2]),
     ]
-    return TestReport(
-        test="reversal_invariance",
-        params={"triple": triple.token()},
-        seed=seed,
-        nsamples=nsamples,
-        significance=significance,
-        checks=tuple(checks),
-    )
+    params = {"triple": triple.token()}
+    return TestReport.bonferroni("reversal_invariance", params, seed, nsamples, significance, pending)
 
 
-def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: int) -> dict:
-    """Forward sweep of ``count`` replicas at once: one sample array per edge.
+def _chain(lam: float) -> Triple:
+    """The stationary-boundary chain: Geom(lam) inflows and Geom(lam^2) births."""
+    inflow = DistSpec.geometric(lam)
+    return Triple(inflow, inflow, DistSpec.geometric(lam * lam))
 
-    Every (site, role) draws its own stream, so replicas and sites can be
-    sampled in any order.
+
+def _site_draws(domain: Domain, triple: Triple, keyed) -> list[np.ndarray]:
+    """``triple``'s draws on the southwest side, the northwest side and every
+    site, in the order :func:`flow.sweep` reads them: the uniforms of each
+    role are one call ``keyed(t, x, role)`` on those sites' coordinates."""
+    t, x = domain.plan.decode(domain.plan.site_keys)
+    sw, nw = domain.neighbours[:2] < 0
+    roles = ((triple.pi1, sw, ROLE_UP_IN), (triple.pi2, nw, ROLE_DOWN_IN),
+             (triple.pi3, slice(None), ROLE_BIRTH))
+    return [spec.from_uniform(keyed(t[on], x[on], role)) for spec, on, role in roles]
+
+
+def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: int) -> np.ndarray:
+    """Forward sweep of ``count`` replicas at once: the ``(edges, count)`` masses
+    of :func:`flow.sweep`, rows in canonical edge order.
+
+    Replica ``r`` of the draw of ``role`` at site ``(t, x)`` is keyed
+    ``(seed, tag, t, x, role, r)``, so replicas and sites can be sampled in
+    any order; each role is one :func:`uniforms_at` call.
     """
+    replica = np.arange(count)
 
-    def draw(spec: DistSpec, sites, role: int) -> np.ndarray:
-        return np.stack([
-            spec.sample_array(stream_base(seed, tag, y[0], y[1], role), count) for y in sites
-        ])
+    def keyed(t, x, role):
+        return uniforms_at(seed, tag, t[:, None], x[:, None], role, replica)
 
-    return dict(zip(domain.edges, sweep(
-        domain,
-        draw(triple.pi1, domain.southwest_side, ROLE_UP_IN),
-        draw(triple.pi2, domain.northwest_side, ROLE_DOWN_IN),
-        draw(triple.pi3, domain.sites, ROLE_BIRTH),
-    )))
+    return sweep(domain, *_site_draws(domain, triple, keyed))
 
 
 def burke_exit_test(
@@ -343,8 +349,13 @@ def burke_exit_test(
 
     Ascending exits must be i.i.d. with the ascending-inflow law,
     descending exits with the descending one, and all exit streams mutually
-    uncorrelated.  Refuses triples that do not classify as self-dual, since
-    nothing is claimed there.
+    uncorrelated.  The exits are the rows ``side_edges[2]`` (northeast) and
+    ``side_edges[3]`` (southeast) of the sampled masses.  Exit ``i`` of a
+    side is KS-compared with fresh draws of its law, keyed by the side,
+    ``i`` and the replica, and every pair of exits is z-tested for
+    correlation; :meth:`TestReport.bonferroni` sets the per-check level.
+    Refuses triples that do not classify as self-dual, since nothing is
+    claimed there.
     """
     if nsamples < 1_000:
         raise ValueError("need at least 10^3 samples")
@@ -353,63 +364,36 @@ def burke_exit_test(
         raise ValueError(f"triple {triple.token()} is not self-dual ({verdict.reason})")
 
     mass = _sampled_mass(domain, triple, seed, _TAG_FIELD, nsamples)
-    up_exits = [(y, mass[edge_ne(y)]) for y in domain.northeast_side]
-    down_exits = [(y, mass[edge_se(y)]) for y in domain.southeast_side]
-
-    n_ks = len(up_exits) + len(down_exits)
-    streams = up_exits + down_exits
-    n_corr = len(streams) * (len(streams) - 1) // 2
-    alpha = significance / (n_ks + n_corr)
-
-    checks: list[Check] = []
-    for i, (y, values) in enumerate(up_exits):
-        fresh = triple.pi1.sample_array(stream_base(seed, _TAG_FRESH, 1, i), nsamples)
-        checks.append(ks_check(f"ks_up_exit_{y}", values, fresh, alpha))
-    for i, (y, values) in enumerate(down_exits):
-        fresh = triple.pi2.sample_array(stream_base(seed, _TAG_FRESH, 2, i), nsamples)
-        checks.append(ks_check(f"ks_down_exit_{y}", values, fresh, alpha))
-    for i in range(len(streams)):
-        for j in range(i + 1, len(streams)):
-            ya, a = streams[i]
-            yb, b = streams[j]
-            checks.append(correlation_check(f"corr_{ya}_{yb}", a, b, alpha))
-    return TestReport(
-        test="burke_exit",
-        params={"triple": triple.token(), "domain": domain.to_dict()},
-        seed=seed,
-        nsamples=nsamples,
-        significance=significance,
-        checks=tuple(checks),
-    )
+    replica = np.arange(nsamples)
+    pending, exits = [], []
+    for side, (kind, spec, sites) in enumerate(
+        (("up", triple.pi1, domain.northeast_side), ("down", triple.pi2, domain.southeast_side)), 1
+    ):
+        rows = mass[domain.side_edges[1 + side]]
+        fresh = spec.from_uniform(
+            uniforms_at(seed, _TAG_FRESH, side, np.arange(len(sites))[:, None], replica)
+        )
+        pending += [(ks_check, f"ks_{kind}_exit_{y}", a, b) for y, a, b in zip(sites, rows, fresh)]
+        exits += zip(sites, rows)
+    pending += [
+        (correlation_check, f"corr_{ya}_{yb}", a, b) for (ya, a), (yb, b) in combinations(exits, 2)
+    ]
+    params = {"triple": triple.token(), "domain": domain.to_dict()}
+    return TestReport.bonferroni("burke_exit", params, seed, nsamples, significance, pending)
 
 
-def evolve_chain(domain: Domain, lam: float, seed: int, sampler=None) -> FlowField:
+def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
     """Sample the stationary-boundary chain: geometric inflows and births.
 
-    Inflows on the west sides are Geom(lam), births Geom(lam^2); the field
-    is the forward evolution of those draws and is reproduced bit for bit by
-    the same seed.  ``sampler(site, role) -> int`` overrides the draws (test
-    hook).
+    Inflows on the west sides are Geom(lam), births Geom(lam^2), the draw of
+    ``role`` at site ``(t, x)`` keyed ``(seed, t, x, role)``; the field is the
+    forward evolution of those draws and is reproduced bit for bit by the
+    same seed.
     """
-    inflow = DistSpec.geometric(lam)
-    birth = DistSpec.geometric(lam * lam)
-
-    def draws(sites, role: int) -> dict:
-        if sampler is not None:
-            return {y: sampler(y, role) for y in sites}
-        t, x = np.array(sites, dtype=np.int64).reshape(-1, 2).T
-        spec = inflow if role != ROLE_BIRTH else birth
-        return dict(zip(sites, spec.from_uniform(uniforms_at(seed, t, x, role)).tolist()))
-
-    up_in = draws(domain.southwest_side, ROLE_UP_IN)
-    down_in = draws(domain.northwest_side, ROLE_DOWN_IN)
-    births = draws(domain.sites, ROLE_BIRTH)
-    return field_from_birth(
-        domain,
-        BoundaryFlow(up_in, down_in),
-        BirthField(domain, births),
-        mode="int",
-    )
+    draws = _site_draws(domain, _chain(lam), lambda t, x, role: uniforms_at(seed, t, x, role))
+    sites = domain.southwest_side, domain.northwest_side, domain.sites
+    up, down, born = (dict(zip(s, d.tolist())) for s, d in zip(sites, draws))
+    return field_from_birth(domain, BoundaryFlow(up, down), BirthField(domain, born), mode="int")
 
 
 def time_reverse(field: FlowField) -> FlowField:
@@ -460,32 +444,21 @@ def consistency_test(
     inner = RectDomain(n_inner, m_inner)
     lam_direct = lam if inner_lam is None else inner_lam
 
-    def chain(lam_: float) -> Triple:
-        inflow = DistSpec.geometric(lam_)
-        return Triple(inflow, inflow, DistSpec.geometric(lam_ * lam_))
+    # the inner rectangle's edges, found among the outer rows by edge key
+    keys = inner.plan.edge_keys
+    t, x = inner.plan.decode(keys >> 1)
+    rows = _find(outer.plan.edge_keys, 2 * outer.plan.key(t, x) + (keys & 1))
+    restricted = _sampled_mass(outer, _chain(lam), seed, _TAG_OUTER, nsamples)[rows]
+    direct = _sampled_mass(inner, _chain(lam_direct), seed, _TAG_INNER, nsamples)
 
-    restricted = _sampled_mass(outer, chain(lam), seed, _TAG_OUTER, nsamples)
-    direct = _sampled_mass(inner, chain(lam_direct), seed, _TAG_INNER, nsamples)
-
-    alpha = significance / (len(inner.edges) + len(inner.sites))
-    checks: list[Check] = []
-    for e in inner.edges:
-        name = f"edge_{e.t}_{e.x}_{'up' if e.up else 'down'}"
-        checks.append(chi2_homogeneity_check(name, restricted[e], direct[e], alpha))
-    for y in inner.sites:
-        joint_restricted = restricted[edge_ne(y)] * restricted[edge_se(y)]
-        joint_direct = direct[edge_ne(y)] * direct[edge_se(y)]
-        checks.append(mean_z_check(f"joint_{y}", joint_restricted, joint_direct, alpha))
-    return TestReport(
-        test="consistency",
-        params={
-            "outer": outer.to_dict(),
-            "inner": inner.to_dict(),
-            "lam": lam,
-            "inner_lam": lam_direct,
-        },
-        seed=seed,
-        nsamples=nsamples,
-        significance=significance,
-        checks=tuple(checks),
-    )
+    ne, se = inner.plan.incident[2:]
+    pending = [
+        (chi2_homogeneity_check, f"edge_{e.t}_{e.x}_{'up' if e.up else 'down'}", a, b)
+        for e, a, b in zip(inner.edges, restricted, direct)
+    ]
+    pending += [
+        (mean_z_check, f"joint_{y}", a, b)
+        for y, a, b in zip(inner.sites, restricted[ne] * restricted[se], direct[ne] * direct[se])
+    ]
+    params = dict(outer=outer.to_dict(), inner=inner.to_dict(), lam=lam, inner_lam=lam_direct)
+    return TestReport.bonferroni("consistency", params, seed, nsamples, significance, pending)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Real
 
 import numpy as np
 
@@ -135,14 +135,16 @@ def infer_mode(values) -> str:
 def as_mass(value, mode: str, where):
     """``value`` cast to the mode's number type, once it is a mass a field can carry.
 
-    Masses are finite and nonnegative, and integral in int mode; anything
-    else raises ValueError.  A negative zero is read as zero.
+    Masses are real numbers (numpy's too, but not bools or strings), finite
+    and nonnegative, and integral in int mode; anything else raises
+    ValueError.  A negative zero is read as zero.
     """
-    try:  # int and float first: the Integral ABC check is several times slower
-        number = value if isinstance(value, (int, float, Integral)) else float(value)
-        if 0 <= number < math.inf and (mode != "int" or number == int(number)):
-            return int(number) if mode == "int" else float(number) + 0.0
-    except (OverflowError, TypeError, ValueError):  # too large for a float, or no number
+    # int and float first: the Real ABC check is several times slower
+    real = type(value) is not bool and isinstance(value, (int, float, Real))
+    try:
+        if real and 0 <= value < math.inf and (mode != "int" or value == int(value)):
+            return int(value) if mode == "int" else float(value) + 0.0
+    except OverflowError:  # too large for a float
         pass
     kind = "integer" if mode == "int" else "number"
     raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")

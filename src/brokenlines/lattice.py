@@ -238,10 +238,16 @@ class _DomainMixin:
         return self.plan.points(c[_find(self.plan.site_keys, c) < 0])
 
     @cached_property
+    def neighbours(self) -> np.ndarray:
+        """(4, sites): the index in ``sites`` of each site's sw, nw, ne, se
+        neighbour, -1 where it lies outside."""
+        s, w = self.plan.site_keys, self.plan.width
+        return _find(s, s + np.array([[-w - 1], [-w + 1], [w + 1], [w - 1]]))
+
+    @cached_property
     def _on_side(self) -> np.ndarray:
         """(4, sites): whether each site's sw, nw, ne, se neighbour lies outside."""
-        s, w = self.plan.site_keys, self.plan.width
-        return _find(s, s + np.array([[-w - 1], [-w + 1], [w + 1], [w - 1]])) < 0
+        return self.neighbours < 0
 
     southwest_side = _side(0, "southwest")
     northwest_side = _side(1, "northwest")
@@ -394,10 +400,8 @@ class HexDomain(_DomainMixin):
     @classmethod
     def from_rect(cls, rect: RectDomain) -> "HexDomain":
         """The same site set presented as a (degenerate) hexagon."""
-        t1 = rect.n + rect.m - 2
-        x_lower = tuple(max(-t, t - 2 * (rect.n - 1)) for t in range(t1 + 1))
-        x_upper = tuple(min(t, 2 * (rect.m - 1) - t) for t in range(t1 + 1))
-        return cls(0, t1, rect.n - 1, rect.m - 1, x_lower, x_upper)
+        _, lo, hi = rect._column_bounds()  # from t = 0, kinked at t = n - 1 and m - 1
+        return cls(0, len(lo) - 1, rect.n - 1, rect.m - 1, tuple(lo.tolist()), tuple(hi.tolist()))
 
     def to_dict(self) -> dict:
         return {

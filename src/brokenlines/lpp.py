@@ -21,7 +21,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import RectDomain, Site, edge_nw, edge_sw, require_rect
+from .lattice import RectDomain, Site, require_rect
 
 
 @dataclass(frozen=True)
@@ -160,26 +160,24 @@ def flow_identity_residual(xi: BirthField) -> float:
 def optimal_path_backward(field: FlowField) -> LatticePath:
     """Walk an optimal path backwards from the east corner.
 
-    At each site step toward the heavier incoming edge, southwest on ties.
-    Requires a field grown from births alone: nonzero boundary inflow breaks
-    the optimality guarantee and is rejected.
+    At each site step toward the heavier incoming edge, southwest on ties,
+    but never out of the rectangle: on a west side, step to the one
+    neighbour inside.  Requires a field grown from births alone: nonzero
+    boundary inflow breaks the optimality guarantee and is rejected.
     """
     domain = require_rect(field.domain, "passage values")
     inflow = sum(side_masses(field, 0)) + sum(side_masses(field, 1))
     if inflow > tolerance(field.max_mass, field.mode):
         raise ValueError("backward path needs a field with zero boundary inflow")
-    y = domain.east_corner
-    rev = [y]
-    for _ in range(domain.n + domain.m - 2):
-        t, x = y
-        if field.mass[edge_sw(y)] >= field.mass[edge_nw(y)]:
-            y = (t - 1, x - 1)
-        else:
-            y = (t - 1, x + 1)
-        rev.append(y)
-    if rev[-1] != domain.west_corner:
-        raise ValueError("backward walk did not reach the west corner")
-    return LatticePath(tuple(reversed(rev)))
+    mass = field.values
+    sw_edge, nw_edge = domain.plan.incident[:2]
+    sw, nw = domain.neighbours[:2]
+    i = len(sw) - 1  # the east corner, the last site in (t, x) order
+    rev = [i]
+    for _ in range(domain.n + domain.m - 2):  # down one t-column a step, to the west corner
+        i = sw[i] if nw[i] < 0 or sw[i] >= 0 and mass[sw_edge[i]] >= mass[nw_edge[i]] else nw[i]
+        rev.append(i)
+    return LatticePath(tuple(domain.sites[i] for i in reversed(rev)))
 
 
 def path_sum(xi: BirthField, path: LatticePath) -> float:

@@ -47,17 +47,24 @@ def uniform(seed: int, *keys: int) -> float:
 def uniforms_at(seed: int, *keys) -> np.ndarray:
     """``uniform(seed, *key)`` for every key of the broadcast integer arrays ``keys``.
 
-    A negative key is read modulo 2**64 through its two's-complement bits,
-    as :func:`stream_base` reads it.
+    The hash broadcasts as each key is folded in, so scalar keys before the
+    first array cost what :func:`stream_base` costs.  A negative key is read
+    modulo 2**64 through its two's-complement bits, as :func:`stream_base`
+    reads it.  The result has at least one dimension.
     """
-    h = np.uint64(_mix((seed & _MASK) ^ _GOLDEN))
-    for k in np.broadcast_arrays(*(np.atleast_1d(np.asarray(k, dtype=np.int64)) for k in keys)):
-        h = _mix_array(h ^ (k.view(np.uint64) + _U_GOLDEN))
-    return (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    h = _mix((seed & _MASK) ^ _GOLDEN)
+    for k in keys:
+        if isinstance(h, int) and np.ndim(k) == 0:
+            h = _mix(h ^ ((int(k) + _GOLDEN) & _MASK))
+        else:
+            bits = np.asarray(k, np.int64).view(np.uint64) + _U_GOLDEN
+            h = _mix_array(np.asarray(h, np.uint64) ^ bits)
+    return (np.atleast_1d(np.asarray(h, np.uint64)) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
 def _mix_array(h: np.ndarray) -> np.ndarray:
-    h = h.astype(np.uint64, copy=True)
+    """SplitMix64 finalizer on an array, in place when it already holds uint64."""
+    h = h.astype(np.uint64, copy=False)
     h ^= h >> np.uint64(30)
     h *= _U_MULT1
     h ^= h >> np.uint64(27)

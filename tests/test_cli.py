@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from brokenlines.cli import run
@@ -160,6 +161,21 @@ def test_path_subcommand(tmp_path, capsys):
     assert run(["path", "--field", str(field_json)]) == 0
     payload = capsys.readouterr().out.split("\n", 1)[1]
     assert json.loads(payload)["path"] == [[0, 0], [1, -1], [2, 0]]
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((3, 3)), [[0, 0], [0, 1]], [[0, 0, 0], [0, 0, 1]]])
+def test_path_subcommand_on_ties(tmp_path, capsys, matrix):
+    # zero births tie at every site: the walk keeps to the rectangle's west sides
+    from brokenlines.flow import field_from_birth
+    from brokenlines.lpp import births_from_matrix
+
+    births = births_from_matrix(matrix)
+    field_json = tmp_path / "field.json"
+    field_json.write_text(json.dumps(field_to_dict(field_from_birth(births.domain, births=births))))
+    assert run(["path", "--field", str(field_json)]) == 0
+    path = json.loads(capsys.readouterr().out.split("\n", 1)[1])["path"]
+    assert path[0] == [0, 0]
+    assert path[-1] == list(births.domain.east_corner)
 
 
 def test_duality_check_triple_exit_codes(tmp_path):

@@ -1,9 +1,15 @@
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
+from brokenlines import checks
 from brokenlines.duality import (
     DistSpec,
     Verdict,
@@ -238,12 +244,6 @@ def test_evolve_chain_deterministic():
     assert evolve_chain(d, 0.5, seed=10) != a
 
 
-def test_evolve_chain_zero_hook():
-    d = RectDomain(2, 2)
-    f = evolve_chain(d, 0.5, seed=0, sampler=lambda y, role: 0)
-    assert max_edge_gap(f, zero_field(d, mode="int")) == 0
-
-
 def test_evolve_chain_rejects_bad_lambda():
     with pytest.raises(ValueError):
         evolve_chain(RectDomain(2, 2), 1.2, seed=0)
@@ -388,3 +388,59 @@ def test_consistency_rejects_mismatched_lambda():
 def test_consistency_validation():
     with pytest.raises(ValueError):
         consistency_test(2, 2, 0.5, 1_000, n_inner=3)
+
+
+# ------------------------------------------------------------ pinned reports
+
+# sha256 of json.dumps(report.to_dict()): every draw, statistic and threshold
+# of the Monte Carlo reports, pinned so a refactor must reproduce them exactly
+REPORT_DIGESTS = {
+    ("burke", 3, "exp:1,exp:1,exp:2"):
+        "56281d5360cdf61c413d98e4c0401ed8c1f45cd94ea3613fab9a125768df729a",
+    ("burke", 3, "geom:0.5,geom:0.5,geom:0.25"):
+        "8ddb4f67b7c3e1966c54fbaf9e2d52815427515ca2f1e05b2698a845216a520e",
+    ("burke", 6, "exp:1,exp:1,exp:2"):
+        "c727fdd9401a702f6a3f4fd96751fdf1609815a1387a9395d47b12fca12b5c26",
+    ("burke", 6, "geom:0.5,geom:0.5,geom:0.25"):
+        "03282aaf20ce7f6ededbab711ccfbc32e915be8dcbf5a89a9dffbcabd8161448",
+    ("consistency", "n_inner", None):
+        "e417f7b20515bcabe3b41c491f5751414e42acb9869f66a82689b0251c7b7303",
+    ("consistency", "n_inner", 0.6):
+        "b1738e6f86d362b2dc32c0ff7eef8a197e5fa7abe6afb0bc5bfd9c882473c4d3",
+    ("consistency", "m_inner", None):
+        "72bb67ed8db973ce7ed6f3c7eff488b4cdb57687dd25a52f62d31f71455db2be",
+    ("consistency", "m_inner", 0.6):
+        "7fd17438b1740f5d767adc2ee7dcc5d6f723dbabf7dfa83dcb6ba044861e9702",
+    ("reversal", "exp:1,exp:2,exp:3"):
+        "de63962efc38bf276bc37bb39bfad24a4ea050d7ad07a6abe4ad378f908f3c5b",
+    ("reversal", "unif:0:1,unif:0:1,unif:0:1"):
+        "747812cdeb311617e30f15f52cd5d53f2231bb9e5acf22e72f93dba74336be62",
+}
+
+
+def _report(case):
+    if case[0] == "burke":
+        return burke_exit_test(RectDomain(case[1], case[1]), parse_triple(case[2]), 2_000, seed=3)
+    if case[0] == "consistency":
+        return consistency_test(3, 3, 0.5, 4_000, seed=4, inner_lam=case[2], **{case[1]: 2})
+    return reversal_invariance_test(parse_triple(case[1]), 10_000, seed=5)
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS, key=repr), ids=repr)
+def test_report_digest_is_pinned(case):
+    text = json.dumps(_report(case).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[case]
+
+
+def test_bonferroni_divisor_lives_in_checks_only():
+    # the per-check level has one rule: a divisor written in a report
+    # would count its checks by hand
+    package = Path(checks.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "checks.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"significance\s*/", line)
+    ]
+    assert found == []

@@ -309,6 +309,8 @@ MALFORMED = {
     "edges an object": lambda d: d.update(edges={"t": 0}),
     "slope a list": lambda d: _row(d).update(slope=["up"]),
     "null mass": lambda d: _row(d).update(mass=None),
+    "string mass": lambda d: _row(d).update(mass="3"),
+    "bool mass": lambda d: _row(d).update(mass=True),
 }
 
 

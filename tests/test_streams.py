@@ -80,3 +80,8 @@ def test_keyed_vector_draw_equals_the_scalar_draw_at_every_site_and_role():
         for role in (1, 2, 3):
             expected = [uniform(seed, *y, role) for y in hexa.sites]
             assert uniforms_at(seed, t, x, role).tolist() == expected
+            # a leading scalar tag and a trailing counter axis, as the samplers draw
+            expected = [[uniform(seed, 12, *y, role, c) for c in range(5)] for y in hexa.sites]
+            keyed = uniforms_at(seed, 12, t[:, None], x[:, None], role, np.arange(5))
+            assert keyed.tolist() == expected
+        assert uniforms_at(seed, 12, 3, 1).tolist() == [uniform(seed, 12, 3, 1)]
