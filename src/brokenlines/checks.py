@@ -4,7 +4,8 @@ Each report aggregates named sub-checks.  The Bonferroni rule lives here
 alone, in :meth:`TestReport.bonferroni`: a report lists its pending checks
 and every one runs at the report's significance divided by their number,
 so a whole report rejects a true hypothesis with probability at most its
-significance level.
+significance level.  scipy is imported by the two checks that use it, on
+their first call, so that the commands that run no check never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as spstats
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,14 @@ class TestReport:
 
     @classmethod
     def bonferroni(cls, test, params, seed, nsamples, significance, pending) -> "TestReport":
-        """Run each pending ``(check, name, a, b)`` at ``significance / len(pending)``."""
+        """Run each pending ``(check, name, samples)`` at ``significance / len(pending)``.
+
+        ``samples()`` returns the check's two samples and is called only when
+        that check runs, so samples made for one check (products, say) are
+        held only while it runs.
+        """
         alpha = significance / len(pending)
-        checks = tuple(check(name, a, b, alpha) for check, name, a, b in pending)
+        checks = tuple(check(name, *samples(), alpha) for check, name, samples in pending)
         return cls(test, params, seed, nsamples, significance, checks)
 
     @property
@@ -65,6 +70,18 @@ class TestReport:
             "pass": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
+
+
+def given(a: np.ndarray, b: np.ndarray):
+    """The ``samples`` of a pending check whose two samples already exist."""
+    return lambda: (a, b)
+
+
+def _z_threshold(alpha: float) -> float:
+    """The two-sided normal critical value at level ``alpha``."""
+    from scipy.stats import norm
+
+    return float(norm.isf(alpha / 2.0))
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -94,7 +111,7 @@ def mean_z_check(name: str, a: np.ndarray, b: np.ndarray, alpha: float) -> Check
     b = np.asarray(b, dtype=float)
     se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
     z = abs(float(a.mean() - b.mean())) / se if se > 0 else 0.0
-    crit = float(spstats.norm.isf(alpha / 2.0))
+    crit = _z_threshold(alpha)
     return Check(name, z, crit, z <= crit)
 
 
@@ -107,7 +124,7 @@ def correlation_check(name: str, a: np.ndarray, b: np.ndarray, alpha: float) -> 
         return Check(name, 0.0, 1.0, True)
     r = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
     z = abs(r) * math.sqrt(a.size)
-    crit = float(spstats.norm.isf(alpha / 2.0))
+    crit = _z_threshold(alpha)
     return Check(name, z, crit, z <= crit)
 
 
@@ -140,5 +157,7 @@ def chi2_homogeneity_check(
     table = np.vstack([ca[mask], cb[mask]])
     if table.shape[1] < 2:
         return Check(name, 0.0, 1.0 - alpha, True)
-    _, p, _, _ = spstats.chi2_contingency(table)
+    from scipy.stats import chi2_contingency
+
+    _, p, _, _ = chi2_contingency(table)
     return Check(name, 1.0 - float(p), 1.0 - alpha, bool(p >= alpha))

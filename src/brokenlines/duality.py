@@ -19,6 +19,7 @@ from .checks import (
     TestReport,
     chi2_homogeneity_check,
     correlation_check,
+    given,
     ks_check,
     mean_z_check,
 )
@@ -293,13 +294,17 @@ def reversal_invariance_test(
     out3 = np.minimum(r, s)
     fresh = draws(_TAG_FRESH)
 
-    pending = [
-        (ks_check, "ks_marginal_1", out1, fresh[0]),
-        (ks_check, "ks_marginal_2", out2, fresh[1]),
-        (ks_check, "ks_marginal_3", out3, fresh[2]),
-        (mean_z_check, "moment_12", out1 * out2, fresh[0] * fresh[1]),
-        (mean_z_check, "moment_13", out1 * out3, fresh[0] * fresh[2]),
-        (mean_z_check, "moment_23", out2 * out3, fresh[1] * fresh[2]),
+    outs = (out1, out2, out3)
+
+    def marginal(i: int):
+        return lambda: (outs[i], fresh[i])
+
+    def moment(i: int, j: int):  # the products are made when their check runs
+        return lambda: (outs[i] * outs[j], fresh[i] * fresh[j])
+
+    pending = [(ks_check, f"ks_marginal_{i + 1}", marginal(i)) for i in range(3)]
+    pending += [
+        (mean_z_check, f"moment_{i + 1}{j + 1}", moment(i, j)) for i, j in combinations(range(3), 2)
     ]
     params = {"triple": triple.token()}
     return TestReport.bonferroni("reversal_invariance", params, seed, nsamples, significance, pending)
@@ -373,10 +378,13 @@ def burke_exit_test(
         fresh = spec.from_uniform(
             uniforms_at(seed, _TAG_FRESH, side, np.arange(len(sites))[:, None], replica)
         )
-        pending += [(ks_check, f"ks_{kind}_exit_{y}", a, b) for y, a, b in zip(sites, rows, fresh)]
+        pending += [
+            (ks_check, f"ks_{kind}_exit_{y}", given(a, b)) for y, a, b in zip(sites, rows, fresh)
+        ]
         exits += zip(sites, rows)
     pending += [
-        (correlation_check, f"corr_{ya}_{yb}", a, b) for (ya, a), (yb, b) in combinations(exits, 2)
+        (correlation_check, f"corr_{ya}_{yb}", given(a, b))
+        for (ya, a), (yb, b) in combinations(exits, 2)
     ]
     params = {"triple": triple.token(), "domain": domain.to_dict()}
     return TestReport.bonferroni("burke_exit", params, seed, nsamples, significance, pending)
@@ -390,10 +398,11 @@ def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
     forward evolution of those draws and is reproduced bit for bit by the
     same seed.
     """
-    draws = _site_draws(domain, _chain(lam), lambda t, x, role: uniforms_at(seed, t, x, role))
-    sites = domain.southwest_side, domain.northwest_side, domain.sites
-    up, down, born = (dict(zip(s, d.tolist())) for s, d in zip(sites, draws))
-    return field_from_birth(domain, BoundaryFlow(up, down), BirthField(domain, born), mode="int")
+    up, down, born = _site_draws(domain, _chain(lam), lambda t, x, role: uniforms_at(seed, t, x, role))
+    boundary = BoundaryFlow(
+        dict(zip(domain.southwest_side, up.tolist())), dict(zip(domain.northwest_side, down.tolist()))
+    )
+    return field_from_birth(domain, boundary, BirthField.from_values(domain, born), mode="int")
 
 
 def time_reverse(field: FlowField) -> FlowField:
@@ -452,13 +461,14 @@ def consistency_test(
     direct = _sampled_mass(inner, _chain(lam_direct), seed, _TAG_INNER, nsamples)
 
     ne, se = inner.plan.incident[2:]
+
+    def joint(k: int):  # the products are made when their check runs
+        return lambda: (restricted[ne[k]] * restricted[se[k]], direct[ne[k]] * direct[se[k]])
+
     pending = [
-        (chi2_homogeneity_check, f"edge_{e.t}_{e.x}_{'up' if e.up else 'down'}", a, b)
+        (chi2_homogeneity_check, f"edge_{e.t}_{e.x}_{'up' if e.up else 'down'}", given(a, b))
         for e, a, b in zip(inner.edges, restricted, direct)
     ]
-    pending += [
-        (mean_z_check, f"joint_{y}", a, b)
-        for y, a, b in zip(inner.sites, restricted[ne] * restricted[se], direct[ne] * direct[se])
-    ]
+    pending += [(mean_z_check, f"joint_{y}", joint(k)) for k, y in enumerate(inner.sites)]
     params = dict(outer=outer.to_dict(), inner=inner.to_dict(), lam=lam, inner_lam=lam_direct)
     return TestReport.bonferroni("consistency", params, seed, nsamples, significance, pending)

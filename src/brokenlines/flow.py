@@ -13,16 +13,18 @@ inflow check.  Brick heights within the rounding level ``ABS_TOL * max(1,
 max height)`` share a breakpoint; that width stays below the tolerance
 because real strips narrower than ``REL_TOL * C`` occur.
 
-Layout: ``FlowField.mass`` is the public ``Edge``-keyed dict that JSON,
-tests and callers read.  The field operations read ``FlowField.values``
-instead, the same masses as one flat array in canonical edge order
-(``domain.edges``), and :func:`sweep` runs on such arrays one ``t``-column
-at a time, with an optional trailing replica axis.  :func:`mass_array`
-picks the dtype: float64 in float mode; in int mode int64 when the sum of
-the masses' sizes (for a sweep, of its inflows and births) is below
-``2**63``, which bounds every mass, height and sum the operations form,
-and otherwise exact Python ints in an object array.  Values handed out
-are Python ``int`` and ``float`` either way.
+Layout: arrays first, views on read.  A field holds its masses as
+``FlowField.values``, one flat array in canonical edge order (the order of
+the plan's ``edge_keys`` and of ``domain.edges``), and the field operations,
+JSON included, read that array and the domain's index plans; the public
+``Edge``-keyed dict ``FlowField.mass`` is built from it on first read.
+:func:`sweep` runs on such arrays one ``t``-column at a time, with an
+optional trailing replica axis.  :func:`mass_array` picks the dtype:
+float64 in float mode; in int mode int64 when the sum of the masses' sizes
+(for a sweep, of its inflows and births) is below ``2**63``, which bounds
+every mass, height and sum the operations form, and otherwise exact Python
+ints in an object array.  Values handed out are Python ``int`` and
+``float`` either way.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -66,16 +69,42 @@ class BoundaryFlow:
         return sum(self.up_in.values()) + sum(self.down_in.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BirthField:
-    """Mass of pair creation per site; support inside the domain."""
+    """Mass of pair creation per site; support inside the domain.
+
+    ``BirthField(domain, births)`` takes a site-keyed dict; :meth:`from_values`
+    takes one mass per site of ``domain.sites``, and ``births`` is then a
+    view keyed by every site, built on first read.
+    """
 
     domain: Domain
     births: dict[Site, float]
 
+    def __init__(self, domain: Domain, births: dict[Site, float]) -> None:
+        self.__dict__.update(domain=domain, births=births)
+
+    @classmethod
+    def from_values(cls, domain: Domain, values: np.ndarray) -> "BirthField":
+        """The births ``values``, in the order of ``domain.sites``."""
+        field = cls.__new__(cls)
+        field.__dict__.update(domain=domain, _values=values)
+        return field
+
     @classmethod
     def zero(cls, domain: Domain) -> "BirthField":
         return cls(domain, {})
+
+    @cached_property
+    def births(self) -> dict[Site, float]:
+        return dict(zip(self.domain.sites, self._values.tolist()))
+
+    def _entries(self) -> tuple[np.ndarray, list]:
+        """The position in ``domain.sites`` and the mass of each given entry."""
+        if "_values" in self.__dict__:
+            return np.arange(len(self._values)), self._values.tolist()
+        index = _site_index(self.domain, self.births, None, "births outside the domain")
+        return index, list(self.births.values())
 
 
 @dataclass(frozen=True)
@@ -87,49 +116,67 @@ class ExitFlow:
     down_out: dict[Site, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlowField:
     """Mass per edge of the domain closure.
 
     Conservation holds at every inner site: the two outgoing edges carry as
     much as the two incoming ones.  Instances are immutable after
-    construction and safe to share.
+    construction and safe to share.  ``FlowField(domain, mass, mode)`` takes
+    an ``Edge``-keyed dict, which is then the source of ``values``;
+    :meth:`from_values` takes the array, and ``mass`` is then a view built
+    on first read.  ``mass`` is a dataclass field either way, so
+    ``dataclasses.replace(field, mass=d)`` gives the field of the dict ``d``.
     """
 
     domain: Domain
     mass: dict[Edge, float]
     mode: str = "float"
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("int", "float"):
-            raise ValueError(f"mode must be 'int' or 'float', not {self.mode!r}")
+    def __init__(self, domain: Domain, mass: dict[Edge, float], mode: str = "float") -> None:
+        self._hold(domain, mode, mass)
 
     @classmethod
     def from_values(cls, domain: Domain, values: np.ndarray, mode: str) -> "FlowField":
         """The field whose masses are ``values`` in canonical edge order."""
-        field = cls(domain, dict(zip(domain.edges, values.tolist())), mode)
+        field = cls.__new__(cls)
+        field._hold(domain, mode, None)
         field.__dict__["values"] = values
         return field
 
+    def _hold(self, domain: Domain, mode: str, given: dict | None) -> None:
+        if mode not in ("int", "float"):
+            raise ValueError(f"mode must be 'int' or 'float', not {mode!r}")
+        self.__dict__.update(domain=domain, mode=mode, _given=given)
+
+    @cached_property
+    def mass(self) -> dict[Edge, float]:
+        """The masses keyed by ``domain.edges``: the dict given, or a view of ``values``."""
+        if self._given is not None:
+            return self._given
+        return dict(zip(self.domain.edges, self.values.tolist()))
+
     @cached_property
     def values(self) -> np.ndarray:
-        """``mass`` as one array in canonical edge order (see :func:`mass_array`)."""
-        edges = self.domain.edges
-        if list(self.mass) == list(edges):  # the order every producer builds
-            return mass_array(list(self.mass.values()), self.mode)
-        return mass_array([self.mass[e] for e in edges], self.mode)
+        """The masses as one array in canonical edge order (see :func:`mass_array`)."""
+        return mass_array(self._listed(), self.mode)
+
+    def _listed(self) -> list:
+        """The masses in canonical edge order as Python numbers: the given
+        dict's own, which may hold the int ``1`` in float mode, else ``values``'."""
+        if self._given is None:
+            return self.values.tolist()
+        return list(map(self._given.__getitem__, self.domain.edges))
 
     @property
     def max_mass(self):
-        return max(self.values.tolist(), default=0)
+        return self.values.max(keepdims=True).tolist()[0]
 
 
 def infer_mode(values) -> str:
     """``"int"`` when every value is an ``int`` (a bool is not), else ``"float"``."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            return "float"
-    return "int"
+    kinds = set(map(type, values))
+    return "int" if all(issubclass(k, int) and k is not bool for k in kinds) else "float"
 
 
 def as_mass(value, mode: str, where):
@@ -150,13 +197,32 @@ def as_mass(value, mode: str, where):
     raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
 
 
+def as_masses(values: list, mode: str, where) -> np.ndarray:
+    """:func:`as_mass` on every value, as one :func:`mass_array`.
+
+    The rule is checked on the whole list at once when it holds Python ints
+    only, or in float mode ints and floats: finite and nonnegative.  On a
+    value that breaks it, or a list of other types, ``as_mass`` runs value
+    by value, ``where(i)`` naming value ``i``: it raises its message for the
+    first offender, and casts numpy scalars and integral floats.
+    """
+    if set(map(type, values)) <= ({int} if mode == "int" else {int, float}):
+        try:
+            masses = mass_array(values, mode)
+        except OverflowError:  # an int too large for a float
+            masses = None
+        if masses is not None and ((masses >= 0) & (masses < math.inf)).all():
+            return masses if mode == "int" else masses + 0.0  # no negative zero
+    return mass_array([as_mass(v, mode, where(i)) for i, v in enumerate(values)], mode)
+
+
 def mass_array(values: list, mode: str) -> np.ndarray:
     """``values`` as an array: float64 in float mode; in int mode int64 when
     the sum of their sizes is below ``2**63``, else an object array of the
     Python ints themselves, so that no sum of them can wrap."""
     if mode != "int":
         return np.array(values, dtype=np.float64)
-    exact = all(type(v) is int for v in values) and sum(map(abs, values)) < 1 << 63
+    exact = set(map(type, values)) <= {int} and sum(map(abs, values)) < 1 << 63
     return np.array(values, dtype=np.int64 if exact else object)
 
 
@@ -190,7 +256,26 @@ def sweep(domain: Domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarr
 
 
 def zero_field(domain: Domain, mode: str = "float") -> FlowField:
-    return FlowField(domain, dict.fromkeys(domain.edges, 0 if mode == "int" else 0.0), mode)
+    zeros = np.zeros(len(domain.plan.edge_keys), np.int64 if mode == "int" else np.float64)
+    return FlowField.from_values(domain, zeros, mode)
+
+
+def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) -> np.ndarray:
+    """Position in ``domain.sites`` of each key of ``values``; ValueError
+    ``what: [keys]`` listing the keys that are no site, or no site where
+    ``on`` holds."""
+    keys = list(values)
+    if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
+        raise ValueError(f"{what}: {[k for k in keys if type(k) is not tuple or len(k) != 2]}")
+    flat = as_integers(list(chain.from_iterable(keys)), "a site coordinate")
+    plan = domain.plan
+    index = plan.find(plan.site_keys, *_boxed(plan, flat[0::2], flat[1::2]))
+    bad = index < 0
+    if on is not None:
+        bad[~bad] = ~on[index[~bad]]
+    if bad.any():
+        raise ValueError(f"{what}: {sorted(k for k, b in zip(keys, bad.tolist()) if b)}")
+    return index
 
 
 def field_from_birth(
@@ -210,34 +295,28 @@ def field_from_birth(
     if births.domain != domain:
         raise ValueError("birth field belongs to a different domain")
 
-    bad = set(boundary.up_in) - set(domain.southwest_side)
-    if bad:
-        raise ValueError(f"ascending inflow keyed off the southwest side: {sorted(bad)}")
-    bad = set(boundary.down_in) - set(domain.northwest_side)
-    if bad:
-        raise ValueError(f"descending inflow keyed off the northwest side: {sorted(bad)}")
-    bad = set(births.births) - domain.site_set
-    if bad:
-        raise ValueError(f"births outside the domain: {sorted(bad)}")
-
+    sw, nw = domain.neighbours[:2] < 0
+    inflows = (
+        (boundary.up_in, sw, "ascending inflow keyed off the southwest side"),
+        (boundary.down_in, nw, "descending inflow keyed off the northwest side"),
+    )
+    entries = [(_site_index(domain, d, on, what), list(d.values())) for d, on, what in inflows]
+    entries.append(births._entries())
+    index = np.concatenate([i for i, _ in entries])
+    given = list(chain.from_iterable(v for _, v in entries))
     if mode is None:
-        mode = infer_mode(
-            list(boundary.up_in.values())
-            + list(boundary.down_in.values())
-            + list(births.births.values())
-        )
+        mode = infer_mode(given)
+    plan = domain.plan
 
-    def checked(values: dict, sites) -> list:
-        return [as_mass(values.get(y, 0), mode, y) for y in sites]
+    def site(i: int) -> Site:
+        return plan.points(plan.site_keys[index[i : i + 1]])[0]
 
-    up = checked(boundary.up_in, domain.southwest_side)
-    down = checked(boundary.down_in, domain.northwest_side)
-    born = checked(births.births, domain.sites)
     # every mass and every sum of masses is bounded by the total input
-    inputs = mass_array(up + down + born, mode)
-    k = len(up) + len(down)
-    mass = sweep(domain, inputs[: len(up)], inputs[len(up) : k], inputs[k:])
-    return FlowField.from_values(domain, mass, mode)
+    masses = as_masses(given, mode, site)
+    site_inputs = np.zeros((3, len(plan.site_keys)), masses.dtype)
+    site_inputs[np.repeat(np.arange(3), [len(i) for i, _ in entries]), index] = masses
+    up, down, born = site_inputs
+    return FlowField.from_values(domain, sweep(domain, up[sw], down[nw], born), mode)
 
 
 def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
@@ -246,8 +325,8 @@ def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
     residual = abs((b + c) - (a + d))
     scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
     bad = np.flatnonzero(residual > tolerance(scale, field.mode))
-    sites = field.domain.sites
-    return [(sites[i], r) for i, r in zip(bad.tolist(), residual[bad].tolist())]
+    sites = field.domain.plan.points(field.domain.plan.site_keys[bad])
+    return list(zip(sites, residual[bad].tolist()))
 
 
 def require_conserved(field: FlowField) -> None:
@@ -310,19 +389,32 @@ def max_edge_gap(a: FlowField, b: FlowField):
 
 
 def field_to_dict(f: FlowField) -> dict:
+    plan = f.domain.plan
+    t, x = plan.decode(plan.edge_keys >> 1)
+    slopes = map(("up", "down").__getitem__, (plan.edge_keys & 1).tolist())
     return {
         "domain": f.domain.to_dict(),
         "mode": f.mode,
         "edges": [
-            {"t": e.t, "x": e.x, "slope": "up" if e.up else "down", "mass": f.mass[e]}
-            for e in f.domain.edges
+            {"t": t, "x": x, "slope": slope, "mass": mass}
+            for t, x, slope, mass in zip(t.tolist(), x.tolist(), slopes, f._listed())
         ],
     }
 
 
-def _clipped(values: list, lo: int, hi: int) -> np.ndarray:
-    """Python ints clipped to ``[lo, hi]``, as int64: exact however large they are."""
-    return np.clip(np.array(values, dtype=object), lo, hi).astype(np.int64)
+def _boxed(plan, t: list[int], x: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Python ints ``t`` and ``x`` as int64, each clipped to just outside the
+    plan's box, where no point is: exact however large they are."""
+    t_hi = int(plan.decode(plan.closure_keys[-1])[0]) + 1
+    bounds = ((plan.t_lo - 1, t_hi), (plan.x_lo - 1, plan.x_lo + plan.width))
+    boxed = []
+    for values, (lo, hi) in zip((t, x), bounds):
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            values = np.array(values, dtype=object)
+        boxed.append(np.clip(values, lo, hi).astype(np.int64))
+    return tuple(boxed)
 
 
 def field_from_dict(d: dict) -> FlowField:
@@ -347,21 +439,20 @@ def field_from_dict(d: dict) -> FlowField:
     if bad:
         raise ValueError(f"edge slope must be 'up' or 'down', not {bad[0]!r}")
     down = np.array([s == "down" for s in slopes], dtype=bool)
+
+    def edge(k: int) -> Edge:
+        return Edge(t[k], x[k], not down[k])
+
     # a coordinate beyond the plan's box is clipped to just outside it, where no edge is
     plan = domain.plan
-    t_hi = int(plan.decode(plan.closure_keys[-1])[0]) + 1
-    boxed_t = _clipped(t, plan.t_lo - 1, t_hi)
-    boxed_x = _clipped(x, plan.x_lo - 1, plan.x_lo + plan.width)
-    found = _find(plan.edge_keys, 2 * plan.key(boxed_t, boxed_x) + down)
+    found = _find(plan.edge_keys, 2 * plan.key(*_boxed(plan, t, x)) + down)
     if (found < 0).any():
-        k = int(np.argmin(found))
-        raise ValueError(f"edge {Edge(t[k], x[k], not down[k])} outside the domain closure")
-    edges = domain.edges
-    values = [None] * len(edges)
-    for i, row in zip(found.tolist(), rows):
-        if values[i] is not None:
-            raise ValueError(f"edge {edges[i]} listed twice")
-        values[i] = as_mass(row["mass"], mode, edges[i])
-    zero = 0 if mode == "int" else 0.0
-    values = [zero if v is None else v for v in values]
-    return FlowField.from_values(domain, mass_array(values, mode), mode)
+        raise ValueError(f"edge {edge(int(np.argmin(found)))} outside the domain closure")
+    order = np.argsort(found, kind="stable")
+    repeats = order[1:][found[order[1:]] == found[order[:-1]]]
+    if repeats.size:
+        raise ValueError(f"edge {edge(int(repeats.min()))} listed twice")
+    masses = as_masses([row["mass"] for row in rows], mode, edge)
+    values = np.zeros(len(plan.edge_keys), masses.dtype)
+    values[found] = masses
+    return FlowField.from_values(domain, values, mode)

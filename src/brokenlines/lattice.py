@@ -12,7 +12,7 @@ sweeps over ``t``-columns in ``flow`` and ``lines`` run on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -259,7 +259,8 @@ class _DomainMixin:
         """Edges with at least one endpoint in the domain, canonical order."""
         keys = self.plan.edge_keys
         t, x = self.plan.decode(keys >> 1)
-        return tuple(map(Edge, t.tolist(), x.tolist(), (keys & 1 == 0).tolist()))
+        edge = partial(tuple.__new__, Edge)  # Edge's own __new__, without its Python frame
+        return tuple(map(edge, zip(t.tolist(), x.tolist(), (keys & 1 == 0).tolist())))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -437,7 +438,7 @@ def as_integers(values, what: str) -> list[int]:
     """``values`` as a list of ints when it is a list of integers (see :func:`as_integer`)."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of integers, not {values!r}")
-    if all(type(v) is int for v in values):
+    if set(map(type, values)) <= {int}:
         return values
     return [as_integer(v, what) for v in values]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import ge
+from operator import add, sub
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .flow import (
     BoundaryFlow,
     FlowField,
     as_mass,
+    as_masses,
     infer_mode,
     mass_array,
     require_conserved,
@@ -130,8 +131,10 @@ def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
     domains).  Traces dominating each other both ways are reported EQUAL;
     on crossing traces that happens only for identical ones.
     """
-    a_right = _dominates(a, b)
-    b_right = _dominates(b, a)
+    t = np.array(a.t_values + b.t_values)
+    x = np.concatenate([np.arange(tr.x_low, tr.x_high + 1) for tr in (a, b)])
+    counts = np.array([len(a.sites), len(b.sites)])
+    a_right, b_right = (bool(v[0]) for v in _dominance(t, x, counts, [0], [1]))
     if a_right and b_right:
         return Order.EQUAL
     if a_right:
@@ -141,13 +144,32 @@ def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
     return Order.INCOMPARABLE
 
 
-def _dominates(a: BrokenTrace, b: BrokenTrace) -> bool:
-    lo = max(a.x_low, b.x_low)
-    hi = min(a.x_high, b.x_high) + 1
-    if lo >= hi:
-        return a.t_span()[1] >= b.t_span()[0]
-    a_t, b_t = a.t_values[lo - a.x_low : hi - a.x_low], b.t_values[lo - b.x_low : hi - b.x_low]
-    return all(map(ge, a_t, b_t))
+def _dominance(t, x, counts, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Whether trace ``a[i]`` dominates trace ``b[i]``, and ``b[i]`` dominates
+    ``a[i]``, for traces of ``counts`` sites laid end to end in ``t, x``.
+
+    One trace dominates another when it is nowhere earlier on the heights
+    ``x`` they share, or, sharing none, when its latest ``t`` is not before
+    the other's earliest.
+    """
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    x_low, x_high = x[starts], x[ends - 1]
+    low = np.maximum(x_low[a], x_low[b])
+    shared = np.maximum(np.minimum(x_high[a], x_high[b]) - low + 1, 0)
+    pair = np.repeat(np.arange(len(a)), shared)
+    step = np.arange(len(pair)) - np.repeat(np.cumsum(shared) - shared, shared)
+    at_a = np.repeat(starts[a] + low - x_low[a], shared) + step
+    at_b = np.repeat(starts[b] + low - x_low[b], shared) + step
+    gap = t[at_a] - t[at_b]
+    a_earlier = np.bincount(pair[gap < 0], minlength=len(a))
+    b_earlier = np.bincount(pair[gap > 0], minlength=len(a))
+    t_min, t_max = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
+    apart = shared == 0
+    a_over_b = np.where(apart, t_max[a] >= t_min[b], a_earlier == 0)
+    b_over_a = np.where(apart, t_max[b] >= t_min[a], b_earlier == 0)
+    return a_over_b, b_over_a
 
 
 @dataclass(frozen=True)
@@ -182,14 +204,49 @@ class BrokenLine:
         return b - a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
-    """Crossing traces ordered left to right with their positive weights."""
+    """Crossing traces ordered left to right with their positive weights.
+
+    Arrays first, views on read: the sites of all traces lie end to end in
+    the int64 arrays ``t`` and ``x``, ``counts[j]`` of them for trace ``j``,
+    and :meth:`weights` are Python numbers.  :func:`compose` and the CSV
+    writer read these arrays; ``entries``, :meth:`traces` and iteration
+    build the :class:`BrokenTrace` tuples on first read.
+    ``Decomposition(entries)`` takes ``(trace, weight)`` pairs built by hand
+    and flattens them into the arrays once.  :meth:`from_arrays` trusts its
+    arrays to hold valid traces.
+    """
 
     entries: tuple[tuple[BrokenTrace, float], ...]
 
+    def __init__(self, entries=()) -> None:
+        entries = tuple(entries)
+        counts = np.array([len(trace.sites) for trace, _ in entries], dtype=np.intp)
+        sites = chain.from_iterable(chain.from_iterable(trace.sites for trace, _ in entries))
+        flat = np.fromiter(sites, np.int64, 2 * int(counts.sum()))
+        self._hold(flat[0::2], flat[1::2], counts, tuple(w for _, w in entries))
+        self.__dict__["entries"] = entries
+
+    @classmethod
+    def from_arrays(cls, t: np.ndarray, x: np.ndarray, counts: np.ndarray, weights: tuple):
+        """The decomposition held as these arrays, taken as valid traces."""
+        dec = cls.__new__(cls)
+        dec._hold(t, x, counts, weights)
+        return dec
+
+    def _hold(self, t, x, counts, weights) -> None:
+        self.__dict__.update(t=t, x=x, counts=counts, _weights=weights)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[BrokenTrace, float], ...]:
+        sites = list(zip(self.t.tolist(), self.x.tolist()))
+        ends = np.cumsum(self.counts).tolist()
+        traces = (BrokenTrace(tuple(sites[a:b])) for a, b in zip([0, *ends], ends))
+        return tuple(zip(traces, self._weights))
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
     def __iter__(self):
         return iter(self.entries)
@@ -198,10 +255,10 @@ class Decomposition:
         return tuple(t for t, _ in self.entries)
 
     def weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.entries)
+        return self._weights
 
     def total_weight(self):
-        return sum(self.weights())
+        return sum(self._weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +280,6 @@ class BrickDiagram:
     @property
     def strip_count(self) -> int:
         return len(self.breakpoints) - 1
-
-    def strip_weight(self, j: int):
-        return self.breakpoints[j] - self.breakpoints[j - 1]
 
     @cached_property
     def heights(self) -> dict[Site, float]:
@@ -294,13 +348,10 @@ class BrickDiagram:
         first = np.cumsum(counts) - counts
         strip = np.repeat(lo + 1 - first, counts) + np.arange(len(site))
         order = np.lexsort((plan.closure_x[site], strip))
-        closure = self.domain.closure
-        sites = [closure[i] for i in site[order].tolist()]
-        ends = np.cumsum(np.bincount(strip, minlength=self.strip_count + 1)).tolist()
-        return Decomposition(tuple(
-            (BrokenTrace(tuple(sites[ends[j - 1] : ends[j]])), self.strip_weight(j))
-            for j in range(1, self.strip_count + 1)
-        ))
+        t, x = self.domain.plan.decode(self.domain.plan.closure_keys[site[order]])
+        q = self.breakpoints
+        per_strip = np.bincount(strip, minlength=len(q))[1:]
+        return Decomposition.from_arrays(t, x, per_strip, tuple(map(sub, q[1:], q[:-1])))
 
     def to_dict(self) -> dict:
         return {
@@ -372,28 +423,31 @@ def compose(
     must be strictly ordered left to right with positive weights.
     """
     require_rect(domain, "composition")
-    traces = decomposition.traces()
+    dec = decomposition
+    weights = list(dec.weights())
     if mode is None:
-        mode = infer_mode(decomposition.weights())
-    weights = [as_mass(w, mode, f"line {j}") for j, w in enumerate(decomposition.weights(), 1)]
-    if 0 in weights:
-        raise ValueError(f"weights must be positive, got 0 at line {weights.index(0) + 1}")
-    counts = np.array([len(trace.sites) for trace in traces], dtype=np.intp)
-    sites = chain.from_iterable(chain.from_iterable(trace.sites for trace in traces))
-    flat = np.fromiter(sites, np.int64, 2 * int(counts.sum()))
-    t, x = flat[0::2], flat[1::2]
+        mode = infer_mode(weights)
+    w = as_masses(weights, mode, lambda i: f"line {i + 1}")  # their sum bounds every edge mass
+    zero = np.flatnonzero(w == 0)
+    if zero.size:
+        raise ValueError(f"weights must be positive, got 0 at line {zero[0] + 1}")
+    t, x, counts = dec.t, dec.x, dec.counts
     crossing = _crossing(domain, t, x, counts)
     if not crossing.all():
-        raise ValueError(f"trace does not cross the domain: {traces[np.argmin(crossing)].sites}")
-    for a, b in zip(traces, traces[1:]):
-        if compare_traces(a, b) is not Order.LEFT_OF:
-            raise ValueError("traces are not strictly ordered left to right")
+        j = int(np.argmin(crossing))
+        line = slice(int(counts[:j].sum()), int(counts[: j + 1].sum()))
+        sites = tuple(zip(t[line].tolist(), x[line].tolist()))
+        raise ValueError(f"trace does not cross the domain: {sites}")
+    # each line left of the next: the next dominates it, and it does not dominate the next
+    pairs = np.arange(len(dec) - 1)
+    over_next, next_over = _dominance(t, x, counts, pairs, pairs + 1)
+    if not (next_over & ~over_next).all():
+        raise ValueError("traces are not strictly ordered left to right")
 
     # the step from each trace's last site to the next trace's first is no step
     edges = np.delete(domain.plan.step_edges(t, x), np.cumsum(counts)[:-1] - 1)
     if (edges < 0).any():
         raise ValueError("a trace step leaves the domain's edges")
-    w = mass_array(weights, mode)  # their sum bounds every edge mass
     values = np.zeros(len(domain.plan.edge_keys), w.dtype)
     np.add.at(values, edges, np.repeat(w, counts - 1))  # in trace order, like a loop
     return FlowField.from_values(domain, values, mode)
@@ -454,27 +508,82 @@ def line_fields(
 
 
 def decomposition_to_csv_rows(dec: Decomposition) -> list[list]:
+    """Rows ``j, weight, sites`` with the sites as space-separated ``t:x`` tokens.
+
+    Each distinct ``t`` and ``x`` is formatted once; a token joins the two.
+    """
+    t_values, t_at = np.unique(dec.t, return_inverse=True)
+    x_values, x_at = np.unique(dec.x, return_inverse=True)
+    heads = map([f"{t}:" for t in t_values.tolist()].__getitem__, t_at.tolist())
+    tails = map(list(map(str, x_values.tolist())).__getitem__, x_at.tolist())
+    tokens = list(map(add, heads, tails))
+    ends = np.cumsum(dec.counts).tolist()
     rows = [["j", "weight", "sites"]]
-    for j, (trace, w) in enumerate(dec, start=1):
-        rows.append([j, w, " ".join(f"{t}:{x}" for (t, x) in trace.sites)])
+    for j, (a, b, w) in enumerate(zip([0, *ends], ends, dec.weights()), start=1):
+        rows.append([j, w, " ".join(tokens[a:b])])
     return rows
 
 
 def decomposition_from_csv_rows(rows: list[list]) -> Decomposition:
-    entries = []
+    """Read :func:`decomposition_to_csv_rows` output; a header row or an empty
+    row is skipped.
+
+    Each distinct ``t:x`` token is parsed once; every line must then be a
+    broken trace (two sites or more, an even start, steps of ``x + 1`` and
+    ``t +- 1``), or ValueError names its row.
+    """
+    numbers, weights, lines = [], [], []
     for k, row in enumerate(rows, start=1):
         if not row or row[0] == "j":
             continue
         if len(row) < 3:
             raise ValueError(f"row {k} has {len(row)} columns, not j, weight, sites")
         try:
-            weight = int(row[1])
+            weights.append(int(row[1]))
         except ValueError:
-            weight = float(row[1])
+            try:
+                weights.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"row {k} has a weight that is not a number: {row[1]!r}") from None
+        numbers.append(k)
+        lines.append(row[2].split())
+
+    def fail(line: int, what: str):
+        raise ValueError(f"row {numbers[line]} has {what}")
+
+    def fail_at(token: str, what: str):
+        fail(next(j for j, line in enumerate(lines) if token in line), f"a site {token!r} {what}")
+
+    tokens = list(chain.from_iterable(lines))
+    distinct = dict.fromkeys(tokens)
+    for token in distinct:
+        t, _, x = token.partition(":")
         try:
-            parts = (token.partition(":") for token in row[2].split())
-            sites = tuple((int(t), int(x)) for t, _, x in parts)
+            distinct[token] = (int(t), int(x))
         except ValueError:
-            raise ValueError(f"row {k} has a site that is not of the form t:x") from None
-        entries.append((BrokenTrace(sites), weight))
-    return Decomposition(tuple(entries))
+            fail_at(token, "that is not of the form t:x")
+    try:
+        t, x = np.array(list(distinct.values()), dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:
+        fits = range(-(1 << 63), 1 << 63)
+        fail_at(next(k for k, (t, x) in distinct.items() if t not in fits or x not in fits),
+                "beyond 64 bits")
+    position = dict(zip(distinct, range(len(distinct))))
+    at = np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
+    t, x = t[at], x[at]
+    counts = np.fromiter(map(len, lines), np.intp, len(lines))
+    ends = np.cumsum(counts)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        fail(short[0], "a trace of fewer than two sites")
+    starts = ends - counts
+    odd = np.flatnonzero((t[starts] + x[starts]) % 2)
+    if odd.size:
+        fail(odd[0], "a trace that leaves the even sublattice")
+    illegal = (np.diff(x) != 1) | (abs(np.diff(t)) != 1)
+    illegal[ends[:-1] - 1] = False  # from one line's last site to the next line's first
+    if illegal.any():
+        i = int(np.argmax(illegal))
+        fail(int(np.searchsorted(ends, i, side="right")),
+             f"an illegal step {(int(t[i]), int(x[i]))} -> {(int(t[i + 1]), int(x[i + 1]))}")
+    return Decomposition.from_arrays(t, x, counts, tuple(weights))

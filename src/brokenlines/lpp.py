@@ -177,7 +177,7 @@ def optimal_path_backward(field: FlowField) -> LatticePath:
     for _ in range(domain.n + domain.m - 2):  # down one t-column a step, to the west corner
         i = sw[i] if nw[i] < 0 or sw[i] >= 0 and mass[sw_edge[i]] >= mass[nw_edge[i]] else nw[i]
         rev.append(i)
-    return LatticePath(tuple(domain.sites[i] for i in reversed(rev)))
+    return LatticePath(domain.plan.points(domain.plan.site_keys[rev[::-1]]))
 
 
 def path_sum(xi: BirthField, path: LatticePath) -> float:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +106,20 @@ def test_compose_rejects_an_infinite_weight(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row", ["1,2.0", "1,2.0,3 4:1"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,2.0",
+        "1,2.0,3 4:1",
+        "1,2.0,2:0",  # a one-site line
+        "1,2.0,0:0:1 1:1",  # a token of three parts
+        "1,2.0,0:1 1:2",  # an odd-parity start
+        "1,2.0,0:0 1:2",  # an x-step of 2
+        "1,2.0,0:0 0:1",  # a t-step of 0
+        "1,2.0,0:0 1:b",  # a token that is no integer
+        "1,2.0,18446744073709551616:0 1:1",  # a coordinate beyond 64 bits
+    ],
+)
 def test_compose_rejects_a_malformed_row(tmp_path, capsys, row):
     lines_csv = tmp_path / "lines.csv"
     lines_csv.write_text(f"j,weight,sites\n{row}\n")
@@ -282,3 +299,26 @@ def test_usage_errors():
     assert run(["lpp", "--xi", "/nonexistent.csv"]) == 1
     assert run(["no-such-command"]) == 1
     assert run(["sample", "--n", "2"]) == 1  # missing required options
+
+
+def test_commands_without_checks_do_not_load_scipy(tmp_path):
+    # sample, decompose and lln run no statistical check, so they need no scipy
+    field, lines = tmp_path / "field.json", tmp_path / "lines.csv"
+    script = f"""
+import sys
+from brokenlines.cli import run
+assert run(["sample", "--n", "3", "--m", "3", "--lam", "0.5", "--out", {str(field)!r}]) == 0
+assert run(["decompose", "--field", {str(field)!r}, "--out", {str(lines)!r}]) == 0
+assert run(["lln", "--n", "20", "--replicas", "2"]) == 0
+print("scipy" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

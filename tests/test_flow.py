@@ -389,3 +389,40 @@ def test_array_sweep_equals_the_per_site_sweep_on_a_replica_axis(domain, kind, d
     expected = dict_sweep(domain, up, down, born)
     assert mass.shape == (len(domain.edges), 3)
     assert all(np.array_equal(row, expected[e]) for e, row in zip(domain.edges, mass))
+
+
+@pytest.mark.parametrize(
+    "mode, masses, dtype",
+    [("int", st.integers(0, 9), np.int64), ("float", st.floats(0, 1e3), np.float64),
+     ("int", st.integers(2**62, 2**64), object)],
+)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_max_mass_is_the_largest_mass(mode, masses, dtype, data):
+    domain = RectDomain(2, 3)
+    births = {y: data.draw(masses) for y in domain.sites}
+    field = field_from_birth(domain, births=BirthField(domain, births), mode=mode)
+    assert field.values.dtype == dtype
+    expected = max(field.mass.values())
+    assert field.max_mass == expected
+    assert type(field.max_mass) is type(expected)
+
+
+def test_a_field_built_from_a_dict_writes_the_dict_s_numbers():
+    d = RectDomain(2, 2)
+    mass = dict.fromkeys(d.edges, 0.0)
+    mass[edge_ne((0, 0))] = 1  # an int in a float-mode field
+    f = FlowField(d, mass, "float")
+    rows = field_to_dict(f)["edges"]
+    assert [r["mass"] for r in rows] == [mass[e] for e in d.edges]
+    assert '"mass": 1}' in json.dumps(field_to_dict(f))
+    assert f.values.dtype == np.float64 and f.max_mass == 1.0
+
+
+def test_births_given_as_values_equal_births_given_as_a_dict():
+    d = RectDomain(3, 4)
+    values = np.arange(len(d.sites)) % 3
+    as_values = BirthField.from_values(d, values)
+    as_dict = BirthField(d, dict(zip(d.sites, values.tolist())))
+    assert as_values.births == as_dict.births
+    assert field_from_birth(d, births=as_values, mode="int") == field_from_birth(d, births=as_dict)

@@ -16,6 +16,7 @@ from brokenlines.flow import (
     check_conservation,
     extract,
     field_from_birth,
+    field_from_dict,
     field_to_dict,
     max_edge_gap,
     tolerance,
@@ -902,3 +903,33 @@ def test_outputs_match_pinned_digests(name):
         digests["diagram"] = sha(json.dumps(brick_diagram(f).to_dict(), indent=2))
         digests["compose"] = sha(json.dumps(field_to_dict(rebuilt), indent=2))
     assert digests == PINNED_DIGESTS[name]
+
+
+def test_the_round_trip_builds_no_edge_or_trace_objects(monkeypatch):
+    # fields and decompositions stay arrays from the sweep to CSV and JSON and
+    # back; the Edge-keyed dicts and BrokenTrace tuples are built when read
+    built = []
+    check = BrokenTrace.__post_init__
+    monkeypatch.setattr(BrokenTrace, "__post_init__", lambda tr: built.append(tr) or check(tr))
+    domain = RectDomain(20, 20)
+    field = evolve_chain(domain, 0.5, 3)
+    assert check_conservation(field) == []
+    rows = [[str(c) for c in row] for row in decomposition_to_csv_rows(decompose(field))]
+    reparsed = decomposition_from_csv_rows(rows)
+    rebuilt = compose(domain, reparsed)
+    reloaded = field_from_dict(json.loads(json.dumps(field_to_dict(rebuilt))))
+    for d in (domain, reloaded.domain):
+        assert not {"edges", "closure", "sites"} & set(d.__dict__)
+    assert built == []
+
+    # the views, read now, are the dict and tuples these steps always gave
+    def sha(obj):
+        return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+    assert sha(list(reloaded.mass.items())) == (
+        "a8a6afe3b797ea7d00e9307c66ce5a83b8fc5304332d52ba3959d1bf31d3cf06"
+    )
+    assert sha(reparsed.entries) == (
+        "769368ea41c9e3b0914b772e5887f1fe39900c9431374b213d138e1a5361d2c2"
+    )
+    assert len(built) == len(reparsed) == 37

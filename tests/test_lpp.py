@@ -209,11 +209,14 @@ def test_backward_walk_reads_linearly_many_edges():
 
     xi = random_birth_field(RectDomain(12, 9), seed=4)
     field = field_from_birth(xi.domain, births=xi)
-    counted = FlowField.from_values(field.domain, field.values.view(_CountingValues), field.mode)
+    fresh = RectDomain(12, 9)  # no per-site tuples built yet
+    counted = FlowField.from_values(fresh, field.values.view(_CountingValues), field.mode)
     _CountingValues.reads = 0
     path = optimal_path_backward(counted)
     steps = 12 + 9 - 2
     assert len(path.sites) == steps + 1
+    assert "sites" not in fresh.__dict__
+    assert path == optimal_path_backward(field)
     # two reads per step for the walk, one boundary pass for the
     # zero-inflow precondition: linear in the perimeter, not the area
     assert 0 < _CountingValues.reads <= 2 * steps + (12 + 9) + 8
