@@ -226,10 +226,6 @@ def transition_kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam:
         raise ValueError("kernel parameter must lie in (0, 1)")
     for v in (out_up, out_down, in_up, in_down):
         as_mass(v, "int", "kernel argument")
-    return _kernel(out_up, out_down, in_up, in_down, lam)
-
-
-def _kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam: float) -> float:
     if out_up - out_down != in_up - in_down:
         return 0.0
     norm = lam ** abs(in_up - in_down) / (1.0 - lam * lam)
@@ -239,32 +235,31 @@ def _kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam: float) ->
 def kernel_duality_residual(lam: float, kmax: int) -> float:
     """Largest violation of the weighted kernel symmetry up to ``kmax``.
 
-    Both sides of the detailed-balance identity are evaluated exhaustively
-    for all inflow/outflow pairs bounded by ``kmax``.
+    Both sides of the detailed-balance identity
+    ``g(m_up) g(m_down) K(n | m) = g(n_up) g(n_down) K(m' | n')``, with ``g``
+    the geometric pmf and the primes swapping up and down, are evaluated
+    for all inflow/outflow pairs bounded by ``kmax``.  Off the kernel's
+    support both sides are 0; on it ``n_down`` is fixed by the other three
+    counts, so the pairs are one ``(kmax + 1)^3`` broadcast.  Powers of
+    ``lam`` are Python's ``**``, as in :func:`transition_kernel`, and every
+    product and quotient is taken in the kernel's order, so each side has
+    the bits of the scalar formula.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if not 0 < lam < 1:
         raise ValueError("kernel parameter must lie in (0, 1)")
-
-    def gpmf(k: int) -> float:
-        return (1.0 - lam) * lam**k
-
-    worst = 0.0
-    rng = range(kmax + 1)
-    for m_up in rng:
-        for m_down in rng:
-            left_weight = gpmf(m_up) * gpmf(m_down)
-            for n_up in rng:
-                for n_down in rng:
-                    lhs = left_weight * _kernel(n_up, n_down, m_up, m_down, lam)
-                    rhs = (
-                        gpmf(n_up)
-                        * gpmf(n_down)
-                        * _kernel(m_down, m_up, n_down, n_up, lam)
-                    )
-                    worst = max(worst, abs(lhs - rhs))
-    return worst
+    power = np.array([lam**k for k in range(2 * kmax + 1)])
+    gpmf = (1.0 - lam) * power[: kmax + 1]
+    norm = power[: kmax + 1] / (1.0 - lam * lam)  # by |in_up - in_down|
+    m_up, m_down, n_up = np.ix_(*[np.arange(kmax + 1)] * 3)
+    n_down = n_up - m_up + m_down
+    supported = (n_down >= 0) & (n_down <= kmax)
+    n_down = np.where(supported, n_down, 0)  # a valid index off the support, masked below
+    kernel_norm = norm[abs(m_up - m_down)]  # = norm[|n_up - n_down|] on the support
+    lhs = gpmf[m_up] * gpmf[m_down] * (power[n_up + n_down] / kernel_norm)
+    rhs = gpmf[n_up] * gpmf[n_down] * (power[m_down + m_up] / kernel_norm)
+    return float(np.max(abs(lhs - rhs), where=supported, initial=0.0))
 
 
 def reversal_invariance_test(

@@ -8,6 +8,7 @@ from bisect import bisect_right
 from hypothesis import strategies as st
 
 from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth
+from brokenlines.duality import transition_kernel
 from brokenlines.flow import site_outflows
 from brokenlines.lattice import HexDomain, edge_ne, edge_nw, edge_se, edge_sw, incident_edges
 from brokenlines.lpp import birth_matrix
@@ -49,6 +50,45 @@ def random_domain(seed: int, max_side: int = 8) -> RectDomain:
     n = 1 + int(uniform(seed, 101) * max_side)
     m = 1 + int(uniform(seed, 102) * max_side)
     return RectDomain(min(n, max_side), min(m, max_side))
+
+
+def ks_distance(a, b) -> float:
+    """Two-sample KS distance by brute force: both empirical CDFs at every pooled point.
+
+    The reference for ``checks.ks_statistic``: ``#{a <= x} / na`` and
+    ``#{b <= x} / nb`` counted with ``bisect`` for each pooled ``x``.
+    """
+    a, b = sorted(map(float, a)), sorted(map(float, b))
+    return max(abs(bisect_right(a, x) / len(a) - bisect_right(b, x) / len(b)) for x in a + b)
+
+
+def kernel_residual_loop(lam: float, kmax: int) -> float:
+    """Detailed-balance residual of the one-site kernel, one quadruple at a time.
+
+    The reference for ``duality.kernel_duality_residual``: for every inflow
+    pair ``m`` and outflow pair ``n`` up to ``kmax``, the geometric weight
+    of ``m`` times ``K(n | m)`` against that of ``n`` times the kernel of
+    the swapped pairs.
+    """
+
+    def gpmf(k: int) -> float:
+        return (1.0 - lam) * lam**k
+
+    worst = 0.0
+    rng = range(kmax + 1)
+    for m_up in rng:
+        for m_down in rng:
+            left_weight = gpmf(m_up) * gpmf(m_down)
+            for n_up in rng:
+                for n_down in rng:
+                    lhs = left_weight * transition_kernel(n_up, n_down, m_up, m_down, lam)
+                    rhs = (
+                        gpmf(n_up)
+                        * gpmf(n_down)
+                        * transition_kernel(m_down, m_up, n_down, n_up, lam)
+                    )
+                    worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 def births_to_csv_text(xi: BirthField) -> str:

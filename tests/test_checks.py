@@ -1,0 +1,54 @@
+import math
+
+import numpy as np
+import pytest
+
+from brokenlines import checks
+from brokenlines.checks import ks_statistic, mean_z_check
+from helpers import ks_distance
+
+_rng = np.random.default_rng(2024)
+
+KS_CASES = {
+    "values 0-2": (_rng.integers(0, 3, 400), _rng.integers(0, 3, 300)),
+    "geometric": (_rng.geometric(0.3, 500), _rng.geometric(0.35, 450)),
+    "geometric as floats": (_rng.geometric(0.5, 200) * 1.0, _rng.geometric(0.5, 200) * 1.0),
+    "continuous": (_rng.exponential(size=500), _rng.exponential(1.1, size=400)),
+    "continuous, unequal sizes": (_rng.normal(size=37), _rng.normal(size=1000)),
+    "one element against ties": (np.array([1]), _rng.integers(0, 3, 50)),
+    "one element against continuous": (np.array([0.25]), _rng.uniform(size=99)),
+    "one element each, equal": (np.array([2.0]), np.array([2.0])),
+    "one element each, apart": (np.array([2.0]), np.array([3.0])),
+    "shared continuous values": (np.repeat(_rng.uniform(size=20), 3), _rng.uniform(size=20)),
+    "rounded normals": (np.round(_rng.normal(size=300), 1), np.round(_rng.normal(size=200), 1)),
+}
+
+
+@pytest.mark.parametrize("case", KS_CASES)
+def test_ks_statistic_equals_the_brute_force_distance(case):
+    a, b = KS_CASES[case]
+    d = ks_statistic(a, b)
+    assert type(d) is float
+    assert d == ks_distance(a, b)
+    assert ks_statistic(b, a) == d
+
+
+def test_mean_z_check_fails_two_constant_samples_with_different_means():
+    check = mean_z_check("m", np.ones(10), 2 * np.ones(10), 0.01)
+    assert check.statistic == math.inf
+    assert not check.passed
+
+
+def test_mean_z_check_passes_two_constant_samples_with_one_mean():
+    check = mean_z_check("m", np.ones(10), np.ones(12), 0.01)
+    assert check.statistic == 0.0
+    assert check.passed
+
+
+def test_z_threshold_is_computed_once_per_level():
+    checks._z_threshold.cache_clear()
+    for _ in range(3):
+        for alpha in (0.01, 0.002):
+            mean_z_check("m", np.arange(10.0), np.arange(10.0) + 0.5, alpha)
+    info = checks._z_threshold.cache_info()
+    assert (info.misses, info.hits) == (2, 4)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brokenlines.cli import run
+from brokenlines.cli import build_parser, run
 from brokenlines.flow import field_to_dict, zero_field
 from brokenlines.lattice import RectDomain
 from brokenlines.render import render_field_svg
@@ -322,3 +323,29 @@ print("scipy" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_readme_cli_block_parses_and_runs_in_order(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("brokenlines ")]
+    assert len(lines) == 12
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
+    # the documented inputs no earlier line writes: a birth matrix and a
+    # field grown from births alone
+    from brokenlines.flow import field_from_birth
+    from brokenlines.lpp import births_from_matrix
+
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "matrix.csv", [[1, 2, 0.5], [3, 4, 1], [0, 2, 2]])
+    births = births_from_matrix([[1.0, 2.0], [3.0, 4.0]])
+    grown = field_from_birth(births.domain, births=births)
+    (tmp_path / "grown.json").write_text(json.dumps(field_to_dict(grown)))
+    steps = {argv[0]: argv for argv in lines}
+    for command in ("sample", "decompose", "compose", "lpp", "path"):
+        assert run(steps[command]) == 0, command
+    assert (tmp_path / "rebuilt.json").read_text() == (tmp_path / "field.json").read_text()
+    # the sampled chain has boundary inflow, which path refuses
+    assert run(["path", "--field", "field.json"]) == 1

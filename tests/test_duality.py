@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from brokenlines.flow import (
 )
 from brokenlines.lattice import RectDomain, edge_ne
 from brokenlines.streams import stream_base, uniform
+from helpers import kernel_residual_loop
 
 nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 
@@ -126,6 +128,25 @@ def test_kernel_duality_residual_tiny():
     assert kernel_duality_residual(0.3, 5) <= 1e-12
     assert kernel_duality_residual(0.5, 8) <= 1e-12
     assert kernel_duality_residual(0.5, 0) == 0.0
+
+
+# 0.1 on purpose: np.power(0.1, k) and Python's 0.1 ** k differ in the last ulp
+@pytest.mark.parametrize("lam", [0.01, 0.1, 0.3, 0.37, 0.5, 0.7, 0.9, 0.99])
+def test_kernel_duality_residual_equals_the_quadruple_loop(lam):
+    for kmax in range(9):
+        assert kernel_duality_residual(lam, kmax) == kernel_residual_loop(lam, kmax)
+
+
+def test_kernel_duality_residual_memory_is_cubic_in_kmax():
+    # the CLI takes any --kmax: a (kmax + 1)^4 temporary would be 7.4 MB here
+    kernel_duality_residual(0.5, 30)
+    tracemalloc.start()
+    try:
+        kernel_duality_residual(0.5, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * 31**3
 
 
 # ------------------------------------------------------------ operators
