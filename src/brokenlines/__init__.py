@@ -47,8 +47,6 @@ from .lattice import (
     HexDomain,
     RectDomain,
     Site,
-    edge_between,
-    incident_edges,
 )
 from .lines import (
     BrickDiagram,
@@ -61,8 +59,6 @@ from .lines import (
     compose,
     decompose,
     line_fields,
-    maximal_line,
-    trace_weight,
 )
 from .lpp import (
     LatticePath,

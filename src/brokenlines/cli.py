@@ -28,7 +28,7 @@ from .duality import (
     reversal_invariance_test,
 )
 from .flow import REL_TOL, field_from_dict, field_to_dict, tolerance
-from .lattice import RectDomain
+from .lattice import RectDomain, as_integer
 from .lines import (
     brick_diagram,
     compose,
@@ -162,24 +162,26 @@ def _consistency(args) -> int:
     return _report_exit(report, args.out)
 
 
+def _read_manifest(args) -> None:
+    """Put the lln manifest's values into ``args``, so that the echo shows what runs."""
+    manifest = json.loads(Path(args.manifest).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"a manifest must be a JSON object, not {type(manifest).__name__}")
+    args.n = as_integer(manifest["n"], "manifest n")
+    args.beta = float(manifest["beta"])
+    args.dist = str(manifest["dist"])  # a token only when it is one already
+    args.replicas = as_integer(manifest["replicas"], "manifest replicas")
+    args.seed = as_integer(manifest.get("seed", args.seed), "manifest seed")
+
+
 def _lln(args) -> int:
-    if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
-        config = experiments.LlnConfig(
-            n=int(manifest["n"]),
-            beta=float(manifest["beta"]),
-            dist=parse_dist(manifest["dist"]),
-            replicas=int(manifest["replicas"]),
-            seed=int(manifest.get("seed", args.seed)),
-        )
-    else:
-        config = experiments.LlnConfig(
-            n=args.n,
-            beta=args.beta,
-            dist=parse_dist(args.dist),
-            replicas=args.replicas,
-            seed=args.seed,
-        )
+    config = experiments.LlnConfig(
+        n=args.n,
+        beta=args.beta,
+        dist=parse_dist(args.dist),
+        replicas=args.replicas,
+        seed=args.seed,
+    )
     report = experiments.lln_experiment(config)
     if args.format == "csv":
         lines = ["replica,scaled_value"]
@@ -350,8 +352,10 @@ def run(argv: list[str] | None = None) -> int:
     if args.func is _duality_check and not (args.triple or args.kernel_lams):
         print("duality-check needs --triple or --kernel-lams", file=sys.stderr)
         return USAGE_ERROR
-    _echo_config(args)
     try:
+        if args.func is _lln and args.manifest:
+            _read_manifest(args)
+        _echo_config(args)
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

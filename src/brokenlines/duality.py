@@ -440,6 +440,8 @@ def consistency_test(
     simulation of the sub-rectangle.  Passing ``inner_lam`` different from
     ``lam`` turns this into a negative control.
     """
+    if nsamples < 1_000:
+        raise ValueError("need at least 10^3 samples")
     n_inner = n_outer if n_inner is None else n_inner
     m_inner = m_outer if m_inner is None else m_inner
     if n_inner > n_outer or m_inner > m_outer:

@@ -13,11 +13,12 @@ inflow check.  Brick heights within the rounding level ``ABS_TOL * max(1,
 max height)`` share a breakpoint; that width stays below the tolerance
 because real strips narrower than ``REL_TOL * C`` occur.
 
-Layout: arrays first, views on read.  A field holds its masses as
-``FlowField.values``, one flat array in canonical edge order (the order of
-the plan's ``edge_keys`` and of ``domain.edges``), and the field operations,
-JSON included, read that array and the domain's index plans; the public
-``Edge``-keyed dict ``FlowField.mass`` is built from it on first read.
+Layout: one storage form, views on read.  A field holds its masses only
+as ``FlowField.values``, one flat array in canonical edge order (the order
+of the plan's ``edge_keys`` and of ``domain.edges``), and the field
+operations, JSON included, read that array and the domain's index plans; a
+field built from an ``Edge``-keyed dict reads it into that array at once,
+and the dict ``FlowField.mass`` is built from the array on first read.
 :func:`sweep` runs on such arrays one ``t``-column at a time, with an
 optional trailing replica axis.  :func:`mass_array` picks the dtype:
 float64 in float mode; in int mode int64 when the sum of the masses' sizes
@@ -122,11 +123,13 @@ class FlowField:
 
     Conservation holds at every inner site: the two outgoing edges carry as
     much as the two incoming ones.  Instances are immutable after
-    construction and safe to share.  ``FlowField(domain, mass, mode)`` takes
-    an ``Edge``-keyed dict, which is then the source of ``values``;
-    :meth:`from_values` takes the array, and ``mass`` is then a view built
-    on first read.  ``mass`` is a dataclass field either way, so
-    ``dataclasses.replace(field, mass=d)`` gives the field of the dict ``d``.
+    construction and safe to share.  A field holds one array, ``values``,
+    the masses in canonical edge order (see :func:`mass_array`).
+    :meth:`from_values` takes that array; ``FlowField(domain, mass, mode)``
+    reads an ``Edge``-keyed dict into it at once.  ``mass`` is a view of
+    ``values`` built on first read; it stays a dataclass field, so
+    ``dataclasses.replace(field, mass=d)`` gives the field of the dict ``d``
+    and ``==`` compares domains, masses and modes.
     """
 
     domain: Domain
@@ -134,39 +137,24 @@ class FlowField:
     mode: str = "float"
 
     def __init__(self, domain: Domain, mass: dict[Edge, float], mode: str = "float") -> None:
-        self._hold(domain, mode, mass)
+        self._hold(domain, mass_array(list(map(mass.__getitem__, domain.edges)), mode), mode)
 
     @classmethod
     def from_values(cls, domain: Domain, values: np.ndarray, mode: str) -> "FlowField":
         """The field whose masses are ``values`` in canonical edge order."""
         field = cls.__new__(cls)
-        field._hold(domain, mode, None)
-        field.__dict__["values"] = values
+        field._hold(domain, values, mode)
         return field
 
-    def _hold(self, domain: Domain, mode: str, given: dict | None) -> None:
+    def _hold(self, domain: Domain, values: np.ndarray, mode: str) -> None:
         if mode not in ("int", "float"):
             raise ValueError(f"mode must be 'int' or 'float', not {mode!r}")
-        self.__dict__.update(domain=domain, mode=mode, _given=given)
+        self.__dict__.update(domain=domain, values=values, mode=mode)
 
     @cached_property
     def mass(self) -> dict[Edge, float]:
-        """The masses keyed by ``domain.edges``: the dict given, or a view of ``values``."""
-        if self._given is not None:
-            return self._given
+        """``values`` keyed by ``domain.edges``."""
         return dict(zip(self.domain.edges, self.values.tolist()))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The masses as one array in canonical edge order (see :func:`mass_array`)."""
-        return mass_array(self._listed(), self.mode)
-
-    def _listed(self) -> list:
-        """The masses in canonical edge order as Python numbers: the given
-        dict's own, which may hold the int ``1`` in float mode, else ``values``'."""
-        if self._given is None:
-            return self.values.tolist()
-        return list(map(self._given.__getitem__, self.domain.edges))
 
     @property
     def max_mass(self):
@@ -381,13 +369,6 @@ def total_crossing_flow(field: FlowField):
     return left
 
 
-def max_edge_gap(a: FlowField, b: FlowField):
-    """Largest edgewise difference between two fields on one domain."""
-    if a.domain != b.domain:
-        raise ValueError("fields live on different domains")
-    return max(abs(a.values - b.values).tolist())
-
-
 def field_to_dict(f: FlowField) -> dict:
     plan = f.domain.plan
     t, x = plan.decode(plan.edge_keys >> 1)
@@ -397,7 +378,7 @@ def field_to_dict(f: FlowField) -> dict:
         "mode": f.mode,
         "edges": [
             {"t": t, "x": x, "slope": slope, "mass": mass}
-            for t, x, slope, mass in zip(t.tolist(), x.tolist(), slopes, f._listed())
+            for t, x, slope, mass in zip(t.tolist(), x.tolist(), slopes, f.values.tolist())
         ],
     }
 

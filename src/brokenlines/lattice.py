@@ -41,39 +41,6 @@ class Edge(NamedTuple):
         return (self.t + 1, self.x + 1 if self.up else self.x - 1)
 
 
-def edge_ne(y: Site) -> Edge:
-    """Edge leaving ``y`` to the northeast (ascending outflow)."""
-    return Edge(y[0], y[1], True)
-
-
-def edge_se(y: Site) -> Edge:
-    """Edge leaving ``y`` to the southeast (descending outflow)."""
-    return Edge(y[0], y[1], False)
-
-
-def edge_sw(y: Site) -> Edge:
-    """Edge reaching ``y`` from the southwest (ascending inflow)."""
-    return Edge(y[0] - 1, y[1] - 1, True)
-
-
-def edge_nw(y: Site) -> Edge:
-    """Edge reaching ``y`` from the northwest (descending inflow)."""
-    return Edge(y[0] - 1, y[1] + 1, False)
-
-
-def incident_edges(y: Site) -> tuple[Edge, Edge, Edge, Edge]:
-    """The four edges at ``y``, ordered (sw, nw, ne, se)."""
-    return edge_sw(y), edge_nw(y), edge_ne(y), edge_se(y)
-
-
-def edge_between(a: Site, b: Site) -> Edge:
-    """Canonical id of the edge joining two diagonal neighbours."""
-    if abs(a[0] - b[0]) != 1 or abs(a[1] - b[1]) != 1:
-        raise ValueError(f"{a} and {b} are not diagonal neighbours")
-    base, head = (a, b) if a[0] < b[0] else (b, a)
-    return Edge(base[0], base[1], head[1] > base[1])
-
-
 class ColumnPlan(NamedTuple):
     """Index arrays of one domain, for sweeps one ``t``-column at a time.
 
@@ -233,11 +200,6 @@ class _DomainMixin:
         return y in self.site_set
 
     @cached_property
-    def outer_sites(self) -> tuple[Site, ...]:
-        c = self.plan.closure_keys
-        return self.plan.points(c[_find(self.plan.site_keys, c) < 0])
-
-    @cached_property
     def neighbours(self) -> np.ndarray:
         """(4, sites): the index in ``sites`` of each site's sw, nw, ne, se
         neighbour, -1 where it lies outside."""
@@ -335,14 +297,6 @@ class RectDomain(_DomainMixin):
         t, x = y
         return ((t - x) // 2 + 1, (t + x) // 2 + 1)
 
-    @property
-    def west_corner(self) -> Site:
-        return (0, 0)
-
-    @property
-    def east_corner(self) -> Site:
-        return (self.n + self.m - 2, self.m - self.n)
-
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
 
@@ -397,12 +351,6 @@ class HexDomain(_DomainMixin):
 
     def _column_bounds(self) -> tuple[int, np.ndarray, np.ndarray]:
         return self.t0, np.array(self.x_lower), np.array(self.x_upper)
-
-    @classmethod
-    def from_rect(cls, rect: RectDomain) -> "HexDomain":
-        """The same site set presented as a (degenerate) hexagon."""
-        _, lo, hi = rect._column_bounds()  # from t = 0, kinked at t = n - 1 and m - 1
-        return cls(0, len(lo) - 1, rect.n - 1, rect.m - 1, tuple(lo.tolist()), tuple(hi.tolist()))
 
     def to_dict(self) -> dict:
         return {

@@ -5,6 +5,12 @@ rectangle splits uniquely into an ordered family of weighted traces that
 cross the domain; the splitting is read off the brick diagram, a cumulative
 height function on the odd half-lattice whose vertical strips are exactly
 the maximal crossing lines.
+
+One storage form, views on read: a :class:`Decomposition` holds its traces
+as arrays alone, and the :class:`BrokenTrace` objects are built only when
+read.  Queries about single traces (:meth:`BrickDiagram.weight_of`,
+:meth:`BrickDiagram.maximal_line`) go through one :func:`brick_diagram`
+of the field, built once for any number of them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import Domain, Edge, RectDomain, Site, midpoints, require_rect
+from .lattice import RectDomain, Site, midpoints, require_rect
 
 
 class Order(Enum):
@@ -78,36 +84,13 @@ class BrokenTrace:
         return self.t_values[x - self.x_low]
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        # __post_init__ checked every step: a rising step is the up edge of its
-        # first site, a falling one the down edge of its second
-        return tuple(
-            Edge(ta, xa, True) if tb > ta else Edge(tb, xb, False)
-            for (ta, xa), (tb, xb) in zip(self.sites, self.sites[1:])
-        )
-
-    @cached_property
     def left_corners(self) -> tuple[Site, ...]:
         """Sites where the trace turns at a local t-minimum; births live here."""
         ts = self.t_values
         return tuple(y for y, a, b in zip(self.sites[1:], ts, ts[2:]) if a == b == y[0] + 1)
 
-    def t_span(self) -> tuple[int, int]:
-        return min(self.t_values), max(self.t_values)
 
-    def is_subtrace_of(self, other: "BrokenTrace") -> bool:
-        if self.x_low < other.x_low or self.x_high > other.x_high:
-            return False
-        start = self.x_low - other.x_low
-        return other.t_values[start : start + len(self.t_values)] == self.t_values
-
-
-def trace_in_closure(domain: Domain, trace: BrokenTrace) -> bool:
-    """True when every trace edge touches the domain."""
-    return bool((domain.plan.step_edges(*trace._arrays()) >= 0).all())
-
-
-def _crossing(domain: Domain, t: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _crossing(domain: RectDomain, t: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """For traces of ``counts`` sites each, laid end to end in ``t, x``: whether
     each spans the domain, with outer endpoints and an inner body."""
     plan = domain.plan
@@ -116,11 +99,6 @@ def _crossing(domain: Domain, t: np.ndarray, x: np.ndarray, counts: np.ndarray) 
     last = np.cumsum(counts) - 1
     strays = np.bincount(np.repeat(np.arange(len(counts)), counts)[~inside], minlength=len(counts))
     return outer[last - counts + 1] & outer[last] & (strays == 2)
-
-
-def trace_crosses(domain: Domain, trace: BrokenTrace) -> bool:
-    """True when the trace spans the domain: outer endpoints, inner body."""
-    return bool(_crossing(domain, *trace._arrays(), np.array([len(trace.sites)]))[0])
 
 
 def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
@@ -193,10 +171,6 @@ class BrokenLine:
                 raise ValueError(f"interval widths differ by {spread}")
 
     @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
     def weight(self):
         if not self.intervals:
             return 0
@@ -204,46 +178,35 @@ class BrokenLine:
         return b - a
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Crossing traces ordered left to right with their positive weights.
 
-    Arrays first, views on read: the sites of all traces lie end to end in
-    the int64 arrays ``t`` and ``x``, ``counts[j]`` of them for trace ``j``,
-    and :meth:`weights` are Python numbers.  :func:`compose` and the CSV
-    writer read these arrays; ``entries``, :meth:`traces` and iteration
-    build the :class:`BrokenTrace` tuples on first read.
-    ``Decomposition(entries)`` takes ``(trace, weight)`` pairs built by hand
-    and flattens them into the arrays once.  :meth:`from_arrays` trusts its
-    arrays to hold valid traces.
+    Held as arrays alone: the sites of all traces lie end to end in the
+    int64 arrays ``t`` and ``x``, ``counts[j]`` of them for trace ``j``, and
+    ``line_weights`` holds the weights as Python numbers.  The arrays are
+    trusted to hold valid traces.  :func:`compose` and the CSV writer read
+    them; ``entries``, :meth:`traces` and iteration build the
+    :class:`BrokenTrace` tuples on first read, and ``==`` compares the lines
+    and their weights.
     """
 
-    entries: tuple[tuple[BrokenTrace, float], ...]
-
-    def __init__(self, entries=()) -> None:
-        entries = tuple(entries)
-        counts = np.array([len(trace.sites) for trace, _ in entries], dtype=np.intp)
-        sites = chain.from_iterable(chain.from_iterable(trace.sites for trace, _ in entries))
-        flat = np.fromiter(sites, np.int64, 2 * int(counts.sum()))
-        self._hold(flat[0::2], flat[1::2], counts, tuple(w for _, w in entries))
-        self.__dict__["entries"] = entries
-
-    @classmethod
-    def from_arrays(cls, t: np.ndarray, x: np.ndarray, counts: np.ndarray, weights: tuple):
-        """The decomposition held as these arrays, taken as valid traces."""
-        dec = cls.__new__(cls)
-        dec._hold(t, x, counts, weights)
-        return dec
-
-    def _hold(self, t, x, counts, weights) -> None:
-        self.__dict__.update(t=t, x=x, counts=counts, _weights=weights)
+    t: np.ndarray
+    x: np.ndarray
+    counts: np.ndarray
+    line_weights: tuple
 
     @cached_property
     def entries(self) -> tuple[tuple[BrokenTrace, float], ...]:
         sites = list(zip(self.t.tolist(), self.x.tolist()))
         ends = np.cumsum(self.counts).tolist()
         traces = (BrokenTrace(tuple(sites[a:b])) for a, b in zip([0, *ends], ends))
-        return tuple(zip(traces, self._weights))
+        return tuple(zip(traces, self.line_weights))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return self.entries == other.entries
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -255,10 +218,10 @@ class Decomposition:
         return tuple(t for t, _ in self.entries)
 
     def weights(self) -> tuple[float, ...]:
-        return self._weights
+        return self.line_weights
 
     def total_weight(self):
-        return sum(self._weights)
+        return sum(self.line_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +314,7 @@ class BrickDiagram:
         t, x = self.domain.plan.decode(self.domain.plan.closure_keys[site[order]])
         q = self.breakpoints
         per_strip = np.bincount(strip, minlength=len(q))[1:]
-        return Decomposition.from_arrays(t, x, per_strip, tuple(map(sub, q[1:], q[:-1])))
+        return Decomposition(t, x, per_strip, tuple(map(sub, q[1:], q[:-1])))
 
     def to_dict(self) -> dict:
         return {
@@ -451,23 +414,6 @@ def compose(
     values = np.zeros(len(domain.plan.edge_keys), w.dtype)
     np.add.at(values, edges, np.repeat(w, counts - 1))  # in trace order, like a loop
     return FlowField.from_values(domain, values, mode)
-
-
-def trace_weight(field: FlowField, trace: BrokenTrace):
-    """Weight of the maximal line with the given trace: its strips' total width.
-
-    Builds the diagram for one query; probe many traces of one field through
-    :meth:`BrickDiagram.weight_of` on one :func:`brick_diagram`.
-    """
-    return brick_diagram(field).weight_of(trace)
-
-
-def maximal_line(field: FlowField, trace: BrokenTrace) -> BrokenLine:
-    """The widest line on ``trace``; see :meth:`BrickDiagram.maximal_line`.
-
-    Builds the diagram for one query, like :func:`trace_weight`.
-    """
-    return brick_diagram(field).maximal_line(trace)
 
 
 def line_fields(
@@ -586,4 +532,4 @@ def decomposition_from_csv_rows(rows: list[list]) -> Decomposition:
         i = int(np.argmax(illegal))
         fail(int(np.searchsorted(ends, i, side="right")),
              f"an illegal step {(int(t[i]), int(x[i]))} -> {(int(t[i + 1]), int(x[i + 1]))}")
-    return Decomposition.from_arrays(t, x, counts, tuple(weights))
+    return Decomposition(t, x, counts, tuple(weights))

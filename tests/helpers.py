@@ -1,16 +1,18 @@
-"""Shared builders for randomized test instances."""
+"""Randomized test instances, and scalar references for the array code."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 
+import numpy as np
 from hypothesis import strategies as st
 
 from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth
 from brokenlines.duality import transition_kernel
 from brokenlines.flow import site_outflows
-from brokenlines.lattice import HexDomain, edge_ne, edge_nw, edge_se, edge_sw, incident_edges
+from brokenlines.lattice import Edge, HexDomain
+from brokenlines.lines import Decomposition
 from brokenlines.lpp import birth_matrix
 from brokenlines.streams import uniform
 
@@ -106,13 +108,12 @@ def dict_sweep(domain, up_in: dict, down_in: dict, born: dict) -> dict:
     """
     mass = dict.fromkeys(domain.edges)
     for y in domain.sites:  # sorted by (t, x): predecessors come first
+        sw, nw, ne, se = incident_edges(y)
         if y in up_in:
-            mass[edge_sw(y)] = up_in[y]
+            mass[sw] = up_in[y]
         if y in down_in:
-            mass[edge_nw(y)] = down_in[y]
-        mass[edge_ne(y)], mass[edge_se(y)] = site_outflows(
-            mass[edge_sw(y)], mass[edge_nw(y)], born[y]
-        )
+            mass[nw] = down_in[y]
+        mass[ne], mass[se] = site_outflows(mass[sw], mass[nw], born[y])
     return mass
 
 
@@ -125,22 +126,84 @@ def add_fields(a: FlowField, b: FlowField) -> FlowField:
     return FlowField(a.domain, {e: a.mass[e] + b.mass[e] for e in a.domain.edges}, a.mode)
 
 
+# Edges and traces one site at a time, by their definitions: the scalar
+# reference for the index plans' ``incident`` and ``step_edges``.
+def incident_edges(y) -> tuple[Edge, Edge, Edge, Edge]:
+    """The four edges at site ``y``, ordered (sw, nw, ne, se)."""
+    t, x = y
+    return Edge(t - 1, x - 1, True), Edge(t - 1, x + 1, False), Edge(t, x, True), Edge(t, x, False)
+
+
+def edge_between(a, b) -> Edge:
+    """The edge joining the diagonal neighbours ``a`` and ``b``: based at the
+    one of smaller ``t``, ascending when the other lies at larger ``x``."""
+    base, head = sorted((a, b))
+    return Edge(base[0], base[1], head[1] > base[1])
+
+
+def trace_edges(trace) -> tuple[Edge, ...]:
+    """The edge of each step of ``trace``."""
+    return tuple(edge_between(a, b) for a, b in zip(trace.sites, trace.sites[1:]))
+
+
+def trace_crosses(domain, trace) -> bool:
+    """Whether ``trace`` spans ``domain``: every site inside it but the two
+    ends, which lie outside, one step from an inside site."""
+    inside = [domain.contains(y) for y in trace.sites]
+    return len(inside) > 2 and not inside[0] and not inside[-1] and all(inside[1:-1])
+
+
+def max_edge_gap(a: FlowField, b: FlowField):
+    """Largest edgewise difference between two fields on one domain."""
+    if a.domain != b.domain:
+        raise ValueError("fields live on different domains")
+    return max(abs(a.values - b.values).tolist())
+
+
+def decomposition_of(entries) -> Decomposition:
+    """The decomposition of ``(trace, weight)`` pairs built by hand."""
+    entries = tuple(entries)
+    counts = np.array([len(trace.sites) for trace, _ in entries], dtype=np.intp)
+    sites = [y for trace, _ in entries for y in trace.sites]
+    t, x = np.array(sites, dtype=np.int64).reshape(-1, 2).T
+    return Decomposition(t, x, counts, tuple(w for _, w in entries))
+
+
+def hex_of_rect(rect: RectDomain) -> HexDomain:
+    """The rectangle's site set as a degenerate hexagon: from ``t = 0`` to
+    ``n + m - 2``, the lower path kinked at ``n - 1`` and the upper at ``m - 1``."""
+    ts = range(rect.n + rect.m - 1)
+    lower = tuple(max(-t, t - 2 * (rect.n - 1)) for t in ts)
+    upper = tuple(min(t, 2 * (rect.m - 1) - t) for t in ts)
+    return HexDomain(0, ts[-1], rect.n - 1, rect.m - 1, lower, upper)
+
+
+DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def outer_sites(domain) -> tuple:
+    """The sites of ``closure - S``, sorted: one diagonal step from a site, not a site."""
+    inside = set(domain.sites)
+    near = {(t + dt, x + dx) for t, x in inside for dt, dx in DIAGONALS}
+    return tuple(sorted(near - inside))
+
+
 # Outer boundary classes of a rectangle: the sites of ``closure - S``
 # adjacent to each side.  Exactly one class holds each outer site.
 def outer_southwest(domain: RectDomain) -> tuple:
-    return tuple(y for y in domain.outer_sites if domain.contains((y[0] + 1, y[1] + 1)))
+    return tuple(y for y in outer_sites(domain) if domain.contains((y[0] + 1, y[1] + 1)))
 
 
 def outer_northwest(domain: RectDomain) -> tuple:
-    return tuple(y for y in domain.outer_sites if domain.contains((y[0] + 1, y[1] - 1)))
+    return tuple(y for y in outer_sites(domain) if domain.contains((y[0] + 1, y[1] - 1)))
 
 
 def outer_northeast(domain: RectDomain) -> tuple:
-    return tuple(y for y in domain.outer_sites if domain.contains((y[0] - 1, y[1] - 1)))
+    return tuple(y for y in outer_sites(domain) if domain.contains((y[0] - 1, y[1] - 1)))
 
 
 def outer_southeast(domain: RectDomain) -> tuple:
-    return tuple(y for y in domain.outer_sites if domain.contains((y[0] - 1, y[1] + 1)))
+    return tuple(y for y in outer_sites(domain) if domain.contains((y[0] - 1, y[1] + 1)))
 
 
 def flank_site_range(diagram, y) -> tuple[int, int]:

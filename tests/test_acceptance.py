@@ -21,7 +21,7 @@ from brokenlines.experiments import (
     lln_experiment,
     lln_target,
 )
-from brokenlines.flow import extract, field_from_birth, max_edge_gap, total_crossing_flow
+from brokenlines.flow import extract, field_from_birth, total_crossing_flow
 from brokenlines.lattice import RectDomain
 from brokenlines.lines import compose, decompose, line_fields
 from brokenlines.lpp import (
@@ -32,7 +32,7 @@ from brokenlines.lpp import (
     path_sum,
 )
 from brokenlines.streams import uniform
-from helpers import random_birth_field, random_domain, random_field
+from helpers import max_edge_gap, random_birth_field, random_domain, random_field
 
 SEED = 2026
 

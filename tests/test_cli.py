@@ -193,7 +193,7 @@ def test_path_subcommand_on_ties(tmp_path, capsys, matrix):
     assert run(["path", "--field", str(field_json)]) == 0
     path = json.loads(capsys.readouterr().out.split("\n", 1)[1])["path"]
     assert path[0] == [0, 0]
-    assert path[-1] == list(births.domain.east_corner)
+    assert path[-1] == list(births.domain.cell_to_site(*np.shape(matrix)))
 
 
 def test_duality_check_triple_exit_codes(tmp_path):
@@ -240,6 +240,12 @@ def test_consistency_subcommand(tmp_path):
     assert run(base + ["--mismatch-lam", "0.6"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["1", "999"])
+def test_consistency_refuses_fewer_than_a_thousand_samples(samples, capsys):
+    assert run(["consistency", "--samples", samples]) == 1
+    assert "error: need at least 10^3 samples" in capsys.readouterr().err
+
+
 def test_lln_subcommand_with_manifest_and_csv(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"n": 20, "beta": 1.0, "dist": "exp:1",
@@ -253,6 +259,22 @@ def test_lln_subcommand_with_manifest_and_csv(tmp_path):
     assert report["n"] == 20 and len(report["samples"]) == 3
     rows = list(csv.reader(samples.read_text().splitlines()))
     assert rows[0] == ["replica", "scaled_value"] and len(rows) == 4
+
+
+def test_lln_manifest_is_echoed_and_its_integers_checked(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    good = {"n": 20, "beta": 1.0, "dist": "exp:1", "replicas": 3, "seed": 9}
+    manifest.write_text(json.dumps(good))
+    assert run(["lln", "--manifest", str(manifest), "--out", str(tmp_path / "report.json")]) == 0
+    echo = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert {k: echo[k] for k in good} == good
+    for key, value in (("n", 20.7), ("replicas", 3.9), ("seed", 1.5)):
+        manifest.write_text(json.dumps(dict(good, **{key: value})))
+        assert run(["lln", "--manifest", str(manifest)]) == 1
+        assert f"error: manifest {key} must be an integer, not {value}" in capsys.readouterr().err
+    manifest.write_text(json.dumps(dict(good, dist=5)))
+    assert run(["lln", "--manifest", str(manifest)]) == 1
+    assert "error: cannot parse distribution token '5'" in capsys.readouterr().err
 
 
 def test_concentration_subcommand(tmp_path):

@@ -32,14 +32,13 @@ from brokenlines.flow import (
     BoundaryFlow,
     check_conservation,
     field_from_birth,
-    max_edge_gap,
     sweep,
     total_crossing_flow,
     zero_field,
 )
-from brokenlines.lattice import RectDomain, edge_ne
+from brokenlines.lattice import Edge, RectDomain
 from brokenlines.streams import stream_base, uniform
-from helpers import kernel_residual_loop
+from helpers import kernel_residual_loop, max_edge_gap
 
 nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 
@@ -287,7 +286,7 @@ def test_exit_edge_is_geometric():
     # stationarity: any fixed exit edge of the chain carries Geom(lam) mass
     lam, runs = 0.5, 10_000
     d = RectDomain(2, 2)
-    exit_edge = edge_ne((2, 0))
+    exit_edge = Edge(2, 0, True)
     values = np.array([evolve_chain(d, lam, seed=s).mass[exit_edge] for s in range(runs)])
     top = int(values.max())
     counts = np.bincount(values, minlength=top + 1).astype(float)
@@ -362,7 +361,7 @@ def test_time_reverse_single_birth():
     f = field_from_birth(d, births=BirthField(d, {(2, 0): 1.0}))
     rev = time_reverse(f)
     # the wedge's outgoing edges become incoming edges of the mirrored site
-    assert rev.mass[edge_ne((1, -1))] == 1.0
+    assert rev.mass[Edge(1, -1, True)] == 1.0
     assert total_crossing_flow(rev) == 1.0
     assert max_edge_gap(time_reverse(rev), f) == 0
 

@@ -17,35 +17,34 @@ from brokenlines.flow import (
     field_from_birth,
     field_from_dict,
     field_to_dict,
-    max_edge_gap,
     sweep,
     total_crossing_flow,
     zero_field,
 )
-from brokenlines.lattice import HexDomain, RectDomain, edge_ne, edge_nw, edge_se, edge_sw
+from brokenlines.lattice import Edge, HexDomain, RectDomain
 from brokenlines.lines import (
     compose,
     decompose,
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
 )
-from helpers import add_fields, dict_sweep, hexagons, random_field
+from helpers import add_fields, dict_sweep, hex_of_rect, hexagons, max_edge_gap, random_field
 
 ONE = RectDomain(1, 1)
 
 
 def test_single_birth_on_point_domain():
     f = field_from_birth(ONE, births=BirthField(ONE, {(0, 0): 2.5}))
-    assert f.mass[edge_ne((0, 0))] == 2.5
-    assert f.mass[edge_se((0, 0))] == 2.5
-    assert f.mass[edge_sw((0, 0))] == 0.0
-    assert f.mass[edge_nw((0, 0))] == 0.0
+    assert f.mass[Edge(0, 0, True)] == 2.5
+    assert f.mass[Edge(0, 0, False)] == 2.5
+    assert f.mass[Edge(-1, -1, True)] == 0.0
+    assert f.mass[Edge(-1, 1, False)] == 0.0
 
 
 def test_boundary_only_point_domain():
     f = field_from_birth(ONE, BoundaryFlow({(0, 0): 1.0}, {(0, 0): 0.4}))
-    assert f.mass[edge_ne((0, 0))] == pytest.approx(0.6)
-    assert f.mass[edge_se((0, 0))] == 0.0
+    assert f.mass[Edge(0, 0, True)] == pytest.approx(0.6)
+    assert f.mass[Edge(0, 0, False)] == 0.0
     # conservation: in 1.0 + 0.0 out = 0.4 + 0.6
     assert not check_conservation(f)
 
@@ -61,7 +60,7 @@ def test_zero_inputs_give_zero_field():
 def test_conservation_flags_perturbed_edge():
     d = RectDomain(2, 2)
     f = random_field(d, seed=5)
-    edge = edge_ne((0, 0))  # interior edge between (0,0) and (1,1)
+    edge = Edge(0, 0, True)  # interior edge between (0,0) and (1,1)
     mass = dict(f.mass)
     mass[edge] += 1.0
     bad = check_conservation(FlowField(d, mass, "float"))
@@ -111,7 +110,7 @@ def test_crossing_flow_detects_corruption():
     d = RectDomain(2, 2)
     f = random_field(d, seed=1)
     mass = dict(f.mass)
-    mass[edge_ne((2, 0))] += 1.0  # exit edge: breaks the two-sided balance
+    mass[Edge(2, 0, True)] += 1.0  # exit edge: breaks the two-sided balance
     with pytest.raises(ValueError):
         total_crossing_flow(FlowField(d, mass, "float"))
 
@@ -243,12 +242,12 @@ def test_integral_float_masses_are_read_as_ints():
     d = RectDomain(2, 2)
     f = field_from_birth(d, births=BirthField(d, {(1, 1): 2.0}), mode="int")
     assert all(isinstance(v, int) for v in f.mass.values())
-    assert f.mass[edge_ne((1, 1))] == 2
+    assert f.mass[Edge(1, 1, True)] == 2
 
 
 def test_hexagonal_evolution_matches_rectangle():
     rect = RectDomain(3, 4)
-    hexa = HexDomain.from_rect(rect)
+    hexa = hex_of_rect(rect)
     up = {y: 0.5 for y in rect.southwest_side}
     births = {y: 1.0 for y in rect.sites}
     f_rect = field_from_birth(rect, BoundaryFlow(up, {}), BirthField(rect, births))
@@ -289,7 +288,7 @@ def _row(payload):
     return next(r for r in payload["edges"] if (r["t"], r["x"], r["slope"]) == (0, 0, "up"))
 
 
-HEX_2X2 = HexDomain.from_rect(RectDomain(2, 2)).to_dict()
+HEX_2X2 = hex_of_rect(RectDomain(2, 2)).to_dict()
 
 # Each edits the payload in place or returns one to read instead.  The first
 # five were once read as a different field: a descending edge, coordinates
@@ -346,7 +345,7 @@ def test_json_names_a_far_coordinate_as_given(coordinate, far, tmp_path, capsys)
 
 DOMAINS = st.one_of(
     st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)),
-    st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)).map(HexDomain.from_rect),
+    st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)).map(hex_of_rect),
     hexagons(),
 )
 MASSES = {
@@ -408,15 +407,16 @@ def test_max_mass_is_the_largest_mass(mode, masses, dtype, data):
     assert type(field.max_mass) is type(expected)
 
 
-def test_a_field_built_from_a_dict_writes_the_dict_s_numbers():
+def test_field_json_is_a_fixed_point_of_reload():
+    # the float-mode dict holds the int 1: the field writes 1.0, as its reload does
     d = RectDomain(2, 2)
-    mass = dict.fromkeys(d.edges, 0.0)
-    mass[edge_ne((0, 0))] = 1  # an int in a float-mode field
-    f = FlowField(d, mass, "float")
-    rows = field_to_dict(f)["edges"]
-    assert [r["mass"] for r in rows] == [mass[e] for e in d.edges]
-    assert '"mass": 1}' in json.dumps(field_to_dict(f))
-    assert f.values.dtype == np.float64 and f.max_mass == 1.0
+    cases = (("float", (0.0, 1), np.float64, 1.0), ("int", (0, 1, 3), np.int64, 3))
+    for mode, masses, dtype, largest in cases:
+        f = FlowField(d, {e: masses[k % len(masses)] for k, e in enumerate(d.edges)}, mode)
+        j = field_to_dict(f)
+        assert json.dumps(field_to_dict(field_from_dict(j))) == json.dumps(j)
+        assert f.values.dtype == dtype
+        assert f.max_mass == largest and type(f.max_mass) is type(largest)
 
 
 def test_births_given_as_values_equal_births_given_as_a_dict():

@@ -2,25 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenlines.lattice import (
-    Edge,
-    HexDomain,
-    RectDomain,
-    domain_from_dict,
-    edge_between,
-    edge_ne,
-    edge_nw,
-    edge_se,
-    edge_sw,
-    incident_edges,
-    midpoints,
-)
+from brokenlines.lattice import HexDomain, RectDomain, domain_from_dict, midpoints
 from helpers import (
+    DIAGONALS,
+    edge_between,
     hex_contains,
+    hex_of_rect,
     hex_sides,
     hexagons,
+    incident_edges,
     outer_northeast,
     outer_northwest,
+    outer_sites,
     outer_southeast,
     outer_southwest,
     rect_contains,
@@ -49,7 +42,7 @@ def scan_edges(domain):
 def test_smallest_domain():
     d = RectDomain(1, 1)
     assert d.sites == ((0, 0),)
-    assert sorted(d.outer_sites) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert d.closure == ((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1))
 
 
 def test_two_by_two_sites():
@@ -62,8 +55,6 @@ def test_three_by_two_sites():
     d = RectDomain(3, 2)
     assert len(d.sites) == 6
     assert list(d.sites) == scan_sites(3, 2)
-    assert d.west_corner == (0, 0)
-    assert d.east_corner == (3, -1)
 
 
 def test_rejects_empty_domain():
@@ -76,21 +67,6 @@ def test_rejects_empty_domain():
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
 def test_sites_match_scan_oracle(n, m):
     assert list(RectDomain(n, m).sites) == scan_sites(n, m)
-
-
-def test_incident_edges_at_origin():
-    sw, nw, ne, se = incident_edges((0, 0))
-    assert ne == Edge(0, 0, True)
-    assert se == Edge(0, 0, False)
-    assert sw == Edge(-1, -1, True)
-    assert nw == Edge(-1, 1, False)
-
-
-def test_shared_edge_identities():
-    # the northeast edge of y is the southwest edge of y+(1,1)
-    assert edge_ne((0, 0)) == edge_sw((1, 1))
-    assert edge_nw((2, 0)) == Edge(1, 1, False)
-    assert edge_nw((0, 0)) == edge_se((-1, 1))
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))
@@ -124,8 +100,8 @@ def test_boundary_partition(n, m):
     d = RectDomain(n, m)
     classes = [outer_southwest(d), outer_northwest(d), outer_northeast(d), outer_southeast(d)]
     union = set().union(*map(set, classes))
-    assert union == set(d.outer_sites)
-    assert sum(map(len, classes)) == len(d.outer_sites)  # no overlaps
+    assert union == set(outer_sites(d))
+    assert sum(map(len, classes)) == len(outer_sites(d))  # no overlaps
     assert len(outer_southwest(d)) == n
     assert len(outer_northwest(d)) == m
     assert len(outer_northeast(d)) == n
@@ -166,7 +142,7 @@ def test_cell_bijection():
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
 def test_hexagon_view_of_rectangle(n, m):
     rect = RectDomain(n, m)
-    hexa = HexDomain.from_rect(rect)
+    hexa = hex_of_rect(rect)
     assert hexa.sites == rect.sites
     assert set(hexa.southwest_side) == set(rect.southwest_side)
     assert set(hexa.northwest_side) == set(rect.northwest_side)
@@ -175,11 +151,8 @@ def test_hexagon_view_of_rectangle(n, m):
     assert hexa.edges == rect.edges
 
 
-DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 def check_sides_and_membership(domain, sides, contains, span=24):
-    """The four sides, ``outer_sites``, ``side_edges`` and ``contains`` against
+    """The four sides, the closure, ``side_edges`` and ``contains`` against
     explicit ``sides`` and a membership rule ``contains``, on a box around the domain."""
     box = [(t, x) for t in range(-span, span + 1) for x in range(-span, span + 1)]
     inside = {y for y in box if contains(y)}
@@ -187,10 +160,10 @@ def check_sides_and_membership(domain, sides, contains, span=24):
     got = (domain.southwest_side, domain.northwest_side, domain.northeast_side, domain.southeast_side)
     assert got == sides
     closure = {(t + dt, x + dx) for t, x in inside for dt, dx in ((0, 0), *DIAGONALS)}
-    assert domain.outer_sites == tuple(sorted(closure - inside))
+    assert domain.closure == tuple(sorted(closure))
     index = {e: i for i, e in enumerate(domain.edges)}
-    for side, edge, indices in zip(sides, (edge_sw, edge_nw, edge_ne, edge_se), domain.side_edges):
-        assert indices.tolist() == [index[edge(y)] for y in side]
+    for k, (side, indices) in enumerate(zip(sides, domain.side_edges)):
+        assert indices.tolist() == [index[incident_edges(y)[k]] for y in side]
     # the closure and every point one step off it lie in the box
     assert all(domain.contains(y) is contains(y) for y in box)
 
@@ -200,7 +173,7 @@ def test_rectangle_sides_and_membership_follow_the_paths():
         for m in range(1, 7):
             rect = RectDomain(n, m)
             check_sides_and_membership(rect, rect_sides(rect), lambda y: rect_contains(rect, y))
-            hexa = HexDomain.from_rect(rect)
+            hexa = hex_of_rect(rect)
             assert hex_sides(hexa) == rect_sides(rect)
             check_sides_and_membership(hexa, hex_sides(hexa), lambda y: hex_contains(hexa, y))
 

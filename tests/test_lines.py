@@ -18,21 +18,13 @@ from brokenlines.flow import (
     field_from_birth,
     field_from_dict,
     field_to_dict,
-    max_edge_gap,
     tolerance,
     total_crossing_flow,
     zero_field,
 )
-from brokenlines.lattice import (
-    HexDomain,
-    RectDomain,
-    edge_ne,
-    edge_se,
-    incident_edges,
-)
+from brokenlines.lattice import Edge, HexDomain, RectDomain
 from brokenlines.lines import (
     BrokenTrace,
-    Decomposition,
     Order,
     brick_diagram,
     compare_traces,
@@ -41,19 +33,21 @@ from brokenlines.lines import (
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
     line_fields,
-    maximal_line,
-    trace_crosses,
-    trace_in_closure,
-    trace_weight,
 )
 from brokenlines.lpp import births_from_matrix
 from brokenlines.streams import stream_base, uniform
 from helpers import (
+    decomposition_of,
+    edge_between,
     flank_site_range,
+    incident_edges,
+    max_edge_gap,
     outer_southeast,
     outer_southwest,
     random_domain,
     random_field,
+    trace_crosses,
+    trace_edges,
 )
 
 D3 = RectDomain(3, 3)
@@ -116,11 +110,6 @@ def test_trace_views():
     assert tr.left_corners == ((2, 0),)
     assert tr.x_low == -2 and tr.x_high == 2
     assert tr.t_at(0) == 2
-    assert tr.t_span() == (2, 4)
-    assert len(tr.edges) == 4
-    sub = BrokenTrace(((3, -1), (2, 0), (3, 1)))
-    assert sub.is_subtrace_of(tr)
-    assert not tr.is_subtrace_of(sub)
 
 
 def test_compare_equal_and_shifted():
@@ -153,8 +142,6 @@ def test_compare_subtrace_is_order_equivalent():
 
 def random_crossing_trace(domain, seed):
     """Seeded walk from a lower outer site through S until it exits above."""
-    from brokenlines.lattice import edge_between
-
     starts = sorted(set(outer_southwest(domain)) | set(outer_southeast(domain)))
     y = starts[int(uniform(seed, 0) * len(starts))]
     sites = [y]
@@ -195,8 +182,8 @@ def test_order_is_partial_order_on_crossing_traces(seed):
         assert compare_traces(a, c) in (Order.RIGHT_OF, Order.EQUAL)
     # disjoint heights force disjoint t-spans (crossing traces only)
     if set(range(a.x_low, a.x_high + 1)).isdisjoint(range(b.x_low, b.x_high + 1)):
-        lo_a, hi_a = a.t_span()
-        lo_b, hi_b = b.t_span()
+        lo_a, hi_a = min(a.t_values), max(a.t_values)
+        lo_b, hi_b = min(b.t_values), max(b.t_values)
         assert hi_a < lo_b or hi_b < lo_a
 
 
@@ -237,12 +224,12 @@ def test_every_site_carries_one_corner_in_ones_field():
 
 def test_compose_single_wedge_equals_single_birth():
     tr = v_trace((2, 0))
-    f = compose(D3, Decomposition(((tr, 2.5),)))
+    f = compose(D3, decomposition_of(((tr, 2.5),)))
     assert max_edge_gap(f, single_birth_field(D3, (2, 0), 2.5)) == 0
 
 
 def test_compose_empty_is_zero():
-    f = compose(D3, Decomposition(()))
+    f = compose(D3, decomposition_of(()))
     assert all(v == 0 for v in f.mass.values())
 
 
@@ -250,7 +237,7 @@ def test_compose_two_wedges_extracts_two_births():
     d = RectDomain(4, 4)
     left = crossing_wedge(d, (2, 0))
     right = crossing_wedge(d, (4, 0))
-    f = compose(d, Decomposition(((left, 1.0), (right, 2.0))))
+    f = compose(d, decomposition_of(((left, 1.0), (right, 2.0))))
     _, births, _ = extract(f)
     assert births.births == {(2, 0): 1.0, (4, 0): 2.0}
 
@@ -258,12 +245,12 @@ def test_compose_two_wedges_extracts_two_births():
 def test_compose_validation():
     tr = v_trace((2, 0))
     with pytest.raises(ValueError):
-        compose(D3, Decomposition(((tr, 0.0),)))
+        compose(D3, decomposition_of(((tr, 0.0),)))
     with pytest.raises(ValueError):
-        compose(D3, Decomposition(((v_trace((4, 0)), 1.0), (v_trace((2, 0)), 1.0))))
+        compose(D3, decomposition_of(((v_trace((4, 0)), 1.0), (v_trace((2, 0)), 1.0))))
     inner = BrokenTrace(((3, -1), (2, 0), (3, 1)))  # does not cross
     with pytest.raises(ValueError):
-        compose(D3, Decomposition(((inner, 1.0),)))
+        compose(D3, decomposition_of(((inner, 1.0),)))
 
 
 @given(st.integers(0, 400), st.sampled_from(["float", "int"]))
@@ -354,13 +341,13 @@ def test_wedge_traces_recover_births():
 
 def test_zero_field_weights():
     f = zero_field(D3)
-    assert trace_weight(f, v_trace((2, 0))) == 0
+    assert brick_diagram(f).weight_of(v_trace((2, 0))) == 0
 
 
 def test_trace_weight_outside_closure_rejected():
     f = zero_field(D3)
     with pytest.raises(ValueError):
-        trace_weight(f, BrokenTrace(((10, 0), (11, 1))))
+        brick_diagram(f).weight_of(BrokenTrace(((10, 0), (11, 1))))
 
 
 def test_site_range_equals_the_flank_rule():
@@ -385,15 +372,13 @@ OUT_OF_BOX = (BrokenTrace(((-2, 8), (-1, 9))), BrokenTrace(((3, 17), (2, 18), (3
 def test_traces_outside_the_index_box_are_rejected(trace):
     t, x = (np.array(c) for c in zip(*trace.sites))
     assert (D3.plan.step_edges(t, x) == -1).all()
-    assert not trace_in_closure(D3, trace)
-    assert not trace_crosses(D3, trace)
     f = field_from_birth(D3, births=BirthField(D3, {y: 1.0 for y in D3.sites}))
     with pytest.raises(ValueError):
-        trace_weight(f, trace)
+        brick_diagram(f).weight_of(trace)
     with pytest.raises(ValueError):
         line_fields(D3, trace, 1.0)
     with pytest.raises(ValueError):
-        compose(D3, Decomposition(((trace, 1.0),)))
+        compose(D3, decomposition_of(((trace, 1.0),)))
 
 
 @given(st.integers(0, 300))
@@ -411,7 +396,7 @@ def test_weight_monotone_under_extension(seed):
     hi = min(n, lo + 2 + int(uniform(seed, 9) * (n - lo - 1)))
     sub = BrokenTrace(trace.sites[lo:hi])
     assert diagram.weight_of(sub) >= diagram.weight_of(trace) - 1e-12
-    assert trace_weight(f, trace) == pytest.approx(w, abs=1e-9)
+    assert diagram.weight_of(trace) == pytest.approx(w, abs=1e-9)
 
 
 @given(st.integers(0, 300))
@@ -425,8 +410,8 @@ def test_subtrace_weight_sums_containing_lines(seed):
     trace, _ = dec.entries[int(uniform(seed, 3) * len(dec.entries))]
     lo = int(uniform(seed, 4) * (len(trace.sites) - 1))
     sub = BrokenTrace(trace.sites[lo : lo + 2])
-    expected = sum(w for tr, w in dec if sub.is_subtrace_of(tr))
-    assert trace_weight(f, sub) == pytest.approx(expected, abs=1e-9)
+    expected = sum(w for tr, w in dec if set(sub.sites) <= set(tr.sites))
+    assert brick_diagram(f).weight_of(sub) == pytest.approx(expected, abs=1e-9)
 
 
 @given(st.integers(0, 300))
@@ -440,7 +425,7 @@ def test_containment_is_interval_shaped(seed):
     for j, trace in enumerate(traces):
         lo = int(uniform(seed, j) * (len(trace.sites) - 1))
         sub = BrokenTrace(trace.sites[lo : lo + 2])
-        holders = [k for k, other in enumerate(traces) if sub.is_subtrace_of(other)]
+        holders = [k for k, other in enumerate(traces) if set(sub.sites) <= set(other.sites)]
         assert holders == list(range(holders[0], holders[-1] + 1))
 
 
@@ -474,7 +459,7 @@ def test_crossing_traces_carry_line_weights_or_nothing(seed):
     by_trace = {tr: w for tr, w in dec}
     probe = random_crossing_trace(domain, seed + 13)
     expected = by_trace.get(probe, 0.0)
-    assert trace_weight(f, probe) == pytest.approx(expected, abs=1e-9)
+    assert brick_diagram(f).weight_of(probe) == pytest.approx(expected, abs=1e-9)
 
 
 def test_breakpoints_end_at_total_crossing_flow():
@@ -520,16 +505,17 @@ def association_cases(field, births, line):
     """Check every adjacent interval pair against the association rules."""
     eta = field.mass
     trace = line.trace
+    edges = trace_edges(trace)
     intervals = line.intervals
     tol = 1e-9 * max(1.0, float(field.max_mass))
 
     def close(a, b):
         return abs(a - b) <= tol
 
-    for i in range(1, len(trace.edges)):
+    for i in range(1, len(edges)):
         y = trace.sites[i]
         prev_site, next_site = trace.sites[i - 1], trace.sites[i + 1]
-        e_in, e_out = trace.edges[i - 1], trace.edges[i]
+        e_in, e_out = edges[i - 1], edges[i]
         (a1, b1), (a2, b2) = intervals[i - 1], intervals[i]
         sw, nw, ne, se = (eta[e] for e in incident_edges(y))
         xi = births.births.get(y, 0)
@@ -554,18 +540,19 @@ def association_cases(field, births, line):
 def test_maximal_line_single_birth():
     f = single_birth_field(D3, (2, 0), 2.0)
     tr = BrokenTrace(((4, -2), (3, -1), (2, 0), (3, 1), (4, 2)))
-    line = maximal_line(f, tr)
+    diagram = brick_diagram(f)
+    line = diagram.maximal_line(tr)
     assert line.weight == pytest.approx(2.0)
     assert all((a, b) == (0.0, 2.0) for a, b in line.intervals)
     sub = BrokenTrace(tr.sites[1:4])
-    assert maximal_line(f, sub).weight == pytest.approx(2.0)
+    assert diagram.maximal_line(sub).weight == pytest.approx(2.0)
 
 
 def test_maximal_line_empty_when_no_flow():
     f = single_birth_field(D3, (2, 0), 2.0)
     dead = BrokenTrace(((1, -1), (0, 0), (1, 1)))
-    line = maximal_line(f, dead)
-    assert line.is_empty
+    line = brick_diagram(f).maximal_line(dead)
+    assert line.intervals == ()
     assert line.weight == 0
 
 
@@ -619,7 +606,7 @@ def test_integer_lines_are_maximal(seed):
             continue
         label = start  # one below the smallest admissible label
         survived = True
-        for i in range(1, len(trace.edges)):
+        for i in range(1, len(trace.sites) - 1):
             y = trace.sites[i]
             came_low = trace.sites[i - 1] == (y[0] - 1, y[1] - 1)
             goes_high = trace.sites[i + 1] == (y[0] + 1, y[1] + 1)
@@ -643,7 +630,7 @@ def test_integer_lines_reproduce_discrete_labels(seed):
         # unit labels: p corresponds to the slice (p-1, p]
         for offset in range(1, int(w) + 1):
             labels = [a + offset for a, _ in line.intervals]
-            for i in range(1, len(trace.edges)):
+            for i in range(1, len(trace.sites) - 1):
                 y = trace.sites[i]
                 came_low = trace.sites[i - 1] == (y[0] - 1, y[1] - 1)
                 goes_high = trace.sites[i + 1] == (y[0] + 1, y[1] + 1)
@@ -653,8 +640,6 @@ def test_integer_lines_reproduce_discrete_labels(seed):
 
 def all_crossing_traces(domain):
     """Exhaustive DFS over crossing traces of a small domain."""
-    from brokenlines.lattice import edge_between
-
     out = []
 
     def extend(sites):
@@ -680,8 +665,8 @@ def association_weight(field, births, trace):
     Returns the final interval (empty as ``None``) and its width.
     """
     eta = field.mass
-    lo, hi = 0.0, eta[trace.edges[0]]
-    for i in range(1, len(trace.edges)):
+    lo, hi = 0.0, eta[edge_between(*trace.sites[:2])]
+    for i in range(1, len(trace.sites) - 1):
         y = trace.sites[i]
         sw, nw, ne, se = (eta[e] for e in incident_edges(y))
         xi = births.births.get(y, 0)
@@ -768,7 +753,7 @@ def test_brick_diagram_rejects_hexagons_and_bad_fields():
         brick_diagram(f)
     broken = zero_field(D3)
     mass = dict(broken.mass)
-    mass[edge_ne((2, 0))] = 1.0
+    mass[Edge(2, 0, True)] = 1.0
     with pytest.raises(ValueError):
         brick_diagram(FlowField(D3, mass, "float"))
 
@@ -780,8 +765,8 @@ def test_decompose_refuses_heights_apart_beyond_tolerance():
     # brick diagram reads its slack, refuses the field
     f = field_from_birth(D3, births=BirthField(D3, {(2, 0): 2.0}))
     mass = dict(f.mass)
-    mass[edge_ne((3, 1))] += 1.8e-9
-    mass[edge_se((3, -1))] -= 1.8e-9
+    mass[Edge(3, 1, True)] += 1.8e-9
+    mass[Edge(3, -1, False)] -= 1.8e-9
     bent = FlowField(D3, mass, "float")
     assert not check_conservation(bent)
     with pytest.raises(ValueError, match="crossing-flow sums disagree"):
@@ -796,8 +781,8 @@ def test_line_fields_wedge():
     births, boundary, field = line_fields(D3, tr, 1.0)
     assert births.births == {(2, 0): 1.0}
     assert boundary.up_in == {} and boundary.down_in == {}
-    assert field.mass[edge_ne((2, 0))] == 1.0
-    assert sum(v != 0 for v in field.mass.values()) == len(tr.edges)
+    assert field.mass[Edge(2, 0, True)] == 1.0
+    assert sum(v != 0 for v in field.mass.values()) == len(tr.sites) - 1
 
 
 def test_line_fields_straight_ascent():
@@ -843,6 +828,9 @@ def test_decomposition_csv_roundtrip():
     back = decomposition_from_csv_rows([[str(c) for c in row] for row in rows])
     assert back.traces() == dec.traces()
     assert back.weights() == dec.weights()
+    assert back == dec
+    rows[-1][1] += 1
+    assert decomposition_from_csv_rows([[str(c) for c in row] for row in rows]) != dec
 
 
 # ---------------------------------------------------- byte contract

@@ -162,8 +162,8 @@ def test_backward_path_on_every_zero_one_matrix(n, m):
         matrix = [[(bits >> (i * m + j)) & 1 for j in range(m)] for i in range(n)]
         xi = births_from_matrix(matrix)
         path = optimal_path_backward(field_from_birth(xi.domain, births=xi))
-        assert path.sites[0] == xi.domain.west_corner
-        assert path.sites[-1] == xi.domain.east_corner
+        assert path.sites[0] == xi.domain.cell_to_site(1, 1)
+        assert path.sites[-1] == xi.domain.cell_to_site(n, m)
         assert path_sum(xi, path) == lpp_dp(xi, with_path=False).value
 
 
