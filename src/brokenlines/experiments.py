@@ -4,7 +4,7 @@ For i.i.d. exponential or geometric births on an ``n x floor(beta n)``
 rectangle the scaled passage value converges to an explicit constant; these
 experiments estimate the finite-size mean and the tail exceedance rates.
 Every draw is addressed by ``(seed, replica, row, col)``, so replicas run
-in blocks, column by column, and no birth matrix is ever held.
+in blocks, anti-diagonal by anti-diagonal, and no birth matrix is ever held.
 """
 
 from __future__ import annotations
@@ -15,13 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import EXPONENTIAL, GEOMETRIC, DistSpec
-from .lpp import _columns
+from .lpp import _diagonals
 from .lpp import passage_value  # noqa: F401  (traced by benchmarks/tracing.py)
-from .streams import stream_base, uniform_columns
+from .streams import stream_base, uniform_diagonals
 from .streams import uniform_grid  # noqa: F401  (traced by benchmarks/tracing.py)
 
-# Replica·row cells per block, so memory is O(block) for any replica count;
-# 2**16 was the fastest of the sizes tried, from 2**12 to unbounded.
+# Replicas times the longer side per block, so memory is O(block) for any
+# replica count.  Best of nine timings at 2**12, 2**14, 2**16, 2**18 and
+# 2**20 on a 2-core x86_64 host: the `scan` sizes (n = 100, 200, 400, 100
+# replicas each) took 330, 277, 278, 256 and 262 ms, the `growth` sizes
+# 531, 509, 468, 468 and 491 ms, and 34 replicas of a 2100 x 2 rectangle
+# 487, 63, 19, 11 and 17 ms: 2**14 and up are within noise on the square
+# shapes, so the smallest state that keeps tall shapes fast is kept.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -108,20 +113,20 @@ def replica_passage(dist: DistSpec, n: int, m: int, seed: int, replicas: range) 
     """Passage values of the i.i.d. ``n x m`` birth matrices of ``replicas``.
 
     Replica ``r`` draws cell ``(i, j)`` from ``(seed, r, i, j)``, so its
-    value does not depend on the other replicas.  Blocks of at most
-    ``_BLOCK_CELLS`` replica·row cells are swept column by column.
+    value does not depend on the other replicas.  A block of
+    ``_BLOCK_CELLS // max(n, m)`` replicas is swept by anti-diagonals, drawn
+    in runs of whole diagonals.  The sweep takes ``n + m - 1``
+    steps, so its cost is a per-step term in ``n + m`` plus a per-cell term,
+    and each value is the one the scalar recurrence gives, bit for bit.
     """
     values = np.empty(len(replicas))
-    block = max(1, _BLOCK_CELLS // n)
+    block = max(1, _BLOCK_CELLS // max(n, m))
     for start in range(0, len(replicas), block):
         bases = [stream_base(seed, r) for r in replicas[start : start + block]]
-        births = (
-            np.asarray(dist.from_uniform(u), dtype=float)
-            for u in uniform_columns(bases, n, m)
-        )
-        for col in _columns(births):
+        births = (dist.from_uniform(u) for u in uniform_diagonals(bases, n, m))
+        for last in _diagonals(n, m, births):
             pass
-        values[start : start + len(bases)] = col[:, -1]
+        values[start : start + len(bases)] = last[0]
     return values
 
 

@@ -36,10 +36,6 @@ class Edge(NamedTuple):
     def base(self) -> Site:
         return (self.t, self.x)
 
-    @property
-    def head(self) -> Site:
-        return (self.t + 1, self.x + 1 if self.up else self.x - 1)
-
 
 class ColumnPlan(NamedTuple):
     """Index arrays of one domain, for sweeps one ``t``-column at a time.

@@ -78,11 +78,6 @@ class BrokenTrace:
         """The sites' ``t`` and ``x`` as two arrays, for the domain's index plans."""
         return np.array(self.t_values), np.arange(self.x_low, self.x_high + 1)
 
-    def t_at(self, x: int) -> int:
-        if not self.x_low <= x <= self.x_high:
-            raise KeyError(x)
-        return self.t_values[x - self.x_low]
-
     @cached_property
     def left_corners(self) -> tuple[Site, ...]:
         """Sites where the trace turns at a local t-minimum; births live here."""
@@ -98,7 +93,7 @@ def _crossing(domain: RectDomain, t: np.ndarray, x: np.ndarray, counts: np.ndarr
     outer = ~inside & (plan.find(plan.closure_keys, t, x) >= 0)
     last = np.cumsum(counts) - 1
     strays = np.bincount(np.repeat(np.arange(len(counts)), counts)[~inside], minlength=len(counts))
-    return outer[last - counts + 1] & outer[last] & (strays == 2)
+    return outer[last - counts + 1] & outer[last] & (strays == 2) & (counts > 2)
 
 
 def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:

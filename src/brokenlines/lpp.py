@@ -4,6 +4,13 @@ The passage value is the best total birth mass collected by an oriented
 corner-to-corner path.  It equals the total crossing flow of the field grown
 from the births alone, which yields a linear-time backward rule for an
 optimal path on top of the usual dynamic program.
+
+The dynamic program has one implementation, :func:`_diagonals`: it sweeps
+the ``n + m - 1`` anti-diagonals, each step one maximum and one sum over a
+whole diagonal (and over any number of matrices at once), so its cost is a
+per-step term in ``n + m`` plus a per-cell term.  Every cell is rounded as
+the scalar recurrence ``G = x + max(up, left)`` rounds it, so a passage value
+equals that of the textbook loop and of the transposed matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -73,47 +80,69 @@ def births_from_matrix(matrix: np.ndarray) -> BirthField:
     return BirthField(domain, births)
 
 
-def _columns(columns):
-    """Yield the best-path sums column by column, holding one column.
+def _diagonals(n: int, m: int, births):
+    """Yield the best-path sums anti-diagonal by anti-diagonal, holding one diagonal.
 
-    ``G[..., i, j] = x[..., i, j] + max(G[..., i-1, j], G[..., i, j-1])``,
-    fed one column ``x[..., :, j]`` of shape ``(..., n)`` at a time and
-    evaluated for the whole column as a prefix sum plus a running maximum
-    along the last axis.  Leading axes are independent matrices.
+    ``G[i, j] = x[i, j] + max(G[i-1, j], G[i, j-1])`` for the cells
+    ``(i, d - i)`` of diagonal ``d``, ``i = lo .. hi`` with
+    ``lo = max(0, d - m + 1)`` and ``hi = min(n - 1, d)``.  ``births`` yields
+    runs: the ``(hi - lo + 1, ...)`` births of consecutive whole diagonals,
+    ``d = 0, 1, ...`` in order, stacked along the first axis.  Trailing axes
+    are independent matrices.  The state ``g[i + 1]`` holds ``G`` at row
+    ``i`` of the latest diagonal over a ``-inf`` border ``g[0]``, so a step is
+    one maximum and one sum over contiguous rows, in place, rounded as the
+    scalar recurrence rounds.  Each yielded view is overwritten by the next
+    step.
     """
-    columns = iter(columns)
-    col = np.cumsum(next(columns), axis=-1)
-    yield col
-    for x in columns:
-        cum = np.cumsum(x, axis=-1)
-        gap = col.copy()
-        gap[..., 1:] -= cum[..., :-1]
-        col = cum + np.maximum.accumulate(gap, axis=-1)
-        yield col
+    d = 0
+    for run in births:
+        if d == 0:
+            g = np.full((n + 1, *run.shape[1:]), -np.inf)
+            g[1] = 0.0  # the empty path into cell (0, 0)
+            best = np.empty((min(n, m), *run.shape[1:]))
+        at = 0
+        while at < len(run):
+            lo, hi = max(0, d - m + 1), min(n - 1, d)
+            k = hi - lo + 1
+            np.maximum(g[lo : hi + 1], g[lo + 1 : hi + 2], out=best[:k])
+            yield np.add(best[:k], run[at : at + k], out=g[lo + 1 : hi + 2])
+            at += k
+            d += 1
+
+
+def _matrix_diagonals(matrix: np.ndarray):
+    """The anti-diagonals of an ``(n, m)`` matrix as ``(k, 1)`` runs of one diagonal each."""
+    m = matrix.shape[1]
+    flipped = np.fliplr(matrix)
+    for d in range(sum(matrix.shape) - 1):
+        yield np.diagonal(flipped, m - 1 - d)[:, None]
 
 
 def _dp_table(matrix: np.ndarray) -> np.ndarray:
     """Cumulative best-path table G[i, j] over matrix cells."""
-    table = np.empty(matrix.shape)
-    for j, col in enumerate(_columns(matrix.T)):
-        table[:, j] = col
+    n, m = matrix.shape
+    table = np.empty((n, m))
+    for d, diagonal in enumerate(_diagonals(n, m, _matrix_diagonals(matrix))):
+        rows = np.arange(max(0, d - m + 1), min(n - 1, d) + 1)
+        table[rows, d - rows] = diagonal[:, 0]
     return table
 
 
 def passage_value(matrix: np.ndarray) -> float:
     """Best oriented path sum over a matrix, value only, O(n) memory."""
-    for col in _columns(np.atleast_2d(np.asarray(matrix, dtype=float)).T):
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    for last in _diagonals(*matrix.shape, _matrix_diagonals(matrix)):
         pass
-    return float(col[-1])
+    return float(last[0, 0])
 
 
 def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
     """Forward dynamic program; ties prefer the predecessor in the first index."""
     domain = require_rect(xi.domain, "passage values")
+    if not with_path:
+        return LppResult(passage_value(birth_matrix(xi)), None)
     table = _dp_table(birth_matrix(xi))
     value = float(table[-1, -1])
-    if not with_path:
-        return LppResult(value, None)
     i, j = domain.n - 1, domain.m - 1
     cells = [(i, j)]
     while i > 0 or j > 0:

@@ -18,7 +18,15 @@ _MULT2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MULT1 = np.uint64(_MULT1)
 _U_MULT2 = np.uint64(_MULT2)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _TO_UNIT = 2.0 ** -53
+
+# Draws per run of :func:`uniform_diagonals`, enough that numpy's per-call
+# cost stays small on short diagonals.  With runs of 2**12, 2**13, 2**14,
+# 2**15 and 2**16 draws the `growth` and `scan` sizes took 904, 790, 699,
+# 748 and 713 ms (best of nine, 2-core x86_64 host); above 2**14 only the
+# buffers grow: 2**16 raised the `growth` sizes' peak RSS by 3 MB.
+_RUN_CELLS = 1 << 14
 
 
 def _mix(h: int) -> int:
@@ -59,44 +67,78 @@ def uniforms_at(seed: int, *keys) -> np.ndarray:
         else:
             bits = np.asarray(k, np.int64).view(np.uint64) + _U_GOLDEN
             h = _mix_array(np.asarray(h, np.uint64) ^ bits)
-    return (np.atleast_1d(np.asarray(h, np.uint64)) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    return _unit(np.atleast_1d(np.asarray(h, np.uint64)))
 
 
-def _mix_array(h: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on an array, in place when it already holds uint64."""
+def _mix_array(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer on an array, in place when it already holds uint64.
+
+    ``scratch``, an array of ``h``'s shape, holds the shifted words, so a
+    caller that passes one allocates nothing.
+    """
     h = h.astype(np.uint64, copy=False)
-    h ^= h >> np.uint64(30)
+    if scratch is None:
+        scratch = np.empty_like(h)
+    np.right_shift(h, _S30, out=scratch)
+    h ^= scratch
     h *= _U_MULT1
-    h ^= h >> np.uint64(27)
+    np.right_shift(h, _S27, out=scratch)
+    h ^= scratch
     h *= _U_MULT2
-    h ^= h >> np.uint64(31)
+    np.right_shift(h, _S31, out=scratch)
+    h ^= scratch
     return h
+
+
+def _counters(count: int) -> np.ndarray:
+    """Keys ``0 .. count-1`` as the hash folds them in, wrapped to 64 bits."""
+    return np.arange(count, dtype=np.uint64) + _U_GOLDEN
+
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each hash as a uniform in [0, 1)."""
+    return (h >> _S11).astype(np.float64) * _TO_UNIT
 
 
 def uniforms(base: int, count: int) -> np.ndarray:
     """Vector of uniforms in [0, 1) for counters ``0 .. count-1``."""
-    idx = np.arange(count, dtype=np.uint64) + _U_GOLDEN
-    h = _mix_array(np.uint64(base & _MASK) ^ idx)
-    return (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-
-def uniform_columns(bases, rows: int, cols: int):
-    """Yield column ``j`` of the uniform grid of every base, for ``j = 0 .. cols-1``.
-
-    Column ``j`` is the ``(len(bases), rows)`` array addressed by
-    ``(base, row, j)``; the row keys are mixed once, so a block of replicas
-    is drawn one column at a time without holding any grid.
-    """
-    bases = np.asarray([b & _MASK for b in bases], dtype=np.uint64)
-    row_keys = _mix_array(bases[:, None] ^ (np.arange(rows, dtype=np.uint64) + _U_GOLDEN))
-    for j in range(cols):
-        h = _mix_array(row_keys ^ np.uint64((j + _GOLDEN) & _MASK))
-        yield (h >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    return _unit(_mix_array(np.uint64(base & _MASK) ^ _counters(count)))
 
 
 def uniform_grid(base: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) array of uniforms addressed by (base, row, col)."""
-    grid = np.empty((rows, cols))
-    for j, col in enumerate(uniform_columns([base], rows, cols)):
-        grid[:, j] = col[0]
-    return grid
+    row_keys = _mix_array(np.uint64(base & _MASK) ^ _counters(rows))
+    return _unit(_mix_array(row_keys[:, None] ^ _counters(cols)))
+
+
+def uniform_diagonals(bases, rows: int, cols: int):
+    """Yield the uniform grid of every base anti-diagonal by anti-diagonal, in runs.
+
+    Anti-diagonal ``d`` holds the uniforms addressed by ``(base, i, d - i)``
+    for ``i = lo .. hi``, with ``lo = max(0, d - cols + 1)`` and
+    ``hi = min(rows - 1, d)``, as ``hi - lo + 1`` rows of ``len(bases)``.  A
+    run is the rows of consecutive whole diagonals, ``d = 0, 1, ...`` in
+    order, stacked; it holds at most ``_RUN_CELLS`` uniforms unless one
+    diagonal alone holds more.  The row keys are mixed once and the column keys held in
+    descending order, so each diagonal is one contiguous XOR, and a run is
+    one SplitMix64 pass in reused buffers: each yielded run is overwritten by
+    the next.
+    """
+    bases = np.asarray([b & _MASK for b in bases], dtype=np.uint64)
+    row_keys = _mix_array(_counters(rows)[:, None] ^ bases)
+    # col_keys[p] holds the key of column cols - 1 - p, once per base
+    col_keys = np.repeat(_counters(cols)[::-1, None], len(bases), axis=1)
+    count, side = rows + cols - 1, min(rows, cols)
+    run = max(1, _RUN_CELLS // (side * len(bases)))
+    shape = (min(run * side, rows * cols), len(bases))
+    h, scratch, u = np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape)
+    for first in range(0, count, run):
+        c = 0
+        for d in range(first, min(first + run, count)):
+            lo, hi = max(0, d - cols + 1), min(rows - 1, d)
+            k, p = hi - lo + 1, cols - 1 - d + lo
+            np.bitwise_xor(row_keys[lo : hi + 1], col_keys[p : p + k], out=h[c : c + k])
+            c += k
+        _mix_array(h[:c], scratch[:c])
+        np.right_shift(h[:c], _S11, out=h[:c])
+        yield np.multiply(h[:c], _TO_UNIT, out=u[:c])

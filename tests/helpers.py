@@ -134,6 +134,16 @@ def incident_edges(y) -> tuple[Edge, Edge, Edge, Edge]:
     return Edge(t - 1, x - 1, True), Edge(t - 1, x + 1, False), Edge(t, x, True), Edge(t, x, False)
 
 
+def edge_head(e: Edge):
+    """The site at the top of ``e``, one step up in ``t``."""
+    return (e.t + 1, e.x + 1 if e.up else e.x - 1)
+
+
+def trace_t_at(trace, x: int) -> int:
+    """The ``t`` of ``trace`` at height ``x``; KeyError off the trace."""
+    return {site_x: t for t, site_x in trace.sites}[x]
+
+
 def edge_between(a, b) -> Edge:
     """The edge joining the diagonal neighbours ``a`` and ``b``: based at the
     one of smaller ``t``, ascending when the other lies at larger ``x``."""

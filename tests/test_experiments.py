@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brokenlines import experiments
-from brokenlines.duality import DistSpec
+from brokenlines.duality import DistSpec, parse_dist
 from brokenlines.experiments import (
     _BLOCK_CELLS,
     LlnConfig,
@@ -180,3 +182,26 @@ def test_reports_serialize():
     scan = concentration_scan([10, 20], 0.5, GEOM5, 1.0, replicas=20, seed=0)
     d = scan.to_dict()
     assert d["ns"] == [10, 20] and len(d["rates"]) == 2
+
+
+# sha256 of json.dumps(report.samples) for geometric births, whose passage
+# values are sums of integers and so exact under any recurrence order
+GEOMETRIC_DIGESTS = {
+    ("geom:0.5", 1, 1.0): "e6c603f76e00f1cfad5dac88037ab3cdfe7285348a2e39ba79bf9e556f7b6490",
+    ("geom:0.5", 7, 2.0): "0181289c3f93c456d4d210c989acc59a29848274a81c1467ba5e16df26f34b81",
+    ("geom:0.5", 40, 0.5): "635f84870c2426a97fa26f85fba638da3d47c3bc3001325d088412a9027f7dbe",
+    ("geom:0.5", 120, 1.0): "822563190dcb000cdeaaa5bf17f1b233f66431f5de10fae466a352242826363e",
+    ("geom:0.9", 1, 1.0): "948c4f666281d72486a74c4ab6405f1da0955ad422d4a5a92723db2507b2840f",
+    ("geom:0.9", 7, 2.0): "be7c1c2f9b6f4120c4ad977cf7d6da7792ecee79d055642b78680e2597d27e2e",
+    ("geom:0.9", 40, 0.5): "18990b0f911f9aa495f83c23311dc3e57a7b46c4d7877abb5f884029981f9c79",
+    ("geom:0.9", 120, 1.0): "801f9dbcf5e3b43d130441bd1f373322b2de603c2be0bb4179e2ffe65ae2d8f6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEOMETRIC_DIGESTS), ids=repr)
+def test_geometric_samples_are_pinned(case):
+    token, n, beta = case
+    replicas = {1: 5, 7: 9, 40: 12, 120: 6}[n]
+    report = lln_experiment(LlnConfig(n, beta, parse_dist(token), replicas, seed=21))
+    digest = hashlib.sha256(json.dumps(report.samples).encode()).hexdigest()
+    assert digest == GEOMETRIC_DIGESTS[case]

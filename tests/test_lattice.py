@@ -6,6 +6,7 @@ from brokenlines.lattice import HexDomain, RectDomain, domain_from_dict, midpoin
 from helpers import (
     DIAGONALS,
     edge_between,
+    edge_head,
     hex_contains,
     hex_of_rect,
     hex_sides,
@@ -73,8 +74,8 @@ def test_sites_match_scan_oracle(n, m):
 def test_edge_canonicalization_roundtrip(t, k):
     y = (t, t % 2 + 2 * k)  # force even parity
     for e in incident_edges(y):
-        assert edge_between(e.base, e.head) == e
-        assert edge_between(e.head, e.base) == e
+        assert edge_between(e.base, edge_head(e)) == e
+        assert edge_between(edge_head(e), e.base) == e
 
 
 def test_edge_counts():

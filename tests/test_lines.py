@@ -39,6 +39,7 @@ from brokenlines.streams import stream_base, uniform
 from helpers import (
     decomposition_of,
     edge_between,
+    edge_head,
     flank_site_range,
     incident_edges,
     max_edge_gap,
@@ -48,6 +49,7 @@ from helpers import (
     random_field,
     trace_crosses,
     trace_edges,
+    trace_t_at,
 )
 
 D3 = RectDomain(3, 3)
@@ -109,7 +111,7 @@ def test_trace_views():
     tr = v_trace((2, 0), arm=2)
     assert tr.left_corners == ((2, 0),)
     assert tr.x_low == -2 and tr.x_high == 2
-    assert tr.t_at(0) == 2
+    assert trace_t_at(tr, 0) == 2
 
 
 def test_compare_equal_and_shifted():
@@ -253,6 +255,13 @@ def test_compose_validation():
         compose(D3, decomposition_of(((inner, 1.0),)))
 
 
+def test_compose_refuses_a_trace_with_no_inner_body():
+    # two outer closure sites one step apart: both endpoints outside, nothing inside
+    bare = BrokenTrace(((-1, 1), (0, 2)))
+    with pytest.raises(ValueError, match="trace does not cross the domain"):
+        compose(RectDomain(1, 2), decomposition_of(((bare, 1.0),)))
+
+
 @given(st.integers(0, 400), st.sampled_from(["float", "int"]))
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_both_ways(seed, mode):
@@ -324,7 +333,7 @@ def test_single_edge_traces_recover_masses():
     f = random_field(RectDomain(3, 3), seed=21)
     diagram = brick_diagram(f)
     for e in f.domain.edges:
-        tr_sites = tuple(sorted((e.base, e.head), key=lambda y: y[1]))
+        tr_sites = tuple(sorted((e.base, edge_head(e)), key=lambda y: y[1]))
         w = diagram.weight_of(BrokenTrace(tr_sites))
         assert w == pytest.approx(f.mass[e], abs=1e-12)
 

@@ -1,8 +1,15 @@
+import hashlib
+import inspect
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokenlines import experiments, lpp
 from brokenlines.flow import (
     BirthField,
     BoundaryFlow,
@@ -71,6 +78,51 @@ def test_dp_matches_brute_force(seed):
     )
     xi = births_from_matrix(matrix)
     assert lpp_dp(xi).value == lpp_bruteforce(xi)
+
+
+def textbook_passage_value(matrix):
+    """``G[i][j] = x[i][j] + max(G[i-1][j], G[i][j-1])``, one python float at a time."""
+    n, m = matrix.shape
+    G = [[0.0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            preds = ([G[i - 1][j]] if i else []) + ([G[i][j - 1]] if j else [])
+            G[i][j] = float(matrix[i, j]) + (max(preds) if preds else 0.0)
+    return G[-1][-1]
+
+
+def random_float_matrix(seed):
+    rng = np.random.default_rng(seed)
+    return rng.exponential(size=(rng.integers(1, 31), rng.integers(1, 31)))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_passage_value_equals_the_textbook_recurrence_bit_for_bit(seed):
+    matrix = random_float_matrix(seed)
+    assert passage_value(matrix) == textbook_passage_value(matrix)
+    assert passage_value(matrix) == passage_value(matrix.T)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_float_dp_path_collects_exactly_the_dp_value(seed):
+    xi = births_from_matrix(random_float_matrix(seed))
+    result = lpp_dp(xi)
+    assert path_sum(xi, result.path) == result.value
+    assert lpp_dp(xi, with_path=False).value == result.value
+
+
+def test_integer_valued_passage_values_are_pinned():
+    # integer sums are exact, so these values do not depend on the recurrence's order
+    values = []
+    for k in range(40):
+        n, m = 1 + int(uniform(31, k, 0) * 30), 1 + int(uniform(31, k, 1) * 30)
+        matrix = [[int(uniform(31, k, i, j) * 100) for j in range(m)] for i in range(n)]
+        values.append(passage_value(np.array(matrix, dtype=float)))
+    assert sum(values) == 75493.0
+    digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
+    assert digest == "cbd5ef9928fde7c7481acafe034484ebcbf16089d2e3bab67e5d05c8e75f9c91"
 
 
 def test_matrix_roundtrip_uses_cell_indexing():
@@ -220,3 +272,19 @@ def test_backward_walk_reads_linearly_many_edges():
     # two reads per step for the walk, one boundary pass for the
     # zero-inflow precondition: linear in the perimeter, not the area
     assert 0 < _CountingValues.reads <= 2 * steps + (12 + 9) + 8
+
+
+def test_one_lpp_recurrence_lives_in_lpp_diagonals():
+    # passage values have one recurrence: a prefix-sum scan, or a second
+    # elementwise maximum next to it, would round by an order of its own
+    package = Path(lpp.__file__).parent
+    scans = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\.accumulate\b", line)
+    ]
+    assert scans == []
+    source = inspect.getsource(lpp) + inspect.getsource(experiments)
+    assert re.findall(r"np\.(?:f?max(?:imum)?|cumsum)\b", source) == ["np.maximum"]
+    assert "np.maximum" in inspect.getsource(lpp._diagonals)

@@ -2,11 +2,12 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brokenlines import streams
 from brokenlines.lattice import HexDomain
 from brokenlines.streams import (
     stream_base,
     uniform,
-    uniform_columns,
+    uniform_diagonals,
     uniform_grid,
     uniforms,
     uniforms_at,
@@ -44,14 +45,28 @@ def test_uniform_grid_matches_order_independent_addressing():
     assert np.array_equal(sub, grid[:2, :3])
 
 
-def test_uniform_columns_draw_each_cell_from_seed_replica_row_col():
+def test_uniform_diagonals_draw_each_cell_from_seed_replica_row_col(monkeypatch):
     bases = [stream_base(9, r) for r in range(3)]
-    columns = list(uniform_columns(bases, 4, 5))
-    assert len(columns) == 5
-    for j, col in enumerate(columns):
-        assert col.shape == (3, 4)
-        assert col.tolist() == [[uniform(9, r, i, j) for i in range(4)] for r in range(3)]
-    assert np.array_equal(uniform_grid(bases[2], 4, 5), np.stack(columns, axis=-1)[2])
+    for rows, cols in [(4, 5), (5, 4), (1, 3), (3, 1), (1, 1)]:
+        diagonals = [
+            [(i, d - i) for i in range(max(0, d - cols + 1), min(rows - 1, d) + 1)]
+            for d in range(rows + cols - 1)
+        ]
+        cells_in_order = [cell for diag in diagonals for cell in diag]
+        expected = [[uniform(9, r, i, j) for r in range(3)] for i, j in cells_in_order]
+        grid = uniform_grid(bases[2], rows, cols)
+        assert [grid[i, j] for i, j in cells_in_order] == [row[2] for row in expected]
+        for cells in (1, 7, streams._RUN_CELLS):
+            monkeypatch.setattr(streams, "_RUN_CELLS", cells)
+            runs = [run.copy() for run in uniform_diagonals(bases, rows, cols)]
+            assert np.concatenate(runs).tolist() == expected
+            # a run stacks whole diagonals and holds at most `cells` draws,
+            # unless one diagonal alone holds more
+            ends = np.cumsum([len(run) for run in runs])
+            diagonal_ends = np.cumsum([len(diag) for diag in diagonals])
+            assert set(ends.tolist()) <= set(diagonal_ends.tolist())
+            per_run = np.diff(np.searchsorted(diagonal_ends, ends, side="right"), prepend=0)
+            assert all(run.size <= cells or count == 1 for run, count in zip(runs, per_run))
 
 
 def test_uniforms_look_uniform():
