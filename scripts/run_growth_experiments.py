@@ -26,8 +26,6 @@ def main() -> None:
     parser.add_argument("--base-replicas", type=int, default=20_000,
                         help="replicas at size n are base-replicas // n")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored: replicas run in one thread")
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 

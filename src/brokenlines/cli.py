@@ -314,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--n", type=int, default=250)
     p.add_argument("--replicas", type=int, default=20)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: replicas run in one thread")
     p.add_argument("--samples-csv", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
@@ -327,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="exp:1")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--replicas", type=int, default=500)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: replicas run in one thread")
     p.add_argument("--rates-csv", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)

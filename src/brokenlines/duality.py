@@ -33,7 +33,7 @@ from .flow import (
     site_outflows,
     sweep,
 )
-from .lattice import Domain, RectDomain, _find, require_rect
+from .lattice import Domain, RectDomain, require_rect
 from .streams import stream_base, uniforms, uniforms_at
 
 EXPONENTIAL = "exponential"
@@ -413,11 +413,9 @@ def time_reverse(field: FlowField) -> FlowField:
     cx = domain.n - domain.m
 
     # edge (t, x, up) goes to (ct - t - 1, x + 1 + cx, down) and a descending
-    # one to (ct - t - 1, x - 1 + cx, up); sorted, the images are mirrored.edges
-    keys = domain.plan.edge_keys
-    t, x = domain.plan.decode(keys >> 1)
-    descends = keys & 1
-    image = 2 * mirrored.plan.key(ct - t - 1, x + cx + 1 - 2 * descends) + 1 - descends
+    # one to (ct - t - 1, x - 1 + cx, up): together, all of mirrored.edges
+    t, x, down = domain.plan.edge_points()
+    image = mirrored.plan.find_edges(ct - t - 1, x + cx + 1 - 2 * down, 1 - down)
     return FlowField.from_values(mirrored, field.values[np.argsort(image)], field.mode)
 
 
@@ -450,10 +448,8 @@ def consistency_test(
     inner = RectDomain(n_inner, m_inner)
     lam_direct = lam if inner_lam is None else inner_lam
 
-    # the inner rectangle's edges, found among the outer rows by edge key
-    keys = inner.plan.edge_keys
-    t, x = inner.plan.decode(keys >> 1)
-    rows = _find(outer.plan.edge_keys, 2 * outer.plan.key(t, x) + (keys & 1))
+    # the inner rectangle's edges, found among the outer rows
+    rows = outer.plan.find_edges(*inner.plan.edge_points())
     restricted = _sampled_mass(outer, _chain(lam), seed, _TAG_OUTER, nsamples)[rows]
     direct = _sampled_mass(inner, _chain(lam_direct), seed, _TAG_INNER, nsamples)
 

@@ -38,7 +38,7 @@ from numbers import Real
 
 import numpy as np
 
-from .lattice import Domain, Edge, Site, _find, as_integers, domain_from_dict, require_rect
+from .lattice import Domain, Edge, Site, as_integers, domain_from_dict, require_rect
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -65,9 +65,6 @@ class BoundaryFlow:
     @classmethod
     def zero(cls) -> "BoundaryFlow":
         return cls({}, {})
-
-    def total(self):
-        return sum(self.up_in.values()) + sum(self.down_in.values())
 
 
 @dataclass(frozen=True, init=False)
@@ -257,7 +254,7 @@ def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) 
         raise ValueError(f"{what}: {[k for k in keys if type(k) is not tuple or len(k) != 2]}")
     flat = as_integers(list(chain.from_iterable(keys)), "a site coordinate")
     plan = domain.plan
-    index = plan.find(plan.site_keys, *_boxed(plan, flat[0::2], flat[1::2]))
+    index = plan.find(plan.site_keys, flat[0::2], flat[1::2])
     bad = index < 0
     if on is not None:
         bad[~bad] = ~on[index[~bad]]
@@ -371,8 +368,8 @@ def total_crossing_flow(field: FlowField):
 
 def field_to_dict(f: FlowField) -> dict:
     plan = f.domain.plan
-    t, x = plan.decode(plan.edge_keys >> 1)
-    slopes = map(("up", "down").__getitem__, (plan.edge_keys & 1).tolist())
+    t, x, down = plan.edge_points()
+    slopes = map(("up", "down").__getitem__, down.tolist())
     return {
         "domain": f.domain.to_dict(),
         "mode": f.mode,
@@ -381,21 +378,6 @@ def field_to_dict(f: FlowField) -> dict:
             for t, x, slope, mass in zip(t.tolist(), x.tolist(), slopes, f.values.tolist())
         ],
     }
-
-
-def _boxed(plan, t: list[int], x: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Python ints ``t`` and ``x`` as int64, each clipped to just outside the
-    plan's box, where no point is: exact however large they are."""
-    t_hi = int(plan.decode(plan.closure_keys[-1])[0]) + 1
-    bounds = ((plan.t_lo - 1, t_hi), (plan.x_lo - 1, plan.x_lo + plan.width))
-    boxed = []
-    for values, (lo, hi) in zip((t, x), bounds):
-        try:
-            values = np.array(values, dtype=np.int64)
-        except OverflowError:
-            values = np.array(values, dtype=object)
-        boxed.append(np.clip(values, lo, hi).astype(np.int64))
-    return tuple(boxed)
 
 
 def field_from_dict(d: dict) -> FlowField:
@@ -424,9 +406,8 @@ def field_from_dict(d: dict) -> FlowField:
     def edge(k: int) -> Edge:
         return Edge(t[k], x[k], not down[k])
 
-    # a coordinate beyond the plan's box is clipped to just outside it, where no edge is
     plan = domain.plan
-    found = _find(plan.edge_keys, 2 * plan.key(*_boxed(plan, t, x)) + down)
+    found = plan.find_edges(t, x, down)
     if (found < 0).any():
         raise ValueError(f"edge {edge(int(np.argmin(found)))} outside the domain closure")
     order = np.argsort(found, kind="stable")

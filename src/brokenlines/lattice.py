@@ -45,7 +45,9 @@ class ColumnPlan(NamedTuple):
     base's key, plus one when it descends.  Sorting keys therefore sorts
     points by ``(t, x)`` and edges in canonical order, so positions in the
     sorted key arrays index ``domain.sites``, ``domain.closure`` and
-    ``domain.edges``.
+    ``domain.edges``.  Only this module forms keys or takes edge keys apart:
+    other modules look points and edges up by their coordinates and read the
+    edges' coordinates from :meth:`edge_points`.
     """
 
     t_lo: int
@@ -58,14 +60,26 @@ class ColumnPlan(NamedTuple):
     columns: tuple[slice, ...]  # the sites of each t, in order
 
     def key(self, t, x) -> np.ndarray:
-        """Key of each point, unique inside the box: an ``x`` outside it keys -1,
-        and a ``t`` outside it keys below or above every key inside."""
-        t, x = np.asarray(t) - self.t_lo, np.asarray(x) - self.x_lo
-        return np.where((0 <= x) & (x < self.width), t * self.width + x, -1)
+        """Key of each point ``(t, x)``, exact for int64 arrays and for Python
+        ints of any size: each coordinate is first clipped onto the rim of the
+        box, where no closure point lies, so a point outside the box never keys
+        one inside and no key wraps around 64 bits."""
+        w = self.width
+        t = _clipped(t, self.t_lo, self.t_lo + int(self.closure_keys[-1]) // w + 1) - self.t_lo
+        return t * w + (_clipped(x, self.x_lo, self.x_lo + w - 1) - self.x_lo)
 
     def find(self, sorted_keys: np.ndarray, t, x) -> np.ndarray:
         """Position of each point ``(t, x)`` in ``sorted_keys``, -1 where it is absent."""
         return _find(sorted_keys, self.key(t, x))
+
+    def find_edges(self, t, x, down) -> np.ndarray:
+        """Canonical index of each edge from ``(t, x)``, descending where ``down``; -1 if none."""
+        return _find(self.edge_keys, 2 * self.key(t, x) + down)
+
+    def edge_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Base ``t``, base ``x`` and descending bit (1 or 0) of every edge, in canonical order."""
+        t, x = self.decode(self.edge_keys >> 1)
+        return t, x, self.edge_keys & 1
 
     def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return keys // self.width + self.t_lo, keys % self.width + self.x_lo
@@ -74,11 +88,15 @@ class ColumnPlan(NamedTuple):
         t, x = self.decode(keys)
         return tuple(zip(t.tolist(), x.tolist()))
 
-    def step_edges(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def step_edges(self, t, x) -> np.ndarray:
         """Canonical index of the edge of each step ``(t, x)[i] -> (t, x)[i + 1]``
         between diagonal neighbours, -1 where it is no domain edge."""
-        k = 2 * self.key(t, x)
-        return _find(self.edge_keys, np.where(t[1:] > t[:-1], k[:-1], k[1:] + 1))
+        k = self.key(t, x)
+        # a step's base is its end of smaller t, which has the smaller key: a
+        # step up in t raises the key by width + 1, a step down lowers it by
+        # width - 1 (and a clipped end keys on the rim, where no edge is based)
+        a, b = k[:-1], k[1:]
+        return _find(self.edge_keys, 2 * np.minimum(a, b) + (b < a))
 
 
 class MidpointPlan(NamedTuple):
@@ -116,6 +134,21 @@ def _find(sorted_keys: np.ndarray, keys) -> np.ndarray:
     """Position of each key in ``sorted_keys``, -1 where it is absent."""
     pos = np.searchsorted(sorted_keys, keys)
     return np.where(sorted_keys.take(pos, mode="clip") == keys, pos, -1)
+
+
+def _clipped(values, lo: int, hi: int) -> np.ndarray:
+    """Integers ``values`` as int64, clipped to ``[lo, hi]``: exact for Python
+    ints of any size, and an int64 array already inside is not copied."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        inside = not values.size or (lo <= values.min() and values.max() <= hi)
+        return values if inside else values.clip(lo, hi)
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:  # a Python int beyond 64 bits
+        values = np.array(values, dtype=object)
+    # a fresh array, clipped in place: two ufuncs cost less than np.clip's wrapper
+    np.maximum(values, lo, out=values)
+    return np.minimum(values, hi, out=values).astype(np.int64, copy=False)
 
 
 def _parts(a: np.ndarray, like: list) -> list[np.ndarray]:
@@ -215,10 +248,9 @@ class _DomainMixin:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Edges with at least one endpoint in the domain, canonical order."""
-        keys = self.plan.edge_keys
-        t, x = self.plan.decode(keys >> 1)
+        t, x, down = self.plan.edge_points()
         edge = partial(tuple.__new__, Edge)  # Edge's own __new__, without its Python frame
-        return tuple(map(edge, zip(t.tolist(), x.tolist(), (keys & 1 == 0).tolist())))
+        return tuple(map(edge, zip(t.tolist(), x.tolist(), (down == 0).tolist())))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:

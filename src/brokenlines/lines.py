@@ -74,10 +74,6 @@ class BrokenTrace:
     def x_high(self) -> int:
         return self.sites[-1][1]
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sites' ``t`` and ``x`` as two arrays, for the domain's index plans."""
-        return np.array(self.t_values), np.arange(self.x_low, self.x_high + 1)
-
     @cached_property
     def left_corners(self) -> tuple[Site, ...]:
         """Sites where the trace turns at a local t-minimum; births live here."""
@@ -268,7 +264,7 @@ class BrickDiagram:
         return int(lo[0]), int(hi[0])
 
     def trace_range(self, trace: BrokenTrace) -> tuple[int, int]:
-        lo, hi = self._site_ranges(*trace._arrays())
+        lo, hi = self._site_ranges(*zip(*trace.sites))
         return int(lo.max()), int(hi.min())
 
     def weight_of(self, trace: BrokenTrace):
@@ -284,7 +280,7 @@ class BrickDiagram:
         each edge's own (0, mass] scale, whose bottom is the higher of its two
         end sites' bottoms; an empty range yields the empty line.
         """
-        site_lo, site_hi = self._site_ranges(*trace._arrays())
+        site_lo, site_hi = self._site_ranges(*zip(*trace.sites))
         lo, hi = int(site_lo.max()), int(site_hi.min())
         if hi <= lo:
             return BrokenLine(trace, ())
@@ -424,7 +420,7 @@ def line_fields(
     """
     mode = infer_mode([weight])
     weight = as_mass(weight, mode, "line weight")
-    edges = domain.plan.step_edges(*trace._arrays())
+    edges = domain.plan.step_edges(*zip(*trace.sites))
     if (edges < 0).any():
         raise ValueError("trace leaves the domain closure")
 

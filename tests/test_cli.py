@@ -61,14 +61,17 @@ def test_lpp_rejects_non_finite_cells(tmp_path, cell):
     assert not out.exists()
 
 
-def test_threads_option_is_accepted_and_ignored(tmp_path):
-    for threads in ([], ["--threads", "4"]):
-        out = tmp_path / f"lln{len(threads)}.json"
-        assert run(["lln", "--n", "8", "--replicas", "3", "--seed", "2", *threads,
-                    "--out", str(out)]) == 0
-    assert (tmp_path / "lln0.json").read_text() == (tmp_path / "lln2.json").read_text()
-    assert run(["concentration", "--ns", "4,8", "--replicas", "5", "--threads", "2",
-                "--out", str(tmp_path / "scan.json")]) == 0
+@pytest.mark.parametrize("command", [
+    ["lln", "--n", "8", "--replicas", "3"],
+    ["concentration", "--ns", "4,8", "--replicas", "5"],
+], ids=["lln", "concentration"])
+def test_threads_option_is_refused(tmp_path, command):
+    # replicas run in one thread: the option that did nothing is gone
+    out = tmp_path / "result.json"
+    assert run([*command, "--out", str(out)]) == 0
+    out.unlink()
+    assert run([*command, "--threads", "2", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_decompose_zero_field_writes_header_only(tmp_path):

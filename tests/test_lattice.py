@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenlines.lattice import HexDomain, RectDomain, domain_from_dict, midpoints
+from brokenlines import lattice
+from brokenlines.lattice import Edge, HexDomain, RectDomain, domain_from_dict, midpoints
 from helpers import (
     DIAGONALS,
     edge_between,
@@ -219,3 +224,61 @@ def test_midpoints_are_odd_neighbours():
     assert (-1, 0) in mids and (3, 0) in mids
     # (n+1)(m+1) face corners of the site grid
     assert len(mids) == 9
+
+
+HEX = HexDomain(0, 4, 2, 2, (0, -1, -2, -1, 0), (0, 1, 2, 1, 0))
+# HEX moved by 2**61 in t and x: keys are relative to the plan's box, so they do not overflow
+F = 2**61
+FAR_HEX = HexDomain(F, F + 4, F + 2, F + 2,
+                    tuple(F + x for x in HEX.x_lower), tuple(F + x for x in HEX.x_upper))
+
+
+@pytest.mark.parametrize("domain", [RectDomain(1, 1), RectDomain(2, 3), HEX, FAR_HEX],
+                         ids=["1x1", "2x3", "hex", "far hex"])
+def test_edge_points_and_find_edges_invert_each_other(domain):
+    plan = domain.plan
+    t, x, down = plan.edge_points()
+    assert list(zip(t.tolist(), x.tolist(), (down == 0).tolist())) == list(domain.edges)
+    assert plan.find_edges(t, x, down).tolist() == list(range(len(domain.edges)))
+    assert plan.find_edges(t.tolist(), x.tolist(), down).tolist() == list(range(len(domain.edges)))
+
+
+FAR = st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70),
+                st.sampled_from([2**61, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]))
+
+
+@given(st.sampled_from([RectDomain(2, 3), RectDomain(3, 1), HEX]), FAR, FAR, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_lookups_are_exact_for_integers_of_any_size(domain, t, x, down):
+    # a point or edge is found exactly when it is one of the domain's, as
+    # Python ints of any size and, where they fit, as int64 arrays
+    plan = domain.plan
+    forms = [([t], [x])]
+    if max(abs(t), abs(x)) < 2**63 - 1:
+        forms.append((np.array([t]), np.array([x])))
+    for ts, xs in forms:
+        assert (plan.find(plan.closure_keys, ts, xs)[0] >= 0) == ((t, x) in domain.closure_set)
+        assert (plan.find(plan.site_keys, ts, xs)[0] >= 0) == domain.contains((t, x))
+        found = plan.find_edges(ts, xs, int(down))[0]
+        assert (found >= 0) == (Edge(t, x, not down) in domain.edge_set)
+        if found >= 0:
+            assert domain.edges[found] == Edge(t, x, not down)
+        steps = ([t, t + 1 - 2 * down], [x, x + 1]), ([t + 1 - 2 * down, t], [x - 1, x])
+        for step_t, step_x in steps:
+            edge = plan.step_edges(step_t, step_x)[0]
+            assert (edge >= 0) == (edge_between(*zip(step_t, step_x)) in domain.edge_set)
+
+
+def test_edge_keys_live_in_lattice_only():
+    # one lookup rule: other modules pass coordinates to the plans and never
+    # form, shift or mask a key themselves
+    package = Path(lattice.__file__).parent
+    pattern = r"\b_find\b|\b_boxed\b|\.key\(|edge_keys\s*(>>|<<|&|\|)"
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "lattice.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(pattern, line)
+    ]
+    assert found == []

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -373,14 +372,18 @@ def test_site_range_equals_the_flank_rule():
 
 # A point's key in the index plans names it only inside the plans' box.  On
 # D3 the step (-2, 8) -> (-1, 9) would key as the edge (-1, -1, up), and the
-# wedge keys as the crossing wedge ((5, -1), (4, 0), (5, 1)).
-OUT_OF_BOX = (BrokenTrace(((-2, 8), (-1, 9))), BrokenTrace(((3, 17), (2, 18), (3, 19))))
+# wedge keys as the crossing wedge ((5, -1), (4, 0), (5, 1)).  In 64 bits the
+# step (-2**63, 0) -> (-2**63 + 1, 1) wrapped onto the edge (0, 0, up).
+OUT_OF_BOX = (
+    BrokenTrace(((-2, 8), (-1, 9))),
+    BrokenTrace(((3, 17), (2, 18), (3, 19))),
+    BrokenTrace(((-(2**63), 0), (-(2**63) + 1, 1))),
+)
 
 
-@pytest.mark.parametrize("trace", OUT_OF_BOX, ids=["step", "wedge"])
+@pytest.mark.parametrize("trace", OUT_OF_BOX, ids=["step", "wedge", "wrapping step"])
 def test_traces_outside_the_index_box_are_rejected(trace):
-    t, x = (np.array(c) for c in zip(*trace.sites))
-    assert (D3.plan.step_edges(t, x) == -1).all()
+    assert (D3.plan.step_edges(*zip(*trace.sites)) == -1).all()
     f = field_from_birth(D3, births=BirthField(D3, {y: 1.0 for y in D3.sites}))
     with pytest.raises(ValueError):
         brick_diagram(f).weight_of(trace)
@@ -388,6 +391,52 @@ def test_traces_outside_the_index_box_are_rejected(trace):
         line_fields(D3, trace, 1.0)
     with pytest.raises(ValueError):
         compose(D3, decomposition_of(((trace, 1.0),)))
+
+
+# Shifts of a whole trace in t far beyond the index box.  On RectDomain(2, 3),
+# whose box is 8 wide, t + 2**61 keyed as t in 64 bits; the others lie
+# beyond 64 bits.  x moves by the shift's parity, to stay on the even
+# sublattice.
+FAR_SHIFTS = [2**61, 2**63, 2**64, -(2**63) - 1, 10**30]
+
+
+def _shifted(sites, shift: int) -> tuple:
+    return tuple((t + shift, x + shift % 2) for t, x in sites)
+
+
+@pytest.mark.parametrize("shift", FAR_SHIFTS)
+def test_compose_refuses_csv_traces_far_outside(shift, tmp_path, capsys):
+    from brokenlines.cli import run
+
+    rows = decomposition_to_csv_rows(decompose(random_field(RectDomain(2, 3), seed=4)))
+    assert len(rows) > 2
+    for row in rows[1:]:
+        sites = [tuple(map(int, token.split(":"))) for token in row[2].split()]
+        row[2] = " ".join(f"{t}:{x}" for t, x in _shifted(sites, shift))
+    message = "trace does not cross the domain" if abs(shift) < 2**62 else "beyond 64 bits"
+    rows = [[str(c) for c in row] for row in rows]
+    with pytest.raises(ValueError, match=message):
+        compose(RectDomain(2, 3), decomposition_from_csv_rows(rows))
+    lines_csv = tmp_path / "lines.csv"
+    lines_csv.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "rebuilt.json"
+    assert run(["compose", "--lines", str(lines_csv), "--n", "2", "--m", "3",
+                "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift", FAR_SHIFTS)
+def test_trace_queries_refuse_traces_far_outside(shift):
+    domain = RectDomain(2, 3)
+    field = random_field(domain, seed=4)
+    diagram = brick_diagram(field)
+    queries = (diagram.weight_of, diagram.maximal_line, lambda far: line_fields(domain, far, 1.0))
+    for trace, _ in decompose(field):
+        far = BrokenTrace(_shifted(trace.sites, shift))
+        for query in queries:
+            with pytest.raises(ValueError, match="trace leaves the domain closure"):
+                query(far)
 
 
 @given(st.integers(0, 300))

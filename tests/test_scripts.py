@@ -9,6 +9,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -42,3 +44,12 @@ def test_run_growth_experiments(tmp_path, monkeypatch):
         ["exp:1", "20"], ["exp:1", "40"], ["geom:0.5", "20"], ["geom:0.5", "40"]
     ]
     assert len(list(tmp_path.glob("growth_*_n*.json"))) == 4
+
+
+def test_run_growth_experiments_refuses_threads(tmp_path, monkeypatch):
+    # replicas run in one thread: the option that did nothing is gone
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "run_growth_experiments.py", "--threads", "2",
+                   "--outdir", str(tmp_path))
+    assert exit_info.value.code == 2
+    assert not list(tmp_path.iterdir())
