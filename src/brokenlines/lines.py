@@ -98,10 +98,16 @@ def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
     ``a`` is right of ``b`` when it is nowhere earlier on shared heights and
     somewhere not earlier overall (the second clause decides disjoint
     domains).  Traces dominating each other both ways are reported EQUAL;
-    on crossing traces that happens only for identical ones.
+    on crossing traces that happens only for identical ones.  The pair is
+    first moved to start at ``t = x = 0``, so int64 holds it if it fits.
     """
-    t = np.array(a.t_values + b.t_values)
-    x = np.concatenate([np.arange(tr.x_low, tr.x_high + 1) for tr in (a, b)])
+    ts = a.t_values + b.t_values
+    t0, x0 = min(ts), min(a.x_low, b.x_low)
+    span = max(max(ts) - t0, max(a.x_high, b.x_high) - x0)
+    if span > np.iinfo(np.int64).max:
+        raise ValueError(f"the two traces span {span}, beyond 64 bits")
+    t = np.array([v - t0 for v in ts], dtype=np.int64)
+    x = np.concatenate([tr.x_low - x0 + np.arange(len(tr.sites)) for tr in (a, b)])
     counts = np.array([len(a.sites), len(b.sites)])
     a_right, b_right = (bool(v[0]) for v in _dominance(t, x, counts, [0], [1]))
     if a_right and b_right:

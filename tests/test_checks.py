@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, norm
 
 from brokenlines import checks
-from brokenlines.checks import ks_statistic, mean_z_check
+from brokenlines.checks import chi2_homogeneity_check, ks_statistic, mean_z_check
 from helpers import ks_distance
 
 _rng = np.random.default_rng(2024)
@@ -52,3 +53,33 @@ def test_z_threshold_is_computed_once_per_level():
             mean_z_check("m", np.arange(10.0), np.arange(10.0) + 0.5, alpha)
     info = checks._z_threshold.cache_info()
     assert (info.misses, info.hits) == (2, 4)
+
+
+def test_z_threshold_is_the_normal_isf_bit_for_bit():
+    # random levels, and the levels the reports use: 0.01 or 1e-6 over 1..40 checks
+    used = [s / k for s in (0.01, 1e-6) for k in range(1, 41)]
+    levels = np.concatenate([np.random.default_rng(16).uniform(0.0, 0.1, 2000), used])
+    thresholds = np.array([checks._z_threshold(alpha) for alpha in levels.tolist()])
+    assert np.array_equal(thresholds, norm.isf(levels / 2))
+
+
+def _tables():
+    """1 000 seeded 2 x k tables, k = 2..11, with counts from 1 up to 2 999."""
+    rng = np.random.default_rng(17)
+    for k in range(2, 12):
+        for top in rng.choice([5, 30, 300, 3_000], size=100):
+            yield rng.integers(1, top, size=(2, k)).astype(float)
+
+
+def test_chi2_homogeneity_check_is_chi2_contingency_bit_for_bit():
+    yates = set()
+    for table in [*_tables(), np.array([[3.0, 5.0], [6.0, 10.0]])]:
+        values = np.arange(table.shape[1])
+        a, b = (np.repeat(values, row.astype(int)) for row in table)
+        # with nothing pooled the check's table is this one
+        check = chi2_homogeneity_check("c", a, b, 0.01, min_expected=0.0)
+        assert check.statistic == 1 - chi2_contingency(table).pvalue
+        if table.shape[1] == 2:
+            gap = abs(np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum() - table)
+            yates.add(bool(gap[0, 0] < 0.5))
+    assert yates == {True, False}  # both branches of Yates' correction ran

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -348,6 +349,36 @@ print("scipy" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_checking_commands_do_not_load_scipy_stats():
+    # the checks need only scipy.special's normal and chi-square closed forms
+    script = """
+import sys
+from brokenlines.cli import run
+assert run(["burke", "--triple", "geom:0.5,geom:0.5,geom:0.25", "--samples", "1000"]) in (0, 2)
+assert run(["consistency", "--samples", "1000"]) in (0, 2)
+assert run(["duality-check", "--triple", "exp:1,exp:2,exp:3", "--n", "10000"]) in (0, 2)
+print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True False"
+
+
+def test_only_checks_names_scipy():
+    package = Path(__file__).resolve().parent.parent / "src" / "brokenlines"
+    naming = {path.name for path in package.rglob("*.py") if "scipy" in path.read_text()}
+    assert naming == {"checks.py"}
+    imports = re.findall(r"^\s*(?:from|import) scipy\S*(?: import \w+)?", (package / "checks.py").read_text(), re.M)
+    assert imports and not any("stats" in line for line in imports)
 
 
 def test_readme_cli_block_parses_and_runs_in_order(tmp_path, monkeypatch):

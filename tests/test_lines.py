@@ -141,6 +141,35 @@ def test_compare_subtrace_is_order_equivalent():
     assert compare_traces(tr, sub) is Order.EQUAL
 
 
+ORDERED_PAIRS = [
+    (BrokenTrace(((0, 0), (1, 1), (0, 2))), BrokenTrace(((2, 0), (1, 1), (2, 2)))),
+    (v_trace((0, 0)), v_trace((2, 0))),
+    (BrokenTrace(((0, 0), (1, 1))), BrokenTrace(((9, 5), (8, 6)))),
+    (BrokenTrace(((0, 0), (1, 1), (2, 2))), BrokenTrace(((2, 0), (1, 1), (0, 2)))),
+    (v_trace((2, 0)), BrokenTrace(((3, -1), (2, 0), (3, 1)))),
+]
+
+
+@pytest.mark.parametrize("shift", [2**61, 2**63, 2**64])
+@pytest.mark.parametrize("axis", ["t", "x"])
+def test_compare_traces_keeps_the_order_of_pairs_shifted_far(shift, axis):
+    def moved(trace):
+        dt, dx = (shift, shift % 2) if axis == "t" else (shift % 2, shift)
+        return BrokenTrace(tuple((t + dt, x + dx) for t, x in trace.sites))
+
+    for a, b in ORDERED_PAIRS:
+        assert compare_traces(moved(a), moved(b)) is compare_traces(a, b)
+        assert compare_traces(moved(b), moved(a)) is compare_traces(b, a)
+
+
+def test_compare_traces_refuses_pairs_beyond_64_bits_apart():
+    a, far = BrokenTrace(((0, 0), (1, 1))), 2**63
+    assert compare_traces(a, BrokenTrace(((far - 2, far - 2), (far - 1, far - 1)))) is Order.LEFT_OF
+    for b in (BrokenTrace(((far, 0), (far + 1, 1))), BrokenTrace(((0, far), (1, far + 1)))):
+        with pytest.raises(ValueError, match="beyond 64 bits"):
+            compare_traces(a, b)
+
+
 def random_crossing_trace(domain, seed):
     """Seeded walk from a lower outer site through S until it exits above."""
     starts = sorted(set(outer_southwest(domain)) | set(outer_southeast(domain)))
