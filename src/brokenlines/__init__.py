@@ -14,13 +14,11 @@ from .duality import (
     classify_triple,
     consistency_test,
     evolve_chain,
-    flow_through_site,
     kernel_duality_residual,
     parse_dist,
     parse_triple,
     reversal_invariance_test,
     reverse_through_site,
-    time_reverse,
     transition_kernel,
 )
 from .experiments import (
@@ -40,7 +38,6 @@ from .flow import (
     extract,
     field_from_birth,
     total_crossing_flow,
-    zero_field,
 )
 from .lattice import (
     Edge,
@@ -53,9 +50,7 @@ from .lines import (
     BrokenLine,
     BrokenTrace,
     Decomposition,
-    Order,
     brick_diagram,
-    compare_traces,
     compose,
     decompose,
     line_fields,

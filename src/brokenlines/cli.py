@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -168,7 +169,10 @@ def _read_manifest(args) -> None:
     if not isinstance(manifest, dict):
         raise ValueError(f"a manifest must be a JSON object, not {type(manifest).__name__}")
     args.n = as_integer(manifest["n"], "manifest n")
-    args.beta = float(manifest["beta"])
+    beta = manifest["beta"]
+    if type(beta) not in (int, float):
+        raise ValueError(f"manifest beta must be a number, not {beta!r}")
+    args.beta = float(beta)
     args.dist = str(manifest["dist"])  # a token only when it is one already
     args.replicas = as_integer(manifest["replicas"], "manifest replicas")
     args.seed = as_integer(manifest.get("seed", args.seed), "manifest seed")
@@ -229,6 +233,13 @@ def _render(args) -> int:
     return OK
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brokenlines",
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", dest="nsamples", type=int, default=100_000)
     p.add_argument("--kernel-lams", help="comma list: run the kernel duality check instead")
     p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--tolerance", type=float, default=REL_TOL,
+    p.add_argument("--tolerance", type=_tolerance, default=REL_TOL,
                    help="absolute bound on each kernel residual, a quantity of scale 1")
     common(p)
     p.set_defaults(func=_duality_check)
@@ -360,3 +371,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -33,7 +33,7 @@ from .flow import (
     site_outflows,
     sweep,
 )
-from .lattice import Domain, RectDomain, require_rect
+from .lattice import Domain, RectDomain
 from .streams import stream_base, uniforms, uniforms_at
 
 EXPONENTIAL = "exponential"
@@ -110,9 +110,6 @@ class DistSpec:
         if self.kind == POINTMASS:
             return np.full_like(np.asarray(u, dtype=float), self.value)
         return self.low + (self.high - self.low) * np.asarray(u)
-
-    def sample_array(self, base: int, count: int) -> np.ndarray:
-        return self.from_uniform(uniforms(base, count))
 
     def token(self) -> str:
         if self.kind == EXPONENTIAL:
@@ -197,23 +194,15 @@ def classify_triple(triple: Triple) -> Verdict:
     return Verdict(False, NOT_SELF_DUAL)
 
 
-def flow_through_site(in_up, in_down, birth):
-    """Single-site update: keep the inflows, emit the outflows.
+def reverse_through_site(in_up, in_down, birth):
+    """Reversal map: (outflows, annihilated mass) of the site seen backwards.
 
-    Output differences always match input differences, pairs only.
+    An involution on nonnegative triples; each must be a mass.
     """
     mode = infer_mode((in_up, in_down, birth))
     for v in (in_up, in_down, birth):
         as_mass(v, mode, "the site")
-    return (in_up, in_down, *site_outflows(in_up, in_down, birth))
-
-
-def reverse_through_site(in_up, in_down, birth):
-    """Reversal map: (outflows, annihilated mass) of the site seen backwards.
-
-    An involution on nonnegative triples.
-    """
-    return (*flow_through_site(in_up, in_down, birth)[2:], min(in_up, in_down))
+    return (*site_outflows(in_up, in_down, birth), min(in_up, in_down))
 
 
 def transition_kernel(out_up: int, out_down: int, in_up: int, in_down: int, lam: float) -> float:
@@ -281,7 +270,8 @@ def reversal_invariance_test(
     def draws(tag: int) -> list[np.ndarray]:
         specs = enumerate((triple.pi1, triple.pi2, triple.pi3))
         return [
-            np.asarray(p.sample_array(stream_base(seed, tag, i), nsamples), float) for i, p in specs
+            np.asarray(p.from_uniform(uniforms(stream_base(seed, tag, i), nsamples)), float)
+            for i, p in specs
         ]
 
     r, s, t = draws(_TAG_FIELD)
@@ -398,25 +388,6 @@ def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
         dict(zip(domain.southwest_side, up.tolist())), dict(zip(domain.northwest_side, down.tolist()))
     )
     return field_from_birth(domain, boundary, BirthField.from_values(domain, born), mode="int")
-
-
-def time_reverse(field: FlowField) -> FlowField:
-    """Mirror a field in time: ``(t, x) -> (-t, x)`` recentered.
-
-    The image lives on the transposed rectangle with ascending and
-    descending slopes exchanged; applying the map twice gives the original
-    field back, and conservation and the crossing flow are preserved.
-    """
-    domain = require_rect(field.domain, "time reversal")
-    mirrored = RectDomain(domain.m, domain.n)
-    ct = domain.n + domain.m - 2
-    cx = domain.n - domain.m
-
-    # edge (t, x, up) goes to (ct - t - 1, x + 1 + cx, down) and a descending
-    # one to (ct - t - 1, x - 1 + cx, up): together, all of mirrored.edges
-    t, x, down = domain.plan.edge_points()
-    image = mirrored.plan.find_edges(ct - t - 1, x + cx + 1 - 2 * down, 1 - down)
-    return FlowField.from_values(mirrored, field.values[np.argsort(image)], field.mode)
 
 
 def consistency_test(

@@ -62,10 +62,6 @@ class BoundaryFlow:
     up_in: dict[Site, float]
     down_in: dict[Site, float]
 
-    @classmethod
-    def zero(cls) -> "BoundaryFlow":
-        return cls({}, {})
-
 
 @dataclass(frozen=True, init=False)
 class BirthField:
@@ -88,10 +84,6 @@ class BirthField:
         field = cls.__new__(cls)
         field.__dict__.update(domain=domain, _values=values)
         return field
-
-    @classmethod
-    def zero(cls, domain: Domain) -> "BirthField":
-        return cls(domain, {})
 
     @cached_property
     def births(self) -> dict[Site, float]:
@@ -240,11 +232,6 @@ def sweep(domain: Domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarr
     return mass
 
 
-def zero_field(domain: Domain, mode: str = "float") -> FlowField:
-    zeros = np.zeros(len(domain.plan.edge_keys), np.int64 if mode == "int" else np.float64)
-    return FlowField.from_values(domain, zeros, mode)
-
-
 def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) -> np.ndarray:
     """Position in ``domain.sites`` of each key of ``values``; ValueError
     ``what: [keys]`` listing the keys that are no site, or no site where
@@ -275,8 +262,8 @@ def field_from_birth(
     is ``birth + [in_up - in_down]^+`` and symmetrically for the descending
     one, so the result conserves mass by construction.
     """
-    boundary = boundary or BoundaryFlow.zero()
-    births = births or BirthField.zero(domain)
+    boundary = boundary or BoundaryFlow({}, {})
+    births = births or BirthField(domain, {})
     if births.domain != domain:
         raise ValueError("birth field belongs to a different domain")
 

@@ -4,7 +4,8 @@ A broken trace walks upward in x with t-steps of +-1.  Every flow field on a
 rectangle splits uniquely into an ordered family of weighted traces that
 cross the domain; the splitting is read off the brick diagram, a cumulative
 height function on the odd half-lattice whose vertical strips are exactly
-the maximal crossing lines.
+the maximal crossing lines.  The left-to-right order of the lines is
+checked where a family of them comes in, by :func:`compose`.
 
 One storage form, views on read: a :class:`Decomposition` holds its traces
 as arrays alone, and the :class:`BrokenTrace` objects are built only when
@@ -16,7 +17,6 @@ of the field, built once for any number of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain
 from operator import add, sub
@@ -39,13 +39,6 @@ from .flow import (
 from .lattice import RectDomain, Site, midpoints, require_rect
 
 
-class Order(Enum):
-    LEFT_OF = "left_of"
-    RIGHT_OF = "right_of"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
 @dataclass(frozen=True)
 class BrokenTrace:
     """Sites ``y_0 .. y_n`` with ``x`` increasing by one and ``t`` by +-1."""
@@ -62,23 +55,10 @@ class BrokenTrace:
             raise ValueError("trace leaves the even sublattice")
 
     @cached_property
-    def t_values(self) -> tuple[int, ...]:
-        """The ``t`` of each site, indexed by ``x - x_low``."""
-        return tuple(t for t, _ in self.sites)
-
-    @property
-    def x_low(self) -> int:
-        return self.sites[0][1]
-
-    @property
-    def x_high(self) -> int:
-        return self.sites[-1][1]
-
-    @cached_property
     def left_corners(self) -> tuple[Site, ...]:
         """Sites where the trace turns at a local t-minimum; births live here."""
-        ts = self.t_values
-        return tuple(y for y, a, b in zip(self.sites[1:], ts, ts[2:]) if a == b == y[0] + 1)
+        sites = self.sites
+        return tuple(y for y, a, b in zip(sites[1:], sites, sites[2:]) if a[0] == b[0] == y[0] + 1)
 
 
 def _crossing(domain: RectDomain, t: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -90,33 +70,6 @@ def _crossing(domain: RectDomain, t: np.ndarray, x: np.ndarray, counts: np.ndarr
     last = np.cumsum(counts) - 1
     strays = np.bincount(np.repeat(np.arange(len(counts)), counts)[~inside], minlength=len(counts))
     return outer[last - counts + 1] & outer[last] & (strays == 2) & (counts > 2)
-
-
-def compare_traces(a: BrokenTrace, b: BrokenTrace) -> Order:
-    """Left/right order of two traces.
-
-    ``a`` is right of ``b`` when it is nowhere earlier on shared heights and
-    somewhere not earlier overall (the second clause decides disjoint
-    domains).  Traces dominating each other both ways are reported EQUAL;
-    on crossing traces that happens only for identical ones.  The pair is
-    first moved to start at ``t = x = 0``, so int64 holds it if it fits.
-    """
-    ts = a.t_values + b.t_values
-    t0, x0 = min(ts), min(a.x_low, b.x_low)
-    span = max(max(ts) - t0, max(a.x_high, b.x_high) - x0)
-    if span > np.iinfo(np.int64).max:
-        raise ValueError(f"the two traces span {span}, beyond 64 bits")
-    t = np.array([v - t0 for v in ts], dtype=np.int64)
-    x = np.concatenate([tr.x_low - x0 + np.arange(len(tr.sites)) for tr in (a, b)])
-    counts = np.array([len(a.sites), len(b.sites)])
-    a_right, b_right = (bool(v[0]) for v in _dominance(t, x, counts, [0], [1]))
-    if a_right and b_right:
-        return Order.EQUAL
-    if a_right:
-        return Order.RIGHT_OF
-    if b_right:
-        return Order.LEFT_OF
-    return Order.INCOMPARABLE
 
 
 def _dominance(t, x, counts, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +222,9 @@ class BrickDiagram:
         lo, hi = self._site_ranges([y[0]], [y[1]])
         return int(lo[0]), int(hi[0])
 
-    def trace_range(self, trace: BrokenTrace) -> tuple[int, int]:
-        lo, hi = self._site_ranges(*zip(*trace.sites))
-        return int(lo.max()), int(hi.min())
-
     def weight_of(self, trace: BrokenTrace):
-        lo, hi = self.trace_range(trace)
+        site_lo, site_hi = self._site_ranges(*zip(*trace.sites))
+        lo, hi = int(site_lo.max()), int(site_hi.min())
         if hi <= lo:
             return 0 if self.mode == "int" else 0.0
         return self.breakpoints[hi] - self.breakpoints[lo]

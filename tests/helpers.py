@@ -163,6 +163,42 @@ def trace_crosses(domain, trace) -> bool:
     return len(inside) > 2 and not inside[0] and not inside[-1] and all(inside[1:-1])
 
 
+def trace_order(a, b) -> tuple[bool, bool]:
+    """Whether ``a`` dominates ``b``, and ``b`` dominates ``a``, by the definition.
+
+    The reference for ``lines._dominance``: one trace dominates another when
+    it is nowhere earlier on the heights ``x`` they share, or, sharing none,
+    when its latest ``t`` is not before the other's earliest.
+    """
+    t_a, t_b = ({x: t for t, x in trace.sites} for trace in (a, b))
+    shared = t_a.keys() & t_b.keys()
+    if shared:
+        return all(t_a[x] >= t_b[x] for x in shared), all(t_b[x] >= t_a[x] for x in shared)
+    return max(t_a.values()) >= min(t_b.values()), max(t_b.values()) >= min(t_a.values())
+
+
+def zero_field(domain, mode: str = "float") -> FlowField:
+    """The field with no mass on any edge."""
+    return FlowField(domain, dict.fromkeys(domain.edges, 0 if mode == "int" else 0.0), mode)
+
+
+def time_reverse(field: FlowField) -> FlowField:
+    """A field on ``RectDomain(n, m)`` mirrored in time, on ``RectDomain(m, n)``.
+
+    Edge ``(t, x, up)`` goes to ``(ct - t - 1, x + cx + 1, down)`` and a
+    descending one to ``(ct - t - 1, x + cx - 1, up)``, with
+    ``ct = n + m - 2`` and ``cx = n - m``: the map ``(t, x) -> (-t, x)``
+    recentred, which exchanges the ascending and descending slopes.
+    """
+    n, m = field.domain.n, field.domain.m
+    ct, cx = n + m - 2, n - m
+    mass = {
+        Edge(ct - e.t - 1, e.x + cx + (1 if e.up else -1), not e.up): v
+        for e, v in field.mass.items()
+    }
+    return FlowField(RectDomain(m, n), mass, field.mode)
+
+
 def max_edge_gap(a: FlowField, b: FlowField):
     """Largest edgewise difference between two fields on one domain."""
     if a.domain != b.domain:

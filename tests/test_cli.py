@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from brokenlines.cli import build_parser, run
-from brokenlines.flow import field_to_dict, zero_field
+from brokenlines.flow import field_to_dict
 from brokenlines.lattice import RectDomain
 from brokenlines.render import render_field_svg
-from helpers import random_field
+from helpers import random_field, zero_field
 
 
 def write_matrix(path, rows):
@@ -279,6 +279,10 @@ def test_lln_manifest_is_echoed_and_its_integers_checked(tmp_path, capsys):
     manifest.write_text(json.dumps(dict(good, dist=5)))
     assert run(["lln", "--manifest", str(manifest)]) == 1
     assert "error: cannot parse distribution token '5'" in capsys.readouterr().err
+    for value in (None, True, [1.0], {"beta": 1.0}, "1.0"):
+        manifest.write_text(json.dumps(dict(good, beta=value)))
+        assert run(["lln", "--manifest", str(manifest)]) == 1
+        assert f"error: manifest beta must be a number, not {value!r}" in capsys.readouterr().err
 
 
 def test_concentration_subcommand(tmp_path):
@@ -307,6 +311,12 @@ def test_experiments_reject_a_bad_beta_or_delta(tmp_path, capsys, args):
     assert run(args + ["--replicas", "3", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_duality_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tolerance):
+    assert run(["duality-check", "--kernel-lams", "0.5", "--tolerance", tolerance]) == 1
+    assert "--tolerance: must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_render_subcommand(tmp_path):
@@ -349,6 +359,24 @@ print("scipy" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_module_run_prints_what_run_prints(capsys):
+    # python -m brokenlines.cli runs the command, as the console script does
+    argv = ["sample", "--n", "2", "--m", "2", "--lam", "0.5"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "brokenlines.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert expected.startswith("{") and '"edges"' in expected
+    assert result.stdout == expected
 
 
 def test_checking_commands_do_not_load_scipy_stats():

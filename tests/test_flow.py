@@ -19,7 +19,6 @@ from brokenlines.flow import (
     field_to_dict,
     sweep,
     total_crossing_flow,
-    zero_field,
 )
 from brokenlines.lattice import Edge, HexDomain, RectDomain
 from brokenlines.lines import (
@@ -28,7 +27,15 @@ from brokenlines.lines import (
     decomposition_from_csv_rows,
     decomposition_to_csv_rows,
 )
-from helpers import add_fields, dict_sweep, hex_of_rect, hexagons, max_edge_gap, random_field
+from helpers import (
+    add_fields,
+    dict_sweep,
+    hex_of_rect,
+    hexagons,
+    max_edge_gap,
+    random_field,
+    zero_field,
+)
 
 ONE = RectDomain(1, 1)
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +20,12 @@ from brokenlines.flow import (
     field_to_dict,
     tolerance,
     total_crossing_flow,
-    zero_field,
 )
 from brokenlines.lattice import Edge, HexDomain, RectDomain
 from brokenlines.lines import (
     BrokenTrace,
-    Order,
+    _dominance,
     brick_diagram,
-    compare_traces,
     compose,
     decompose,
     decomposition_from_csv_rows,
@@ -34,7 +33,7 @@ from brokenlines.lines import (
     line_fields,
 )
 from brokenlines.lpp import births_from_matrix
-from brokenlines.streams import stream_base, uniform
+from brokenlines.streams import stream_base, uniform, uniforms
 from helpers import (
     decomposition_of,
     edge_between,
@@ -48,7 +47,9 @@ from helpers import (
     random_field,
     trace_crosses,
     trace_edges,
+    trace_order,
     trace_t_at,
+    zero_field,
 )
 
 D3 = RectDomain(3, 3)
@@ -92,6 +93,13 @@ def single_birth_field(domain, apex, w):
     return field_from_birth(domain, births=BirthField(domain, {apex: w}))
 
 
+def dominance(a, b) -> tuple[bool, bool]:
+    """``lines._dominance`` on the one pair ``a, b``: whether each dominates the other."""
+    dec = decomposition_of([(a, 1), (b, 1)])
+    a_over_b, b_over_a = _dominance(dec.t, dec.x, dec.counts, [0], [1])
+    return bool(a_over_b[0]), bool(b_over_a[0])
+
+
 # ---------------------------------------------------------------- traces
 
 
@@ -109,36 +117,35 @@ def test_trace_validation():
 def test_trace_views():
     tr = v_trace((2, 0), arm=2)
     assert tr.left_corners == ((2, 0),)
-    assert tr.x_low == -2 and tr.x_high == 2
     assert trace_t_at(tr, 0) == 2
 
 
 def test_compare_equal_and_shifted():
     a = v_trace((0, 0))
     b = v_trace((2, 0))
-    assert compare_traces(a, a) is Order.EQUAL
-    assert compare_traces(b, a) is Order.RIGHT_OF
-    assert compare_traces(a, b) is Order.LEFT_OF
+    assert dominance(a, a) == (True, True)
+    assert dominance(b, a) == (True, False)
+    assert dominance(a, b) == (False, True)
 
 
 def test_compare_disjoint_domains_use_span_clause():
     a = BrokenTrace(((0, 0), (1, 1)))
     b = BrokenTrace(((9, 5), (8, 6)))
-    assert compare_traces(a, b) is Order.LEFT_OF
-    assert compare_traces(b, a) is Order.RIGHT_OF
+    assert dominance(a, b) == (False, True)
+    assert dominance(b, a) == (True, False)
 
 
 def test_compare_incomparable_crossing_segments():
     # the two segments cross: each is earlier on one shared height
     a = BrokenTrace(((0, 0), (1, 1), (2, 2)))
     b = BrokenTrace(((2, 0), (1, 1), (0, 2)))
-    assert compare_traces(a, b) is Order.INCOMPARABLE
+    assert dominance(a, b) == (False, False)
 
 
 def test_compare_subtrace_is_order_equivalent():
     tr = v_trace((2, 0))
     sub = BrokenTrace(((3, -1), (2, 0), (3, 1)))
-    assert compare_traces(tr, sub) is Order.EQUAL
+    assert dominance(tr, sub) == (True, True)
 
 
 ORDERED_PAIRS = [
@@ -148,26 +155,6 @@ ORDERED_PAIRS = [
     (BrokenTrace(((0, 0), (1, 1), (2, 2))), BrokenTrace(((2, 0), (1, 1), (0, 2)))),
     (v_trace((2, 0)), BrokenTrace(((3, -1), (2, 0), (3, 1)))),
 ]
-
-
-@pytest.mark.parametrize("shift", [2**61, 2**63, 2**64])
-@pytest.mark.parametrize("axis", ["t", "x"])
-def test_compare_traces_keeps_the_order_of_pairs_shifted_far(shift, axis):
-    def moved(trace):
-        dt, dx = (shift, shift % 2) if axis == "t" else (shift % 2, shift)
-        return BrokenTrace(tuple((t + dt, x + dx) for t, x in trace.sites))
-
-    for a, b in ORDERED_PAIRS:
-        assert compare_traces(moved(a), moved(b)) is compare_traces(a, b)
-        assert compare_traces(moved(b), moved(a)) is compare_traces(b, a)
-
-
-def test_compare_traces_refuses_pairs_beyond_64_bits_apart():
-    a, far = BrokenTrace(((0, 0), (1, 1))), 2**63
-    assert compare_traces(a, BrokenTrace(((far - 2, far - 2), (far - 1, far - 1)))) is Order.LEFT_OF
-    for b in (BrokenTrace(((far, 0), (far + 1, 1))), BrokenTrace(((0, far), (1, far + 1)))):
-        with pytest.raises(ValueError, match="beyond 64 bits"):
-            compare_traces(a, b)
 
 
 def random_crossing_trace(domain, seed):
@@ -202,19 +189,30 @@ def test_order_is_partial_order_on_crossing_traces(seed):
         assert trace_crosses(domain, tr)
     a, b, c = traces
     # antisymmetry: mutual domination only for identical traces
-    if compare_traces(a, b) is Order.EQUAL:
+    if dominance(a, b) == (True, True):
         assert a == b
     # transitivity
-    if compare_traces(a, b) in (Order.RIGHT_OF, Order.EQUAL) and compare_traces(b, c) in (
-        Order.RIGHT_OF,
-        Order.EQUAL,
-    ):
-        assert compare_traces(a, c) in (Order.RIGHT_OF, Order.EQUAL)
+    if dominance(a, b)[0] and dominance(b, c)[0]:
+        assert dominance(a, c)[0]
     # disjoint heights force disjoint t-spans (crossing traces only)
-    if set(range(a.x_low, a.x_high + 1)).isdisjoint(range(b.x_low, b.x_high + 1)):
-        lo_a, hi_a = min(a.t_values), max(a.t_values)
-        lo_b, hi_b = min(b.t_values), max(b.t_values)
-        assert hi_a < lo_b or hi_b < lo_a
+    if {x for _, x in a.sites}.isdisjoint(x for _, x in b.sites):
+        t_a, t_b = [t for t, _ in a.sites], [t for t, _ in b.sites]
+        assert max(t_a) < min(t_b) or max(t_b) < min(t_a)
+
+
+def test_dominance_equals_the_definition():
+    # the order compose checks, against trace_order on Python ints: the
+    # ordered pairs both ways, then every pair of random crossing traces on
+    # domains of several shapes in one batched call
+    for a, b in ORDERED_PAIRS:
+        assert dominance(a, b) == trace_order(a, b)
+        assert dominance(b, a) == trace_order(b, a)
+    traces = [random_crossing_trace(RectDomain(1 + k % 4, 1 + k // 4 % 4), k) for k in range(48)]
+    dec = decomposition_of((trace, 1) for trace in traces)
+    a, b = np.triu_indices(len(traces))
+    flags = _dominance(dec.t, dec.x, dec.counts, a, b)
+    expected = [trace_order(traces[i], traces[j]) for i, j in zip(a.tolist(), b.tolist())]
+    assert list(zip(*(f.tolist() for f in flags))) == expected
 
 
 # ----------------------------------------------------- decomposition
@@ -313,7 +311,7 @@ def test_decomposition_is_ordered_and_crossing(seed):
     for tr in traces:
         assert trace_crosses(domain, tr)
     for a, b in zip(traces, traces[1:]):
-        assert compare_traces(a, b) is Order.LEFT_OF
+        assert trace_order(a, b) == (False, True)
     assert all(w > 0 for w in dec.weights())
 
 
@@ -532,7 +530,7 @@ def test_positive_weight_traces_are_comparable(seed):
     sub_a = BrokenTrace(a.sites[: 2 + int(uniform(seed, 7) * (len(a.sites) - 1))])
     sub_b = BrokenTrace(b.sites[len(b.sites) - 2 :])
     if diagram.weight_of(sub_a) > 0 and diagram.weight_of(sub_b) > 0:
-        assert compare_traces(sub_a, sub_b) is not Order.INCOMPARABLE
+        assert trace_order(sub_a, sub_b) != (False, False)
 
 
 @given(st.integers(0, 500))
@@ -575,9 +573,7 @@ def test_near_tied_births_decompose_into_valid_lines(offset, offset_first):
     dedup = ABS_TOL * max(1.0, max(brick_diagram(f).heights.values()))
     dec = decompose(f)
     assert all(trace_crosses(d, trace) for trace in dec.traces())
-    assert all(
-        compare_traces(a, b) is Order.LEFT_OF for a, b in zip(dec.traces(), dec.traces()[1:])
-    )
+    assert all(trace_order(a, b) == (False, True) for a, b in zip(dec.traces(), dec.traces()[1:]))
     assert all(w > dedup for w in dec.weights())
     if not dedup / 2 < offset < 2 * dedup:  # at the boundary, rounding decides
         assert len(dec) == (2 if offset > dedup else 1)
@@ -957,7 +953,7 @@ def pinned_field(name):
         lower = (-2, -3, -4, -5, -4, -3, -2, -1, 0, 1)
         upper = (2, 3, 4, 5, 6, 7, 6, 5, 4, 3)
         return evolve_chain(HexDomain(0, 9, 3, 5, lower, upper), 0.5, 5)
-    cells = DistSpec.exponential(1.0).sample_array(stream_base(11, 12, 9), 108)
+    cells = DistSpec.exponential(1.0).from_uniform(uniforms(stream_base(11, 12, 9), 108))
     xi = births_from_matrix(cells.reshape(12, 9))
     return field_from_birth(xi.domain, births=xi)
 
