@@ -63,6 +63,19 @@ def _load_matrix(path: str) -> np.ndarray:
     return np.atleast_2d(np.loadtxt(path, delimiter=","))
 
 
+def _write_report(args, report, rows: list, csv_path: str | None) -> int:
+    """The report as JSON, or as the CSV ``rows`` under ``--format csv``;
+    the rows go to ``csv_path`` as well when one is given."""
+    if args.format == "csv":
+        _write_text(args.out, "\n".join(",".join(map(str, row)) for row in rows))
+    else:
+        _write_text(args.out, json.dumps(report.to_dict(), indent=2))
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return OK
+
+
 def _report_exit(report, out: str | None) -> int:
     _write_text(out, json.dumps(report.to_dict(), indent=2))
     return OK if report.passed else CHECK_FAILED
@@ -104,13 +117,12 @@ def _lpp(args) -> int:
     xi = lpp.births_from_matrix(_load_matrix(args.xi))
     result = lpp.lpp_dp(xi)
     payload = result.to_dict()
+    passed = True
     if args.check_flow:
-        residual = lpp.flow_identity_residual(xi)
-        payload["flow_residual"] = residual
-        _write_text(args.out, json.dumps(payload, indent=2))
-        return OK if residual <= tolerance(result.value, "float") else CHECK_FAILED
+        payload["flow_residual"] = residual = lpp.flow_identity_residual(xi)
+        passed = residual <= tolerance(result.value, "float")
     _write_text(args.out, json.dumps(payload, indent=2))
-    return OK
+    return OK if passed else CHECK_FAILED
 
 
 def _path(args) -> int:
@@ -172,7 +184,10 @@ def _read_manifest(args) -> None:
     beta = manifest["beta"]
     if type(beta) not in (int, float):
         raise ValueError(f"manifest beta must be a number, not {beta!r}")
-    args.beta = float(beta)
+    try:
+        args.beta = float(beta)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError(f"manifest beta must be a finite number, not {beta}") from None
     args.dist = str(manifest["dist"])  # a token only when it is one already
     args.replicas = as_integer(manifest["replicas"], "manifest replicas")
     args.seed = as_integer(manifest.get("seed", args.seed), "manifest seed")
@@ -187,19 +202,8 @@ def _lln(args) -> int:
         seed=args.seed,
     )
     report = experiments.lln_experiment(config)
-    if args.format == "csv":
-        lines = ["replica,scaled_value"]
-        lines += [f"{i},{v}" for i, v in enumerate(report.samples)]
-        _write_text(args.out, "\n".join(lines))
-    else:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2))
-    if args.samples_csv:
-        with open(args.samples_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replica", "scaled_value"])
-            for i, v in enumerate(report.samples):
-                writer.writerow([i, v])
-    return OK
+    rows = [("replica", "scaled_value"), *enumerate(report.samples)]
+    return _write_report(args, report, rows, args.samples_csv)
 
 
 def _concentration(args) -> int:
@@ -212,19 +216,8 @@ def _concentration(args) -> int:
         args.replicas,
         seed=args.seed,
     )
-    if args.format == "csv":
-        lines = ["n,exceedance_rate"]
-        lines += [f"{n},{r}" for n, r in zip(report.ns, report.rates)]
-        _write_text(args.out, "\n".join(lines))
-    else:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2))
-    if args.rates_csv:
-        with open(args.rates_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "exceedance_rate"])
-            for n, r in zip(report.ns, report.rates):
-                writer.writerow([n, r])
-    return OK
+    rows = [("n", "exceedance_rate"), *zip(report.ns, report.rates)]
+    return _write_report(args, report, rows, args.rates_csv)
 
 
 def _render(args) -> int:

@@ -34,7 +34,7 @@ from .flow import (
     sweep,
 )
 from .lattice import Domain, RectDomain
-from .streams import stream_base, uniforms, uniforms_at
+from .streams import uniforms_at
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -270,7 +270,7 @@ def reversal_invariance_test(
     def draws(tag: int) -> list[np.ndarray]:
         specs = enumerate((triple.pi1, triple.pi2, triple.pi3))
         return [
-            np.asarray(p.from_uniform(uniforms(stream_base(seed, tag, i), nsamples)), float)
+            np.asarray(p.from_uniform(uniforms_at(seed, tag, i, np.arange(nsamples))), float)
             for i, p in specs
         ]
 

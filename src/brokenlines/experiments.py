@@ -10,6 +10,7 @@ in blocks, anti-diagonal by anti-diagonal, and no birth matrix is ever held.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,12 @@ from .streams import uniform_grid  # noqa: F401  (traced by benchmarks/tracing.p
 _BLOCK_CELLS = 1 << 16
 
 
-def _require_finite_beta(beta: float) -> None:
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, not {beta}")
+def _width(n: int, beta: float) -> int:
+    """``m = floor(beta * n)``; ValueError unless that product is a finite float."""
+    product = beta * n if abs(n) <= sys.float_info.max else math.inf
+    if not math.isfinite(product):
+        raise ValueError(f"beta * n must be finite, not {beta} * {n}")
+    return math.floor(product)
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,12 @@ class LlnConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.replicas < 1:
             raise ValueError("need n >= 1 and replicas >= 1")
-        _require_finite_beta(self.beta)
         if self.m < 1:
             raise ValueError("beta * n must be at least 1")
 
     @property
     def m(self) -> int:
-        return int(math.floor(self.beta * self.n))
+        return _width(self.n, self.beta)
 
 
 @dataclass(frozen=True)
@@ -191,18 +194,16 @@ def concentration_scan(
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
-    _require_finite_beta(beta)
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, not {delta}")
-    if any(n < 1 or math.floor(beta * n) < 1 for n in ns):
+    if any(n < 1 or _width(n, beta) < 1 for n in ns):
         raise ValueError("need n >= 1 and beta * n >= 1 for every n")
     target = lln_target(dist, beta)
     rates = []
     counts = []
     for idx, n in enumerate(ns):
-        m = int(math.floor(beta * n))
         base = stream_base(seed, idx, n)
-        values = replica_passage(dist, n, m, base, range(replicas))
+        values = replica_passage(dist, n, _width(n, beta), base, range(replicas))
         exceed = int(np.count_nonzero(np.abs(values / n - target) > delta))
         counts.append(exceed)
         rates.append(exceed / replicas)

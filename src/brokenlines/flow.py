@@ -69,7 +69,8 @@ class BirthField:
 
     ``BirthField(domain, births)`` takes a site-keyed dict; :meth:`from_values`
     takes one mass per site of ``domain.sites``, and ``births`` is then a
-    view keyed by every site, built on first read.
+    view keyed by every site, built on first read.  Neither is checked on
+    construction: other modules read births through :meth:`masses` only.
     """
 
     domain: Domain
@@ -95,6 +96,11 @@ class BirthField:
             return np.arange(len(self._values)), self._values.tolist()
         index = _site_index(self.domain, self.births, None, "births outside the domain")
         return index, list(self.births.values())
+
+    def masses(self, mode: str | None = None) -> np.ndarray:
+        """One mass per site of ``domain.sites`` in ``mode`` (inferred when
+        None), read and checked as :func:`field_from_birth` reads births."""
+        return _site_masses(self.domain, [self._entries()], mode)[0][0]
 
 
 @dataclass(frozen=True)
@@ -250,6 +256,23 @@ def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) 
     return index
 
 
+def _site_masses(domain: Domain, entries: list, mode: str | None) -> tuple[np.ndarray, str]:
+    """One row of masses per site for each ``(index, values)`` entry, and the mode.
+
+    All values go through one :func:`as_masses` in ``mode`` (by default their
+    :func:`infer_mode`), so the int64 rule sees every input; value ``k`` goes
+    to site ``index[k]``."""
+    index = np.concatenate([i for i, _ in entries])
+    given = list(chain.from_iterable(v for _, v in entries))
+    if mode is None:
+        mode = infer_mode(given)
+    plan = domain.plan
+    masses = as_masses(given, mode, lambda i: plan.points(plan.site_keys[index[i : i + 1]])[0])
+    out = np.zeros((len(entries), len(plan.site_keys)), masses.dtype)
+    out[np.repeat(np.arange(len(entries)), [len(i) for i, _ in entries]), index] = masses
+    return out, mode
+
+
 def field_from_birth(
     domain: Domain,
     boundary: BoundaryFlow | None = None,
@@ -274,20 +297,7 @@ def field_from_birth(
     )
     entries = [(_site_index(domain, d, on, what), list(d.values())) for d, on, what in inflows]
     entries.append(births._entries())
-    index = np.concatenate([i for i, _ in entries])
-    given = list(chain.from_iterable(v for _, v in entries))
-    if mode is None:
-        mode = infer_mode(given)
-    plan = domain.plan
-
-    def site(i: int) -> Site:
-        return plan.points(plan.site_keys[index[i : i + 1]])[0]
-
-    # every mass and every sum of masses is bounded by the total input
-    masses = as_masses(given, mode, site)
-    site_inputs = np.zeros((3, len(plan.site_keys)), masses.dtype)
-    site_inputs[np.repeat(np.arange(3), [len(i) for i, _ in entries]), index] = masses
-    up, down, born = site_inputs
+    (up, down, born), mode = _site_masses(domain, entries, mode)
     return FlowField.from_values(domain, sweep(domain, up[sw], down[nw], born), mode)
 
 

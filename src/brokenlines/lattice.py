@@ -321,9 +321,11 @@ class RectDomain(_DomainMixin):
         """Matrix cell ``(i, j)``, 1-based, to lattice coordinates."""
         return (i + j - 2, j - i)
 
-    def site_to_cell(self, y: Site) -> tuple[int, int]:
-        t, x = y
-        return ((t - x) // 2 + 1, (t + x) // 2 + 1)
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-based matrix row and column of each site of ``sites``, as index arrays."""
+        t, x = self.plan.decode(self.plan.site_keys)
+        return (t - x) // 2, (t + x) // 2
 
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
@@ -402,9 +404,9 @@ def require_rect(domain: Domain, what: str) -> RectDomain:
 
 
 def as_integer(value, what: str) -> int:
-    """``value`` as an ``int`` when it is an integer (an integral float counts); else ValueError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    """``value`` as an ``int`` if it is an integer, numpy's or an integral float; else ValueError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, not {value!r}")

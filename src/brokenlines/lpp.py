@@ -11,12 +11,15 @@ whole diagonal (and over any number of matrices at once), so its cost is a
 per-step term in ``n + m`` plus a per-cell term.  Every cell is rounded as
 the scalar recurrence ``G = x + max(up, left)`` rounds it, so a passage value
 equals that of the textbook loop and of the transposed matrix bit for bit.
+
+Births are read by ``flow``'s checked reader, :meth:`BirthField.masses`, as
+``field_from_birth`` reads them, and put on cells by ``RectDomain.cells``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import RectDomain, Site, require_rect
+from .lattice import RectDomain, Site, as_integers, require_rect
 
 
 @dataclass(frozen=True)
@@ -56,28 +59,21 @@ class LppResult:
 
 
 def birth_matrix(xi: BirthField) -> np.ndarray:
-    """Births as the (n, m) matrix indexed by the cell bijection."""
+    """The checked births as the (n, m) matrix indexed by the cell bijection."""
     domain = require_rect(xi.domain, "passage values")
     out = np.zeros((domain.n, domain.m))
-    for y, v in xi.births.items():
-        i, j = domain.site_to_cell(y)
-        out[i - 1, j - 1] = v
+    out[domain.cells] = xi.masses("float")
     return out
 
 
 def births_from_matrix(matrix: np.ndarray) -> BirthField:
+    """The birth field of every cell of ``matrix``, zeros included."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not ((0 <= matrix) & (matrix < np.inf)).all():
         raise ValueError("birth matrix cells must be finite and nonnegative")
     n, m = matrix.shape
     domain = RectDomain(n, m)
-    births = {
-        domain.cell_to_site(i + 1, j + 1): float(matrix[i, j])
-        for i in range(n)
-        for j in range(m)
-        if matrix[i, j] != 0
-    }
-    return BirthField(domain, births)
+    return BirthField.from_values(domain, matrix[domain.cells] + 0.0)  # no negative zero
 
 
 def _diagonals(n: int, m: int, births):
@@ -210,9 +206,10 @@ def optimal_path_backward(field: FlowField) -> LatticePath:
 
 
 def path_sum(xi: BirthField, path: LatticePath) -> float:
-    """Total birth mass collected along a path inside the domain."""
-    domain = xi.domain
-    for y in path.sites:
-        if not domain.contains(y):
-            raise ValueError(f"path leaves the domain at {y}")
-    return sum(xi.births.get(y, 0) for y in path.sites)
+    """Total birth mass along a path inside the domain, in path order and the births' mode."""
+    plan = xi.domain.plan
+    flat = as_integers(list(chain.from_iterable(path.sites)), "a path coordinate")
+    at = plan.find(plan.site_keys, flat[0::2], flat[1::2])
+    if (at < 0).any():
+        raise ValueError(f"path leaves the domain at {path.sites[int(np.argmin(at))]}")
+    return sum(xi.masses()[at].tolist())

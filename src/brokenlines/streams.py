@@ -100,11 +100,6 @@ def _unit(h: np.ndarray) -> np.ndarray:
     return (h >> _S11).astype(np.float64) * _TO_UNIT
 
 
-def uniforms(base: int, count: int) -> np.ndarray:
-    """Vector of uniforms in [0, 1) for counters ``0 .. count-1``."""
-    return _unit(_mix_array(np.uint64(base & _MASK) ^ _counters(count)))
-
-
 def uniform_grid(base: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) array of uniforms addressed by (base, row, col)."""
     row_keys = _mix_array(np.uint64(base & _MASK) ^ _counters(rows))

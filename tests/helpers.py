@@ -8,7 +8,7 @@ from bisect import bisect_right
 import numpy as np
 from hypothesis import strategies as st
 
-from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth
+from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth, streams
 from brokenlines.duality import transition_kernel
 from brokenlines.flow import site_outflows
 from brokenlines.lattice import Edge, HexDomain
@@ -19,6 +19,16 @@ from brokenlines.streams import uniform
 
 def exp_draw(seed: int, *key: int) -> float:
     return -math.log1p(-uniform(seed, *key))
+
+
+def uniforms(base: int, count: int) -> np.ndarray:
+    """The uniforms of counters ``0 .. count-1`` on the stream id ``base``.
+
+    ``uniforms(stream_base(seed, *keys), n)`` equals
+    ``uniforms_at(seed, *keys, np.arange(n))`` bit for bit.
+    """
+    counters = np.uint64(base & streams._MASK) ^ streams._counters(count)
+    return streams._unit(streams._mix_array(counters))
 
 
 def geom_draw(seed: int, lam: float, *key: int) -> int:

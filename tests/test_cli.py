@@ -265,6 +265,34 @@ def test_lln_subcommand_with_manifest_and_csv(tmp_path):
     assert rows[0] == ["replica", "scaled_value"] and len(rows) == 4
 
 
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lln", "--n", BEYOND_FLOAT],
+        ["lln", "--n", "5", "--beta", "1e308"],
+        ["concentration", "--ns", f"100,{BEYOND_FLOAT}"],
+    ],
+)
+def test_growth_commands_refuse_a_width_beyond_float_range(argv, capsys):
+    # m = floor(beta * n) once raised OverflowError out of run
+    assert run(argv) == 1
+    assert "error: beta * n must be finite, not " in capsys.readouterr().err
+
+
+def test_lln_manifest_refuses_numbers_beyond_float_range(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    good = {"n": 20, "beta": 1.0, "dist": "exp:1", "replicas": 2}
+    manifest.write_text(json.dumps(dict(good, n=int(BEYOND_FLOAT))))
+    assert run(["lln", "--manifest", str(manifest)]) == 1
+    assert "error: beta * n must be finite, not 1.0 * 1000" in capsys.readouterr().err
+    manifest.write_text(json.dumps(dict(good, beta=int(BEYOND_FLOAT))))
+    assert run(["lln", "--manifest", str(manifest)]) == 1
+    assert f"error: manifest beta must be a finite number, not {BEYOND_FLOAT}" in capsys.readouterr().err
+
+
 def test_lln_manifest_is_echoed_and_its_integers_checked(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     good = {"n": 20, "beta": 1.0, "dist": "exp:1", "replicas": 3, "seed": 9}

@@ -35,8 +35,8 @@ from brokenlines.flow import (
     total_crossing_flow,
 )
 from brokenlines.lattice import Edge, RectDomain
-from brokenlines.streams import stream_base, uniform, uniforms
-from helpers import kernel_residual_loop, max_edge_gap, time_reverse, zero_field
+from brokenlines.streams import uniform, uniforms_at
+from helpers import kernel_residual_loop, max_edge_gap, time_reverse, uniforms, zero_field
 
 nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 
@@ -305,7 +305,7 @@ def test_replica_sweep_matches_field_construction():
     d = RectDomain(3, 4)
 
     def draw(spec, sites, role):
-        return {y: spec.from_uniform(uniforms(stream_base(9, *y, role), 6)) for y in sites}
+        return {y: spec.from_uniform(uniforms_at(9, *y, role, np.arange(6))) for y in sites}
 
     for triple in ("exp:1,exp:2,exp:3", "geom:0.5,geom:0.4,geom:0.2"):
         specs = parse_triple(triple)

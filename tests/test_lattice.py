@@ -140,9 +140,11 @@ def test_cell_bijection():
         for j in range(1, 5):
             y = d.cell_to_site(i, j)
             assert d.contains(y)
-            assert d.site_to_cell(y) == (i, j)
             seen.add(y)
     assert seen == set(d.sites)
+    # cells is the inverse: the 0-based cell of each site, in the order of sites
+    rows, cols = d.cells
+    assert [d.cell_to_site(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(d.sites)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))

@@ -33,7 +33,7 @@ from brokenlines.lines import (
     line_fields,
 )
 from brokenlines.lpp import births_from_matrix
-from brokenlines.streams import stream_base, uniform, uniforms
+from brokenlines.streams import uniform, uniforms_at
 from helpers import (
     decomposition_of,
     edge_between,
@@ -953,7 +953,7 @@ def pinned_field(name):
         lower = (-2, -3, -4, -5, -4, -3, -2, -1, 0, 1)
         upper = (2, 3, 4, 5, 6, 7, 6, 5, 4, 3)
         return evolve_chain(HexDomain(0, 9, 3, 5, lower, upper), 0.5, 5)
-    cells = DistSpec.exponential(1.0).from_uniform(uniforms(stream_base(11, 12, 9), 108))
+    cells = DistSpec.exponential(1.0).from_uniform(uniforms_at(11, 12, 9, np.arange(108)))
     xi = births_from_matrix(cells.reshape(12, 9))
     return field_from_birth(xi.domain, births=xi)
 

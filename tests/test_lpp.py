@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from brokenlines.flow import (
     tolerance,
     total_crossing_flow,
 )
-from brokenlines.lattice import RectDomain
+from brokenlines.lattice import HexDomain, RectDomain
 from brokenlines.lines import decompose
 from brokenlines.lpp import (
     LatticePath,
@@ -163,10 +165,11 @@ def test_crossing_flow_with_inflow_is_augmented_passage_value(seed, n, m, mode):
     field = field_from_birth(domain, inflow, births, mode=mode)
     matrix = np.zeros((n + 1, m + 1))
     matrix[1:, 1:] = birth_matrix(births)
+    cell = dict(zip(domain.sites, zip(*domain.cells)))
     for y, v in inflow.up_in.items():
-        matrix[domain.site_to_cell(y)[0], 0] = v
+        matrix[cell[y][0] + 1, 0] = v
     for y, v in inflow.down_in.items():
-        matrix[0, domain.site_to_cell(y)[1]] = v
+        matrix[0, cell[y][1] + 1] = v
     value = passage_value(matrix)
     assert abs(total_crossing_flow(field) - value) <= tolerance(value, mode)
 
@@ -244,6 +247,86 @@ def test_path_validation():
     path = LatticePath(((0, 0), (1, 1)))
     with pytest.raises(ValueError):
         path_sum(births_from_matrix([[1.0]]), path)
+
+
+BAD_BIRTHS = [
+    ((-2, 0), 5.0), ((0, 1), 5.0), ((8, 0), 5.0), ((2, 0), -7.0), ((2, 0), np.nan), ((2, 0), np.inf)
+]
+
+
+@pytest.mark.parametrize("site, mass", BAD_BIRTHS)
+def test_births_off_the_domain_or_not_masses_are_refused(site, mass):
+    # a birth off the 3x3 domain once landed on a matrix cell (or raised
+    # IndexError), and a negative or NaN mass ran: lpp reads births as
+    # field_from_birth does, and refuses them with its message
+    domain = RectDomain(3, 3)
+    xi = BirthField(domain, {(0, 0): 1.0, site: mass})
+    with pytest.raises(ValueError) as refused:
+        field_from_birth(domain, births=xi)
+    path = lpp_dp(births_from_matrix(np.ones((3, 3)))).path
+    for read in (birth_matrix, lpp_dp, lpp_bruteforce, flow_identity_residual, lambda xi: path_sum(xi, path)):
+        with pytest.raises(ValueError) as caught:
+            read(xi)
+        assert str(caught.value) == str(refused.value)
+
+
+def test_path_sum_reads_births_in_their_own_mode():
+    domain = RectDomain(2, 3)
+    xi = BirthField(domain, {(0, 0): 2, (1, 1): 3, (3, 1): 2**70})
+    path = LatticePath(((0, 0), (1, 1), (2, 2), (3, 1)))
+    total = path_sum(xi, path)
+    assert type(total) is int and total == 5 + 2**70
+    assert path_sum(xi, LatticePath(())) == 0
+    assert path_sum(xi, LatticePath(tuple(zip(*np.array(path.sites).T)))) == total  # numpy ints
+    hexagon = HexDomain(0, 2, 1, 1, (-2, -3, -2), (2, 3, 2))
+    assert path_sum(BirthField(hexagon, {(1, 1): 4, (2, 0): 1}), LatticePath(((0, 0), (1, 1), (2, 0)))) == 5
+    with pytest.raises(ValueError, match=r"path leaves the domain at \(2, 2\)"):
+        path_sum(BirthField(RectDomain(2, 2), {}), path)
+
+
+def test_births_from_matrix_lists_every_cell():
+    xi = births_from_matrix([[0.0, 2.0], [-0.0, 4.0]])
+    assert xi.births == {(0, 0): 0.0, (1, -1): 0.0, (1, 1): 2.0, (2, 0): 4.0}
+    assert all(math.copysign(1.0, v) == 1.0 for v in xi.births.values())  # no negative zero
+
+
+def test_only_flow_reads_a_birth_fields_entries():
+    # births have one reader, BirthField.masses, which checks what
+    # field_from_birth checks: no other module reads a birth field's storage
+    package = Path(lpp.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "flow.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("births", "_entries", "_values")
+    ]
+    assert readers == []
+
+
+# the JSON of `lpp --check-flow` (value, path, flow_residual) on a 37x53 matrix
+# of Exp(1) draws and one of integers 0..9, each cell keyed (18, i, j)
+LPP_CHECK_FLOW_DIGESTS = {
+    "float": "8ac33217939b4fccf53d5c1236baf1a211f50357922b3dde646143bf9c8de267",
+    "int": "33e12dc93449275d692a689c5bda5fb58a93f4127e03087a5637bf10c6530bda",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LPP_CHECK_FLOW_DIGESTS))
+def test_lpp_check_flow_output_is_pinned(kind, tmp_path):
+    from brokenlines.cli import run
+
+    def draw(i, j):
+        u = uniform(18, i, j)
+        return -math.log1p(-u) if kind == "float" else int(u * 10)
+
+    rows = [",".join(repr(draw(i, j)) for j in range(53)) for i in range(37)]
+    (tmp_path / "xi.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "lpp.json"
+    assert run(["lpp", "--xi", str(tmp_path / "xi.csv"), "--check-flow", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert sorted(payload) == ["flow_residual", "path", "value"] and len(payload["path"]) == 37 + 53 - 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LPP_CHECK_FLOW_DIGESTS[kind]
 
 
 class _CountingValues(np.ndarray):

@@ -9,9 +9,9 @@ from brokenlines.streams import (
     uniform,
     uniform_diagonals,
     uniform_grid,
-    uniforms,
     uniforms_at,
 )
+from helpers import uniforms
 
 
 def test_uniform_is_deterministic():
@@ -27,12 +27,21 @@ def test_uniform_in_unit_interval(seed, keys):
 
 
 def test_scalar_and_array_streams_agree():
-    base = stream_base(3, 5)
-    vec = uniforms(base, 16)
+    vec = uniforms_at(3, 5, np.arange(16))
     assert vec.shape == (16,)
     assert np.all((vec >= 0) & (vec < 1))
-    # same base, same counters -> same values on repeat calls
-    assert np.array_equal(vec, uniforms(base, 16))
+    # same key, same counters -> the scalar draws
+    assert vec.tolist() == [uniform(3, 5, k) for k in range(16)]
+
+
+def test_a_counter_axis_draws_the_stream_of_its_base():
+    # the draws reversal_invariance_test makes: a trailing counter axis on a
+    # keyed stream equals the counters of the stream id stream_base gives
+    for k in range(30):
+        seed = (2**70, -3, 0, 2**64 - 1, 17 * k)[k % 5]
+        keys = [int(uniform(k, j) * 2**40) - 2**39 for j in range(k % 4)]
+        n = 1 + k * 7
+        assert np.array_equal(uniforms(stream_base(seed, *keys), n), uniforms_at(seed, *keys, np.arange(n)))
 
 
 def test_uniform_grid_matches_order_independent_addressing():
@@ -70,7 +79,7 @@ def test_uniform_diagonals_draw_each_cell_from_seed_replica_row_col(monkeypatch)
 
 
 def test_uniforms_look_uniform():
-    vec = uniforms(stream_base(11), 200_000)
+    vec = uniforms_at(11, np.arange(200_000))
     assert abs(vec.mean() - 0.5) < 0.005
     assert abs(vec.var() - 1 / 12) < 0.005
 
