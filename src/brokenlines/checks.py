@@ -10,11 +10,20 @@ check load no scipy at all.
 
 The two-sample Kolmogorov-Smirnov distance is the largest gap between the
 two empirical CDFs over the pooled points.  ``F_a - F_b`` rises only where
-``F_a`` steps, so its largest value is taken at a distinct value of ``a``,
-and that of ``F_b - F_a`` at one of ``b``: each sorted sample's distinct
-values are looked up once in the other, and each count is divided by its
-sample size, which gives the same float as evaluating both CDFs at every
-pooled point.  Each normal critical value is computed once per level.
+``F_a`` steps, so its largest value is taken at the last of a run of equal
+values of sorted ``a``, and that of ``F_b - F_a`` at one of ``b``.  Those
+run ends are bounded before they are looked up.  They go in stretches, and
+the first run end of each is looked up in the other sample, which gives a
+best exact gap; a stretch's gaps are at most its last count of ``a`` over
+``a``'s size minus its first count of ``b`` over ``b``'s size.  Only the
+stretches whose bound beats the best gap are looked up in full.  Counts
+are monotone in the value, and rounded division and subtraction are
+monotone in their operands, so the computed bound caps every computed gap
+of its stretch: no skipped stretch holds a larger gap, and the distance is
+the float of evaluating both CDFs at every pooled point, bit for bit.  Two
+identical samples keep every stretch open and cost one lookup per run end,
+as a full lookup does.  An empty sample or one holding NaN is refused.
+Each normal critical value is computed once per level.
 """
 
 from __future__ import annotations
@@ -96,10 +105,23 @@ def _z_threshold(alpha: float) -> float:
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance (tie-safe)."""
+    """Two-sample Kolmogorov-Smirnov distance (tie-safe).
+
+    Raises ``ValueError`` on an empty sample or one holding NaN.
+    """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("the KS distance needs two nonempty samples")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
+        raise ValueError("the KS distance of a sample holding NaN is undefined")
     return max(_cdf_rise(a, b), _cdf_rise(b, a))
+
+
+# Run ends per stretch.  A whole in-process ``verify`` round took 162 ms
+# with every run end looked up, and 113, 112, 124, 133 and 147 ms at
+# strides 16, 32, 64, 128 and 256 (medians of 11 rounds, 2 cores).
+_STRIDE = 32
 
 
 def _cdf_rise(a: np.ndarray, b: np.ndarray) -> float:
@@ -107,9 +129,21 @@ def _cdf_rise(a: np.ndarray, b: np.ndarray) -> float:
 
     Taken at the last of each run of equal values of ``a``, where ``F_a``
     counts the run's index plus one and ``F_b`` the values of ``b`` up to it.
+    The run ends go in stretches of ``_STRIDE``, the last padded with its
+    final run end.  Each stretch's first run end is looked up in ``b``, and
+    the best of those gaps is exact.  A stretch's gaps are at most its last
+    count over ``a.size`` minus its first ``b`` count over ``b.size``, so
+    the other run ends are looked up only in stretches whose bound beats
+    that best.
     """
     last = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-    return float(np.max((last + 1) / a.size - np.searchsorted(b, a[last], side="right") / b.size))
+    stretches = np.append(last, np.repeat(last[-1], -last.size % _STRIDE)).reshape(-1, _STRIDE)
+    first = stretches[:, 0]
+    below = np.searchsorted(b, a[first], side="right") / b.size
+    best = np.max((first + 1) / a.size - below)
+    rest = stretches[(stretches[:, -1] + 1) / a.size - below > best, 1:].ravel()
+    gaps = (rest + 1) / a.size - np.searchsorted(b, a[rest], side="right") / b.size
+    return float(np.max(gaps, initial=best))
 
 
 def ks_threshold(n: int, m: int, alpha: float) -> float:

@@ -119,7 +119,7 @@ def _lpp(args) -> int:
     payload = result.to_dict()
     passed = True
     if args.check_flow:
-        payload["flow_residual"] = residual = lpp.flow_identity_residual(xi)
+        payload["flow_residual"] = residual = lpp.flow_identity_residual(xi, result.value)
         passed = residual <= tolerance(result.value, "float")
     _write_text(args.out, json.dumps(payload, indent=2))
     return OK if passed else CHECK_FAILED

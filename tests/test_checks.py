@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, norm
 
 from brokenlines import checks
@@ -24,6 +26,29 @@ KS_CASES = {
     "rounded normals": (np.round(_rng.normal(size=300), 1), np.round(_rng.normal(size=200), 1)),
 }
 
+# Thousands of values, so that ``_cdf_rise`` has many stretches of run ends.
+_same = _rng.exponential(size=3000)
+# 30 values of a below all of b, then a and b evenly interleaved: the
+# distance, 30/3000, is taken in the first stretch of a; negated, in the
+# last stretch of -b
+_early = np.concatenate([_rng.uniform(0, 1, 30), np.linspace(2, 3, 2970)])
+_late = np.concatenate([_rng.uniform(1, 2, 10), np.linspace(2, 3, 2990)])
+_specials = np.array([-np.inf, -0.0, 0.0, np.inf])
+KS_CASES |= {
+    "identical samples": (_same, _same.copy()),
+    "maximum in the first stretch": (_early, _late),
+    "maximum in the last stretch": (-_early, -_late),
+    "tied runs across stretches": (
+        np.repeat(np.arange(150.0), _rng.integers(1, 60, 150)),
+        np.repeat(np.arange(0.0, 150.0, 0.5), _rng.integers(1, 20, 300)),
+    ),
+    "signed zeros and infinities": (
+        np.concatenate([_rng.choice(_specials, 500), _rng.normal(size=2500)]),
+        np.concatenate([_rng.choice(_specials, 800), _rng.normal(size=1700)]),
+    ),
+    "one value against ten thousand": (np.array([0.5]), _rng.uniform(size=10_000)),
+}
+
 
 @pytest.mark.parametrize("case", KS_CASES)
 def test_ks_statistic_equals_the_brute_force_distance(case):
@@ -32,6 +57,64 @@ def test_ks_statistic_equals_the_brute_force_distance(case):
     assert type(d) is float
     assert d == ks_distance(a, b)
     assert ks_statistic(b, a) == d
+
+
+@st.composite
+def _sample_pairs(draw):
+    """Two samples of 1..3 000 values on a grid of 2 to 10^6 levels, some set to ±0.0 or ±inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 10, 100, 10**6]))
+    shift = draw(st.sampled_from([0, 1, levels // 10]))
+
+    def sample(offset):
+        values = rng.integers(0, levels, draw(st.integers(1, 3000))) + offset - levels / 2
+        values[rng.random(values.size) < draw(st.sampled_from([0.0, 0.01, 0.5]))] = 0.0
+        if draw(st.booleans()):
+            values[rng.integers(0, values.size, 3)] = rng.choice([-np.inf, -0.0, np.inf], 3)
+        return values / levels
+
+    return sample(0), sample(shift)
+
+
+@given(_sample_pairs())
+@settings(max_examples=60, deadline=None)
+def test_ks_statistic_equals_the_brute_force_distance_on_random_pairs(pair):
+    a, b = pair
+    d = ks_statistic(a, b)
+    assert d == ks_distance(a, b)
+    assert ks_statistic(b, a) == d
+
+
+def test_ks_statistic_looks_up_few_run_ends_in_one_law(monkeypatch):
+    # two continuous 10^5 samples of one law: the bound closes most stretches
+    rng = np.random.default_rng(19)
+    a, b = rng.exponential(size=100_000), rng.exponential(size=100_000)
+    pooled = np.concatenate([a, b])
+    full = np.max(np.abs(
+        np.searchsorted(np.sort(a), pooled, side="right") / a.size
+        - np.searchsorted(np.sort(b), pooled, side="right") / b.size
+    ))
+    keys = []
+    searchsorted = np.searchsorted
+
+    def counted(sorted_values, values, side):
+        keys.append(np.size(values))
+        return searchsorted(sorted_values, values, side=side)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    assert ks_statistic(a, b) == full
+    assert sum(keys) < pooled.size / 4
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], [1.0]),
+    ([1.0], []),
+    ([np.nan, 1.0], [1.0, 2.0]),
+    ([1.0, 2.0], [2.0, np.nan]),
+], ids=["empty a", "empty b", "nan in a", "nan in b"])
+def test_ks_statistic_refuses_an_empty_or_nan_sample(a, b):
+    with pytest.raises(ValueError, match="KS distance"):
+        ks_statistic(np.array(a), np.array(b))
 
 
 def test_mean_z_check_fails_two_constant_samples_with_different_means():

@@ -45,12 +45,37 @@ def test_lpp_check_flow_tolerance_is_relative_to_the_passage_value(tmp_path, mon
     # passage value 8e-7: a residual of 1e-10 is far past tolerance(8e-7) = 1e-12
     from brokenlines import lpp
 
-    monkeypatch.setattr(lpp, "flow_identity_residual", lambda xi: 1e-10)
+    monkeypatch.setattr(lpp, "flow_identity_residual", lambda xi, value: 1e-10)
     xi = tmp_path / "xi.csv"
     write_matrix(xi, [[1e-7, 2e-7], [3e-7, 4e-7]])
     out = tmp_path / "result.json"
     assert run(["lpp", "--xi", str(xi), "--check-flow", "--out", str(out)]) == 2
     assert json.loads(out.read_text())["value"] == pytest.approx(8e-7)
+
+
+def test_lpp_check_flow_runs_the_passage_value_dp_once(tmp_path, monkeypatch):
+    # the residual reuses the value of the DP that found the path
+    from brokenlines import lpp
+
+    calls = []
+
+    def counted(name):
+        call = getattr(lpp, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lpp_dp", "_diagonals"):
+        monkeypatch.setattr(lpp, name, counted(name))
+    xi = tmp_path / "xi.csv"
+    write_matrix(xi, [[1, 2, 0], [3, 4, 5]])
+    out = tmp_path / "result.json"
+    assert run(["lpp", "--xi", str(xi), "--check-flow", "--out", str(out)]) == 0
+    assert calls == ["lpp_dp", "_diagonals"]
+    assert json.loads(out.read_text())["value"] == 13.0
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1.0"])
