@@ -175,14 +175,11 @@ def lpp_bruteforce(xi: BirthField) -> float:
     return float(best)
 
 
-def flow_identity_residual(xi: BirthField, value: float | None = None) -> float:
-    """|passage value - total crossing flow| for the field grown from births.
+def flow_identity_residual(xi: BirthField, value: float) -> float:
+    """|value - total crossing flow| for the field grown from births.
 
-    ``value`` is the passage value of ``xi`` when the caller already has it
-    (from :func:`lpp_dp`); otherwise it is computed here.
+    ``value`` is the passage value of ``xi``, as :func:`lpp_dp` returns it.
     """
-    if value is None:
-        value = lpp_dp(xi, with_path=False).value
     field = field_from_birth(xi.domain, births=xi, mode="float")
     return abs(value - float(total_crossing_flow(field)))
 

@@ -151,8 +151,9 @@ def test_passage_value_matches_dp():
 
 
 def test_flow_identity_on_example():
-    assert flow_identity_residual(XI_2X2) <= 1e-12
-    assert flow_identity_residual(births_from_matrix([[0.0]])) == 0.0
+    assert flow_identity_residual(XI_2X2, lpp_dp(XI_2X2).value) <= 1e-12
+    zero = births_from_matrix([[0.0]])
+    assert flow_identity_residual(zero, lpp_dp(zero).value) == 0.0
 
 
 @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 7), st.sampled_from(["int", "float"]))
@@ -179,7 +180,7 @@ def test_crossing_flow_with_inflow_is_augmented_passage_value(seed, n, m, mode):
 def test_flow_identity_random(seed):
     xi = random_birth_field(RectDomain(1 + seed % 6, 1 + (seed // 6) % 6), seed)
     value = lpp_dp(xi, with_path=False).value
-    assert flow_identity_residual(xi) <= 1e-9 * max(1.0, value)
+    assert flow_identity_residual(xi, value) <= 1e-9 * max(1.0, value)
 
 
 def test_backward_path_on_example():
@@ -264,7 +265,7 @@ def test_births_off_the_domain_or_not_masses_are_refused(site, mass):
     with pytest.raises(ValueError) as refused:
         field_from_birth(domain, births=xi)
     path = lpp_dp(births_from_matrix(np.ones((3, 3)))).path
-    for read in (birth_matrix, lpp_dp, lpp_bruteforce, flow_identity_residual, lambda xi: path_sum(xi, path)):
+    for read in (birth_matrix, lpp_dp, lpp_bruteforce, lambda xi: flow_identity_residual(xi, 0.0), lambda xi: path_sum(xi, path)):
         with pytest.raises(ValueError) as caught:
             read(xi)
         assert str(caught.value) == str(refused.value)
