@@ -52,6 +52,7 @@ class LlnConfig:
             raise ValueError("need n >= 1 and replicas >= 1")
         if self.m < 1:
             raise ValueError("beta * n must be at least 1")
+        lln_target(self.dist, self.beta)  # refuses a law with no growth constant before any sweep
 
     @property
     def m(self) -> int:

@@ -13,7 +13,8 @@ the scalar recurrence ``G = x + max(up, left)`` rounds it, so a passage value
 equals that of the textbook loop and of the transposed matrix bit for bit.
 
 Births are read by ``flow``'s checked reader, :meth:`BirthField.masses`, as
-``field_from_birth`` reads them, and put on cells by ``RectDomain.cells``.
+``field_from_birth`` reads them, in site order: an anti-diagonal order, which
+:func:`lpp_dp` sweeps as it comes and maps to cells only to walk a path.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ def _diagonals(n: int, m: int, births):
 
     ``G[i, j] = x[i, j] + max(G[i-1, j], G[i, j-1])`` for the cells
     ``(i, d - i)`` of diagonal ``d``, ``i = lo .. hi`` with
-    ``lo = max(0, d - m + 1)`` and ``hi = min(n - 1, d)``.  ``births`` yields
+    ``lo = max(0, d - m + 1)`` and ``hi = min(n - 1, d)``; rows ``i`` are the
+    index that ascends within a diagonal, so :func:`lpp_dp` passes ``(m, n)``
+    and ``experiments.replica_passage`` ``(n, m)``.  ``births`` yields
     runs: the ``(hi - lo + 1, ...)`` births of consecutive whole diagonals,
     ``d = 0, 1, ...`` in order, stacked along the first axis.  Trailing axes
     are independent matrices.  The state ``g[i + 1]`` holds ``G`` at row
@@ -106,39 +109,30 @@ def _diagonals(n: int, m: int, births):
             d += 1
 
 
-def _matrix_diagonals(matrix: np.ndarray):
-    """The anti-diagonals of an ``(n, m)`` matrix as ``(k, 1)`` runs of one diagonal each."""
-    m = matrix.shape[1]
-    flipped = np.fliplr(matrix)
-    for d in range(sum(matrix.shape) - 1):
-        yield np.diagonal(flipped, m - 1 - d)[:, None]
-
-
-def _dp_table(matrix: np.ndarray) -> np.ndarray:
-    """Cumulative best-path table G[i, j] over matrix cells."""
-    n, m = matrix.shape
-    table = np.empty((n, m))
-    for d, diagonal in enumerate(_diagonals(n, m, _matrix_diagonals(matrix))):
-        rows = np.arange(max(0, d - m + 1), min(n - 1, d) + 1)
-        table[rows, d - rows] = diagonal[:, 0]
-    return table
-
-
 def passage_value(matrix: np.ndarray) -> float:
-    """Best oriented path sum over a matrix, value only, O(n) memory."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    for last in _diagonals(*matrix.shape, _matrix_diagonals(matrix)):
-        pass
-    return float(last[0, 0])
+    """Best oriented path sum over a matrix of finite nonnegative cells."""
+    return lpp_dp(births_from_matrix(matrix), with_path=False).value
 
 
 def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
-    """Forward dynamic program; ties prefer the predecessor in the first index."""
+    """Forward dynamic program; ties prefer the predecessor in the first index.
+
+    Cell ``(i, j)`` sits at ``t = i + j - 2``, ``x = j - i``, so the sites in
+    ``(t, x)`` order are the anti-diagonals of the transposed ``(m, n)``
+    matrix, ascending in ``j``: one run of :func:`_diagonals` with rows ``j``,
+    each cell rounded as ``x + max(up, left)`` since ``max`` is symmetric.
+    """
     domain = require_rect(xi.domain, "passage values")
+    births = xi.masses("float")
+    sums = np.empty_like(births)
+    at = 0
+    for diagonal in _diagonals(domain.m, domain.n, [births]):
+        sums[at : at + len(diagonal)] = diagonal
+        at += len(diagonal)
     if not with_path:
-        return LppResult(passage_value(birth_matrix(xi)), None)
-    table = _dp_table(birth_matrix(xi))
-    value = float(table[-1, -1])
+        return LppResult(float(sums[-1]), None)
+    table = np.empty((domain.n, domain.m))
+    table[domain.cells] = sums
     i, j = domain.n - 1, domain.m - 1
     cells = [(i, j)]
     while i > 0 or j > 0:
@@ -149,7 +143,7 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
         cells.append((i, j))
     cells.reverse()
     sites = tuple(domain.cell_to_site(i + 1, j + 1) for i, j in cells)
-    return LppResult(value, LatticePath(sites))
+    return LppResult(float(sums[-1]), LatticePath(sites))
 
 
 def lpp_bruteforce(xi: BirthField) -> float:

@@ -68,7 +68,7 @@ def test_lpp_check_flow_runs_the_passage_value_dp_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("lpp_dp", "_diagonals"):
+    for name in ("lpp_dp", "_diagonals", "birth_matrix"):
         monkeypatch.setattr(lpp, name, counted(name))
     xi = tmp_path / "xi.csv"
     write_matrix(xi, [[1, 2, 0], [3, 4, 5]])
@@ -76,6 +76,17 @@ def test_lpp_check_flow_runs_the_passage_value_dp_once(tmp_path, monkeypatch):
     assert run(["lpp", "--xi", str(xi), "--check-flow", "--out", str(out)]) == 0
     assert calls == ["lpp_dp", "_diagonals"]
     assert json.loads(out.read_text())["value"] == 13.0
+
+
+def test_lln_refuses_a_law_with_no_growth_constant_before_it_sweeps(monkeypatch, capsys):
+    from brokenlines import experiments
+
+    def sweep(*args):
+        raise AssertionError("a replica was swept")
+
+    monkeypatch.setattr(experiments, "replica_passage", sweep)
+    assert run(["lln", "--dist", "point:1", "--n", "4", "--replicas", "3"]) == 1
+    assert "growth constants exist for exponential and geometric births only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1.0"])

@@ -59,6 +59,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LlnConfig(5, 0.1, EXP1, 1)  # floor(0.5) = 0 columns
     assert LlnConfig(10, 0.55, EXP1, 1).m == 5
+    for token in ("unif:0:1", "point:1"):
+        with pytest.raises(ValueError, match="growth constants exist for exponential and geometric"):
+            LlnConfig(10, 1.0, parse_dist(token), 1)
 
 
 def test_single_site_reports_distribution_mean():

@@ -82,7 +82,7 @@ def test_dp_matches_brute_force(seed):
     assert lpp_dp(xi).value == lpp_bruteforce(xi)
 
 
-def textbook_passage_value(matrix):
+def textbook_table(matrix):
     """``G[i][j] = x[i][j] + max(G[i-1][j], G[i][j-1])``, one python float at a time."""
     n, m = matrix.shape
     G = [[0.0] * m for _ in range(n)]
@@ -90,7 +90,25 @@ def textbook_passage_value(matrix):
         for j in range(m):
             preds = ([G[i - 1][j]] if i else []) + ([G[i][j - 1]] if j else [])
             G[i][j] = float(matrix[i, j]) + (max(preds) if preds else 0.0)
-    return G[-1][-1]
+    return G
+
+
+def textbook_passage_value(matrix):
+    return textbook_table(matrix)[-1][-1]
+
+
+def textbook_path(matrix):
+    """The 1-based cells of the path backtracked through the textbook table, ties going to ``(i - 1, j)``."""
+    G = textbook_table(matrix)
+    i, j = matrix.shape[0] - 1, matrix.shape[1] - 1
+    cells = [(i + 1, j + 1)]
+    while i or j:
+        if j == 0 or i and G[i - 1][j] >= G[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+        cells.append((i + 1, j + 1))
+    return cells[::-1]
 
 
 def random_float_matrix(seed):
@@ -113,6 +131,27 @@ def test_float_dp_path_collects_exactly_the_dp_value(seed):
     result = lpp_dp(xi)
     assert path_sum(xi, result.path) == result.value
     assert lpp_dp(xi, with_path=False).value == result.value
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dp_path_is_the_textbook_backtrack_on_tied_matrices(n):
+    # 0/1 births tie at most cells, so the tie rule alone picks the path
+    for m in range(1, 13):
+        for k in range(3):
+            matrix = np.array([[float(uniform(40, k, n, m, i, j) < 0.5) for j in range(m)] for i in range(n)])
+            xi = births_from_matrix(matrix)
+            result = lpp_dp(xi)
+            assert result.value == textbook_passage_value(matrix)
+            assert result.path.sites == tuple(xi.domain.cell_to_site(*cell) for cell in textbook_path(matrix))
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[np.nan, 1.0]], [[-5.0, 1.0]], [[np.inf]], np.zeros((0, 3))], ids=["nan", "negative", "inf", "empty"]
+)
+def test_passage_value_refuses_what_births_from_matrix_refuses(matrix):
+    for read in (births_from_matrix, passage_value):
+        with pytest.raises(ValueError):
+            read(matrix)
 
 
 def test_integer_valued_passage_values_are_pinned():
@@ -305,29 +344,40 @@ def test_only_flow_reads_a_birth_fields_entries():
     assert readers == []
 
 
-# the JSON of `lpp --check-flow` (value, path, flow_residual) on a 37x53 matrix
-# of Exp(1) draws and one of integers 0..9, each cell keyed (18, i, j)
+# the JSON of `lpp --check-flow` (value, path, flow_residual) on n x m matrices
+# of Exp(1) draws and of integers 0..9, each cell keyed (18, i, j): a 37x53
+# matrix, a single row and column, and a tall 2100x2 one
 LPP_CHECK_FLOW_DIGESTS = {
-    "float": "8ac33217939b4fccf53d5c1236baf1a211f50357922b3dde646143bf9c8de267",
-    "int": "33e12dc93449275d692a689c5bda5fb58a93f4127e03087a5637bf10c6530bda",
+    ("float", 37, 53): "8ac33217939b4fccf53d5c1236baf1a211f50357922b3dde646143bf9c8de267",
+    ("int", 37, 53): "33e12dc93449275d692a689c5bda5fb58a93f4127e03087a5637bf10c6530bda",
+    ("float", 1, 53): "753a88d4e683ddddc593cb2c162185f8246f0c0a2675f680aec717e620b5b820",
+    ("int", 1, 53): "f50122f72c24f3494c3920397ea7b33a3d34abb2c7d7d78800dae20c557d7af2",
+    ("float", 53, 1): "411bc7bd96ac5cf82ec9d194354488d5328bc11fc1f72689c637f022e8a69b83",
+    ("int", 53, 1): "0f22a5a55885c802eafec4a1f94b604b483e312555d7c70626030ac2d5defe04",
+    ("float", 2100, 2): "27bd487a45a5a71f1eb3c6989ff78bcbd2f94115caeeb49198daff248abf4046",
+    ("int", 2100, 2): "3e73f80d1efa27e635963838a5123c8319c23e8c2ed0b729a0b7127450bc1e21",
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LPP_CHECK_FLOW_DIGESTS))
-def test_lpp_check_flow_output_is_pinned(kind, tmp_path):
+@pytest.mark.parametrize(
+    "case", LPP_CHECK_FLOW_DIGESTS, ids=lambda c: c[0] if c[1:] == (37, 53) else "{}-{}x{}".format(*c)
+)
+def test_lpp_check_flow_output_is_pinned(case, tmp_path):
     from brokenlines.cli import run
+
+    kind, n, m = case
 
     def draw(i, j):
         u = uniform(18, i, j)
         return -math.log1p(-u) if kind == "float" else int(u * 10)
 
-    rows = [",".join(repr(draw(i, j)) for j in range(53)) for i in range(37)]
+    rows = [",".join(repr(draw(i, j)) for j in range(m)) for i in range(n)]
     (tmp_path / "xi.csv").write_text("\n".join(rows) + "\n")
     out = tmp_path / "lpp.json"
     assert run(["lpp", "--xi", str(tmp_path / "xi.csv"), "--check-flow", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert sorted(payload) == ["flow_residual", "path", "value"] and len(payload["path"]) == 37 + 53 - 1
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LPP_CHECK_FLOW_DIGESTS[kind]
+    assert sorted(payload) == ["flow_residual", "path", "value"] and len(payload["path"]) == n + m - 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LPP_CHECK_FLOW_DIGESTS[case]
 
 
 class _CountingValues(np.ndarray):
