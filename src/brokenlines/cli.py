@@ -60,7 +60,7 @@ def _load_field(path: str):
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _write_report(args, report, rows: list, csv_path: str | None) -> int:

@@ -384,10 +384,8 @@ def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
     same seed.
     """
     up, down, born = _site_draws(domain, _chain(lam), lambda t, x, role: uniforms_at(seed, t, x, role))
-    boundary = BoundaryFlow(
-        dict(zip(domain.southwest_side, up.tolist())), dict(zip(domain.northwest_side, down.tolist()))
-    )
-    return field_from_birth(domain, boundary, BirthField.from_values(domain, born), mode="int")
+    births = BirthField.from_values(domain, born)
+    return field_from_birth(domain, BoundaryFlow(up, down), births, mode="int")
 
 
 def consistency_test(

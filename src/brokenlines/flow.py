@@ -15,17 +15,17 @@ because real strips narrower than ``REL_TOL * C`` occur.
 
 Layout: one storage form, views on read.  A field holds its masses only
 as ``FlowField.values``, one flat array in canonical edge order (the order
-of the plan's ``edge_keys`` and of ``domain.edges``), and the field
-operations, JSON included, read that array and the domain's index plans; a
-field built from an ``Edge``-keyed dict reads it into that array at once,
-and the dict ``FlowField.mass`` is built from the array on first read.
-:func:`sweep` runs on such arrays one ``t``-column at a time, with an
-optional trailing replica axis.  :func:`mass_array` picks the dtype:
-float64 in float mode; in int mode int64 when the sum of the masses' sizes
-(for a sweep, of its inflows and births) is below ``2**63``, which bounds
-every mass, height and sum the operations form, and otherwise exact Python
-ints in an object array.  Values handed out are Python ``int`` and
-``float`` either way.
+of the plan's ``edge_keys`` and of ``domain.edges``), which the field
+operations, JSON included, read with the domain's index plans; an
+``Edge``-keyed dict is read into it at once, and the dict ``FlowField.mass``
+is a view built on first read.  Births in site order and inflows in side
+order are read as arrays too, each where it lies; a site-keyed dict is
+placed by site first.  :func:`sweep` runs on such arrays one ``t``-column
+at a time, with an optional trailing replica axis.  The dtype is float64
+in float mode; in int mode int64 when the sum of the masses' sizes (for a
+sweep, of its inflows and births) is below ``2**63``, which bounds every
+mass, height and sum the operations form, else exact Python ints in an
+object array.  Values handed out are Python ``int`` and ``float`` either way.
 """
 
 from __future__ import annotations
@@ -56,21 +56,21 @@ def tolerance(scale, mode: str):
 
 @dataclass(frozen=True)
 class BoundaryFlow:
-    """Inflow data: ascending mass keyed by southwest-side site, descending
-    by northwest-side site.  Missing sites carry zero."""
+    """Inflow data, ascending on the southwest side and descending on the northwest
+    side: keyed by side site, missing sites carrying zero, or arrays in side order."""
 
-    up_in: dict[Site, float]
-    down_in: dict[Site, float]
+    up_in: dict[Site, float] | np.ndarray
+    down_in: dict[Site, float] | np.ndarray
 
 
 @dataclass(frozen=True, init=False)
 class BirthField:
     """Mass of pair creation per site; support inside the domain.
 
-    ``BirthField(domain, births)`` takes a site-keyed dict; :meth:`from_values`
-    takes one mass per site of ``domain.sites``, and ``births`` is then a
-    view keyed by every site, built on first read.  Neither is checked on
-    construction: other modules read births through :meth:`masses` only.
+    ``BirthField(domain, births)`` takes a site-keyed dict, placed by site on first read;
+    :meth:`from_values` a 1-D array, one mass per site of ``domain.sites``, of which
+    ``births`` is a view built on first read.  Either way ``_given`` alone holds ``(where,
+    masses)``, unchecked until :meth:`masses`, the one read other modules make.
     """
 
     domain: Domain
@@ -83,24 +83,21 @@ class BirthField:
     def from_values(cls, domain: Domain, values: np.ndarray) -> "BirthField":
         """The births ``values``, in the order of ``domain.sites``."""
         field = cls.__new__(cls)
-        field.__dict__.update(domain=domain, _values=values)
+        field.__dict__.update(domain=domain, _given=(slice(None), values))
         return field
 
     @cached_property
     def births(self) -> dict[Site, float]:
-        return dict(zip(self.domain.sites, self._values.tolist()))
+        return dict(zip(self.domain.sites, self._given[1].tolist()))
 
-    def _entries(self) -> tuple[np.ndarray, list]:
-        """The position in ``domain.sites`` and the mass of each given entry."""
-        if "_values" in self.__dict__:
-            return np.arange(len(self._values)), self._values.tolist()
-        index = _site_index(self.domain, self.births, None, "births outside the domain")
-        return index, list(self.births.values())
+    @cached_property
+    def _given(self) -> tuple:
+        return _site_index(self.domain, self.births, None, "births outside the domain")
 
     def masses(self, mode: str | None = None) -> np.ndarray:
         """One mass per site of ``domain.sites`` in ``mode`` (inferred when
         None), read and checked as :func:`field_from_birth` reads births."""
-        return _site_masses(self.domain, [self._entries()], mode)[0][0]
+        return _site_masses(self.domain, [self._given], mode)[0][0]
 
 
 @dataclass(frozen=True)
@@ -180,22 +177,26 @@ def as_mass(value, mode: str, where):
     raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
 
 
-def as_masses(values: list, mode: str, where) -> np.ndarray:
-    """:func:`as_mass` on every value, as one :func:`mass_array`.
+def as_masses(values, mode: str, where) -> np.ndarray:
+    """:func:`as_mass` on every value of a list or a 1-D array, as one array.
 
-    The rule is checked on the whole list at once when it holds Python ints
-    only, or in float mode ints and floats: finite and nonnegative.  On a
-    value that breaks it, or a list of other types, ``as_mass`` runs value
-    by value, ``where(i)`` naming value ``i``: it raises its message for the
-    first offender, and casts numpy scalars and integral floats.
+    The rule, finite and nonnegative, is checked at once on an int64 array in int mode or a
+    float64 one in float mode, kept as it is, and on one :func:`mass_array` of a list of
+    Python ints, or in float mode ints and floats; other arrays are read as their ``tolist()``.
+    Any other list, or a value breaking the rule, goes value by value through ``as_mass``,
+    ``where(i)`` naming value ``i``: it raises for the first offender and casts the rest.
     """
-    if set(map(type, values)) <= ({int} if mode == "int" else {int, float}):
+    if isinstance(values, np.ndarray) and values.dtype != (np.int64 if mode == "int" else np.float64):
+        values = values.tolist()
+    array = isinstance(values, np.ndarray)
+    if array or set(map(type, values)) <= ({int} if mode == "int" else {int, float}):
         try:
-            masses = mass_array(values, mode)
+            masses = values if array else mass_array(values, mode)
         except OverflowError:  # an int too large for a float
             masses = None
         if masses is not None and ((masses >= 0) & (masses < math.inf)).all():
             return masses if mode == "int" else masses + 0.0  # no negative zero
+    values = values.tolist() if array else values
     return mass_array([as_mass(v, mode, where(i)) for i, v in enumerate(values)], mode)
 
 
@@ -238,8 +239,8 @@ def sweep(domain: Domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarr
     return mass
 
 
-def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) -> np.ndarray:
-    """Position in ``domain.sites`` of each key of ``values``; ValueError
+def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) -> tuple:
+    """Position in ``domain.sites`` of each key of ``values``, and the values; ValueError
     ``what: [keys]`` listing the keys that are no site, or no site where
     ``on`` holds."""
     keys = list(values)
@@ -253,23 +254,27 @@ def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) 
         bad[~bad] = ~on[index[~bad]]
     if bad.any():
         raise ValueError(f"{what}: {sorted(k for k, b in zip(keys, bad.tolist()) if b)}")
-    return index
+    return index, list(values.values())
 
 
 def _site_masses(domain: Domain, entries: list, mode: str | None) -> tuple[np.ndarray, str]:
-    """One row of masses per site for each ``(index, values)`` entry, and the mode.
-
-    All values go through one :func:`as_masses` in ``mode`` (by default their
-    :func:`infer_mode`), so the int64 rule sees every input; value ``k`` goes
-    to site ``index[k]``."""
-    index = np.concatenate([i for i, _ in entries])
-    given = list(chain.from_iterable(v for _, v in entries))
-    if mode is None:
-        mode = infer_mode(given)
-    plan = domain.plan
-    masses = as_masses(given, mode, lambda i: plan.points(plan.site_keys[index[i : i + 1]])[0])
-    out = np.zeros((len(entries), len(plan.site_keys)), masses.dtype)
-    out[np.repeat(np.arange(len(entries)), [len(i) for i, _ in entries]), index] = masses
+    """One row of masses per site for each ``(where, values)`` entry, and the mode.  ``values``
+    (a list, or a 1-D array whose numbers share one type) holds one mass per site of
+    ``domain.sites[where]`` and goes through :func:`as_masses` in ``mode``, by default the
+    :func:`infer_mode` of every value.  Rows are int64 when all masses sum below ``2**63``."""
+    plan, sample = domain.plan, []
+    keys = [plan.site_keys[where] for where, _ in entries]
+    for (_, v), k in zip(entries, keys):
+        if getattr(v, "ndim", 1) != 1 or len(v) != len(k):
+            raise ValueError(f"masses of shape {np.shape(v)} for {len(k)} sites")
+        sample.extend(v if getattr(v, "dtype", object) == object else v[:1].astype(object))
+    mode = infer_mode(sample) if mode is None else mode
+    masses = [as_masses(v, mode, lambda i, k=k: plan.points(k[i : i + 1])[0])
+              for (_, v), k in zip(entries, keys)]
+    wide = mode == "int" and sum(int(m.sum(dtype=object)) for m in masses) >= 1 << 63  # no wrap
+    out = np.zeros((len(entries), len(plan.site_keys)), object if wide else masses[0].dtype)
+    for row, (where, _), m in zip(out, entries, masses):
+        row[where] = m
     return out, mode
 
 
@@ -295,8 +300,8 @@ def field_from_birth(
         (boundary.up_in, sw, "ascending inflow keyed off the southwest side"),
         (boundary.down_in, nw, "descending inflow keyed off the northwest side"),
     )
-    entries = [(_site_index(domain, d, on, what), list(d.values())) for d, on, what in inflows]
-    entries.append(births._entries())
+    entries = [_site_index(domain, d, on, what) if isinstance(d, dict) else (on, d)
+               for d, on, what in inflows] + [births._given]
     (up, down, born), mode = _site_masses(domain, entries, mode)
     return FlowField.from_values(domain, sweep(domain, up[sw], down[nw], born), mode)
 

@@ -33,6 +33,15 @@ def test_lpp_subcommand(tmp_path, capsys):
     assert result["path"] == [[0, 0], [1, -1], [2, 0]]
 
 
+def test_lpp_reads_a_one_column_csv_as_a_column(tmp_path, capsys):
+    # a 3x1 file was once read as the 1x3 matrix, whose path climbs
+    xi = tmp_path / "xi.csv"
+    write_matrix(xi, [[1], [2], [3]])
+    assert run(["lpp", "--xi", str(xi)]) == 0
+    result = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert result == {"value": 6.0, "path": [[0, 0], [1, -1], [2, -2]]}
+
+
 def test_lpp_check_flow_exit_codes(tmp_path):
     xi = tmp_path / "xi.csv"
     write_matrix(xi, [[1, 2], [3, 4]])

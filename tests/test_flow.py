@@ -433,3 +433,98 @@ def test_births_given_as_values_equal_births_given_as_a_dict():
     as_dict = BirthField(d, dict(zip(d.sites, values.tolist())))
     assert as_values.births == as_dict.births
     assert field_from_birth(d, births=as_values, mode="int") == field_from_birth(d, births=as_dict)
+
+
+def test_a_births_or_inflow_array_of_the_wrong_shape_is_refused():
+    # a one-value array once broadcast to every site, and five values for
+    # four sites raised IndexError
+    d = RectDomain(2, 2)
+    for values in (np.array([1.0]), np.ones(5), np.ones((4, 1)), np.array(1.0), np.ones(0, np.int64)):
+        with pytest.raises(ValueError, match=re.escape(f"{values.shape} for 4 sites")):
+            BirthField.from_values(d, values).masses()
+    with pytest.raises(ValueError, match=re.escape("(1,) for 2 sites")):
+        field_from_birth(d, BoundaryFlow(np.array([1]), {}))
+    with pytest.raises(ValueError, match=re.escape("(3,) for 2 sites")):
+        field_from_birth(d, BoundaryFlow({}, np.ones(3)))
+
+
+def _array_of(dtype):
+    """Arrays of ``dtype``, all masses or mixed with values no mass may take.
+
+    Masses include negative zero, integral floats and int64 masses whose sum
+    passes 2**63; the rest NaN, infinities and negatives."""
+    floats = st.one_of(
+        st.floats(0, 1e3), st.integers(0, 9).map(float), st.sampled_from([-0.0, 1e300, 5e-324])
+    )
+    masses, others = {
+        np.int64: (st.one_of(st.integers(0, 9), st.integers(2**62, 2**63 - 1)), st.just(-1)),
+        np.int32: (st.integers(0, 2**31 - 1), st.integers(-(2**31), -1)),
+        np.uint64: (st.one_of(st.integers(0, 9), st.integers(2**63, 2**64 - 1)), st.nothing()),
+        np.float64: (floats, st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.5])),
+        np.float32: (floats, st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.5])),
+        bool: (st.booleans(), st.nothing()),
+        object: (st.one_of(st.integers(0, 2**70), floats), st.sampled_from([-1, float("nan"), True])),
+    }[dtype]
+    return lambda n: st.one_of(
+        st.lists(masses, min_size=n, max_size=n), st.lists(masses | others, min_size=n, max_size=n)
+    ).map(lambda v: np.array(v, dtype=dtype))
+
+
+ARRAY_DTYPES = [np.int64, np.float64, np.int32, np.uint64, np.float32, bool, object]
+
+
+def _read(read):
+    """What ``read()`` gives, values, dtype and Python types, or its refusal."""
+    try:
+        values = read()
+    except ValueError as refused:
+        return "refused", str(refused)
+    values = getattr(values, "values", values)
+    return repr(values.tolist()), values.dtype, [type(v) for v in values.tolist()]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")  # 1e300 as a float32 is inf
+@given(DOMAINS, st.sampled_from(ARRAY_DTYPES), st.sampled_from([None, "int", "float"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_an_array_reads_exactly_as_its_tolist_dict_reads(domain, dtype, mode, data):
+    values = data.draw(_array_of(dtype)(len(domain.sites)))
+    as_array = BirthField.from_values(domain, values)
+    as_dict = BirthField(domain, dict(zip(domain.sites, values.tolist())))
+    assert _read(lambda: as_array.masses(mode)) == _read(lambda: as_dict.masses(mode))
+
+    sides = domain.southwest_side, domain.northwest_side
+    up, down = (data.draw(_array_of(data.draw(st.sampled_from(ARRAY_DTYPES)))(len(s))) for s in sides)
+    keyed = BoundaryFlow(dict(zip(sides[0], up.tolist())), dict(zip(sides[1], down.tolist())))
+    assert _read(lambda: field_from_birth(domain, BoundaryFlow(up, down), as_array, mode)) == _read(
+        lambda: field_from_birth(domain, keyed, as_dict, mode)
+    )
+
+
+class _Unlisted(np.ndarray):
+    """A mass array that refuses to become a list."""
+
+    def tolist(self):
+        raise AssertionError("tolist called")
+
+
+def test_int64_and_float64_births_are_read_without_tolist():
+    # array births once went through tolist() and back into an array
+    d = RectDomain(3, 4)
+    for values, mode in ((np.arange(len(d.sites)), "int"), (np.linspace(0, 1, len(d.sites)), "float")):
+        xi = BirthField.from_values(d, values.view(_Unlisted))
+        for read in (None, mode):
+            assert np.array_equal(xi.masses(read), values) and xi.masses(read).dtype == values.dtype
+        assert field_from_birth(d, births=xi).mode == mode
+
+
+def test_evolve_chain_hands_over_its_draws_as_arrays(monkeypatch):
+    # its side draws were once zipped into site-keyed dicts and looked up again
+    from brokenlines.duality import evolve_chain
+
+    field = evolve_chain(RectDomain(4, 3), 0.5, 2)
+
+    def refuse(*args):
+        raise AssertionError("a site-keyed dict was read")
+
+    monkeypatch.setattr(flow, "_site_index", refuse)
+    assert evolve_chain(RectDomain(4, 3), 0.5, 2) == field

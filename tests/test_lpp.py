@@ -339,21 +339,22 @@ def test_only_flow_reads_a_birth_fields_entries():
         for path in sorted(package.glob("*.py"))
         if path.name != "flow.py"
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in ("births", "_entries", "_values")
+        if isinstance(node, ast.Attribute) and node.attr in ("births", "_given")
     ]
     assert readers == []
 
 
 # the JSON of `lpp --check-flow` (value, path, flow_residual) on n x m matrices
 # of Exp(1) draws and of integers 0..9, each cell keyed (18, i, j): a 37x53
-# matrix, a single row and column, and a tall 2100x2 one
+# matrix, a single row and column, and a tall 2100x2 one; the 53x1 digests
+# are those of the 53x1 matrix, not of the 1x53 one its CSV was once read as
 LPP_CHECK_FLOW_DIGESTS = {
     ("float", 37, 53): "8ac33217939b4fccf53d5c1236baf1a211f50357922b3dde646143bf9c8de267",
     ("int", 37, 53): "33e12dc93449275d692a689c5bda5fb58a93f4127e03087a5637bf10c6530bda",
     ("float", 1, 53): "753a88d4e683ddddc593cb2c162185f8246f0c0a2675f680aec717e620b5b820",
     ("int", 1, 53): "f50122f72c24f3494c3920397ea7b33a3d34abb2c7d7d78800dae20c557d7af2",
-    ("float", 53, 1): "411bc7bd96ac5cf82ec9d194354488d5328bc11fc1f72689c637f022e8a69b83",
-    ("int", 53, 1): "0f22a5a55885c802eafec4a1f94b604b483e312555d7c70626030ac2d5defe04",
+    ("float", 53, 1): "fad941dcd290dfeb0469f8f20c0f138ddc26898647d3cbc0eb0930bbbe275e38",
+    ("int", 53, 1): "33ea2e584c44dbd26581ff2f3764b20c26cad554c7738522becdaa38b06a1937",
     ("float", 2100, 2): "27bd487a45a5a71f1eb3c6989ff78bcbd2f94115caeeb49198daff248abf4046",
     ("int", 2100, 2): "3e73f80d1efa27e635963838a5123c8319c23e8c2ed0b729a0b7127450bc1e21",
 }
@@ -371,12 +372,15 @@ def test_lpp_check_flow_output_is_pinned(case, tmp_path):
         u = uniform(18, i, j)
         return -math.log1p(-u) if kind == "float" else int(u * 10)
 
-    rows = [",".join(repr(draw(i, j)) for j in range(m)) for i in range(n)]
+    matrix = np.array([[draw(i, j) for j in range(m)] for i in range(n)])
+    rows = [",".join(map(repr, row)) for row in matrix.tolist()]
     (tmp_path / "xi.csv").write_text("\n".join(rows) + "\n")
     out = tmp_path / "lpp.json"
     assert run(["lpp", "--xi", str(tmp_path / "xi.csv"), "--check-flow", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert sorted(payload) == ["flow_residual", "path", "value"] and len(payload["path"]) == n + m - 1
+    # the path of the matrix as the CSV holds it: a one-column file is n x 1
+    assert payload["path"] == [[i + j - 2, j - i] for i, j in textbook_path(matrix)]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LPP_CHECK_FLOW_DIGESTS[case]
 
 
