@@ -219,13 +219,13 @@ def test_domain_json_roundtrip():
     assert domain_from_dict(hexa.to_dict()) == hexa
 
 
-def test_midpoints_are_odd_neighbours():
-    d = RectDomain(2, 2)
-    mids = midpoints(d)
-    assert all((t + x) % 2 == 1 for t, x in mids)
-    assert (-1, 0) in mids and (3, 0) in mids
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 6)])
+def test_midpoints_are_odd_neighbours(shape):
+    d = RectDomain(*shape)
+    odd = {(t + dt, x + dx) for t, x in d.sites for dt, dx in ((-1, 0), (1, 0), (0, -1), (0, 1))}
+    assert midpoints(d) == tuple(sorted(odd))
     # (n+1)(m+1) face corners of the site grid
-    assert len(mids) == 9
+    assert len(odd) == (d.n + 1) * (d.m + 1)
 
 
 HEX = HexDomain(0, 4, 2, 2, (0, -1, -2, -1, 0), (0, 1, 2, 1, 0))

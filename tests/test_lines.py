@@ -33,6 +33,7 @@ from brokenlines.lines import (
     line_fields,
 )
 from brokenlines.lpp import births_from_matrix
+from brokenlines.render import render_field_svg
 from brokenlines.streams import uniform, uniforms_at
 from helpers import (
     decomposition_of,
@@ -856,6 +857,34 @@ def test_decompose_refuses_heights_apart_beyond_tolerance():
         decompose(bent)
 
 
+def test_brick_diagram_refuses_heights_that_drift_apart():
+    # every ascending edge out of matrix column 1 carries 0.99e-9 of the
+    # smaller scale of its end sites too much: inside each site's
+    # conservation tolerance, and the crossing sums agree, but the surplus
+    # adds up along the column until the heights east of it, reached up the
+    # column, disagree with those reached across it by more than the slack
+    matrix = np.zeros((6, 4))
+    matrix[0, 1] = 1492.219413126023
+    matrix[2, 0] = 135.33081221720815
+    matrix[0, 2] = 774.5482179731966
+    births = births_from_matrix(matrix)
+    domain = births.domain
+    field = field_from_birth(domain, births=births)
+    incident = domain.plan.incident
+    scale = field.values[incident].max(axis=0)  # the largest of each site's four masses
+    rows, cols = domain.cells
+    site = {(r, c): k for k, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    values = field.values.copy()
+    for r in range(6):
+        a, b = site[r, 1], site[r, 2]
+        values[incident[2, a]] += 0.99e-9 * min(scale[a], scale[b])
+    bent = FlowField.from_values(domain, values, "float")
+    assert check_conservation(bent) == []
+    total_crossing_flow(bent)
+    with pytest.raises(ValueError, match=r"^inconsistent heights at midpoint \(4, -1\)$"):
+        brick_diagram(bent)
+
+
 # ---------------------------------------------------- line fields
 
 
@@ -937,18 +966,34 @@ PINNED_DIGESTS = {
     "hex": {
         "field": "cf5f7d2c99bd37231087b578db9d5116428a1fe8abe27aac33fd3a1472d6961f",
     },
+    "chain 1x7": {
+        "field": "4f8e104a63830ecdcfdd11e7cb54bf0ceb1a88d72da3921ee512a086d964bb8c",
+        "csv": "fd7161305a9918e16d8495e281d98dc05610f9db07d2b1458babc74a13c15e93",
+        "diagram": "45da27011f49909ac3d93ec2ef5750cc5f8483c1df56740383cb1e4f80dfbf11",
+        "compose": "4f8e104a63830ecdcfdd11e7cb54bf0ceb1a88d72da3921ee512a086d964bb8c",
+    },
+    "chain 7x1": {
+        "field": "6aa557ffaf4b9cb200515e3dd5c8dae5c09e9b1c6df0022db5a76ff3fa122ac7",
+        "csv": "78dbe9044722cf979ac091d9eadfde2dc1c88670def87848eb8599c1b98bb94e",
+        "diagram": "c456037f4235c228125c9bad7ae52192362c1ce6d729736d83f19a7247e00983",
+        "compose": "6aa557ffaf4b9cb200515e3dd5c8dae5c09e9b1c6df0022db5a76ff3fa122ac7",
+    },
 }
+CHAIN_SHAPES = {"chain": (12, 9), "chain 1x7": (1, 7), "chain 7x1": (7, 1)}
+# render_field_svg of the 12x9 chain field
+PINNED_SVG_DIGEST = "94750680b66fc33de243614ce84283d6ddcb90f86e1f87d2805bdac7f6e6656b"
 
 
 def pinned_field(name):
-    """A 12x9 int chain field, a float field grown from Exp(1) births alone,
-    or an int chain field on a hexagon kinked on both sides (field JSON only).
+    """An int chain field on a 12x9, 1x7 or 7x1 rectangle, a float field grown
+    from Exp(1) births alone, or an int chain field on a hexagon kinked on
+    both sides (field JSON only).
 
     The births come from the package's own counter-based streams, so the
     digests do not depend on numpy's generators.
     """
-    if name == "chain":
-        return evolve_chain(RectDomain(12, 9), 0.5, 5)
+    if name in CHAIN_SHAPES:
+        return evolve_chain(RectDomain(*CHAIN_SHAPES[name]), 0.5, 5)
     if name == "hex":
         lower = (-2, -3, -4, -5, -4, -3, -2, -1, 0, 1)
         upper = (2, 3, 4, 5, 6, 7, 6, 5, 4, 3)
@@ -974,6 +1019,11 @@ def test_outputs_match_pinned_digests(name):
         digests["diagram"] = sha(json.dumps(brick_diagram(f).to_dict(), indent=2))
         digests["compose"] = sha(json.dumps(field_to_dict(rebuilt), indent=2))
     assert digests == PINNED_DIGESTS[name]
+
+
+def test_svg_matches_pinned_digest():
+    svg = render_field_svg(pinned_field("chain"))
+    assert hashlib.sha256(svg.encode()).hexdigest() == PINNED_SVG_DIGEST
 
 
 def test_the_round_trip_builds_no_edge_or_trace_objects(monkeypatch):
