@@ -88,7 +88,9 @@ class BirthField:
 
     @cached_property
     def births(self) -> dict[Site, float]:
-        return dict(zip(self.domain.sites, self._given[1].tolist()))
+        values = self._given[1]
+        _require_one_per_site(values, len(self.domain.plan.site_keys))
+        return dict(zip(self.domain.sites, values.tolist()))
 
     @cached_property
     def _given(self) -> tuple:
@@ -166,6 +168,15 @@ def as_mass(value, mode: str, where):
     and nonnegative, and integral in int mode; anything else raises
     ValueError.  A negative zero is read as zero.
     """
+    mass = _cast_mass(value, mode)
+    if mass is None:
+        kind = "integer" if mode == "int" else "number"
+        raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
+    return mass
+
+
+def _cast_mass(value, mode: str):
+    """:func:`as_mass` of ``value``, or None where it raises."""
     # int and float first: the Real ABC check is several times slower
     real = type(value) is not bool and isinstance(value, (int, float, Real))
     try:
@@ -173,8 +184,7 @@ def as_mass(value, mode: str, where):
             return int(value) if mode == "int" else float(value) + 0.0
     except OverflowError:  # too large for a float
         pass
-    kind = "integer" if mode == "int" else "number"
-    raise ValueError(f"mass {value!r} at {where} is not a finite nonnegative {kind}")
+    return None
 
 
 def as_masses(values, mode: str, where) -> np.ndarray:
@@ -183,8 +193,9 @@ def as_masses(values, mode: str, where) -> np.ndarray:
     The rule, finite and nonnegative, is checked at once on an int64 array in int mode or a
     float64 one in float mode, kept as it is, and on one :func:`mass_array` of a list of
     Python ints, or in float mode ints and floats; other arrays are read as their ``tolist()``.
-    Any other list, or a value breaking the rule, goes value by value through ``as_mass``,
-    ``where(i)`` naming value ``i``: it raises for the first offender and casts the rest.
+    Any other list, or a value breaking the rule, goes value by value through ``as_mass``:
+    it casts every value, or raises for the first offender, named by ``where(i)``, the one
+    call of ``where``.
     """
     if isinstance(values, np.ndarray) and values.dtype != (np.int64 if mode == "int" else np.float64):
         values = values.tolist()
@@ -197,7 +208,11 @@ def as_masses(values, mode: str, where) -> np.ndarray:
         if masses is not None and ((masses >= 0) & (masses < math.inf)).all():
             return masses if mode == "int" else masses + 0.0  # no negative zero
     values = values.tolist() if array else values
-    return mass_array([as_mass(v, mode, where(i)) for i, v in enumerate(values)], mode)
+    masses = [_cast_mass(v, mode) for v in values]
+    if None in masses:
+        i = masses.index(None)
+        as_mass(values[i], mode, where(i))  # raises, naming the first offender
+    return mass_array(masses, mode)
 
 
 def mass_array(values: list, mode: str) -> np.ndarray:
@@ -257,6 +272,12 @@ def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) 
     return index, list(values.values())
 
 
+def _require_one_per_site(values, sites: int) -> None:
+    """ValueError unless ``values``, a list or an array, is 1-D with ``sites`` entries."""
+    if getattr(values, "ndim", 1) != 1 or len(values) != sites:
+        raise ValueError(f"masses of shape {np.shape(values)} for {sites} sites")
+
+
 def _site_masses(domain: Domain, entries: list, mode: str | None) -> tuple[np.ndarray, str]:
     """One row of masses per site for each ``(where, values)`` entry, and the mode.  ``values``
     (a list, or a 1-D array whose numbers share one type) holds one mass per site of
@@ -265,8 +286,7 @@ def _site_masses(domain: Domain, entries: list, mode: str | None) -> tuple[np.nd
     plan, sample = domain.plan, []
     keys = [plan.site_keys[where] for where, _ in entries]
     for (_, v), k in zip(entries, keys):
-        if getattr(v, "ndim", 1) != 1 or len(v) != len(k):
-            raise ValueError(f"masses of shape {np.shape(v)} for {len(k)} sites")
+        _require_one_per_site(v, len(k))
         sample.extend(v if getattr(v, "dtype", object) == object else v[:1].astype(object))
     mode = infer_mode(sample) if mode is None else mode
     masses = [as_masses(v, mode, lambda i, k=k: plan.points(k[i : i + 1])[0])

@@ -5,15 +5,16 @@ distance 1 in each coordinate.  A rectangular domain is the degenerate case
 of a hexagonal one and is the only shape on which the decomposition
 machinery operates; hexagonal domains support membership, boundary queries
 and the Markov evolution.  Both build the same index arrays from their
-column bounds (:class:`ColumnPlan`, :class:`MidpointPlan`), which the
-sweeps over ``t``-columns in ``flow`` and ``lines`` run on.
+column bounds (:class:`ColumnPlan`), which the sweep over ``t``-columns in
+``flow`` runs on.  The midpoints of an ``n x m`` rectangle, where the brick
+diagram's heights live, are the face corners of its site grid: the sites of
+the ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -99,31 +100,6 @@ class ColumnPlan(NamedTuple):
         return _find(self.edge_keys, 2 * np.minimum(a, b) + (b < a))
 
 
-class MidpointPlan(NamedTuple):
-    """The brick-diagram sweep over the midpoints of a rectangle.
-
-    ``keys`` are the midpoints sorted by ``(t, x)`` and ``columns`` their
-    ``t``-columns.  The first midpoint is the anchor; every later one is
-    the upper flank of the edge ``edge`` and takes its height from the
-    lower flank ``low``: the ascending edge of the column before when the
-    domain has it, else the descending one.  The midpoints ``both`` have
-    the descending edge ``edge2`` with lower flank ``low2`` as well.
-    Closure site ``i``, at ``x = closure_x[i]``, owns the brick from
-    midpoint ``brick_lo[i]`` to ``brick_hi[i]``.
-    """
-
-    keys: np.ndarray
-    columns: tuple[slice, ...]
-    edge: np.ndarray
-    low: np.ndarray
-    both: np.ndarray
-    edge2: np.ndarray
-    low2: np.ndarray
-    closure_x: np.ndarray
-    brick_lo: np.ndarray
-    brick_hi: np.ndarray
-
-
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``keys`` (``np.unique``, through a plain sort)."""
     keys = np.sort(keys, axis=None)
@@ -151,18 +127,6 @@ def _clipped(values, lo: int, hi: int) -> np.ndarray:
     return np.minimum(values, hi, out=values).astype(np.int64, copy=False)
 
 
-def _parts(a: np.ndarray, like: list) -> list[np.ndarray]:
-    """``a`` cut into consecutive pieces as long as the items of ``like``."""
-    ends = list(accumulate(map(len, like)))
-    return [a[i:j] for i, j in zip([0, *ends], ends)]
-
-
-def _column_slices(t: np.ndarray) -> tuple[slice, ...]:
-    """Slices of the runs of equal values in the sorted array ``t``."""
-    cuts = [0, *(np.flatnonzero(np.diff(t)) + 1).tolist(), len(t)]
-    return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
-
-
 def _side(k: int, name: str) -> cached_property:
     def side(self) -> tuple[Site, ...]:
         return self.plan.points(self.plan.site_keys[self._on_side[k]])
@@ -176,12 +140,11 @@ class _DomainMixin:
 
     Everything is derived from the column bounds ``(t0, lo, hi)``: column
     ``t0 + k`` holds the sites ``x = lo[k], lo[k] + 2, .., hi[k]``.  The
-    :class:`ColumnPlan` and, for rectangles, the :class:`MidpointPlan` are
-    built once per domain with numpy and cached with the tuples read off
-    them.  The boundary too: a site lies on the southwest, northwest,
-    northeast or southeast side when its neighbour across its edge of that
-    direction lies outside the domain.  Flows enter through the southwest
-    and northwest sides and leave through the other two.
+    :class:`ColumnPlan` is built once per domain with numpy and cached with
+    the tuples read off it.  The boundary too: a site lies on the southwest,
+    northwest, northeast or southeast side when its neighbour across its
+    edge of that direction lies outside the domain.  Flows enter through the
+    southwest and northwest sides and leave through the other two.
     """
 
     @cached_property
@@ -261,39 +224,6 @@ class _DomainMixin:
         """Edge indices, in side order, of the inflow of the southwest and the
         northwest sides and of the outflow of the northeast and southeast sides."""
         return tuple(edges[on] for edges, on in zip(self.plan.incident, self._on_side))
-
-    @cached_property
-    def midpoint_plan(self) -> MidpointPlan:
-        plan = self.plan
-        w = plan.width
-        keys = _distinct(plan.site_keys + np.array([[-w], [w], [-1], [1]]))
-        c = plan.closure_keys
-        # below each midpoint (u, v) the edges (u-1, v, up) and (u-1, v, down);
-        # at each closure site its sw, nw, ne, se edges
-        below, at = 2 * (keys - w), 2 * c
-        edges = [below, below + 1, at - 2 * w - 2, at - 2 * w + 3, at, at + 1]
-        found = _find(plan.edge_keys, np.concatenate(edges))
-        up_edge, down_edge, *_ = _parts(found, edges)
-        up, down, sw, nw, ne, se = _parts(found >= 0, edges)
-        # an inner site's brick spans the midpoints west and east of it, an
-        # outer site's the flanks of its one domain edge
-        lo = np.where(sw | nw, c - w, np.where(ne, c + 1, c - 1))
-        hi = np.where(ne | se, c + w, np.where(sw, c - 1, c + 1))
-        flanks = [keys - w + 1, keys - w - 1, lo, hi]
-        up_low, down_low, brick_lo, brick_hi = _parts(_find(keys, np.concatenate(flanks)), flanks)
-        both = np.flatnonzero(up & down)
-        return MidpointPlan(
-            keys,
-            _column_slices(keys // w),
-            np.where(up, up_edge, down_edge),
-            np.where(up, up_low, down_low),
-            both,
-            down_edge[both],
-            down_low[both],
-            c % w + plan.x_lo,
-            brick_lo,
-            brick_hi,
-        )
 
 
 @dataclass(frozen=True)
@@ -442,12 +372,26 @@ def domain_from_dict(d: dict) -> Domain:
     raise ValueError(f"unknown domain type {kind!r}")
 
 
-def midpoints(domain: Domain) -> tuple[Site, ...]:
-    """Odd-parity points at unit distance from the domain, sorted by ``(t, x)``.
+def in_midpoint_order(corners: np.ndarray) -> np.ndarray:
+    """The values ``corners[a, b]`` on the face corners of an ``n x m``
+    rectangle's site grid, an ``(n + 1, m + 1)`` array, in :func:`midpoints` order.
 
-    These are the interval boundaries of the brick diagram: one per face
-    corner of the site grid.  The brick diagram sweeps them in this order
-    (see :class:`MidpointPlan`), so every midpoint comes after the midpoints
-    of the column ``t - 1``.
+    Corner ``(a, b)`` lies between matrix rows ``a - 1`` and ``a`` and columns
+    ``b - 1`` and ``b``, 0-based: it is the midpoint ``(a + b - 1, b - a)``.
+    Sorted by ``(t, x)``, the corners run along the anti-diagonals, ``a``
+    falling within each: the diagonals of the array turned upside down.
     """
-    return domain.plan.points(domain.midpoint_plan.keys)
+    n, m = corners.shape[0] - 1, corners.shape[1] - 1
+    return np.concatenate([corners[::-1].diagonal(k) for k in range(-n, m + 1)])
+
+
+def midpoints(domain: Domain) -> tuple[Site, ...]:
+    """Odd-parity points at unit distance from a rectangle's sites, sorted by ``(t, x)``.
+
+    These are the interval boundaries of the brick diagram, one per face
+    corner of the site grid (see :func:`in_midpoint_order`): the sites of the
+    ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``, in the same order.
+    """
+    rect = require_rect(domain, "the midpoints")
+    a, b = np.indices((rect.n + 1, rect.m + 1))
+    return tuple(zip(in_midpoint_order(a + b - 1).tolist(), in_midpoint_order(b - a).tolist()))

@@ -36,7 +36,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import RectDomain, Site, midpoints, require_rect
+from .lattice import RectDomain, Site, in_midpoint_order, midpoints, require_rect
 
 
 @dataclass(frozen=True)
@@ -176,37 +176,47 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class BrickDiagram:
-    """Cumulative-coordinate view of a flow field on a rectangle.
+    """Cumulative-coordinate view of a flow field on an ``n x m`` rectangle.
 
-    ``height_values`` holds each midpoint's cumulative coordinate, in
-    :func:`lattice.midpoints` order; sorted distinct values form ``breakpoints``,
-    and strip ``j`` is the band between breakpoints ``j - 1`` and ``j``.  Each
-    closure site owns a brick (:class:`lattice.MidpointPlan`), and
-    ``site_range`` reads off the strips that pass through it.
+    ``grid`` holds the cumulative coordinate of each midpoint, a face corner
+    of the site grid: ``grid[a, b]`` is the corner between rows ``a - 1`` and
+    ``a`` and columns ``b - 1`` and ``b`` of the matrix, 0-based.  Sorted
+    distinct values form ``breakpoints``, and strip ``j`` is the band between
+    breakpoints ``j - 1`` and ``j``.  Closure site ``(i, j)``, 0-based from
+    ``-1`` to ``n`` and ``m``, owns the brick from corner ``(i, j)`` to corner
+    ``(i + 1, j + 1)``, each clipped onto the grid, and ``site_range`` reads
+    off the strips that pass through it.
     """
 
     domain: RectDomain
     mode: str
     breakpoints: tuple[float, ...]
-    height_values: np.ndarray
+    grid: np.ndarray
 
     @property
     def strip_count(self) -> int:
         return len(self.breakpoints) - 1
 
+    def _midpoint_heights(self) -> zip:
+        """Each midpoint with its height, in :func:`lattice.midpoints` order."""
+        return zip(midpoints(self.domain), in_midpoint_order(self.grid).tolist())
+
     @cached_property
     def heights(self) -> dict[Site, float]:
-        """``height_values`` keyed by midpoint."""
-        return dict(zip(midpoints(self.domain), self.height_values.tolist()))
+        """The heights of ``grid`` keyed by midpoint."""
+        return dict(self._midpoint_heights())
 
     @cached_property
     def _brick_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`site_range` of every closure site, in closure order."""
-        plan = self.domain.midpoint_plan
-        h = self.height_values
-        q = np.array(self.breakpoints, dtype=h.dtype)
-        bricks = (plan.brick_lo, plan.brick_hi)
-        return tuple(np.searchsorted(q, h[b], side="right") - 1 for b in bricks)
+        plan = self.domain.plan
+        t, x = plan.decode(plan.closure_keys)
+        i, j = (t - x) // 2, (t + x) // 2  # the closure site's matrix cell
+        n, m = self.domain.n, self.domain.m
+        q = np.array(self.breakpoints, dtype=self.grid.dtype)
+        # the last breakpoint at or below each corner, read at each brick's two corners
+        below = np.searchsorted(q, self.grid, side="right") - 1
+        return below[i.clip(0, n), j.clip(0, m)], below[(i + 1).clip(0, n), (j + 1).clip(0, m)]
 
     def _site_ranges(self, t, x) -> tuple[np.ndarray, np.ndarray]:
         plan = self.domain.plan
@@ -251,14 +261,15 @@ class BrickDiagram:
         Every closure site's strip range at once, as in :meth:`site_range`;
         strip ``j``'s trace is the sites whose range holds it, sorted by ``x``.
         """
-        plan = self.domain.midpoint_plan
         lo, hi = self._brick_ranges
         counts = np.maximum(hi - lo, 0)
         site = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
         strip = np.repeat(lo + 1 - first, counts) + np.arange(len(site))
-        order = np.lexsort((plan.closure_x[site], strip))
-        t, x = self.domain.plan.decode(self.domain.plan.closure_keys[site[order]])
+        plan = self.domain.plan
+        _, closure_x = plan.decode(plan.closure_keys)
+        order = np.lexsort((closure_x[site], strip))
+        t, x = plan.decode(plan.closure_keys[site[order]])
         q = self.breakpoints
         per_strip = np.bincount(strip, minlength=len(q))[1:]
         return Decomposition(t, x, per_strip, tuple(map(sub, q[1:], q[:-1])))
@@ -268,44 +279,50 @@ class BrickDiagram:
             "domain": self.domain.to_dict(),
             "mode": self.mode,
             "breakpoints": list(self.breakpoints),
-            "heights": [
-                {"t": t, "x": x, "p": p}
-                for (t, x), p in zip(midpoints(self.domain), self.height_values.tolist())
-            ],
+            "heights": [{"t": t, "x": x, "p": p} for (t, x), p in self._midpoint_heights()],
         }
 
 
 def brick_diagram(field: FlowField) -> BrickDiagram:
     """Build the cumulative diagram of a conserved field on a rectangle.
 
-    One sweep over the midpoints in increasing ``t``, a column at a time
-    (see :class:`lattice.MidpointPlan`).  The first, west of the west
-    corner, anchors the minimum at zero.  Every later midpoint is the upper
-    flank of one or two domain edges from the column before; it takes its
-    lower flank's height plus the mass of the ascending edge, or of the
-    descending one when there is no ascending edge, and the other edge,
-    where present, must agree within ``tolerance`` of the crossing flow.
-    Every domain edge has exactly one upper flank, so each is used or
-    checked once.
+    The heights are a potential on the ``(n + 1, m + 1)`` grid of face
+    corners: crossing a domain edge eastward, from the corner below it to the
+    one above it, adds the edge's mass.  The ascending edges are the steps
+    between rows, ``up[a, b]`` from corner ``(a, b)`` to ``(a + 1, b)``, and
+    the descending ones the steps between columns, ``down[a, b]`` from
+    ``(a, b)`` to ``(a, b + 1)``.  Corner ``(0, 0)``, west of the west corner,
+    anchors the minimum at zero; row 0 is the running sum of its descending
+    edges, and each column the running sum of its ascending ones from there.
+    Every other descending edge must then agree with the heights of its two
+    corners within ``tolerance`` of the crossing flow.
     """
     domain = require_rect(field.domain, "the brick diagram")
     require_conserved(field)
     mass = field.values
     slack = tolerance(total_crossing_flow(field), field.mode)
 
-    plan = domain.midpoint_plan
-    heights = np.zeros(len(plan.keys), mass.dtype)
-    for col in plan.columns[1:]:
-        heights[col] = heights[plan.low[col]] + mass[plan.edge[col]]
-    gap = abs(heights[plan.low2] + mass[plan.edge2] - heights[plan.both])
-    bad = np.flatnonzero(gap > slack)
-    if bad.size:
-        raise ValueError(f"inconsistent heights at midpoint {midpoints(domain)[plan.both[bad[0]]]}")
+    n, m = domain.n, domain.m
+    i, j = domain.cells
+    sw, nw, ne, se = mass[domain.plan.incident]
+    up = np.empty((n, m + 1), mass.dtype)
+    up[i, j], up[i, j + 1] = sw, ne
+    down = np.empty((n + 1, m), mass.dtype)
+    down[i, j], down[i + 1, j] = nw, se
+    grid = np.zeros((n + 1, m + 1), mass.dtype)
+    grid[0, 1:] = down[0]
+    grid[0] = np.cumsum(grid[0])  # from the anchor's zero, as 0 + down[0, 0] + ..
+    grid[1:] = up
+    grid = np.cumsum(grid, axis=0)
+    bad = abs(grid[1:, :-1] + down[1:] - grid[1:, 1:]) > slack
+    if bad.any():
+        first = np.argmax(in_midpoint_order(np.pad(bad, ((1, 0), (1, 0)))))
+        raise ValueError(f"inconsistent heights at midpoint {midpoints(domain)[first]}")
 
     # Deduplicate heights into strictly increasing breakpoints at the rounding
     # level: each height is compared with the last one kept.  Equal heights
     # never both survive, and where every gap exceeds the level all do.
-    values = np.sort(heights)
+    values = np.sort(grid, axis=None)
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     breakpoints = values.tolist()
     eps = 0 if field.mode == "int" else ABS_TOL * max(1.0, float(values[-1]))
@@ -314,7 +331,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
         for v in values[1:].tolist():
             if v - breakpoints[-1] > eps:
                 breakpoints.append(v)
-    return BrickDiagram(domain, field.mode, tuple(breakpoints), heights)
+    return BrickDiagram(domain, field.mode, tuple(breakpoints), grid)
 
 
 def decompose(field: FlowField) -> Decomposition:

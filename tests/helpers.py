@@ -280,6 +280,27 @@ def flank_site_range(diagram, y) -> tuple[int, int]:
     return bisect_right(q, h[lo_mid]) - 1, bisect_right(q, h[hi_mid]) - 1
 
 
+def swept_heights(field: FlowField) -> dict:
+    """Brick heights by the scalar sweep over the midpoints in ``(t, x)`` order.
+
+    The reference for ``BrickDiagram.heights``, bit for bit: the first
+    midpoint is zero, and each later one ``(u, v)`` is its lower flank's height
+    plus the mass of the edge between them, the ascending edge from
+    ``(u - 1, v)`` where the domain has it, else the descending one.
+    """
+    domain = field.domain
+    odd = {(t + dt, x + dx) for t, x in domain.sites for dt, dx in ((-1, 0), (1, 0), (0, -1), (0, 1))}
+    first, *rest = sorted(odd)
+    heights = {first: field.values[:0].sum()}  # the zero of the field's dtype
+    for u, v in rest:
+        up = Edge(u - 1, v, True)
+        if up in domain.edge_set:
+            heights[u, v] = heights[u - 1, v + 1] + field.mass[up]
+        else:
+            heights[u, v] = heights[u - 1, v - 1] + field.mass[Edge(u - 1, v, False)]
+    return {y: h.item() if isinstance(h, np.generic) else h for y, h in heights.items()}
+
+
 @st.composite
 def hexagons(draw):
     """Hexagons with both kinks anywhere, around negative and positive x."""

@@ -448,6 +448,38 @@ def test_a_births_or_inflow_array_of_the_wrong_shape_is_refused():
         field_from_birth(d, BoundaryFlow({}, np.ones(3)))
 
 
+def test_the_births_view_refuses_what_masses_refuses():
+    # five values for four sites once listed the first four as the births
+    d = RectDomain(2, 2)
+    for values in (np.ones(5), np.ones(3), np.ones((4, 1)), np.array(1.0)):
+        field = BirthField.from_values(d, values)
+        with pytest.raises(ValueError) as refused:
+            field.masses()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            field.births
+    with pytest.raises(ValueError, match=re.escape("masses of shape (5,) for 4 sites")):
+        BirthField.from_values(d, np.ones(5)).births
+
+
+def test_as_masses_calls_where_for_the_offender_alone():
+    # where(i) was once called for every value read one by one: at 200x200,
+    # np.float64 births took 274 ms against 13 ms for Python floats
+    calls = []
+
+    def where(i):
+        calls.append(i)
+        return f"value {i}"
+
+    assert flow.as_masses([np.float64(0.5), np.float64(2.0)], "float", where).tolist() == [0.5, 2.0]
+    assert flow.as_masses([1.0, np.float64(2.0), 3], "int", where).tolist() == [1, 2, 3]
+    assert flow.as_masses(np.array([1.0, 2.0], np.float32), "float", where).tolist() == [1.0, 2.0]
+    assert calls == []
+    bad = [np.float64(0.5), np.float64(-1.0), np.float64(-2.0), 3.0]
+    with pytest.raises(ValueError, match=re.escape(f"mass {bad[1]!r} at value 1 is not")):
+        flow.as_masses(bad, "float", where)
+    assert calls == [1]
+
+
 def _array_of(dtype):
     """Arrays of ``dtype``, all masses or mixed with values no mass may take.
 

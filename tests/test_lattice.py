@@ -219,13 +219,16 @@ def test_domain_json_roundtrip():
     assert domain_from_dict(hexa.to_dict()) == hexa
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 6)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 6)],
+                         ids=["1x1", "1x5", "5x1", "2x2", "3x6"])
 def test_midpoints_are_odd_neighbours(shape):
     d = RectDomain(*shape)
     odd = {(t + dt, x + dx) for t, x in d.sites for dt, dx in ((-1, 0), (1, 0), (0, -1), (0, 1))}
     assert midpoints(d) == tuple(sorted(odd))
-    # (n+1)(m+1) face corners of the site grid
-    assert len(odd) == (d.n + 1) * (d.m + 1)
+    # the (n+1)(m+1) face corners of the site grid, the sites of the corner
+    # rectangle one step earlier in t
+    corners = RectDomain(d.n + 1, d.m + 1)
+    assert midpoints(d) == tuple((t - 1, x) for t, x in corners.sites)
 
 
 HEX = HexDomain(0, 4, 2, 2, (0, -1, -2, -1, 0), (0, 1, 2, 1, 0))

@@ -46,6 +46,7 @@ from helpers import (
     outer_southwest,
     random_domain,
     random_field,
+    swept_heights,
     trace_crosses,
     trace_edges,
     trace_order,
@@ -828,6 +829,23 @@ def test_heights_difference_identity(seed, shape, mode):
             assert h[above] - h[below] == f.mass[e]
         else:
             assert abs(h[above] - h[below] - f.mass[e]) <= slack
+
+
+@given(
+    st.integers(0, 300),
+    st.sampled_from([(1, 1), (1, 5), (5, 1), (3, 6), (4, 4), (7, 2)]),
+    st.sampled_from(["float", "int", "object"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_heights_equal_the_scalar_sweep_bit_for_bit(seed, shape, mode):
+    domain = RectDomain(*shape)
+    f = random_field(domain, seed=seed, mode="float" if mode == "float" else "int")
+    if mode == "object":  # Python ints past 2**63
+        f = FlowField.from_values(domain, f.values.astype(object) * 2**70, "int")
+    h = brick_diagram(f).heights
+    swept = swept_heights(f)
+    assert list(h) == list(swept)
+    assert [(type(v), repr(v)) for v in h.values()] == [(type(v), repr(v)) for v in swept.values()]
 
 
 def test_brick_diagram_rejects_hexagons_and_bad_fields():
