@@ -102,14 +102,39 @@ class DistSpec:
         return 0.0
 
     def from_uniform(self, u):
-        """Inverse CDF; works on scalars and numpy arrays alike."""
-        if self.kind == EXPONENTIAL:
-            return -np.log1p(-u) / self.rate
+        """Inverse CDF; works on scalars and numpy arrays alike.
+
+        :meth:`from_negated_uniform` on a float64 copy of ``-u``; geometric
+        counts come out as int64, every other law as float64.
+        """
+        x = self.from_negated_uniform(np.negative(u, out=np.empty(np.shape(u))))
         if self.kind == GEOMETRIC:
-            return np.floor(np.log1p(-u) / math.log(self.lam)).astype(np.int64)
-        if self.kind == POINTMASS:
-            return np.full_like(np.asarray(u, dtype=float), self.value)
-        return self.low + (self.high - self.low) * np.asarray(u)
+            x = x.astype(np.int64)
+        return x[()]  # a scalar for a scalar ``u``
+
+    def from_negated_uniform(self, v: np.ndarray) -> np.ndarray:
+        """The inverse CDF at ``u``, read from ``v = -u`` in place in the float64 array ``v``.
+
+        Each law has this one formula.  ``log1p(v) / -rate`` and
+        ``floor(log1p(v) / log(lam))`` are ``-log1p(-u) / rate`` and
+        ``floor(log1p(-u) / log(lam))`` rewritten exactly: negating a float
+        or a divisor changes only a sign.  So is
+        ``v * (low - high) + low`` for ``low + (high - low) * u``.  Geometric
+        counts stay integral floats.
+        """
+        if self.kind == EXPONENTIAL:
+            np.log1p(v, out=v)
+            v /= -self.rate
+        elif self.kind == GEOMETRIC:
+            np.log1p(v, out=v)
+            v /= math.log(self.lam)
+            np.floor(v, out=v)
+        elif self.kind == POINTMASS:
+            v.fill(self.value)
+        else:
+            v *= self.low - self.high
+            v += self.low
+        return v
 
     def token(self) -> str:
         if self.kind == EXPONENTIAL:

@@ -18,7 +18,7 @@ import numpy as np
 from .duality import EXPONENTIAL, GEOMETRIC, DistSpec
 from .lpp import _diagonals
 from .lpp import passage_value  # noqa: F401  (traced by benchmarks/tracing.py)
-from .streams import stream_base, uniform_diagonals
+from .streams import negated_uniform_diagonals, stream_base
 from .streams import uniform_grid  # noqa: F401  (traced by benchmarks/tracing.py)
 
 # Replicas times the longer side per block, so memory is O(block) for any
@@ -119,7 +119,8 @@ def replica_passage(dist: DistSpec, n: int, m: int, seed: int, replicas: range) 
     Replica ``r`` draws cell ``(i, j)`` from ``(seed, r, i, j)``, so its
     value does not depend on the other replicas.  A block of
     ``_BLOCK_CELLS // max(n, m)`` replicas is swept by anti-diagonals, drawn
-    in runs of whole diagonals.  The sweep takes ``n + m - 1``
+    in runs of whole diagonals that hold ``-u`` and are inverted in place by
+    :meth:`DistSpec.from_negated_uniform`.  The sweep takes ``n + m - 1``
     steps, so its cost is a per-step term in ``n + m`` plus a per-cell term,
     and each value is the one the scalar recurrence gives, bit for bit.
     """
@@ -127,7 +128,8 @@ def replica_passage(dist: DistSpec, n: int, m: int, seed: int, replicas: range) 
     block = max(1, _BLOCK_CELLS // max(n, m))
     for start in range(0, len(replicas), block):
         bases = [stream_base(seed, r) for r in replicas[start : start + block]]
-        births = (dist.from_uniform(u) for u in uniform_diagonals(bases, n, m))
+        runs = negated_uniform_diagonals(bases, n, m)
+        births = (dist.from_negated_uniform(v) for v in runs)
         for last in _diagonals(n, m, births):
             pass
         values[start : start + len(bases)] = last[0]

@@ -260,6 +260,8 @@ class BrickDiagram:
 
         Every closure site's strip range at once, as in :meth:`site_range`;
         strip ``j``'s trace is the sites whose range holds it, sorted by ``x``.
+        A trace meets each ``x`` once, so ``strip * span + x - x_min`` is a
+        unique key per pair, and one plain sort of it orders the traces.
         """
         lo, hi = self._brick_ranges
         counts = np.maximum(hi - lo, 0)
@@ -268,7 +270,9 @@ class BrickDiagram:
         strip = np.repeat(lo + 1 - first, counts) + np.arange(len(site))
         plan = self.domain.plan
         _, closure_x = plan.decode(plan.closure_keys)
-        order = np.lexsort((closure_x[site], strip))
+        x_min = closure_x.min()
+        span = closure_x.max() - x_min + 1
+        order = np.argsort(strip * span + (closure_x[site] - x_min))
         t, x = plan.decode(plan.closure_keys[site[order]])
         q = self.breakpoints
         per_strip = np.bincount(strip, minlength=len(q))[1:]

@@ -4,6 +4,13 @@ Every draw is a pure function of ``(seed, key...)``: an integer key tuple is
 hashed to a uniform in [0, 1) and the target CDF is inverted on top of it.
 Lattice sites and Monte Carlo replicas can therefore be sampled in any
 order, or in parallel, without sharing generator state.
+
+The hash is SplitMix64's finalizer, folded over the keys one at a time.
+The replica sweeps draw a whole grid per replica by
+:func:`negated_uniform_diagonals`, which takes the finalizer's first step
+once per row key and once per column key instead of once per cell, and
+yields ``-u`` rather than ``u``, so that the inverse CDF runs in place on
+its runs (:meth:`DistSpec.from_negated_uniform`).
 """
 
 from __future__ import annotations
@@ -20,13 +27,16 @@ _U_MULT1 = np.uint64(_MULT1)
 _U_MULT2 = np.uint64(_MULT2)
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _TO_UNIT = 2.0 ** -53
+_TO_NEGATED_UNIT = -_TO_UNIT
 
-# Draws per run of :func:`uniform_diagonals`, enough that numpy's per-call
-# cost stays small on short diagonals.  With runs of 2**12, 2**13, 2**14,
-# 2**15 and 2**16 draws the `growth` and `scan` sizes took 904, 790, 699,
-# 748 and 713 ms (best of nine, 2-core x86_64 host); above 2**14 only the
-# buffers grow: 2**16 raised the `growth` sizes' peak RSS by 3 MB.
-_RUN_CELLS = 1 << 14
+# Draws per run of :func:`negated_uniform_diagonals`, enough that numpy's
+# per-call cost stays small on short diagonals.  With runs of 2**13, 2**14,
+# 2**15 and 2**16 draws, each inverted in place, the `growth` sizes took
+# 366-400, 316-352, 286-319 and 296-339 ms and the `scan` sizes 166-186,
+# 163-186, 167-190 and 175-190 ms (best of nine, 3 or 4 runs, 2-core x86_64
+# host).  Above 2**15 only the buffers grow; at 2**15 the `growth` sizes
+# peaked at 30.7 MB RSS, against 30.4 MB at 2**14 and 31.5 MB at 2**16.
+_RUN_CELLS = 1 << 15
 
 
 def _mix(h: int) -> int:
@@ -81,6 +91,22 @@ def _mix_array(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         scratch = np.empty_like(h)
     np.right_shift(h, _S30, out=scratch)
     h ^= scratch
+    return _mix_after_first_step(h, scratch)
+
+
+def _first_step(h: np.ndarray) -> np.ndarray:
+    """SplitMix64's opening ``h ^= h >> 30`` on a uint64 array, in place.
+
+    A logical shift distributes over XOR, so the step of ``a ^ b`` is the
+    step of ``a`` XOR the step of ``b``: keys that are XORed together later
+    can each take it once, ahead of the XOR.
+    """
+    h ^= h >> _S30
+    return h
+
+
+def _mix_after_first_step(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The rest of :func:`_mix_array` on words that have taken :func:`_first_step`."""
     h *= _U_MULT1
     np.right_shift(h, _S27, out=scratch)
     h ^= scratch
@@ -106,27 +132,33 @@ def uniform_grid(base: int, rows: int, cols: int) -> np.ndarray:
     return _unit(_mix_array(row_keys[:, None] ^ _counters(cols)))
 
 
-def uniform_diagonals(bases, rows: int, cols: int):
-    """Yield the uniform grid of every base anti-diagonal by anti-diagonal, in runs.
+def negated_uniform_diagonals(bases, rows: int, cols: int):
+    """Yield minus the uniform grid of every base, anti-diagonal by anti-diagonal, in runs.
 
-    Anti-diagonal ``d`` holds the uniforms addressed by ``(base, i, d - i)``
-    for ``i = lo .. hi``, with ``lo = max(0, d - cols + 1)`` and
+    Anti-diagonal ``d`` holds ``-uniform`` at ``(base, i, d - i)`` for
+    ``i = lo .. hi``, with ``lo = max(0, d - cols + 1)`` and
     ``hi = min(rows - 1, d)``, as ``hi - lo + 1`` rows of ``len(bases)``.  A
     run is the rows of consecutive whole diagonals, ``d = 0, 1, ...`` in
-    order, stacked; it holds at most ``_RUN_CELLS`` uniforms unless one
-    diagonal alone holds more.  The row keys are mixed once and the column keys held in
-    descending order, so each diagonal is one contiguous XOR, and a run is
-    one SplitMix64 pass in reused buffers: each yielded run is overwritten by
-    the next.
+    order, stacked; it holds at most ``_RUN_CELLS`` draws unless one
+    diagonal alone holds more.
+
+    The row keys are mixed once and the column keys held in descending
+    order, so each diagonal is one contiguous XOR.  Both keys take
+    SplitMix64's first step once, ahead of that XOR (:func:`_first_step`),
+    so a cell pays only the rest of the finalizer.  The top 53 bits are
+    scaled by ``-2**-53``, which is exact: each value is ``-u`` bit for bit,
+    ``-0.0`` for ``u = 0``, ready for :meth:`DistSpec.from_negated_uniform`
+    to invert in place.  A run is one pass in reused buffers, so each yielded
+    run is overwritten by the next and may be overwritten by its reader.
     """
     bases = np.asarray([b & _MASK for b in bases], dtype=np.uint64)
-    row_keys = _mix_array(_counters(rows)[:, None] ^ bases)
+    row_keys = _first_step(_mix_array(_counters(rows)[:, None] ^ bases))
     # col_keys[p] holds the key of column cols - 1 - p, once per base
-    col_keys = np.repeat(_counters(cols)[::-1, None], len(bases), axis=1)
+    col_keys = np.repeat(_first_step(_counters(cols))[::-1, None], len(bases), axis=1)
     count, side = rows + cols - 1, min(rows, cols)
     run = max(1, _RUN_CELLS // (side * len(bases)))
     shape = (min(run * side, rows * cols), len(bases))
-    h, scratch, u = np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape)
+    h, scratch, v = np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape)
     for first in range(0, count, run):
         c = 0
         for d in range(first, min(first + run, count)):
@@ -134,6 +166,6 @@ def uniform_diagonals(bases, rows: int, cols: int):
             k, p = hi - lo + 1, cols - 1 - d + lo
             np.bitwise_xor(row_keys[lo : hi + 1], col_keys[p : p + k], out=h[c : c + k])
             c += k
-        _mix_array(h[:c], scratch[:c])
+        _mix_after_first_step(h[:c], scratch[:c])
         np.right_shift(h[:c], _S11, out=h[:c])
-        yield np.multiply(h[:c], _TO_UNIT, out=u[:c])
+        yield np.multiply(h[:c], _TO_NEGATED_UNIT, out=v[:c])

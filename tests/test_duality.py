@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -91,6 +92,66 @@ def test_geometric_sample_mean():
 def test_exponential_sample_mean():
     values = DistSpec.exponential(2.0).from_uniform(uniforms(456, 100_000))
     assert abs(values.mean() - 0.5) < 0.01
+
+
+def _inverse_cdf_on_u(spec: DistSpec, u: np.ndarray) -> np.ndarray:
+    """The inverse CDFs as written on ``u`` itself, before they ran on ``-u``."""
+    if spec.kind == "exponential":
+        return -np.log1p(-u) / spec.rate
+    if spec.kind == "geometric":
+        return np.floor(np.log1p(-u) / math.log(spec.lam))
+    if spec.kind == "pointmass":
+        return np.full_like(u, spec.value)
+    return spec.low + (spec.high - spec.low) * u
+
+
+def _check_in_place_inverse_cdf(spec: DistSpec, u) -> None:
+    """from_negated_uniform runs in place on -u, as the replica sweeps hand it
+    their draws; from_uniform(u) must agree with it, and both with the
+    formulas on u, bit for bit: signs of zeros included (u = 0 gives -0.0)."""
+    v = np.array(u, dtype=float)
+    np.negative(v, out=v)
+    core = spec.from_negated_uniform(v)
+    assert core is v and core.dtype == np.float64
+    on_u = _inverse_cdf_on_u(spec, np.array(u, dtype=float))
+    assert np.array_equal(core.view(np.int64), on_u.view(np.int64))
+    got = spec.from_uniform(u)
+    assert np.ndim(got) == np.ndim(u) and isinstance(got, np.ndarray) == isinstance(u, list)
+    if spec.kind == "geometric":
+        assert got.dtype == np.int64
+        assert np.array_equal(got, core.astype(np.int64))
+    else:
+        assert got.dtype == np.float64
+        assert np.array_equal(np.asarray(got).view(np.int64), core.view(np.int64))
+
+
+# the ends of the grid of 2**53 uniforms and its middle
+GRID_EDGES = [0.0, 2.0**-53, 0.5, 1 - 2.0**-53]
+
+
+@pytest.mark.parametrize("u", [*GRID_EDGES, GRID_EDGES], ids=str)
+@pytest.mark.parametrize(
+    "spec",
+    [DistSpec.exponential(2.5), DistSpec.geometric(0.9), DistSpec.pointmass(1.5), DistSpec.uniform(0, 1)],
+    ids=lambda d: d.token(),
+)
+def test_the_in_place_inverse_cdf_at_the_grid_edges(spec, u):
+    _check_in_place_inverse_cdf(spec, u)
+
+
+grid_uniforms = st.sampled_from(GRID_EDGES) | st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+any_law = st.one_of(
+    positive.map(DistSpec.exponential),
+    st.floats(min_value=1e-6, max_value=1 - 2.0**-53).map(DistSpec.geometric),
+    st.floats(min_value=0, max_value=1e6).map(DistSpec.pointmass),
+    st.tuples(st.floats(min_value=0, max_value=1e6), positive).map(lambda a: DistSpec.uniform(a[0], a[0] + a[1])),
+)
+
+
+@given(any_law, st.lists(grid_uniforms, min_size=1, max_size=6) | grid_uniforms)
+def test_the_in_place_inverse_cdf_on_minus_u_is_from_uniform_bit_for_bit(spec, u):
+    _check_in_place_inverse_cdf(spec, u)
 
 
 # ------------------------------------------------------------ kernel

@@ -108,6 +108,20 @@ def test_batched_replicas_equal_each_replica_alone(monkeypatch, dist, n, m, repl
     assert batch.tolist() == alone
 
 
+@pytest.mark.parametrize("dist", [EXP1, GEOM5], ids=lambda d: d.token())
+def test_replica_sweeps_invert_their_draws_in_place(monkeypatch, dist):
+    # the sweep once inverted each run through from_uniform, paying for -u
+    # and for a fresh array at every step of the formula
+    values = replica_passage(dist, 37, 53, 3, range(6))
+
+    def refuse(*args):
+        raise AssertionError("a replica sweep called from_uniform")
+
+    monkeypatch.setattr(DistSpec, "from_uniform", refuse)
+    again = replica_passage(dist, 37, 53, 3, range(6))
+    assert np.array_equal(again.view(np.int64), values.view(np.int64))
+
+
 @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.token())
 def test_replica_subrange_equals_its_slice_of_the_batch(monkeypatch, dist):
     monkeypatch.setattr(experiments, "_BLOCK_CELLS", 8)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,9 +8,9 @@ from hypothesis import strategies as st
 from brokenlines import streams
 from brokenlines.lattice import HexDomain
 from brokenlines.streams import (
+    negated_uniform_diagonals,
     stream_base,
     uniform,
-    uniform_diagonals,
     uniform_grid,
     uniforms_at,
 )
@@ -65,10 +68,12 @@ def test_uniform_diagonals_draw_each_cell_from_seed_replica_row_col(monkeypatch)
         expected = [[uniform(9, r, i, j) for r in range(3)] for i, j in cells_in_order]
         grid = uniform_grid(bases[2], rows, cols)
         assert [grid[i, j] for i, j in cells_in_order] == [row[2] for row in expected]
+        negated = np.negative(expected)
         for cells in (1, 7, streams._RUN_CELLS):
             monkeypatch.setattr(streams, "_RUN_CELLS", cells)
-            runs = [run.copy() for run in uniform_diagonals(bases, rows, cols)]
-            assert np.concatenate(runs).tolist() == expected
+            runs = [run.copy() for run in negated_uniform_diagonals(bases, rows, cols)]
+            # each run holds -u bit for bit, signs of zeros included
+            assert np.array_equal(np.concatenate(runs).view(np.int64), negated.view(np.int64))
             # a run stacks whole diagonals and holds at most `cells` draws,
             # unless one diagonal alone holds more
             ends = np.cumsum([len(run) for run in runs])
@@ -109,3 +114,22 @@ def test_keyed_vector_draw_equals_the_scalar_draw_at_every_site_and_role():
             keyed = uniforms_at(seed, 12, t[:, None], x[:, None], role, np.arange(5))
             assert keyed.tolist() == expected
         assert uniforms_at(seed, 12, 3, 1).tolist() == [uniform(seed, 12, 3, 1)]
+
+
+def test_one_hash_and_one_inverse_cdf():
+    # SplitMix64 is written in streams only and the inverse CDFs in duality
+    # only: a second copy of either would have to stay equal to the first bit
+    # for bit, or draws would stop reproducing from their address
+    homes = {
+        "streams.py": re.compile(r"0x(?:BF58476D1CE4E5B9|94D049BB133111EB)", re.IGNORECASE),
+        "duality.py": re.compile(r"\blog1p\b"),
+    }
+    package = Path(streams.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for home, pattern in homes.items()
+        if path.name != home and pattern.search(line)
+    ]
+    assert found == []
