@@ -110,8 +110,8 @@ def test_batched_replicas_equal_each_replica_alone(monkeypatch, dist, n, m, repl
 
 @pytest.mark.parametrize("dist", [EXP1, GEOM5], ids=lambda d: d.token())
 def test_replica_sweeps_invert_their_draws_in_place(monkeypatch, dist):
-    # the sweep once inverted each run through from_uniform, paying for -u
-    # and for a fresh array at every step of the formula
+    # from_uniform pays for a negated copy of what it inverts; the sweeps'
+    # runs already hold -u and are inverted where they lie
     values = replica_passage(dist, 37, 53, 3, range(6))
 
     def refuse(*args):
