@@ -492,6 +492,8 @@ REPORT_DIGESTS = {
         "7fd17438b1740f5d767adc2ee7dcc5d6f723dbabf7dfa83dcb6ba044861e9702",
     ("reversal", "exp:1,exp:2,exp:3"):
         "de63962efc38bf276bc37bb39bfad24a4ea050d7ad07a6abe4ad378f908f3c5b",
+    ("reversal", "geom:0.4,geom:0.5,geom:0.2"):
+        "1c0911709656243a095eda86356dcc35d93f912726788126b220e1a07a440a1c",
     ("reversal", "unif:0:1,unif:0:1,unif:0:1"):
         "747812cdeb311617e30f15f52cd5d53f2231bb9e5acf22e72f93dba74336be62",
 }
