@@ -172,16 +172,37 @@ def mean_z_check(name: str, a: np.ndarray, b: np.ndarray, alpha: float) -> Check
     return Check(name, z, crit, z <= crit)
 
 
-def correlation_check(name: str, a: np.ndarray, b: np.ndarray, alpha: float) -> Check:
-    """z-test that the sample correlation of two streams is zero."""
+@dataclass(frozen=True)
+class Centred:
+    """A stream as its float deviations from its mean, and its standard deviation."""
+
+    deviations: np.ndarray
+    std: float
+
+
+def centred(a) -> Centred:
+    """``a`` read once for :func:`correlation_check`; a :class:`Centred` stream as it is.
+
+    A stream paired with many others is centred once, not once per pair.
+    """
+    if isinstance(a, Centred):
+        return a
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sa, sb = a.std(), b.std()
-    if sa == 0 or sb == 0:
-        return Check(name, 0.0, 1.0, True)
-    r = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-    z = abs(r) * math.sqrt(a.size)
+    return Centred(a - a.mean(), a.std())
+
+
+def correlation_check(name: str, a, b, alpha: float) -> Check:
+    """z-test that the sample correlation of two streams is zero.
+
+    Either stream may be given :func:`centred`.  A constant stream is
+    uncorrelated with any other: its statistic is 0.
+    """
+    a, b = centred(a), centred(b)
     crit = _z_threshold(alpha)
+    if a.std == 0 or b.std == 0:
+        return Check(name, 0.0, crit, True)
+    r = float(np.mean(a.deviations * b.deviations) / (a.std * b.std))
+    z = abs(r) * math.sqrt(a.deviations.size)
     return Check(name, z, crit, z <= crit)
 
 

@@ -54,6 +54,23 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _finite(value):
+    """``value`` with each non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _report_json(payload) -> str:
+    """A report as strict JSON: a non-finite value, such as the infinite z of two
+    constant samples with different means, is written as null."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False)
+
+
 def _load_field(path: str):
     with open(path) as fh:
         return field_from_dict(json.load(fh))
@@ -69,7 +86,7 @@ def _write_report(args, report, rows: list, csv_path: str | None) -> int:
     if args.format == "csv":
         _write_text(args.out, "\n".join(",".join(map(str, row)) for row in rows))
     else:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2))
+        _write_text(args.out, _report_json(report.to_dict()))
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -77,7 +94,7 @@ def _write_report(args, report, rows: list, csv_path: str | None) -> int:
 
 
 def _report_exit(report, out: str | None) -> int:
-    _write_text(out, json.dumps(report.to_dict(), indent=2))
+    _write_text(out, _report_json(report.to_dict()))
     return OK if report.passed else CHECK_FAILED
 
 
@@ -121,7 +138,7 @@ def _lpp(args) -> int:
     if args.check_flow:
         payload["flow_residual"] = residual = lpp.flow_identity_residual(xi, result.value)
         passed = residual <= tolerance(result.value, "float")
-    _write_text(args.out, json.dumps(payload, indent=2))
+    _write_text(args.out, _report_json(payload))
     return OK if passed else CHECK_FAILED
 
 
@@ -142,14 +159,14 @@ def _duality_check(args) -> int:
             worst = max(worst, residual)
             rows.append({"lam": lam, "kmax": args.kmax, "residual": residual})
         passed = worst <= args.tolerance
-        _write_text(args.out, json.dumps({"kernel_duality": rows, "pass": passed}, indent=2))
+        _write_text(args.out, _report_json({"kernel_duality": rows, "pass": passed}))
         return OK if passed else CHECK_FAILED
     triple = parse_triple(args.triple)
     verdict = classify_triple(triple)
     report = reversal_invariance_test(triple, nsamples=args.nsamples, seed=args.seed)
     payload = report.to_dict()
     payload["classification"] = {"self_dual": verdict.self_dual, "reason": verdict.reason}
-    _write_text(args.out, json.dumps(payload, indent=2))
+    _write_text(args.out, _report_json(payload))
     return OK if report.passed else CHECK_FAILED
 
 

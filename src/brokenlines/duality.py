@@ -17,6 +17,7 @@ import numpy as np
 
 from .checks import (
     TestReport,
+    centred,
     chi2_homogeneity_check,
     correlation_check,
     given,
@@ -34,7 +35,7 @@ from .flow import (
     sweep,
 )
 from .lattice import Domain, RectDomain
-from .streams import uniforms_at
+from .streams import negated_uniforms, stream_base
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -294,8 +295,9 @@ def reversal_invariance_test(
 
     def draws(tag: int) -> list[np.ndarray]:
         specs = enumerate((triple.pi1, triple.pi2, triple.pi3))
+        counters = np.arange(nsamples)
         return [
-            np.asarray(p.from_uniform(uniforms_at(seed, tag, i, np.arange(nsamples))), float)
+            p.from_negated_uniform(negated_uniforms(stream_base(seed, tag, i), counters))
             for i, p in specs
         ]
 
@@ -326,15 +328,24 @@ def _chain(lam: float) -> Triple:
     return Triple(inflow, inflow, DistSpec.geometric(lam * lam))
 
 
-def _site_draws(domain: Domain, triple: Triple, keyed) -> list[np.ndarray]:
+def _site_draws(domain: Domain, triple: Triple, site_ids, *replica) -> list[np.ndarray]:
     """``triple``'s draws on the southwest side, the northwest side and every
-    site, in the order :func:`flow.sweep` reads them: the uniforms of each
-    role are one call ``keyed(t, x, role)`` on those sites' coordinates."""
-    t, x = domain.plan.decode(domain.plan.site_keys)
+    site, in the order :func:`flow.sweep` reads them.
+
+    ``site_ids(t, x)`` hashes the sites' shared key prefix once, on their
+    coordinates; the draws of each role fold the role and then ``replica``
+    onto those ids, the side sites' taken by index.  Geometric counts are
+    cast to the int64 masses the sweep reads.
+    """
+    ids = site_ids(*domain.plan.decode(domain.plan.site_keys))
     sw, nw = domain.neighbours[:2] < 0
-    roles = ((triple.pi1, sw, ROLE_UP_IN), (triple.pi2, nw, ROLE_DOWN_IN),
-             (triple.pi3, slice(None), ROLE_BIRTH))
-    return [spec.from_uniform(keyed(t[on], x[on], role)) for spec, on, role in roles]
+    roles = ((triple.pi1, ids[sw], ROLE_UP_IN), (triple.pi2, ids[nw], ROLE_DOWN_IN),
+             (triple.pi3, ids, ROLE_BIRTH))
+    draws = []
+    for spec, on, role in roles:
+        x = spec.from_negated_uniform(negated_uniforms(on, role, *replica))
+        draws.append(x.astype(np.int64) if spec.kind == GEOMETRIC else x)
+    return draws
 
 
 def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: int) -> np.ndarray:
@@ -343,14 +354,13 @@ def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: in
 
     Replica ``r`` of the draw of ``role`` at site ``(t, x)`` is keyed
     ``(seed, tag, t, x, role, r)``, so replicas and sites can be sampled in
-    any order; each role is one :func:`uniforms_at` call.
+    any order.  The ids of ``(seed, tag, t, x)`` are hashed once for all
+    sites, and each role is one :func:`negated_uniforms` call on them, with
+    the replica axis last.
     """
-    replica = np.arange(count)
-
-    def keyed(t, x, role):
-        return uniforms_at(seed, tag, t[:, None], x[:, None], role, replica)
-
-    return sweep(domain, *_site_draws(domain, triple, keyed))
+    return sweep(domain, *_site_draws(
+        domain, triple, lambda t, x: stream_base(seed, tag, t[:, None], x[:, None]), np.arange(count)
+    ))
 
 
 def burke_exit_test(
@@ -385,13 +395,12 @@ def burke_exit_test(
         (("up", triple.pi1, domain.northeast_side), ("down", triple.pi2, domain.southeast_side)), 1
     ):
         rows = mass[domain.side_edges[1 + side]]
-        fresh = spec.from_uniform(
-            uniforms_at(seed, _TAG_FRESH, side, np.arange(len(sites))[:, None], replica)
-        )
+        ids = stream_base(seed, _TAG_FRESH, side, np.arange(len(sites))[:, None])
+        fresh = spec.from_negated_uniform(negated_uniforms(ids, replica))
         pending += [
             (ks_check, f"ks_{kind}_exit_{y}", given(a, b)) for y, a, b in zip(sites, rows, fresh)
         ]
-        exits += zip(sites, rows)
+        exits += zip(sites, map(centred, rows))
     pending += [
         (correlation_check, f"corr_{ya}_{yb}", given(a, b))
         for (ya, a), (yb, b) in combinations(exits, 2)
@@ -408,7 +417,7 @@ def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
     forward evolution of those draws and is reproduced bit for bit by the
     same seed.
     """
-    up, down, born = _site_draws(domain, _chain(lam), lambda t, x, role: uniforms_at(seed, t, x, role))
+    up, down, born = _site_draws(domain, _chain(lam), lambda t, x: stream_base(seed, t, x))
     births = BirthField.from_values(domain, born)
     return field_from_birth(domain, BoundaryFlow(up, down), births, mode="int")
 

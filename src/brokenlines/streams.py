@@ -5,12 +5,16 @@ hashed to a uniform in [0, 1) and the target CDF is inverted on top of it.
 Lattice sites and Monte Carlo replicas can therefore be sampled in any
 order, or in parallel, without sharing generator state.
 
-The hash is SplitMix64's finalizer, folded over the keys one at a time.
+The hash is SplitMix64's finalizer, folded over the keys one at a time;
+:func:`stream_base` folds scalar keys into one stream id and broadcast
+array keys into an array of them.  Both array draws yield ``-u`` rather
+than ``u``, so that the inverse CDF runs in place on them
+(:meth:`DistSpec.from_negated_uniform`), and both take the finalizer's first
+step once per key on each side of the last XOR instead of once per draw.
 The replica sweeps draw a whole grid per replica by
-:func:`negated_uniform_diagonals`, which takes the finalizer's first step
-once per row key and once per column key instead of once per cell, and
-yields ``-u`` rather than ``u``, so that the inverse CDF runs in place on
-its runs (:meth:`DistSpec.from_negated_uniform`).
+:func:`negated_uniform_diagonals`, row keys against column keys; the Monte
+Carlo reports draw by :func:`negated_uniforms`, shared ids (a site's, say,
+hashed once) against a last key (a replica axis, say).
 """
 
 from __future__ import annotations
@@ -49,12 +53,35 @@ def _mix(h: int) -> int:
     return h ^ (h >> 31)
 
 
-def stream_base(seed: int, *keys: int) -> int:
-    """Fold a seed and an integer key tuple into one 64-bit stream id."""
-    h = _mix((seed & _MASK) ^ _GOLDEN)
+def stream_base(seed: int, *keys):
+    """Fold a seed and integer keys into 64-bit stream ids.
+
+    Scalar keys give one id, a python int.  Array keys broadcast: from the
+    first array key on, the ids are a uint64 array over the keys' broadcast
+    shape, so scalar keys before it cost what they cost alone.  A negative
+    key is read modulo 2**64 through its two's-complement bits.
+    """
+    return _fold(_mix((seed & _MASK) ^ _GOLDEN), keys)
+
+
+def _fold(h, keys):
+    """Fold ``keys`` one at a time onto the stream ids ``h``, a python int
+    while every key so far is scalar and a uint64 array from then on."""
     for k in keys:
-        h = _mix(h ^ ((k + _GOLDEN) & _MASK))
+        w = _key_word(k)
+        if isinstance(h, int) and isinstance(w, int):
+            h = _mix(h ^ w)
+        else:
+            h = _mix_array(np.bitwise_xor(h, w, dtype=np.uint64))
     return h
+
+
+def _key_word(k):
+    """Key ``k`` as the hash folds it in, ``k + golden`` modulo 2**64: a python
+    int for a scalar key, a uint64 array for an array of them."""
+    if isinstance(k, int) or np.ndim(k) == 0:
+        return (int(k) + _GOLDEN) & _MASK
+    return np.asarray(k, np.int64).view(np.uint64) + _U_GOLDEN
 
 
 def uniform(seed: int, *keys: int) -> float:
@@ -62,22 +89,26 @@ def uniform(seed: int, *keys: int) -> float:
     return (stream_base(seed, *keys) >> 11) * _TO_UNIT
 
 
-def uniforms_at(seed: int, *keys) -> np.ndarray:
-    """``uniform(seed, *key)`` for every key of the broadcast integer arrays ``keys``.
+def negated_uniforms(base, *keys) -> np.ndarray:
+    """Minus the uniform at every key of the broadcast integer arrays ``keys``
+    on the stream ids ``base``, in a fresh float64 array.
 
-    The hash broadcasts as each key is folded in, so scalar keys before the
-    first array cost what :func:`stream_base` costs.  A negative key is read
-    modulo 2**64 through its two's-complement bits, as :func:`stream_base`
-    reads it.  The result has at least one dimension.
+    ``negated_uniforms(stream_base(seed, *prefix), *keys)`` holds
+    ``-uniform(seed, *prefix, *key)`` bit for bit, ``-0.0`` for ``u = 0``,
+    for every key of the broadcast ``keys``, and has at least one
+    dimension.  The keys before the last fold onto ``base`` as
+    :func:`stream_base` folds them.  SplitMix64's first step is then taken
+    once on those ids and once on the last key, ahead of their XOR
+    (:func:`_first_step`), so each draw pays only the rest of the finalizer.  The array is the
+    caller's, for :meth:`DistSpec.from_negated_uniform` to invert in place.
     """
-    h = _mix((seed & _MASK) ^ _GOLDEN)
-    for k in keys:
-        if isinstance(h, int) and np.ndim(k) == 0:
-            h = _mix(h ^ ((int(k) + _GOLDEN) & _MASK))
-        else:
-            bits = np.asarray(k, np.int64).view(np.uint64) + _U_GOLDEN
-            h = _mix_array(np.asarray(h, np.uint64) ^ bits)
-    return _unit(np.atleast_1d(np.asarray(h, np.uint64)))
+    *prefix, last = keys
+    h, w = _fold(base, prefix), _key_word(last)
+    h = np.atleast_1d(np.bitwise_xor(_first_step(h), _first_step(w), dtype=np.uint64))
+    scratch = np.empty_like(h)
+    np.right_shift(_mix_after_first_step(h, scratch), _S11, out=h)
+    # the scratch words are free again and take the result
+    return np.multiply(h, _TO_NEGATED_UNIT, out=scratch.view(np.float64))
 
 
 def _mix_array(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -94,15 +125,15 @@ def _mix_array(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return _mix_after_first_step(h, scratch)
 
 
-def _first_step(h: np.ndarray) -> np.ndarray:
-    """SplitMix64's opening ``h ^= h >> 30`` on a uint64 array, in place.
+def _first_step(h):
+    """SplitMix64's opening ``h ^= h >> 30`` on a python int or a uint64 array,
+    into new words.
 
     A logical shift distributes over XOR, so the step of ``a ^ b`` is the
     step of ``a`` XOR the step of ``b``: keys that are XORed together later
     can each take it once, ahead of the XOR.
     """
-    h ^= h >> _S30
-    return h
+    return h ^ (h >> 30)
 
 
 def _mix_after_first_step(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:

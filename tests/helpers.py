@@ -14,11 +14,17 @@ from brokenlines.flow import site_outflows
 from brokenlines.lattice import Edge, HexDomain
 from brokenlines.lines import Decomposition
 from brokenlines.lpp import birth_matrix
-from brokenlines.streams import uniform
+from brokenlines.streams import negated_uniforms, stream_base, uniform
 
 
 def exp_draw(seed: int, *key: int) -> float:
     return -math.log1p(-uniform(seed, *key))
+
+
+def uniforms_at(seed: int, *keys) -> np.ndarray:
+    """``uniform(seed, *key)`` for every key of the broadcast integer arrays ``keys``,
+    as the negation of the package's draw; at least one dimension."""
+    return -negated_uniforms(stream_base(seed), *keys)
 
 
 def uniforms(base: int, count: int) -> np.ndarray:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, norm
 
 from brokenlines import checks
-from brokenlines.checks import chi2_homogeneity_check, ks_statistic, mean_z_check
+from brokenlines.checks import (
+    centred,
+    chi2_homogeneity_check,
+    correlation_check,
+    ks_statistic,
+    mean_z_check,
+)
 from helpers import ks_distance
 
 _rng = np.random.default_rng(2024)
@@ -121,6 +127,25 @@ def test_mean_z_check_fails_two_constant_samples_with_different_means():
     check = mean_z_check("m", np.ones(10), 2 * np.ones(10), 0.01)
     assert check.statistic == math.inf
     assert not check.passed
+
+
+def test_a_constant_stream_is_uncorrelated_at_the_z_critical_value():
+    # its margin reads 0 over the level's critical value, as every other pair's does
+    for a, b in [(np.ones(10), np.arange(10.0)), (np.arange(10.0), np.full(10, 3)), (np.ones(10), np.ones(10))]:
+        check = correlation_check("c", a, b, 0.01)
+        assert (check.statistic, check.threshold, check.passed) == (0.0, checks._z_threshold(0.01), True)
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30), st.integers(0, 2**32 - 1))
+def test_a_centred_stream_gives_the_check_of_the_raw_stream(a, seed):
+    # burke_exit_test centres each exit once for all of its pairs
+    a = np.array(a)
+    b = np.random.default_rng(seed).geometric(0.5, size=a.size)
+    raw = correlation_check("c", a, b, 0.01)
+    assert correlation_check("c", centred(a), centred(b), 0.01) == raw
+    assert correlation_check("c", centred(a), b, 0.01) == raw
+    once = centred(b)
+    assert centred(once) is once
 
 
 def test_mean_z_check_passes_two_constant_samples_with_one_mean():

@@ -258,6 +258,29 @@ def test_duality_check_triple_exit_codes(tmp_path):
     assert code == 2
 
 
+def strict_json(text: str):
+    """``json.loads`` refusing NaN, Infinity and -Infinity, as strict parsers do."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_write_non_finite_values_as_null(tmp_path):
+    out = tmp_path / "report.json"
+    # two constant samples with different means: mean_z_check's z is infinite
+    code = run(["duality-check", "--triple", "point:1,point:1,point:3", "--n", "10000", "--out", str(out)])
+    assert code == 2
+    report = strict_json(out.read_text())
+    assert report["pass"] is False
+    assert [c["test"] for c in report["checks"] if c["statistic"] is None] == ["moment_12"]
+    # no exceedances at any size: the log-linear slope of the rates is NaN
+    code = run(["concentration", "--ns", "20,40", "--replicas", "5", "--delta", "10", "--out", str(out)])
+    assert code == 0
+    assert strict_json(out.read_text())["loglinear_slope"] is None
+
+
 def test_duality_check_kernel_mode(tmp_path):
     out = tmp_path / "kernel.json"
     code = run(["duality-check", "--kernel-lams", "0.1,0.5,0.9", "--kmax", "6",

@@ -36,8 +36,15 @@ from brokenlines.flow import (
     total_crossing_flow,
 )
 from brokenlines.lattice import Edge, RectDomain
-from brokenlines.streams import uniform, uniforms_at
-from helpers import kernel_residual_loop, max_edge_gap, time_reverse, uniforms, zero_field
+from brokenlines.streams import uniform
+from helpers import (
+    kernel_residual_loop,
+    max_edge_gap,
+    time_reverse,
+    uniforms,
+    uniforms_at,
+    zero_field,
+)
 
 nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 
@@ -511,6 +518,31 @@ def _report(case):
 def test_report_digest_is_pinned(case):
     text = json.dumps(_report(case).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[case]
+
+
+def test_reports_and_the_chain_invert_their_draws_in_place(monkeypatch):
+    # from_uniform pays for a negated copy of what it inverts; the reports'
+    # draws already hold -u and are inverted where they lie
+    cases = [("reversal", "geom:0.4,geom:0.5,geom:0.2"), ("burke", 3, "exp:1,exp:1,exp:2"),
+             ("consistency", "n_inner", None)]
+    chain = evolve_chain(RectDomain(4, 3), 0.5, 2)
+
+    def refuse(*args):
+        raise AssertionError("a report or the chain called from_uniform")
+
+    monkeypatch.setattr(DistSpec, "from_uniform", refuse)
+    for case in cases:
+        text = json.dumps(_report(case).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[case]
+    assert evolve_chain(RectDomain(4, 3), 0.5, 2) == chain
+
+
+def test_a_constant_exit_is_uncorrelated_at_the_z_critical_value():
+    report = burke_exit_test(RectDomain(2, 2), parse_triple("point:1,point:2,point:1"), 1000, seed=1)
+    alpha = report.significance / len(report.checks)
+    corr = [c for c in report.checks if c.name.startswith("corr_")]
+    assert len(corr) == 6
+    assert all((c.statistic, c.threshold, c.passed) == (0.0, checks._z_threshold(alpha), True) for c in corr)
 
 
 def test_bonferroni_divisor_lives_in_checks_only():

@@ -34,7 +34,7 @@ from brokenlines.lines import (
 )
 from brokenlines.lpp import births_from_matrix
 from brokenlines.render import render_field_svg
-from brokenlines.streams import uniform, uniforms_at
+from brokenlines.streams import uniform
 from helpers import (
     decomposition_of,
     edge_between,
@@ -51,6 +51,7 @@ from helpers import (
     trace_edges,
     trace_order,
     trace_t_at,
+    uniforms_at,
     zero_field,
 )
 

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,12 +10,26 @@ from brokenlines import streams
 from brokenlines.lattice import HexDomain
 from brokenlines.streams import (
     negated_uniform_diagonals,
+    negated_uniforms,
     stream_base,
     uniform,
     uniform_grid,
-    uniforms_at,
 )
 from helpers import uniforms
+
+
+def minus_uniform_at(seed: int, *keys) -> np.ndarray:
+    """``-uniform(seed, *key)`` for every key of the broadcast keys, one scalar
+    draw each; at least one dimension, as the array draw has."""
+    shape = np.broadcast_shapes(*(np.shape(k) for k in keys))
+    grids = [np.broadcast_to(k, shape) if np.ndim(k) else k for k in keys]
+    draws = [-uniform(seed, *(g[at] if np.ndim(g) else g for g in grids)) for at in np.ndindex(shape)]
+    return np.array(draws, dtype=float).reshape(shape or (1,))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal float64 bits, signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_uniform_is_deterministic():
@@ -30,11 +45,11 @@ def test_uniform_in_unit_interval(seed, keys):
 
 
 def test_scalar_and_array_streams_agree():
-    vec = uniforms_at(3, 5, np.arange(16))
-    assert vec.shape == (16,)
-    assert np.all((vec >= 0) & (vec < 1))
-    # same key, same counters -> the scalar draws
-    assert vec.tolist() == [uniform(3, 5, k) for k in range(16)]
+    vec = negated_uniforms(stream_base(3), 5, np.arange(16))
+    assert vec.shape == (16,) and vec.dtype == np.float64
+    assert np.all((vec > -1) & (vec <= 0))
+    # same key, same counters -> minus the scalar draws
+    assert same_bits(vec, np.negative([uniform(3, 5, k) for k in range(16)]))
 
 
 def test_a_counter_axis_draws_the_stream_of_its_base():
@@ -44,7 +59,9 @@ def test_a_counter_axis_draws_the_stream_of_its_base():
         seed = (2**70, -3, 0, 2**64 - 1, 17 * k)[k % 5]
         keys = [int(uniform(k, j) * 2**40) - 2**39 for j in range(k % 4)]
         n = 1 + k * 7
-        assert np.array_equal(uniforms(stream_base(seed, *keys), n), uniforms_at(seed, *keys, np.arange(n)))
+        expected = -uniforms(stream_base(seed, *keys), n)
+        assert same_bits(negated_uniforms(stream_base(seed, *keys), np.arange(n)), expected)
+        assert same_bits(negated_uniforms(stream_base(seed), *keys, np.arange(n)), expected)
 
 
 def test_uniform_grid_matches_order_independent_addressing():
@@ -84,7 +101,7 @@ def test_uniform_diagonals_draw_each_cell_from_seed_replica_row_col(monkeypatch)
 
 
 def test_uniforms_look_uniform():
-    vec = uniforms_at(11, np.arange(200_000))
+    vec = -negated_uniforms(stream_base(11), np.arange(200_000))
     assert abs(vec.mean() - 0.5) < 0.005
     assert abs(vec.var() - 1 / 12) < 0.005
 
@@ -106,14 +123,17 @@ def test_keyed_vector_draw_equals_the_scalar_draw_at_every_site_and_role():
     hexa = HexDomain(0, 9, 3, 5, (-2, -3, -4, -5, -4, -3, -2, -1, 0, 1), (2, 3, 4, 5, 6, 7, 6, 5, 4, 3))
     t, x = np.array(hexa.sites).T
     for seed in (0, 7, -3, 2**64 + 5):
+        # the sites' ids hashed once, the role folded last, as evolve_chain draws
+        ids = stream_base(seed, t, x)
         for role in (1, 2, 3):
-            expected = [uniform(seed, *y, role) for y in hexa.sites]
-            assert uniforms_at(seed, t, x, role).tolist() == expected
+            expected = np.negative([uniform(seed, *y, role) for y in hexa.sites])
+            assert same_bits(negated_uniforms(stream_base(seed), t, x, role), expected)
+            assert same_bits(negated_uniforms(ids, role), expected)
             # a leading scalar tag and a trailing counter axis, as the samplers draw
-            expected = [[uniform(seed, 12, *y, role, c) for c in range(5)] for y in hexa.sites]
-            keyed = uniforms_at(seed, 12, t[:, None], x[:, None], role, np.arange(5))
-            assert keyed.tolist() == expected
-        assert uniforms_at(seed, 12, 3, 1).tolist() == [uniform(seed, 12, 3, 1)]
+            expected = np.negative([[uniform(seed, 12, *y, role, c) for c in range(5)] for y in hexa.sites])
+            keyed = negated_uniforms(stream_base(seed, 12, t[:, None], x[:, None]), role, np.arange(5))
+            assert same_bits(keyed, expected)
+        assert same_bits(negated_uniforms(stream_base(seed, 12, 3), 1), np.array([-uniform(seed, 12, 3, 1)]))
 
 
 def test_one_hash_and_one_inverse_cdf():
@@ -133,3 +153,35 @@ def test_one_hash_and_one_inverse_cdf():
         if path.name != home and pattern.search(line)
     ]
     assert found == []
+
+
+# (seed, prefix hashed into the ids, keys drawn on them), one per way the
+# reports draw, and keys read modulo 2**64: negative ones and one >= 2**63
+SITES = np.array([-2, 0, 3, 7]), np.array([1, -1, 4, 0])
+DRAWS = {
+    "scalar prefix, counter axis last": (5, (12, 2), (np.arange(40),)),
+    "(sites, 1) prefix, replica axis last": (3, (11, SITES[0][:, None], SITES[1][:, None]), (2, np.arange(9))),
+    "array prefix, scalar key last": (7, SITES, (3,)),
+    "negative keys and 2**63 + 5": (-9, (-3, 2**64 - 1), (np.array([-1, -(2**63), 2**63 - 1]), 2**63 + 5)),
+    "all keys scalar": (2**64 + 1, (), (-4, 2**63)),
+}
+
+
+@pytest.mark.parametrize("case", DRAWS, ids=str)
+def test_negated_uniforms_are_minus_uniform_bit_for_bit(case):
+    seed, prefix, keys = DRAWS[case]
+    ids = stream_base(seed, *prefix)
+    before = np.copy(ids)
+    v = negated_uniforms(ids, *keys)
+    assert v.dtype == np.float64 and v.flags.writeable
+    assert same_bits(v, minus_uniform_at(seed, *prefix, *keys))
+    # the prefix may equally be drawn as keys, and the ids are left as they were
+    assert same_bits(negated_uniforms(stream_base(seed), *prefix, *keys), v)
+    assert np.array_equal(ids, before)
+
+
+def test_a_zero_draw_is_minus_zero(monkeypatch):
+    # u = 0 is -0.0, which from_negated_uniform reads as -u
+    monkeypatch.setattr(streams, "_mix_after_first_step", lambda h, scratch: np.bitwise_and(h, 0, out=h))
+    v = negated_uniforms(stream_base(1), np.arange(3))
+    assert same_bits(v, np.array([-0.0, -0.0, -0.0]))
