@@ -99,8 +99,9 @@ def negated_uniforms(base, *keys) -> np.ndarray:
     dimension.  The keys before the last fold onto ``base`` as
     :func:`stream_base` folds them.  SplitMix64's first step is then taken
     once on those ids and once on the last key, ahead of their XOR
-    (:func:`_first_step`), so each draw pays only the rest of the finalizer.  The array is the
-    caller's, for :meth:`DistSpec.from_negated_uniform` to invert in place.
+    (:func:`_first_step`), so each draw pays only the rest of the
+    finalizer.  The array is the caller's, for
+    :meth:`DistSpec.from_negated_uniform` to invert in place.
     """
     *prefix, last = keys
     h, w = _fold(base, prefix), _key_word(last)
