@@ -44,7 +44,7 @@ OK, USAGE_ERROR, CHECK_FAILED = 0, 1, 2
 def _echo_config(args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     resolved["command"] = args.func.__name__.lstrip("_")
-    print(json.dumps(resolved, default=str))
+    print(json.dumps(_finite(resolved), default=str, allow_nan=False))
 
 
 def _write_text(path: str | None, text: str) -> None:

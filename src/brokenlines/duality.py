@@ -378,7 +378,9 @@ def burke_exit_test(
     ``side_edges[3]`` (southeast) of the sampled masses.  Exit ``i`` of a
     side is KS-compared with fresh draws of its law, keyed by the side,
     ``i`` and the replica, and every pair of exits is z-tested for
-    correlation; :meth:`TestReport.bonferroni` sets the per-check level.
+    correlation, each check named by both exits' kinds and sites (the
+    corner where the two east sides meet is an exit of both kinds);
+    :meth:`TestReport.bonferroni` sets the per-check level.
     Refuses triples that do not classify as self-dual, since nothing is
     claimed there.
     """
@@ -400,10 +402,10 @@ def burke_exit_test(
         pending += [
             (ks_check, f"ks_{kind}_exit_{y}", given(a, b)) for y, a, b in zip(sites, rows, fresh)
         ]
-        exits += zip(sites, map(centred, rows))
+        exits += [(f"{kind}_{y}", c) for y, c in zip(sites, map(centred, rows))]
     pending += [
-        (correlation_check, f"corr_{ya}_{yb}", given(a, b))
-        for (ya, a), (yb, b) in combinations(exits, 2)
+        (correlation_check, f"corr_{name_a}_{name_b}", given(a, b))
+        for (name_a, a), (name_b, b) in combinations(exits, 2)
     ]
     params = {"triple": triple.token(), "domain": domain.to_dict()}
     return TestReport.bonferroni("burke_exit", params, seed, nsamples, significance, pending)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -421,71 +421,159 @@ def line_fields(
     )
 
 
+def _ascii_words(values: np.ndarray, suffix: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each value formatted with ``suffix``, as a NUL-padded row of 1-, 2-, 4- or
+    8-byte words, and the length of its text.
+
+    Each distinct value is formatted once.  Values that span fewer integers
+    than they number find their row by offset, and others through a sort.
+    """
+    low, high = int(values.min(initial=0)), int(values.max(initial=0))
+    if high - low < len(values):
+        distinct, at = np.arange(low, high + 1), values - low
+    else:
+        distinct, at = np.unique(values, return_inverse=True)
+    text = np.array([f"{v}{suffix}" for v in distinct.tolist()], dtype=bytes)
+    word = min(1 << (text.itemsize - 1).bit_length(), 8)
+    width = -(-text.itemsize // word) * word
+    words = text.astype(f"S{width}").view(f"u{word}").reshape(len(distinct), width // word)
+    return words[at], np.char.str_len(text).astype(np.int8)[at]
+
+
 def decomposition_to_csv_rows(dec: Decomposition) -> list[list]:
     """Rows ``j, weight, sites`` with the sites as space-separated ``t:x`` tokens.
 
-    Each distinct ``t`` and ``x`` is formatted once; a token joins the two.
+    Each token is a ``t`` row and an ``x`` row of :func:`_ascii_words` side by
+    side; with the padding dropped, every token and a space after it lie in one
+    text, and each line's cell is cut out of that text.
     """
-    t_values, t_at = np.unique(dec.t, return_inverse=True)
-    x_values, x_at = np.unique(dec.x, return_inverse=True)
-    heads = map([f"{t}:" for t in t_values.tolist()].__getitem__, t_at.tolist())
-    tails = map(list(map(str, x_values.tolist())).__getitem__, x_at.tolist())
-    tokens = list(map(add, heads, tails))
-    ends = np.cumsum(dec.counts).tolist()
+    heads, head_sizes = _ascii_words(dec.t, ":")
+    tails, tail_sizes = _ascii_words(dec.x, " ")
+    tokens = np.empty(len(heads), [("t", heads.dtype, heads.shape[1:]), ("x", tails.dtype, tails.shape[1:])])
+    tokens["t"], tokens["x"] = heads, tails
+    text = tokens.tobytes().translate(None, b"\0").decode("ascii")
+    bounds = np.zeros(len(tokens) + 1, np.int64)
+    np.cumsum(head_sizes + tail_sizes, out=bounds[1:])
+    ends = np.cumsum(dec.counts)
     rows = [["j", "weight", "sites"]]
-    for j, (a, b, w) in enumerate(zip([0, *ends], ends, dec.weights()), start=1):
-        rows.append([j, w, " ".join(tokens[a:b])])
+    for j, (a, b, w) in enumerate(
+        zip(bounds[ends - dec.counts].tolist(), bounds[ends].tolist(), dec.weights()), start=1
+    ):
+        rows.append([j, w, text[a : b - 1]])
     return rows
 
 
-def decomposition_from_csv_rows(rows: list[list]) -> Decomposition:
-    """Read :func:`decomposition_to_csv_rows` output; a header row or an empty
-    row is skipped.
+_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: a plain coordinate always fits int64
 
-    Each distinct ``t:x`` token is parsed once; every line must then be a
-    broken trace (two sites or more, an even start, steps of ``x + 1`` and
-    ``t +- 1``), or ValueError names its row.
+
+def _plain_coordinates(b: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray | None:
+    """The integer ``-?[0-9]{1,18}`` in ``b[first:last]`` for each pair of ends,
+    or None unless every one is such; decoded one digit place at a time, from
+    the last digit of every field at once."""
+    negative = b[first] == ord("-")
+    size = last - first - negative
+    if not ((size > 0) & (size <= _PLAIN_DIGITS)).all():
+        return None
+    value = np.zeros(len(size), np.int64)
+    at = last - 1
+    for place in range(size.max(initial=0)):
+        digit = b.take(at, mode="clip") - ord("0")
+        digit[size <= place] = 0
+        if (digit > 9).any():
+            return None
+        value += digit.astype(np.int64) * 10**place
+        at -= 1
+    return np.negative(value, out=value, where=negative)
+
+
+def _plain_sites(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``t``, ``x`` and the per-cell site counts of the ``sites`` cells, read as
+    one byte array, or None unless every cell is ASCII and every token in it is
+    ``-?[0-9]{1,18}:-?[0-9]{1,18}`` between spaces.
+
+    The cells are joined by newlines.  Tokens are the runs between separators,
+    as ``str.split`` finds them in such text, and each must hold one colon.
+    A plain coordinate reads as ``int()`` reads it.
     """
-    numbers, weights, lines = [], [], []
-    for k, row in enumerate(rows, start=1):
-        if not row or row[0] == "j":
-            continue
-        if len(row) < 3:
-            raise ValueError(f"row {k} has {len(row)} columns, not j, weight, sites")
-        try:
-            weights.append(int(row[1]))
-        except ValueError:
-            try:
-                weights.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"row {k} has a weight that is not a number: {row[1]!r}") from None
-        numbers.append(k)
-        lines.append(row[2].split())
+    text = "\n".join([*cells, ""])
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    newline = b == ord("\n")
+    newlines = np.flatnonzero(newline)
+    if len(newlines) != len(cells):
+        return None
+    after = np.flatnonzero(newline | (b == ord(" ")))
+    before = np.concatenate(([-1], after[:-1]))
+    run = after - before > 1
+    starts, ends = before[run] + 1, after[run]
+    colons = np.flatnonzero(b == ord(":"))
+    if len(colons) != len(starts) or ((colons < starts) | (colons >= ends)).any():
+        return None
+    t = _plain_coordinates(b, starts, colons)
+    x = _plain_coordinates(b, colons + 1, ends)
+    if t is None or x is None:
+        return None
+    return t, x, np.diff(np.searchsorted(starts, newlines), prepend=0)
 
-    def fail(line: int, what: str):
-        raise ValueError(f"row {numbers[line]} has {what}")
+
+def _token_sites(cells: list[str], fail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``t``, ``x`` and the per-cell site counts of the ``sites`` cells, token by
+    token: ``str.split`` splits each cell, and ``int()`` reads each distinct
+    token once.  ``fail(line, what)`` names the first token that is not ``t:x``,
+    and then the first beyond 64 bits."""
+    lines = [cell.split() for cell in cells]
+    tokens = list(chain.from_iterable(lines))
+    distinct = dict.fromkeys(tokens)
 
     def fail_at(token: str, what: str):
         fail(next(j for j, line in enumerate(lines) if token in line), f"a site {token!r} {what}")
 
-    tokens = list(chain.from_iterable(lines))
-    distinct = dict.fromkeys(tokens)
     for token in distinct:
         t, _, x = token.partition(":")
         try:
             distinct[token] = (int(t), int(x))
         except ValueError:
             fail_at(token, "that is not of the form t:x")
-    try:
-        t, x = np.array(list(distinct.values()), dtype=np.int64).reshape(-1, 2).T
-    except OverflowError:
-        fits = range(-(1 << 63), 1 << 63)
-        fail_at(next(k for k, (t, x) in distinct.items() if t not in fits or x not in fits),
-                "beyond 64 bits")
-    position = dict(zip(distinct, range(len(distinct))))
-    at = np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
-    t, x = t[at], x[at]
-    counts = np.fromiter(map(len, lines), np.intp, len(lines))
+    fits = range(-(1 << 63), 1 << 63)
+    for token, (t, x) in distinct.items():
+        if t not in fits or x not in fits:
+            fail_at(token, "beyond 64 bits")
+    t, x = np.array([distinct[token] for token in tokens], np.int64).reshape(-1, 2).T
+    return t, x, np.fromiter(map(len, lines), np.intp, len(lines))
+
+
+def decomposition_from_csv_rows(rows: list[list]) -> Decomposition:
+    """Read :func:`decomposition_to_csv_rows` output; a header row or an empty
+    row is skipped.
+
+    The sites are whitespace-separated ``t:x`` tokens of integers as ``int()``
+    reads them.  Plain ASCII tokens are read as one byte array
+    (:func:`_plain_sites`); any other input goes token by token
+    (:func:`_token_sites`), with the same result.  Every line must then be a
+    broken trace (two sites or more, an even start, steps of ``x + 1`` and
+    ``t +- 1``), or ValueError names its row.
+    """
+    numbers, weights, cells = [], [], []
+    for k, row in enumerate(rows, start=1):
+        if not row or row[0] == "j":
+            continue
+        if len(row) < 3:
+            raise ValueError(f"row {k} has {len(row)} columns, not j, weight, sites")
+        try:  # int() reads no ".", so such a weight goes straight to float()
+            weights.append(float(row[1]) if "." in row[1] else int(row[1]))
+        except ValueError:
+            try:
+                weights.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"row {k} has a weight that is not a number: {row[1]!r}") from None
+        numbers.append(k)
+        cells.append(row[2])
+
+    def fail(line: int, what: str):
+        raise ValueError(f"row {numbers[line]} has {what}")
+
+    t, x, counts = _plain_sites(cells) or _token_sites(cells, fail)
     ends = np.cumsum(counts)
     short = np.flatnonzero(counts < 2)
     if short.size:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import chain
+from operator import add
 
 import numpy as np
 from hypothesis import strategies as st
@@ -364,3 +366,80 @@ def hex_sides(d: HexDomain) -> tuple[tuple, tuple, tuple, tuple]:
 def hex_contains(d: HexDomain, y) -> bool:
     t, x = y
     return d.t0 <= t <= d.t1 and (t + x) % 2 == 0 and d._x_at(t)[0] <= x <= d._x_at(t)[1]
+
+
+def decomposition_to_csv_rows_loop(dec: Decomposition) -> list[list]:
+    """Reference for :func:`lines.decomposition_to_csv_rows`, one Python string
+    per site token: each distinct ``t`` and ``x`` is formatted once, and a
+    token joins the two."""
+    t_values, t_at = np.unique(dec.t, return_inverse=True)
+    x_values, x_at = np.unique(dec.x, return_inverse=True)
+    heads = map([f"{t}:" for t in t_values.tolist()].__getitem__, t_at.tolist())
+    tails = map(list(map(str, x_values.tolist())).__getitem__, x_at.tolist())
+    tokens = list(map(add, heads, tails))
+    ends = np.cumsum(dec.counts).tolist()
+    rows = [["j", "weight", "sites"]]
+    for j, (a, b, w) in enumerate(zip([0, *ends], ends, dec.weights()), start=1):
+        rows.append([j, w, " ".join(tokens[a:b])])
+    return rows
+
+
+def decomposition_from_csv_rows_loop(rows: list[list]) -> Decomposition:
+    """Reference for :func:`lines.decomposition_from_csv_rows`, one Python string
+    per site token: each distinct ``t:x`` token is parsed once by ``int()``;
+    every line must then be a broken trace, or ValueError names its row."""
+    numbers, weights, lines = [], [], []
+    for k, row in enumerate(rows, start=1):
+        if not row or row[0] == "j":
+            continue
+        if len(row) < 3:
+            raise ValueError(f"row {k} has {len(row)} columns, not j, weight, sites")
+        try:
+            weights.append(int(row[1]))
+        except ValueError:
+            try:
+                weights.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"row {k} has a weight that is not a number: {row[1]!r}") from None
+        numbers.append(k)
+        lines.append(row[2].split())
+
+    def fail(line: int, what: str):
+        raise ValueError(f"row {numbers[line]} has {what}")
+
+    def fail_at(token: str, what: str):
+        fail(next(j for j, line in enumerate(lines) if token in line), f"a site {token!r} {what}")
+
+    tokens = list(chain.from_iterable(lines))
+    distinct = dict.fromkeys(tokens)
+    for token in distinct:
+        t, _, x = token.partition(":")
+        try:
+            distinct[token] = (int(t), int(x))
+        except ValueError:
+            fail_at(token, "that is not of the form t:x")
+    try:
+        t, x = np.array(list(distinct.values()), dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:
+        fits = range(-(1 << 63), 1 << 63)
+        fail_at(next(k for k, (t, x) in distinct.items() if t not in fits or x not in fits),
+                "beyond 64 bits")
+    position = dict(zip(distinct, range(len(distinct))))
+    at = np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
+    t, x = t[at], x[at]
+    counts = np.fromiter(map(len, lines), np.intp, len(lines))
+    ends = np.cumsum(counts)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        fail(short[0], "a trace of fewer than two sites")
+    starts = ends - counts
+    odd = np.flatnonzero((t[starts] + x[starts]) % 2)
+    if odd.size:
+        fail(odd[0], "a trace that leaves the even sublattice")
+    illegal = (np.diff(x) != 1) | (abs(np.diff(t)) != 1)
+    illegal[ends[:-1] - 1] = False  # from one line's last site to the next line's first
+    if illegal.any():
+        i = int(np.argmax(illegal))
+        fail(int(np.searchsorted(ends, i, side="right")),
+             f"an illegal step {(int(t[i]), int(x[i]))} -> {(int(t[i + 1]), int(x[i + 1]))}")
+    return Decomposition(t, x, counts, tuple(weights))

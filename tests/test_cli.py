@@ -281,6 +281,16 @@ def test_reports_write_non_finite_values_as_null(tmp_path):
     assert strict_json(out.read_text())["loglinear_slope"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--n", "2", "--m", "2", "--lam", "nan"], ["consistency", "--lam", "inf"]],
+)
+def test_config_echo_is_strict_json_for_non_finite_options(argv, capsys):
+    assert run(argv) == 1
+    echo = strict_json(capsys.readouterr().out.splitlines()[0])
+    assert echo["lam"] is None and echo["command"] == argv[0]
+
+
 def test_duality_check_kernel_mode(tmp_path):
     out = tmp_path / "kernel.json"
     code = run(["duality-check", "--kernel-lams", "0.1,0.5,0.9", "--kmax", "6",

@@ -479,16 +479,18 @@ def test_consistency_validation():
 # ------------------------------------------------------------ pinned reports
 
 # sha256 of json.dumps(report.to_dict()): every draw, statistic and threshold
-# of the Monte Carlo reports, pinned so a refactor must reproduce them exactly
+# of the Monte Carlo reports, pinned so a refactor must reproduce them exactly.
+# The burke digests were re-pinned when the correlation checks were named by
+# exit kind as well as site; every statistic stayed the same bit for bit.
 REPORT_DIGESTS = {
     ("burke", 3, "exp:1,exp:1,exp:2"):
-        "56281d5360cdf61c413d98e4c0401ed8c1f45cd94ea3613fab9a125768df729a",
+        "6726ea48ca8473bcd828317263cd72856b460b4907cf903cc6abbd2535cab141",
     ("burke", 3, "geom:0.5,geom:0.5,geom:0.25"):
-        "8ddb4f67b7c3e1966c54fbaf9e2d52815427515ca2f1e05b2698a845216a520e",
+        "3c25b70e5a07f3e244a26799bfe5550c6a9ab87867b78f8da468de136599f809",
     ("burke", 6, "exp:1,exp:1,exp:2"):
-        "c727fdd9401a702f6a3f4fd96751fdf1609815a1387a9395d47b12fca12b5c26",
+        "c44c853ba44cdab43bb100ccda95a4e02454f7c2e0d81197319829438986103f",
     ("burke", 6, "geom:0.5,geom:0.5,geom:0.25"):
-        "03282aaf20ce7f6ededbab711ccfbc32e915be8dcbf5a89a9dffbcabd8161448",
+        "7fd339acb5559ae68de36637b7a70b8bb1b40087bdf704216b8706362e496b53",
     ("consistency", "n_inner", None):
         "e417f7b20515bcabe3b41c491f5751414e42acb9869f66a82689b0251c7b7303",
     ("consistency", "n_inner", 0.6):
@@ -535,6 +537,17 @@ def test_reports_and_the_chain_invert_their_draws_in_place(monkeypatch):
         text = json.dumps(_report(case).to_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[case]
     assert evolve_chain(RectDomain(4, 3), 0.5, 2) == chain
+
+
+@pytest.mark.parametrize("side", [2, 3, 6])
+@pytest.mark.parametrize("triple", ["exp:1,exp:1,exp:2", "geom:0.5,geom:0.5,geom:0.25"])
+def test_burke_check_names_are_unique(side, triple):
+    # the east corner is an ascending and a descending exit at once
+    report = burke_exit_test(RectDomain(side, side), parse_triple(triple), 1_000, seed=1)
+    names = [c.name for c in report.checks]
+    assert len(set(names)) == len(names)
+    corner = f"({2 * side - 2}, 0)"
+    assert f"corr_up_{corner}_down_{corner}" in names
 
 
 def test_a_constant_exit_is_uncorrelated_at_the_z_critical_value():

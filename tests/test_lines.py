@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brokenlines.duality import DistSpec, evolve_chain
@@ -24,7 +24,9 @@ from brokenlines.flow import (
 from brokenlines.lattice import Edge, HexDomain, RectDomain
 from brokenlines.lines import (
     BrokenTrace,
+    Decomposition,
     _dominance,
+    _plain_sites,
     brick_diagram,
     compose,
     decompose,
@@ -36,7 +38,9 @@ from brokenlines.lpp import births_from_matrix
 from brokenlines.render import render_field_svg
 from brokenlines.streams import uniform
 from helpers import (
+    decomposition_from_csv_rows_loop,
     decomposition_of,
+    decomposition_to_csv_rows_loop,
     edge_between,
     edge_head,
     flank_site_range,
@@ -964,6 +968,146 @@ def test_decomposition_csv_roundtrip():
     assert decomposition_from_csv_rows([[str(c) for c in row] for row in rows]) != dec
 
 
+def _read_outcome(read, rows):
+    """What ``read`` makes of ``rows``: the arrays, their dtypes and the weights
+    (by repr, so 1 and 1.0 differ), or the ValueError text."""
+    try:
+        dec = read(rows)
+    except ValueError as exc:
+        return str(exc)
+    arrays = (dec.t, dec.x, dec.counts)
+    return [(a.tolist(), a.dtype) for a in arrays], list(map(repr, dec.weights()))
+
+
+def assert_reads_like_the_loop(rows):
+    assert _read_outcome(decomposition_from_csv_rows, rows) == _read_outcome(
+        decomposition_from_csv_rows_loop, rows
+    )
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 10**6),
+    st.sampled_from(["float", "int"]),
+    st.sampled_from([1, 3, 10**15]),
+    st.sampled_from([0, 2**40, -(2**62)]),
+)
+@example(1, 7, 5, "int", 1, 0)
+@example(7, 1, 5, "float", 1, 0)
+@example(1, 1, 0, "float", 3, -(2**62))
+@settings(max_examples=80, deadline=None)
+def test_csv_codec_matches_the_token_loop(n, m, seed, mode, scale, shift):
+    # decompositions of random fields, and the same traces stretched or moved
+    # beyond the domain: rows equal, and read back alike or refused alike
+    dec = decompose(random_field(RectDomain(n, m), seed=seed, mode=mode))
+    moved = Decomposition(dec.t * scale + shift, dec.x + shift, dec.counts, dec.weights())
+    for d in (dec, moved):
+        rows = decomposition_to_csv_rows(d)
+        assert rows == decomposition_to_csv_rows_loop(d)
+        assert_reads_like_the_loop([[str(c) for c in row] for row in rows])
+    # the writer's own output always takes the byte-array path
+    assert _plain_sites([row[2] for row in decomposition_to_csv_rows(dec)[1:]]) is not None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_csv_codec_matches_the_token_loop_at_64_bits(sign):
+    top = sign * (2**63 - 1)
+    t = np.array([top, top - sign, top, top - 3 * sign], np.int64)
+    x = np.array([-sign * 2**62, top, 0, -top], np.int64)
+    dec = Decomposition(t, x, np.array([2, 2], np.intp), (1, 2.5))
+    rows = decomposition_to_csv_rows(dec)
+    assert rows == decomposition_to_csv_rows_loop(dec)
+    assert_reads_like_the_loop([[str(c) for c in row] for row in rows])
+
+
+def _digits(v: str, count: int) -> str:
+    """``v`` with its digits zero-padded to ``count``."""
+    sign = "-" if v.startswith("-") else ""
+    return sign + v.lstrip("-").zfill(count)
+
+
+_COORDINATE_EDITS = [
+    lambda v: "+" + v,
+    lambda v: v[:1] + "_" + v[1:] if len(v.lstrip("-")) > 1 else v + "_0",
+    lambda v: v.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                        "\u0665\u0666\u0667\u0668\u0669")),
+    lambda v: _digits(v, 18),
+    lambda v: _digits(v, 19),
+    lambda v: _digits(v, 20),
+    lambda v: "1" * 18,
+    lambda v: "-" + "9" * 18,
+    lambda v: "1" * 19,
+    lambda v: "1" * 20,
+    lambda v: str(2**63 - 1),
+    lambda v: str(-(2**63 - 1)),
+    lambda v: str(2**63),
+    lambda v: str(-(2**63)),
+    lambda v: "-0" if v == "0" else "-" + v,
+    lambda v: "--" + v,
+    lambda v: v + "-",
+    lambda v: "-",
+    lambda v: "",
+    lambda v: v + "a",
+]
+
+
+def _edit_token(token: str, side: int, edit) -> str:
+    parts = token.split(":")
+    parts[side] = edit(parts[side])
+    return ":".join(parts)
+
+
+_CELL_EDITS = [
+    lambda c: c.replace(" ", "\t"),
+    lambda c: c.replace(" ", "  "),
+    lambda c: " " + c,
+    lambda c: c + " ",
+    lambda c: c.replace(" ", "\u00a0"),
+    lambda c: c.replace(" ", "\u3000", 1),
+    lambda c: c.replace(" ", "\x1c", 1),
+    lambda c: c.replace(" ", "\n", 1),
+    lambda c: c.replace(" ", "\r\n", 1),
+    lambda c: "",
+    lambda c: "   ",
+    lambda c: c.split()[0],  # a one-site line
+    lambda c: c.split()[0] + ":1 " + c,  # a three-part token
+    lambda c: c.replace(":", "::", 1),
+    lambda c: c.replace(":", " ", 1),  # a token without a colon
+    lambda c: ": " + c,
+    lambda c: c.replace(" ", ", ", 1),
+    lambda c: c.replace(c.split()[1] + " ", "", 1),  # a bad step
+    lambda c: " ".join(f"{int(t) + 1}:{x}" for t, x in (s.split(":") for s in c.split())),
+    lambda c: c.replace("1", "\u0661"),  # Arabic-Indic digits throughout
+]
+
+
+@pytest.mark.parametrize("line", [0, -1])
+def test_csv_reader_matches_the_token_loop_on_corrupted_rows(line):
+    # each edit of one line's sites, on the first line and on the last; the
+    # edits that leave plain ASCII t:x tokens are read as one byte array, the
+    # others token by token, and either way as the loop reads them
+    rows = [[str(c) for c in row] for row in decomposition_to_csv_rows(
+        decompose(evolve_chain(RectDomain(4, 5), 0.5, 3)))]
+    data = rows[1:][line]
+    tokens = data[2].split()
+    edited = [edit(data[2]) for edit in _CELL_EDITS]
+    for edit in _COORDINATE_EDITS:
+        for where, side in ((0, 0), (0, 1), (-1, 1)):
+            changed = list(tokens)
+            changed[where] = _edit_token(changed[where], side, edit)
+            edited.append(" ".join(changed))
+    accepted = 0
+    for cell in edited:
+        data[2] = cell
+        assert_reads_like_the_loop(rows)
+        accepted += not isinstance(_read_outcome(decomposition_from_csv_rows, rows), str)
+    assert 10 < accepted < len(edited) - 20
+    data[2] = " ".join(tokens)
+    for weight in ["3", "2.5", "2.", ".5", "1e3", "1E-2", "inf", "nan", "+2", "1_000", "\u0663",
+                   " 4 ", "1.2.3", "0x10", "", "abc"]:
+        data[1] = weight
+        assert_reads_like_the_loop(rows)
 # ---------------------------------------------------- byte contract
 
 # sha256 of the field JSON, decomposition CSV, brick diagram JSON and composed
