@@ -430,7 +430,7 @@ def _ascii_words(values: np.ndarray, suffix: str) -> tuple[np.ndarray, np.ndarra
     """
     low, high = int(values.min(initial=0)), int(values.max(initial=0))
     if high - low < len(values):
-        distinct, at = np.arange(low, high + 1), values - low
+        distinct, at = low + np.arange(high - low + 1), values - low
     else:
         distinct, at = np.unique(values, return_inverse=True)
     text = np.array([f"{v}{suffix}" for v in distinct.tolist()], dtype=bytes)
@@ -449,7 +449,8 @@ def decomposition_to_csv_rows(dec: Decomposition) -> list[list]:
     """
     heads, head_sizes = _ascii_words(dec.t, ":")
     tails, tail_sizes = _ascii_words(dec.x, " ")
-    tokens = np.empty(len(heads), [("t", heads.dtype, heads.shape[1:]), ("x", tails.dtype, tails.shape[1:])])
+    layout = [("t", heads.dtype, heads.shape[1:]), ("x", tails.dtype, tails.shape[1:])]
+    tokens = np.empty(len(heads), layout)
     tokens["t"], tokens["x"] = heads, tails
     text = tokens.tobytes().translate(None, b"\0").decode("ascii")
     bounds = np.zeros(len(tokens) + 1, np.int64)
