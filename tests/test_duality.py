@@ -479,9 +479,7 @@ def test_consistency_validation():
 # ------------------------------------------------------------ pinned reports
 
 # sha256 of json.dumps(report.to_dict()): every draw, statistic and threshold
-# of the Monte Carlo reports, pinned so a refactor must reproduce them exactly.
-# The burke digests were re-pinned when the correlation checks were named by
-# exit kind as well as site; every statistic stayed the same bit for bit.
+# of the Monte Carlo reports, pinned so a refactor must reproduce them exactly
 REPORT_DIGESTS = {
     ("burke", 3, "exp:1,exp:1,exp:2"):
         "6726ea48ca8473bcd828317263cd72856b460b4907cf903cc6abbd2535cab141",
