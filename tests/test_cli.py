@@ -129,6 +129,22 @@ def test_decompose_zero_field_writes_header_only(tmp_path):
     assert rows == [["j", "weight", "sites"]]
 
 
+def test_zero_field_decompose_compose_roundtrip(tmp_path):
+    # the header-only CSV reads back as no lines, and composes to the zero field
+    field_json = tmp_path / "field.json"
+    field_json.write_text(json.dumps(field_to_dict(zero_field(RectDomain(3, 3)))))
+    lines_csv = tmp_path / "lines.csv"
+    rebuilt_json = tmp_path / "rebuilt.json"
+    assert run(["decompose", "--field", str(field_json), "--out", str(lines_csv)]) == 0
+    assert run(["compose", "--lines", str(lines_csv), "--n", "3", "--m", "3",
+                "--out", str(rebuilt_json)]) == 0
+    rebuilt, field = json.loads(rebuilt_json.read_text()), json.loads(field_json.read_text())
+    # no weight to take a mode from, so the composed field is an int one
+    assert rebuilt.pop("mode") == "int"
+    field.pop("mode")
+    assert rebuilt == field
+
+
 def test_sample_decompose_compose_roundtrip_is_byte_identical(tmp_path):
     field_json = tmp_path / "field.json"
     lines_csv = tmp_path / "lines.csv"

@@ -1021,6 +1021,16 @@ def test_csv_codec_matches_the_token_loop_at_64_bits(sign):
     assert_reads_like_the_loop([[str(c) for c in row] for row in rows])
 
 
+def test_csv_codec_matches_the_token_loop_with_no_lines():
+    # a zero field decomposes into no lines: the CSV is its header alone
+    dec = decompose(zero_field(D3))
+    rows = decomposition_to_csv_rows(dec)
+    assert rows == decomposition_to_csv_rows_loop(dec) == [["j", "weight", "sites"]]
+    assert_reads_like_the_loop(rows)
+    assert_reads_like_the_loop([])
+    assert len(decomposition_from_csv_rows(rows)) == 0
+
+
 def _digits(v: str, count: int) -> str:
     """``v`` with its digits zero-padded to ``count``."""
     sign = "-" if v.startswith("-") else ""
