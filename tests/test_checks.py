@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import chi2_contingency, norm
 
 from brokenlines import checks
 from brokenlines.checks import (
     centred,
+    chdtrc,
     chi2_homogeneity_check,
     correlation_check,
     ks_statistic,
     mean_z_check,
+    ndtri,
 )
 from helpers import ks_distance
 
@@ -164,11 +167,64 @@ def test_z_threshold_is_computed_once_per_level():
 
 
 def test_z_threshold_is_the_normal_isf_bit_for_bit():
-    # random levels, and the levels the reports use: 0.01 or 1e-6 over 1..40 checks
+    # random levels, the levels the reports use (0.01 or 1e-6 over 1..40
+    # checks), and a log grid down through the subnormals
     used = [s / k for s in (0.01, 1e-6) for k in range(1, 41)]
-    levels = np.concatenate([np.random.default_rng(16).uniform(0.0, 0.1, 2000), used])
+    log_grid = np.geomspace(5e-324, 0.1, 3000)
+    levels = np.concatenate([np.random.default_rng(16).uniform(0.0, 0.1, 2000), used, log_grid])
     thresholds = np.array([checks._z_threshold(alpha) for alpha in levels.tolist()])
     assert np.array_equal(thresholds, norm.isf(levels / 2))
+
+
+def bits(values) -> np.ndarray:
+    """Doubles as their bit patterns, so that NaNs and signed zeros compare too."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_ndtri_is_scipys_at_the_ends_and_outside_them():
+    y = np.array([0.0, -0.0, 1.0, 5e-324, 0.5, 1 - 2**-53, -0.5, 1.5, -np.inf, np.inf, np.nan])
+    assert np.array_equal(bits([ndtri(v) for v in y.tolist()]), bits(special.ndtri(y)))
+
+
+# Degrees of freedom: every one to 60, and the edges of Temme's regime,
+# which holds for 20 < a < 200 and for a > 200, a being half the dof
+DOFS = [*range(1, 61), 100, 399, 400, 401, 1000, 100_000]
+
+
+def _chdtrc_grid(dof: int) -> np.ndarray:
+    """Chi-square values that reach each way scipy computes ``Q(dof / 2, x / 2)``."""
+    a = dof / 2
+    width = 0.3 if a < 200 else 4.5 / math.sqrt(a)  # Temme's |x - a| / a
+    edges = a * (1 + np.multiply.outer([-width, width], [1 - 1e-12, 1, 1 + 1e-12]).ravel())
+    x = np.concatenate(
+        [
+            np.geomspace(1e-300, 0.5, 60),  # x <= 0.5
+            np.linspace(0.5, 1.1, 61)[1:],  # 0.5 < x <= 1.1
+            np.geomspace(1.1, 10 * a + 50, 200),  # x > 1.1, below and above a
+            a * (1 + width * np.linspace(-1, 1, 101)),  # Temme's interior
+            edges,
+            [0.0, np.inf, np.nan, -1.0],
+        ]
+    )
+    return 2 * x
+
+
+@pytest.mark.parametrize("dof", DOFS)
+def test_chdtrc_is_scipys_bit_for_bit(dof):
+    x = _chdtrc_grid(dof)
+    assert np.array_equal(bits([chdtrc(dof, v) for v in x.tolist()]), bits(special.chdtrc(dof, x)))
+
+
+def test_the_chdtrc_grids_reach_each_method_scipy_picks(monkeypatch):
+    methods = ("_igamc_asymptotic", "_igam_series", "_igamc_continued_fraction", "_igamc_series")
+    called = set()
+    for name in methods:
+        method = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda *args, m=method, n=name: called.add(n) or m(*args))
+    for dof in DOFS:
+        for v in _chdtrc_grid(dof).tolist():
+            chdtrc(dof, v)
+    assert called == set(methods)
 
 
 def _tables():

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -460,8 +461,9 @@ def test_usage_errors():
     assert run(["sample", "--n", "2"]) == 1  # missing required options
 
 
-def test_commands_without_checks_do_not_load_scipy(tmp_path):
-    # sample, decompose and lln run no statistical check, so they need no scipy
+def test_no_command_loads_scipy(tmp_path):
+    # the checks compute their normal and chi-square tails in the package,
+    # so neither the commands that run checks nor the others load scipy
     field, lines = tmp_path / "field.json", tmp_path / "lines.csv"
     script = f"""
 import sys
@@ -469,6 +471,9 @@ from brokenlines.cli import run
 assert run(["sample", "--n", "3", "--m", "3", "--lam", "0.5", "--out", {str(field)!r}]) == 0
 assert run(["decompose", "--field", {str(field)!r}, "--out", {str(lines)!r}]) == 0
 assert run(["lln", "--n", "20", "--replicas", "2"]) == 0
+assert run(["burke", "--triple", "geom:0.5,geom:0.5,geom:0.25", "--samples", "1000"]) in (0, 2)
+assert run(["consistency", "--samples", "1000"]) in (0, 2)
+assert run(["duality-check", "--triple", "exp:1,exp:2,exp:3", "--n", "10000"]) in (0, 2)
 print("scipy" in sys.modules)
 """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -501,34 +506,22 @@ def test_module_run_prints_what_run_prints(capsys):
     assert result.stdout == expected
 
 
-def test_checking_commands_do_not_load_scipy_stats():
-    # the checks need only scipy.special's normal and chi-square closed forms
-    script = """
-import sys
-from brokenlines.cli import run
-assert run(["burke", "--triple", "geom:0.5,geom:0.5,geom:0.25", "--samples", "1000"]) in (0, 2)
-assert run(["consistency", "--samples", "1000"]) in (0, 2)
-assert run(["duality-check", "--triple", "exp:1,exp:2,exp:3", "--n", "10000"]) in (0, 2)
-print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
-"""
-    src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "True False"
-
-
-def test_only_checks_names_scipy():
+def test_no_package_module_imports_scipy():
+    # scipy is the tests' oracle only: the package runs on numpy alone
     package = Path(__file__).resolve().parent.parent / "src" / "brokenlines"
-    naming = {path.name for path in package.rglob("*.py") if "scipy" in path.read_text()}
-    assert naming == {"checks.py"}
-    imports = re.findall(r"^\s*(?:from|import) scipy\S*(?: import \w+)?", (package / "checks.py").read_text(), re.M)
-    assert imports and not any("stats" in line for line in imports)
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]  # a name handed to importlib
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if re.fullmatch(r"scipy(\.\w+)*", name)]
+    assert found == []
 
 
 def test_readme_cli_block_parses_and_runs_in_order(tmp_path, monkeypatch):
