@@ -186,9 +186,14 @@ def test_ndtri_is_scipys_at_the_ends_and_outside_them():
     assert np.array_equal(bits([ndtri(v) for v in y.tolist()]), bits(special.ndtri(y)))
 
 
-# Degrees of freedom: every one to 60, and the edges of Temme's regime,
-# which holds for 20 < a < 200 and for a > 200, a being half the dof
-DOFS = [*range(1, 61), 100, 399, 400, 401, 1000, 100_000]
+def test_erfc_is_scipys_where_temme_asks_for_it():
+    a = np.concatenate([np.linspace(-8, 8, 16001)[1:-1], [-1.0, -0.0, 0.0, 1.0]])
+    assert np.array_equal(bits([checks._erfc(v) for v in a.tolist()]), bits(special.erfc(a)))
+
+
+# Degrees of freedom: 0 to 60, and the edges of Temme's regime, which
+# holds for 20 < a < 200 and for a > 200, a being half the dof
+DOFS = [*range(61), 100, 399, 400, 401, 1000, 100_000]
 
 
 def _chdtrc_grid(dof: int) -> np.ndarray:
