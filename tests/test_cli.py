@@ -460,9 +460,8 @@ def test_usage_errors():
     assert run(["sample", "--n", "2"]) == 1  # missing required options
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # the checks compute their normal and chi-square tails in the package,
-    # so neither the commands that run checks nor the others load scipy
+def test_commands_without_checks_do_not_load_scipy(tmp_path):
+    # sample, decompose and lln run no statistical check, so they need no scipy
     field, lines = tmp_path / "field.json", tmp_path / "lines.csv"
     script = f"""
 import sys
@@ -470,9 +469,6 @@ from brokenlines.cli import run
 assert run(["sample", "--n", "3", "--m", "3", "--lam", "0.5", "--out", {str(field)!r}]) == 0
 assert run(["decompose", "--field", {str(field)!r}, "--out", {str(lines)!r}]) == 0
 assert run(["lln", "--n", "20", "--replicas", "2"]) == 0
-assert run(["burke", "--triple", "geom:0.5,geom:0.5,geom:0.25", "--samples", "1000"]) in (0, 2)
-assert run(["consistency", "--samples", "1000"]) in (0, 2)
-assert run(["duality-check", "--triple", "exp:1,exp:2,exp:3", "--n", "10000"]) in (0, 2)
 print("scipy" in sys.modules)
 """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -503,6 +499,29 @@ def test_module_run_prints_what_run_prints(capsys):
     assert result.returncode == 0, result.stderr
     assert expected.startswith("{") and '"edges"' in expected
     assert result.stdout == expected
+
+
+def test_checking_commands_do_not_load_scipy_stats():
+    # the checks compute their normal and chi-square tails in the package,
+    # so they load neither scipy.stats nor any other scipy module
+    script = """
+import sys
+from brokenlines.cli import run
+assert run(["burke", "--triple", "geom:0.5,geom:0.5,geom:0.25", "--samples", "1000"]) in (0, 2)
+assert run(["consistency", "--samples", "1000"]) in (0, 2)
+assert run(["duality-check", "--triple", "exp:1,exp:2,exp:3", "--n", "10000"]) in (0, 2)
+print("scipy" in sys.modules, "scipy.stats" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False False"
 
 
 def test_no_package_module_imports_scipy():
