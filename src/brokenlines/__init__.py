@@ -41,7 +41,6 @@ from .flow import (
 )
 from .lattice import (
     Edge,
-    HexDomain,
     RectDomain,
     Site,
 )

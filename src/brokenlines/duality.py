@@ -30,11 +30,12 @@ from .flow import (
     FlowField,
     as_mass,
     field_from_birth,
+    front,
     infer_mode,
     site_outflows,
     sweep,
 )
-from .lattice import Domain, RectDomain
+from .lattice import RectDomain
 from .streams import negated_uniforms, stream_base
 
 EXPONENTIAL = "exponential"
@@ -302,11 +303,9 @@ def reversal_invariance_test(
         ]
 
     r, s, t = draws(_TAG_FIELD)
-    out1, out2 = site_outflows(r, s, t)
-    out3 = np.minimum(r, s)
+    outs = (*site_outflows(r, s, t), np.minimum(r, s))
+    del r, s, t  # not held while the fresh draws are made
     fresh = draws(_TAG_FRESH)
-
-    outs = (out1, out2, out3)
 
     def marginal(i: int):
         return lambda: (outs[i], fresh[i])
@@ -328,9 +327,10 @@ def _chain(lam: float) -> Triple:
     return Triple(inflow, inflow, DistSpec.geometric(lam * lam))
 
 
-def _site_draws(domain: Domain, triple: Triple, site_ids, *replica) -> list[np.ndarray]:
-    """``triple``'s draws on the southwest side, the northwest side and every
-    site, in the order :func:`flow.sweep` reads them.
+def _site_draws(domain: RectDomain, triple: Triple, site_ids, *replica) -> tuple:
+    """``triple``'s draws on the southwest side and the northwest side, in the
+    order :func:`flow.front` reads them, and the function that draws the
+    births at the sites ``domain.sites[at]``.
 
     ``site_ids(t, x)`` hashes the sites' shared key prefix once, on their
     coordinates; the draws of each role fold the role and then ``replica``
@@ -339,28 +339,26 @@ def _site_draws(domain: Domain, triple: Triple, site_ids, *replica) -> list[np.n
     """
     ids = site_ids(*domain.plan.decode(domain.plan.site_keys))
     sw, nw = domain.neighbours[:2] < 0
-    roles = ((triple.pi1, ids[sw], ROLE_UP_IN), (triple.pi2, ids[nw], ROLE_DOWN_IN),
-             (triple.pi3, ids, ROLE_BIRTH))
-    draws = []
-    for spec, on, role in roles:
-        x = spec.from_negated_uniform(negated_uniforms(on, role, *replica))
-        draws.append(x.astype(np.int64) if spec.kind == GEOMETRIC else x)
-    return draws
+
+    def draw(spec: DistSpec, at, role: int) -> np.ndarray:
+        x = spec.from_negated_uniform(negated_uniforms(ids[at], role, *replica))
+        return x.astype(np.int64) if spec.kind == GEOMETRIC else x
+
+    return (draw(triple.pi1, sw, ROLE_UP_IN), draw(triple.pi2, nw, ROLE_DOWN_IN),
+            lambda at: draw(triple.pi3, at, ROLE_BIRTH))
 
 
-def _sampled_mass(domain: Domain, triple: Triple, seed: int, tag: int, count: int) -> np.ndarray:
-    """Forward sweep of ``count`` replicas at once: the ``(edges, count)`` masses
-    of :func:`flow.sweep`, rows in canonical edge order.
+def _replica_draws(domain: RectDomain, triple: Triple, seed: int, tag: int, count: int) -> tuple:
+    """:func:`_site_draws` of ``count`` replicas at once, the replica axis last.
 
     Replica ``r`` of the draw of ``role`` at site ``(t, x)`` is keyed
     ``(seed, tag, t, x, role, r)``, so replicas and sites can be sampled in
     any order.  The ids of ``(seed, tag, t, x)`` are hashed once for all
-    sites, and each role is one :func:`negated_uniforms` call on them, with
-    the replica axis last.
+    sites, and each role's draws are :func:`negated_uniforms` calls on them.
     """
-    return sweep(domain, *_site_draws(
+    return _site_draws(
         domain, triple, lambda t, x: stream_base(seed, tag, t[:, None], x[:, None]), np.arange(count)
-    ))
+    )
 
 
 def burke_exit_test(
@@ -374,13 +372,15 @@ def burke_exit_test(
 
     Ascending exits must be i.i.d. with the ascending-inflow law,
     descending exits with the descending one, and all exit streams mutually
-    uncorrelated.  The exits are the rows ``side_edges[2]`` (northeast) and
-    ``side_edges[3]`` (southeast) of the sampled masses.  Exit ``i`` of a
-    side is KS-compared with fresh draws of its law, keyed by the side,
-    ``i`` and the replica, and every pair of exits is z-tested for
-    correlation, each check named by both exits' kinds and sites (the
-    corner where the two east sides meet is an exit of both kinds);
-    :meth:`TestReport.bonferroni` sets the per-check level.
+    uncorrelated.  The exits are the final front of :func:`flow.front`,
+    whose births are drawn one ``t``-column at a time, so that the sweep
+    holds the front and one column's births: the ascending masses leave by
+    the northeast side and the descending ones by the southeast side, each
+    in side order.  Exit ``i`` of a side is KS-compared with fresh draws of
+    its law, keyed by the side, ``i`` and the replica, and every pair of
+    exits is z-tested for correlation, each check named by both exits' kinds
+    and sites (the corner where the two east sides meet is an exit of both
+    kinds); :meth:`TestReport.bonferroni` sets the per-check level.
     Refuses triples that do not classify as self-dual, since nothing is
     claimed there.
     """
@@ -390,13 +390,13 @@ def burke_exit_test(
     if not verdict.self_dual:
         raise ValueError(f"triple {triple.token()} is not self-dual ({verdict.reason})")
 
-    mass = _sampled_mass(domain, triple, seed, _TAG_FIELD, nsamples)
+    up, down, births = _replica_draws(domain, triple, seed, _TAG_FIELD, nsamples)
+    ups, downs = front(domain, up, down, map(births, domain.plan.columns))
     replica = np.arange(nsamples)
     pending, exits = [], []
-    for side, (kind, spec, sites) in enumerate(
-        (("up", triple.pi1, domain.northeast_side), ("down", triple.pi2, domain.southeast_side)), 1
-    ):
-        rows = mass[domain.side_edges[1 + side]]
+    sides = (("up", triple.pi1, domain.northeast_side, ups),
+             ("down", triple.pi2, domain.southeast_side, downs))
+    for side, (kind, spec, sites, rows) in enumerate(sides, 1):
         ids = stream_base(seed, _TAG_FRESH, side, np.arange(len(sites))[:, None])
         fresh = spec.from_negated_uniform(negated_uniforms(ids, replica))
         pending += [
@@ -411,7 +411,7 @@ def burke_exit_test(
     return TestReport.bonferroni("burke_exit", params, seed, nsamples, significance, pending)
 
 
-def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
+def evolve_chain(domain: RectDomain, lam: float, seed: int) -> FlowField:
     """Sample the stationary-boundary chain: geometric inflows and births.
 
     Inflows on the west sides are Geom(lam), births Geom(lam^2), the draw of
@@ -420,7 +420,7 @@ def evolve_chain(domain: Domain, lam: float, seed: int) -> FlowField:
     same seed.
     """
     up, down, born = _site_draws(domain, _chain(lam), lambda t, x: stream_base(seed, t, x))
-    births = BirthField.from_values(domain, born)
+    births = BirthField.from_values(domain, born(slice(None)))
     return field_from_birth(domain, BoundaryFlow(up, down), births, mode="int")
 
 
@@ -454,9 +454,13 @@ def consistency_test(
     lam_direct = lam if inner_lam is None else inner_lam
 
     # the inner rectangle's edges, found among the outer rows
+    def sampled(domain: RectDomain, lam: float, tag: int) -> np.ndarray:  # every edge's masses
+        up, down, births = _replica_draws(domain, _chain(lam), seed, tag, nsamples)
+        return sweep(domain, up, down, births(slice(None)))
+
     rows = outer.plan.find_edges(*inner.plan.edge_points())
-    restricted = _sampled_mass(outer, _chain(lam), seed, _TAG_OUTER, nsamples)[rows]
-    direct = _sampled_mass(inner, _chain(lam_direct), seed, _TAG_INNER, nsamples)
+    restricted = sampled(outer, lam, _TAG_OUTER)[rows]
+    direct = sampled(inner, lam_direct, _TAG_INNER)
 
     ne, se = inner.plan.incident[2:]
 

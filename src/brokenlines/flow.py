@@ -20,8 +20,11 @@ operations, JSON included, read with the domain's index plans; an
 ``Edge``-keyed dict is read into it at once, and the dict ``FlowField.mass``
 is a view built on first read.  Births in site order and inflows in side
 order are read as arrays too, each where it lies; a site-keyed dict is
-placed by site first.  :func:`sweep` runs on such arrays one ``t``-column
-at a time, with an optional trailing replica axis.  The dtype is float64
+placed by site first.  The forward evolution, :func:`front`, moves one
+ascending mass per matrix row and one descending mass per matrix column
+across the rectangle, one ``t``-column (an anti-diagonal of the matrix) at a
+time, with an optional trailing replica axis; :func:`sweep` scatters its
+outflows once into canonical edge order.  The dtype is float64
 in float mode; in int mode int64 when the sum of the masses' sizes (for a
 sweep, of its inflows and births) is below ``2**63``, which bounds every
 mass, height and sum the operations form, else exact Python ints in an
@@ -38,7 +41,7 @@ from numbers import Real
 
 import numpy as np
 
-from .lattice import Domain, Edge, Site, as_integers, domain_from_dict, require_rect
+from .lattice import Edge, RectDomain, Site, as_integers, domain_from_dict
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -73,14 +76,14 @@ class BirthField:
     masses)``, unchecked until :meth:`masses`, the one read other modules make.
     """
 
-    domain: Domain
+    domain: RectDomain
     births: dict[Site, float]
 
-    def __init__(self, domain: Domain, births: dict[Site, float]) -> None:
+    def __init__(self, domain: RectDomain, births: dict[Site, float]) -> None:
         self.__dict__.update(domain=domain, births=births)
 
     @classmethod
-    def from_values(cls, domain: Domain, values: np.ndarray) -> "BirthField":
+    def from_values(cls, domain: RectDomain, values: np.ndarray) -> "BirthField":
         """The births ``values``, in the order of ``domain.sites``."""
         field = cls.__new__(cls)
         field.__dict__.update(domain=domain, _given=(slice(None), values))
@@ -126,21 +129,21 @@ class FlowField:
     and ``==`` compares domains, masses and modes.
     """
 
-    domain: Domain
+    domain: RectDomain
     mass: dict[Edge, float]
     mode: str = "float"
 
-    def __init__(self, domain: Domain, mass: dict[Edge, float], mode: str = "float") -> None:
+    def __init__(self, domain: RectDomain, mass: dict[Edge, float], mode: str = "float") -> None:
         self._hold(domain, mass_array(list(map(mass.__getitem__, domain.edges)), mode), mode)
 
     @classmethod
-    def from_values(cls, domain: Domain, values: np.ndarray, mode: str) -> "FlowField":
+    def from_values(cls, domain: RectDomain, values: np.ndarray, mode: str) -> "FlowField":
         """The field whose masses are ``values`` in canonical edge order."""
         field = cls.__new__(cls)
         field._hold(domain, values, mode)
         return field
 
-    def _hold(self, domain: Domain, values: np.ndarray, mode: str) -> None:
+    def _hold(self, domain: RectDomain, values: np.ndarray, mode: str) -> None:
         if mode not in ("int", "float"):
             raise ValueError(f"mode must be 'int' or 'float', not {mode!r}")
         self.__dict__.update(domain=domain, values=values, mode=mode)
@@ -235,26 +238,54 @@ def site_outflows(in_up, in_down, born):
     return born + up * (up > 0), born + down * (down > 0)
 
 
-def sweep(domain: Domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarray) -> np.ndarray:
-    """Forward evolution of complete, already checked data; no validation.
+def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, outflows=None):
+    """Forward evolution of complete, already checked data on a moving front; no validation.
 
-    ``up_in`` and ``down_in`` hold the inflow at each site of the southwest
-    and northwest sides, in their order, and ``born`` the birth at each site
-    of ``domain.sites``; a trailing replica axis is allowed.  Returns the
-    mass of every edge in canonical order, one ``t``-column of sites at a
-    time: each column reads only edges written by the column before it.
+    The front holds one ascending mass per matrix row, ``ups[i]``, and one
+    descending mass per matrix column, ``downs[j]``, at first copies of the
+    inflows ``up_in`` and ``down_in`` at each site of the southwest and
+    northwest sides, in their order.  ``births`` yields the births of each
+    ``t``-column in turn, in site order: anti-diagonal ``d`` holds the cells
+    ``(i, d - i)`` for ``i`` from ``hi = min(n - 1, d)`` down to
+    ``lo = max(0, d - m + 1)``, so its inflows are the views
+    ``ups[lo:hi + 1][::-1]`` and ``downs[d - hi:d - lo + 1]``, which take its
+    outflows in place.  A trailing replica axis is allowed.  Given
+    ``outflows``, a ``(2, sites, ...)`` array, each site's ascending and
+    descending outflows are also written there, in site order.  The front's
+    dtype is the ``np.result_type`` of the inflows and the first column's
+    births.  Returns the final ``ups`` and ``downs``: the outflows of the
+    northeast and southeast sides, in their order.
     """
-    sw, nw, ne, se = domain.plan.incident
-    entry_up, entry_down, _, _ = domain.side_edges
-    mass = np.zeros((len(domain.plan.edge_keys), *born.shape[1:]), np.result_type(up_in, down_in, born))
-    mass[entry_up] = up_in
-    mass[entry_down] = down_in
-    for col in domain.plan.columns:
-        mass[ne[col]], mass[se[col]] = site_outflows(mass[sw[col]], mass[nw[col]], born[col])
+    n, m = domain.n, domain.m
+    for d, (column, born) in enumerate(zip(domain.plan.columns, births)):
+        if d == 0:
+            dtype = np.result_type(up_in, down_in, born)
+            ups, downs = up_in.astype(dtype), down_in.astype(dtype)
+        lo, hi = max(0, d - m + 1), min(n - 1, d)
+        up, down = ups[lo : hi + 1][::-1], downs[d - hi : d - lo + 1]
+        up[...], down[...] = site_outflows(up, down, born)
+        if outflows is not None:
+            outflows[0, column], outflows[1, column] = up, down
+    return ups, downs
+
+
+def sweep(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """The mass of every edge in canonical order, from :func:`front` on the
+    births ``born`` of every site of ``domain.sites``.
+
+    Every edge either enters a west side or leaves a site, so the inflows and
+    the sites' outflows are scattered once, each through its edge indices.
+    """
+    outflows = np.empty((2, *born.shape), np.result_type(up_in, down_in, born))
+    front(domain, up_in, down_in, (born[column] for column in domain.plan.columns), outflows)
+    mass = np.empty((len(domain.plan.edge_keys), *born.shape[1:]), outflows.dtype)
+    edges = (*domain.side_edges[:2], *domain.plan.incident[2:])
+    for at, values in zip(edges, (up_in, down_in, *outflows)):
+        mass[at] = values
     return mass
 
 
-def _site_index(domain: Domain, values: dict, on: np.ndarray | None, what: str) -> tuple:
+def _site_index(domain: RectDomain, values: dict, on: np.ndarray | None, what: str) -> tuple:
     """Position in ``domain.sites`` of each key of ``values``, and the values; ValueError
     ``what: [keys]`` listing the keys that are no site, or no site where
     ``on`` holds."""
@@ -278,7 +309,7 @@ def _require_one_per_site(values, sites: int) -> None:
         raise ValueError(f"masses of shape {np.shape(values)} for {sites} sites")
 
 
-def _site_masses(domain: Domain, entries: list, mode: str | None) -> tuple[np.ndarray, str]:
+def _site_masses(domain: RectDomain, entries: list, mode: str | None) -> tuple[np.ndarray, str]:
     """One row of masses per site for each ``(where, values)`` entry, and the mode.  ``values``
     (a list, or a 1-D array whose numbers share one type) holds one mass per site of
     ``domain.sites[where]`` and goes through :func:`as_masses` in ``mode``, by default the
@@ -299,7 +330,7 @@ def _site_masses(domain: Domain, entries: list, mode: str | None) -> tuple[np.nd
 
 
 def field_from_birth(
-    domain: Domain,
+    domain: RectDomain,
     boundary: BoundaryFlow | None = None,
     births: BirthField | None = None,
     mode: str | None = None,
@@ -349,7 +380,7 @@ def extract(field: FlowField) -> tuple[BoundaryFlow, BirthField, ExitFlow]:
     through :func:`field_from_birth` reproduces the field exactly in integer
     mode and within tolerance in float mode.
     """
-    domain = require_rect(field.domain, "extraction")
+    domain = field.domain
     require_conserved(field)
 
     def side(sites, slope: int) -> dict:
@@ -380,7 +411,6 @@ def total_crossing_flow(field: FlowField):
     The same mass leaves through the other two sides; the two sums are
     compared and a disagreement beyond tolerance signals a corrupt field.
     """
-    domain = require_rect(field.domain, "crossing flow")
     left = sum(side_masses(field, 0)) + sum(side_masses(field, 3))
     right = sum(side_masses(field, 1)) + sum(side_masses(field, 2))
     if abs(left - right) > tolerance(max(left, right), field.mode):

@@ -1,14 +1,15 @@
-"""Geometry of the tilted integer lattice and its finite domains.
+"""Geometry of the tilted integer lattice and its rectangular domains.
 
 Sites are pairs ``(t, x)`` with ``t + x`` even; edges join sites at diagonal
-distance 1 in each coordinate.  A rectangular domain is the degenerate case
-of a hexagonal one and is the only shape on which the decomposition
-machinery operates; hexagonal domains support membership, boundary queries
-and the Markov evolution.  Both build the same index arrays from their
-column bounds (:class:`ColumnPlan`), which the sweep over ``t``-columns in
-``flow`` runs on.  The midpoints of an ``n x m`` rectangle, where the brick
-diagram's heights live, are the face corners of its site grid: the sites of
-the ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``.
+distance 1 in each coordinate.  A domain is an ``n x m`` rectangle: the
+cells of an ``n x m`` matrix turned by 45 degrees, cell ``(i, j)``, 0-based,
+at ``(i + j, j - i)``.  Each ``t``-column of sites is an anti-diagonal of the
+matrix, each matrix row a chain of ascending edges and each matrix column a
+chain of descending ones, which is the front that ``flow.front`` moves one
+anti-diagonal at a time.  The index arrays are built from the column bounds
+(:class:`ColumnPlan`).  The midpoints of an ``n x m`` rectangle, where the
+brick diagram's heights live, are the face corners of its site grid: the
+sites of the ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``.
 """
 
 from __future__ import annotations
@@ -135,28 +136,43 @@ def _side(k: int, name: str) -> cached_property:
     return cached_property(side)
 
 
-class _DomainMixin:
-    """Derived geometry shared by rectangular and hexagonal domains.
+@dataclass(frozen=True)
+class RectDomain:
+    """Rectangle of ``n * m`` sites: ``0 <= t+x <= 2(m-1)``, ``0 <= t-x <= 2(n-1)``.
 
-    Everything is derived from the column bounds ``(t0, lo, hi)``: column
-    ``t0 + k`` holds the sites ``x = lo[k], lo[k] + 2, .., hi[k]``.  The
-    :class:`ColumnPlan` is built once per domain with numpy and cached with
-    the tuples read off it.  The boundary too: a site lies on the southwest,
-    northwest, northeast or southeast side when its neighbour across its
-    edge of that direction lies outside the domain.  Flows enter through the
-    southwest and northwest sides and leave through the other two.
+    ``n`` counts sites along the southwest side (anti-diagonal width) and
+    ``m`` along the northwest side (diagonal height), matching the bijection
+    with the matrix ``{1..n} x {1..m}`` where cell ``(i, j)`` sits at
+    ``t - x = 2(i-1)``, ``t + x = 2(j-1)``.  The ``t``-column of the sites at
+    ``t = d`` is therefore the matrix's anti-diagonal ``i + j = d + 2``.
+
+    Everything else is derived from the column bounds: column ``t`` holds the
+    sites ``x = lo, lo + 2, .., hi``.  The :class:`ColumnPlan` is built once
+    per domain with numpy and cached with the tuples read off it.  The
+    boundary too: a site lies on the southwest, northwest, northeast or
+    southeast side when its neighbour across its edge of that direction lies
+    outside the domain.  Flows enter through the southwest and northwest
+    sides and leave through the other two.
     """
+
+    n: int
+    m: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.m < 1:
+            raise ValueError(f"domain needs n >= 1 and m >= 1, got {self.n}x{self.m}")
 
     @cached_property
     def plan(self) -> ColumnPlan:
-        t0, lo, hi = self._column_bounds()
+        t = np.arange(self.n + self.m - 1)
+        lo, hi = np.maximum(-t, t - 2 * (self.n - 1)), np.minimum(t, 2 * (self.m - 1) - t)
         x_lo = int(lo.min()) - 2
         width = int(hi.max()) - x_lo + 3
         counts = (hi - lo) // 2 + 1
         ends = np.cumsum(counts)
         starts = ends - counts
         # column k's keys run from its lowest site's key up in steps of 2
-        first = (np.arange(2, len(lo) + 2) * width + lo - x_lo) - 2 * starts
+        first = ((t + 2) * width + lo - x_lo) - 2 * starts
         s = np.repeat(first, counts) + 2 * np.arange(ends[-1])
         # each site and its four diagonal neighbours
         near = np.array([[0], [width + 1], [width - 1], [1 - width], [-1 - width]])
@@ -166,7 +182,7 @@ class _DomainMixin:
         edge_keys = _distinct(incident)
         columns = tuple(map(slice, starts.tolist(), ends.tolist()))
         return ColumnPlan(
-            t0 - 2, x_lo, width, s, closure, edge_keys, np.searchsorted(edge_keys, incident), columns
+            -2, x_lo, width, s, closure, edge_keys, np.searchsorted(edge_keys, incident), columns
         )
 
     @cached_property
@@ -225,28 +241,6 @@ class _DomainMixin:
         northwest sides and of the outflow of the northeast and southeast sides."""
         return tuple(edges[on] for edges, on in zip(self.plan.incident, self._on_side))
 
-
-@dataclass(frozen=True)
-class RectDomain(_DomainMixin):
-    """Rectangle of ``n * m`` sites: ``0 <= t+x <= 2(m-1)``, ``0 <= t-x <= 2(n-1)``.
-
-    ``n`` counts sites along the southwest side (anti-diagonal width) and
-    ``m`` along the northwest side (diagonal height), matching the bijection
-    with the matrix ``{1..n} x {1..m}`` where cell ``(i, j)`` sits at
-    ``t - x = 2(i-1)``, ``t + x = 2(j-1)``.
-    """
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"domain needs n >= 1 and m >= 1, got {self.n}x{self.m}")
-
-    def _column_bounds(self) -> tuple[int, np.ndarray, np.ndarray]:
-        t = np.arange(self.n + self.m - 1)
-        return 0, np.maximum(-t, t - 2 * (self.n - 1)), np.minimum(t, 2 * (self.m - 1) - t)
-
     def cell_to_site(self, i: int, j: int) -> Site:
         """Matrix cell ``(i, j)``, 1-based, to lattice coordinates."""
         return (i + j - 2, j - i)
@@ -259,78 +253,6 @@ class RectDomain(_DomainMixin):
 
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
-
-
-@dataclass(frozen=True)
-class HexDomain(_DomainMixin):
-    """Hexagonal domain bounded by two kinked paths ``x_lower <= x <= x_upper``.
-
-    The upper path ascends until ``kink_upper`` and descends afterwards; the
-    lower path descends until ``kink_lower`` then ascends.  The side rule of
-    :class:`_DomainMixin` makes the southwest side the first column plus the
-    lower path up to its kink, the northwest side the first column plus the
-    upper path up to its kink, and the northeast and southeast sides the last
-    column plus the upper and lower paths from their kinks.  Only membership,
-    boundary queries and the Markov evolution are supported here; the
-    decomposition machinery requires a rectangle.
-    """
-
-    t0: int
-    t1: int
-    kink_lower: int
-    kink_upper: int
-    x_lower: tuple[int, ...]
-    x_upper: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        width = self.t1 - self.t0 + 1
-        if self.t1 < self.t0:
-            raise ValueError("t1 must be >= t0")
-        if len(self.x_lower) != width or len(self.x_upper) != width:
-            raise ValueError("boundary paths must cover t0..t1")
-        if not (self.t0 <= self.kink_lower <= self.t1):
-            raise ValueError("kink_lower outside [t0, t1]")
-        if not (self.t0 <= self.kink_upper <= self.t1):
-            raise ValueError("kink_upper outside [t0, t1]")
-        for t in range(self.t0, self.t1 + 1):
-            lo, hi = self._x_at(t)
-            if lo > hi or (t + lo) % 2 != 0 or (hi - lo) % 2 != 0:
-                raise ValueError(f"invalid column at t={t}")
-        for t in range(self.t0, self.t1):
-            i = t - self.t0
-            dlo = self.x_lower[i + 1] - self.x_lower[i]
-            dhi = self.x_upper[i + 1] - self.x_upper[i]
-            if dlo != (-1 if t < self.kink_lower else 1):
-                raise ValueError(f"lower path has wrong slope at t={t}")
-            if dhi != (1 if t < self.kink_upper else -1):
-                raise ValueError(f"upper path has wrong slope at t={t}")
-
-    def _x_at(self, t: int) -> tuple[int, int]:
-        i = t - self.t0
-        return self.x_lower[i], self.x_upper[i]
-
-    def _column_bounds(self) -> tuple[int, np.ndarray, np.ndarray]:
-        return self.t0, np.array(self.x_lower), np.array(self.x_upper)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "hex",
-            "t0": self.t0,
-            "t1": self.t1,
-            "t01": [self.kink_lower, self.kink_upper],
-            "xminus": list(self.x_lower),
-            "xplus": list(self.x_upper),
-        }
-
-
-Domain = RectDomain | HexDomain
-
-
-def require_rect(domain: Domain, what: str) -> RectDomain:
-    """``domain`` itself when it is a rectangle; ``what`` names the operation that needs one."""
-    if not isinstance(domain, RectDomain):
-        raise ValueError(f"{what} is defined on rectangular domains only")
-    return domain
 
 
 def as_integer(value, what: str) -> int:
@@ -351,24 +273,13 @@ def as_integers(values, what: str) -> list[int]:
     return [as_integer(v, what) for v in values]
 
 
-def domain_from_dict(d: dict) -> Domain:
+def domain_from_dict(d: dict) -> RectDomain:
     """Read ``to_dict`` output; ValueError on a value of the wrong type or size."""
     if not isinstance(d, dict):
         raise ValueError(f"a domain must be a JSON object, not {d!r}")
     kind = d.get("type")
     if kind == "rect":
         return RectDomain(as_integer(d["N"], "N"), as_integer(d["M"], "M"))
-    if kind == "hex":
-        kinks = as_integers(d["t01"], "t01")
-        if len(kinks) != 2:
-            raise ValueError(f"t01 must hold the two kinks, not {kinks!r}")
-        return HexDomain(
-            as_integer(d["t0"], "t0"),
-            as_integer(d["t1"], "t1"),
-            *kinks,
-            tuple(as_integers(d["xminus"], "xminus")),
-            tuple(as_integers(d["xplus"], "xplus")),
-        )
     raise ValueError(f"unknown domain type {kind!r}")
 
 
@@ -385,13 +296,12 @@ def in_midpoint_order(corners: np.ndarray) -> np.ndarray:
     return np.concatenate([corners[::-1].diagonal(k) for k in range(-n, m + 1)])
 
 
-def midpoints(domain: Domain) -> tuple[Site, ...]:
+def midpoints(domain: RectDomain) -> tuple[Site, ...]:
     """Odd-parity points at unit distance from a rectangle's sites, sorted by ``(t, x)``.
 
     These are the interval boundaries of the brick diagram, one per face
     corner of the site grid (see :func:`in_midpoint_order`): the sites of the
     ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``, in the same order.
     """
-    rect = require_rect(domain, "the midpoints")
-    a, b = np.indices((rect.n + 1, rect.m + 1))
+    a, b = np.indices((domain.n + 1, domain.m + 1))
     return tuple(zip(in_midpoint_order(a + b - 1).tolist(), in_midpoint_order(b - a).tolist()))

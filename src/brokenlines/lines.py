@@ -36,7 +36,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import RectDomain, Site, in_midpoint_order, midpoints, require_rect
+from .lattice import RectDomain, Site, in_midpoint_order, midpoints
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,9 @@ class Decomposition:
     ``line_weights`` holds the weights as Python numbers.  The arrays are
     trusted to hold valid traces.  :func:`compose` and the CSV writer read
     them; ``entries``, :meth:`traces` and iteration build the
-    :class:`BrokenTrace` tuples on first read, and ``==`` compares the lines
-    and their weights.
+    :class:`BrokenTrace` tuples on first read, one ``(t, x)`` tuple per
+    distinct site shared by every trace through it, and ``==`` compares the
+    lines and their weights.
     """
 
     t: np.ndarray
@@ -148,9 +149,16 @@ class Decomposition:
 
     @cached_property
     def entries(self) -> tuple[tuple[BrokenTrace, float], ...]:
-        sites = list(zip(self.t.tolist(), self.x.tolist()))
+        # sorted, each run of equal sites is one distinct site
+        order = np.lexsort((self.x, self.t))
+        t, x = self.t[order], self.x[order]
+        new = np.ones(len(t), bool)
+        new[1:] = (t[1:] != t[:-1]) | (x[1:] != x[:-1])
+        distinct = np.fromiter(zip(t[new].tolist(), x[new].tolist()), object, np.count_nonzero(new))
+        sites = np.empty(len(t), object)
+        sites[order] = distinct[np.cumsum(new) - 1]
         ends = np.cumsum(self.counts).tolist()
-        traces = (BrokenTrace(tuple(sites[a:b])) for a, b in zip([0, *ends], ends))
+        traces = (BrokenTrace(tuple(sites[a:b].tolist())) for a, b in zip([0, *ends], ends))
         return tuple(zip(traces, self.line_weights))
 
     def __eq__(self, other) -> bool:
@@ -301,7 +309,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     Every other descending edge must then agree with the heights of its two
     corners within ``tolerance`` of the crossing flow.
     """
-    domain = require_rect(field.domain, "the brick diagram")
+    domain = field.domain
     require_conserved(field)
     mass = field.values
     slack = tolerance(total_crossing_flow(field), field.mode)
@@ -353,7 +361,6 @@ def compose(
     Built as the edgewise sum of ``weight * indicator(trace)``; the input
     must be strictly ordered left to right with positive weights.
     """
-    require_rect(domain, "composition")
     dec = decomposition
     weights = list(dec.weights())
     if mode is None:

@@ -32,7 +32,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import RectDomain, Site, as_integers, require_rect
+from .lattice import RectDomain, Site, as_integers
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class LppResult:
 
 def birth_matrix(xi: BirthField) -> np.ndarray:
     """The checked births as the (n, m) matrix indexed by the cell bijection."""
-    domain = require_rect(xi.domain, "passage values")
+    domain = xi.domain
     out = np.zeros((domain.n, domain.m))
     out[domain.cells] = xi.masses("float")
     return out
@@ -122,7 +122,7 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
     matrix, ascending in ``j``: one run of :func:`_diagonals` with rows ``j``,
     each cell rounded as ``x + max(up, left)`` since ``max`` is symmetric.
     """
-    domain = require_rect(xi.domain, "passage values")
+    domain = xi.domain
     births = xi.masses("float")
     sums = np.empty_like(births)
     at = 0
@@ -148,8 +148,7 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
 
 def lpp_bruteforce(xi: BirthField) -> float:
     """Exhaustive maximum over all oriented paths; oracle for small domains."""
-    domain = require_rect(xi.domain, "passage values")
-    n, m = domain.n, domain.m
+    n, m = xi.domain.n, xi.domain.m
     if n + m > 14:
         raise ValueError("brute force is limited to n + m <= 14")
     matrix = birth_matrix(xi)
@@ -186,7 +185,7 @@ def optimal_path_backward(field: FlowField) -> LatticePath:
     neighbour inside.  Requires a field grown from births alone: nonzero
     boundary inflow breaks the optimality guarantee and is rejected.
     """
-    domain = require_rect(field.domain, "passage values")
+    domain = field.domain
     inflow = sum(side_masses(field, 0)) + sum(side_masses(field, 1))
     if inflow > tolerance(field.max_mass, field.mode):
         raise ValueError("backward path needs a field with zero boundary inflow")

@@ -8,7 +8,6 @@ verticals at every breakpoint, strip colors matching the line picture.
 from __future__ import annotations
 
 from .flow import FlowField
-from .lattice import require_rect
 from .lines import BrickDiagram, Decomposition, brick_diagram
 
 _PALETTE = (
@@ -123,10 +122,9 @@ def _bricks_group(
 
 
 def render_field_svg(field: FlowField, what: str = "both") -> str:
-    """Render a rectangular field; ``what`` is one of lines/bricks/both."""
+    """Render a field; ``what`` is one of lines/bricks/both."""
     if what not in ("lines", "bricks", "both"):
         raise ValueError("what must be lines, bricks, or both")
-    require_rect(field.domain, "rendering")
     diagram = brick_diagram(field)
     dec = diagram.decomposition()
     if len(dec) == 0:

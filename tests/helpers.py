@@ -8,12 +8,11 @@ from itertools import chain
 from operator import add
 
 import numpy as np
-from hypothesis import strategies as st
 
 from brokenlines import BirthField, BoundaryFlow, FlowField, RectDomain, field_from_birth, streams
 from brokenlines.duality import transition_kernel
 from brokenlines.flow import site_outflows
-from brokenlines.lattice import Edge, HexDomain
+from brokenlines.lattice import Edge
 from brokenlines.lines import Decomposition
 from brokenlines.lpp import birth_matrix
 from brokenlines.streams import negated_uniforms, stream_base, uniform
@@ -135,6 +134,24 @@ def dict_sweep(domain, up_in: dict, down_in: dict, born: dict) -> dict:
     return mass
 
 
+def plan_sweep(domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """The forward sweep one ``t``-column at a time on a full edge array, through the index plan.
+
+    The reference that ``flow.sweep`` is tested against, dtype and bits: the
+    masses start as zeros of ``np.result_type`` of the inflows and births,
+    and each column gathers its sites' incoming edges by ``plan.incident``
+    and scatters their outflows the same way.
+    """
+    sw, nw, ne, se = domain.plan.incident
+    entry_up, entry_down, _, _ = domain.side_edges
+    mass = np.zeros((len(domain.plan.edge_keys), *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass[entry_up] = up_in
+    mass[entry_down] = down_in
+    for col in domain.plan.columns:
+        mass[ne[col]], mass[se[col]] = site_outflows(mass[sw[col]], mass[nw[col]], born[col])
+    return mass
+
+
 def add_fields(a: FlowField, b: FlowField) -> FlowField:
     """Edgewise sum; the conservation law is linear so validity is preserved."""
     if a.domain != b.domain:
@@ -233,15 +250,6 @@ def decomposition_of(entries) -> Decomposition:
     return Decomposition(t, x, counts, tuple(w for _, w in entries))
 
 
-def hex_of_rect(rect: RectDomain) -> HexDomain:
-    """The rectangle's site set as a degenerate hexagon: from ``t = 0`` to
-    ``n + m - 2``, the lower path kinked at ``n - 1`` and the upper at ``m - 1``."""
-    ts = range(rect.n + rect.m - 1)
-    lower = tuple(max(-t, t - 2 * (rect.n - 1)) for t in ts)
-    upper = tuple(min(t, 2 * (rect.m - 1) - t) for t in ts)
-    return HexDomain(0, ts[-1], rect.n - 1, rect.m - 1, lower, upper)
-
-
 DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -309,26 +317,8 @@ def swept_heights(field: FlowField) -> dict:
     return {y: h.item() if isinstance(h, np.generic) else h for y, h in heights.items()}
 
 
-@st.composite
-def hexagons(draw):
-    """Hexagons with both kinks anywhere, around negative and positive x."""
-    t0 = draw(st.integers(-3, 3))
-    lo = draw(st.integers(-5, 3))
-    lo += (t0 + lo) % 2
-    xl, xu = [lo], [lo + 2 * draw(st.integers(0, 3))]
-    kinks = t0 + draw(st.integers(0, 6)), t0 + draw(st.integers(0, 6))
-    for t in range(t0, t0 + draw(st.integers(0, 8))):
-        low, up = xl[-1] + (-1 if t < kinks[0] else 1), xu[-1] + (1 if t < kinks[1] else -1)
-        if low > up:
-            break
-        xl.append(low)
-        xu.append(up)
-    t1 = t0 + len(xl) - 1
-    return HexDomain(t0, t1, min(kinks[0], t1), min(kinks[1], t1), tuple(xl), tuple(xu))
-
-
-# The sides and membership of each shape by their explicit definitions: the
-# reference for the neighbour rule that both domains read off their plan.
+# The sides and membership of a rectangle by their explicit definitions: the
+# reference for the neighbour rule that the domain reads off its plan.
 def rect_sides(d: RectDomain) -> tuple[tuple, tuple, tuple, tuple]:
     """Southwest, northwest, northeast and southeast sides, each along its path."""
     n, m = d.n, d.m
@@ -343,29 +333,6 @@ def rect_sides(d: RectDomain) -> tuple[tuple, tuple, tuple, tuple]:
 def rect_contains(d: RectDomain, y) -> bool:
     t, x = y
     return (t + x) % 2 == 0 and 0 <= t + x <= 2 * (d.m - 1) and 0 <= t - x <= 2 * (d.n - 1)
-
-
-def hex_sides(d: HexDomain) -> tuple[tuple, tuple, tuple, tuple]:
-    """Each west side is the first column plus the lower (southwest) or upper
-    (northwest) path up to its kink; each east side the last column plus the
-    upper (northeast) or lower (southeast) path from its kink."""
-
-    def side(column_t: int, path: tuple, ts: range) -> tuple:
-        lo, hi = d._x_at(column_t)
-        column = {(column_t, x) for x in range(lo, hi + 1, 2)}
-        return tuple(sorted(column | {(t, path[t - d.t0]) for t in ts}))
-
-    return (
-        side(d.t0, d.x_lower, range(d.t0, d.kink_lower + 1)),
-        side(d.t0, d.x_upper, range(d.t0, d.kink_upper + 1)),
-        side(d.t1, d.x_upper, range(d.kink_upper, d.t1 + 1)),
-        side(d.t1, d.x_lower, range(d.kink_lower, d.t1 + 1)),
-    )
-
-
-def hex_contains(d: HexDomain, y) -> bool:
-    t, x = y
-    return d.t0 <= t <= d.t1 and (t + x) % 2 == 0 and d._x_at(t)[0] <= x <= d._x_at(t)[1]
 
 
 def decomposition_to_csv_rows_loop(dec: Decomposition) -> list[list]:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
-from brokenlines import checks
+from brokenlines import checks, duality
 from brokenlines.duality import (
     DistSpec,
     Verdict,
@@ -40,6 +40,7 @@ from brokenlines.streams import uniform
 from helpers import (
     kernel_residual_loop,
     max_edge_gap,
+    plan_sweep,
     time_reverse,
     uniforms,
     uniforms_at,
@@ -335,19 +336,6 @@ def test_evolve_chain_rejects_bad_lambda():
         evolve_chain(RectDomain(2, 2), 1.2, seed=0)
 
 
-def test_evolve_chain_on_hexagon():
-    from brokenlines.lattice import HexDomain
-    from brokenlines.lines import decompose
-
-    hexa = HexDomain(0, 4, 2, 2, (0, -1, -2, -1, 0), (0, 1, 2, 1, 0))
-    f = evolve_chain(hexa, 0.5, seed=6)
-    assert f.mode == "int"
-    assert not check_conservation(f)
-    assert f == evolve_chain(hexa, 0.5, seed=6)
-    with pytest.raises(ValueError):
-        decompose(f)  # raw per-edge masses only: no decomposition on hexagons
-
-
 def test_exit_edge_is_geometric():
     # stationarity: any fixed exit edge of the chain carries Geom(lam) mass
     lam, runs = 0.5, 10_000
@@ -406,6 +394,50 @@ def test_burke_refuses_non_dual_triple():
         burke_exit_test(RectDomain(3, 3), parse_triple("exp:1,exp:1,exp:5"), 2_000, seed=3)
     with pytest.raises(ValueError):
         burke_exit_test(RectDomain(3, 3), parse_triple("exp:1,exp:1,exp:2"), 50, seed=3)
+
+
+def full_mass_front(domain, up_in, down_in, births):
+    """The exits read off :func:`helpers.plan_sweep`'s full mass array, every birth held at once."""
+    mass = plan_sweep(domain, up_in, down_in, np.concatenate(list(births)))
+    return mass[domain.side_edges[2]], mass[domain.side_edges[3]]
+
+
+# point:0,geom:0.5,point:0 is self-dual and mixes float64 and int64 draws
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 5), (4, 4), (6, 3)], ids=str)
+@pytest.mark.parametrize("triple", ["exp:1,exp:1,exp:2", "geom:0.5,geom:0.5,geom:0.25",
+                                    "point:0,geom:0.5,point:0"])
+def test_burke_report_equals_the_report_on_the_full_mass_array(shape, triple, monkeypatch):
+    report = burke_exit_test(RectDomain(*shape), parse_triple(triple), 1_000, seed=2)
+    monkeypatch.setattr(duality, "front", full_mass_front)
+    expected = burke_exit_test(RectDomain(*shape), parse_triple(triple), 1_000, seed=2)
+    assert repr(report.checks) == repr(expected.checks)
+
+
+@pytest.mark.parametrize("outer, inner", [((1, 7), (1, 4)), ((7, 1), (5, 1)), ((3, 4), (2, 4)),
+                                          ((4, 3), (4, 3))], ids=str)
+@pytest.mark.parametrize("inner_lam", [None, 0.6])
+def test_consistency_report_equals_the_report_on_the_full_mass_array(outer, inner, inner_lam, monkeypatch):
+    def run():
+        return consistency_test(*outer, 0.5, 1_000, seed=6, n_inner=inner[0], m_inner=inner[1],
+                                inner_lam=inner_lam)
+
+    report = run()
+    monkeypatch.setattr(duality, "sweep", plan_sweep)
+    assert repr(report.checks) == repr(run().checks)
+
+
+def test_burke_holds_the_front_not_the_field():
+    # a sweep into the full (edges, samples) masses, every birth drawn first,
+    # peaked at 39.8 MiB here; the front and one column of births take under 1 MiB
+    domain, triple = RectDomain(40, 40), parse_triple("exp:1,exp:1,exp:2")
+    domain.plan, domain.northeast_side, domain.southeast_side  # the geometry is not counted
+    tracemalloc.start()
+    try:
+        burke_exit_test(domain, triple, 1_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ------------------------------------------------------------ reversal of fields

@@ -20,7 +20,7 @@ from brokenlines.flow import (
     sweep,
     total_crossing_flow,
 )
-from brokenlines.lattice import Edge, HexDomain, RectDomain
+from brokenlines.lattice import Edge, RectDomain
 from brokenlines.lines import (
     compose,
     decompose,
@@ -30,9 +30,8 @@ from brokenlines.lines import (
 from helpers import (
     add_fields,
     dict_sweep,
-    hex_of_rect,
-    hexagons,
     max_edge_gap,
+    plan_sweep,
     random_field,
     zero_field,
 )
@@ -252,26 +251,6 @@ def test_integral_float_masses_are_read_as_ints():
     assert f.mass[Edge(1, 1, True)] == 2
 
 
-def test_hexagonal_evolution_matches_rectangle():
-    rect = RectDomain(3, 4)
-    hexa = hex_of_rect(rect)
-    up = {y: 0.5 for y in rect.southwest_side}
-    births = {y: 1.0 for y in rect.sites}
-    f_rect = field_from_birth(rect, BoundaryFlow(up, {}), BirthField(rect, births))
-    f_hex = field_from_birth(hexa, BoundaryFlow(up, {}), BirthField(hexa, births))
-    assert {e: f_hex.mass[e] for e in rect.edges} == f_rect.mass
-
-
-def test_hexagon_has_no_extraction_or_crossing_flow():
-    hexa = HexDomain(0, 4, 2, 2, (0, -1, -2, -1, 0), (0, 1, 2, 1, 0))
-    f = field_from_birth(hexa, births=BirthField(hexa, {(2, 0): 1.0}))
-    assert not check_conservation(f)
-    with pytest.raises(ValueError):
-        extract(f)
-    with pytest.raises(ValueError):
-        total_crossing_flow(f)
-
-
 def test_json_roundtrip_is_stable():
     f = random_field(RectDomain(3, 2), seed=9, mode="int")
     payload = json.dumps(field_to_dict(f))
@@ -295,7 +274,8 @@ def _row(payload):
     return next(r for r in payload["edges"] if (r["t"], r["x"], r["slope"]) == (0, 0, "up"))
 
 
-HEX_2X2 = hex_of_rect(RectDomain(2, 2)).to_dict()
+# a 2x2 rectangle as the hexagon JSON of earlier versions, a domain type no longer read
+HEX_2X2 = {"type": "hex", "t0": 0, "t1": 2, "t01": [1, 1], "xminus": [0, -1, 0], "xplus": [0, 1, 0]}
 
 # Each edits the payload in place or returns one to read instead.  The first
 # five were once read as a different field: a descending edge, coordinates
@@ -309,6 +289,7 @@ MALFORMED = {
     "fractional N": lambda d: d["domain"].update(N=2.5),
     "top-level list": lambda d: [d],
     "domain a string": lambda d: d.update(domain="rect"),
+    "hex domain": lambda d: d.update(domain=HEX_2X2),
     "hex t01 of length 1": lambda d: d.update(domain=dict(HEX_2X2, t01=[1])),
     "hex xminus a number": lambda d: d.update(domain=dict(HEX_2X2, xminus=0)),
     "edge row a number": lambda d: d["edges"].append(5),
@@ -350,11 +331,7 @@ def test_json_names_a_far_coordinate_as_given(coordinate, far, tmp_path, capsys)
     assert f"{coordinate}={far}," in capsys.readouterr().err
 
 
-DOMAINS = st.one_of(
-    st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)),
-    st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6)).map(hex_of_rect),
-    hexagons(),
-)
+DOMAINS = st.builds(RectDomain, st.integers(1, 6), st.integers(1, 6))
 MASSES = {
     "int": st.integers(0, 9),
     "float": st.floats(0, 1e3),
@@ -395,6 +372,45 @@ def test_array_sweep_equals_the_per_site_sweep_on_a_replica_axis(domain, kind, d
     expected = dict_sweep(domain, up, down, born)
     assert mass.shape == (len(domain.edges), 3)
     assert all(np.array_equal(row, expected[e]) for e, row in zip(domain.edges, mass))
+
+
+# every rectangle to 12x12, and thin ones past it
+SWEEP_SHAPES = [(n, m) for n in range(1, 13) for m in range(1, 13)]
+SWEEP_SHAPES += [shape for k in (13, 31, 64, 127, 200) for shape in ((1, k), (k, 1))]
+
+
+def _masses(rng, kind: str, shape: tuple) -> np.ndarray:
+    """Masses of ``kind`` with many ties and zeros, so both branches of the site update run."""
+    if kind == "float64":
+        return np.where(rng.random(shape) < 0.3, 0.0, rng.exponential(2.0, shape).round(rng.integers(0, 3)))
+    values = rng.integers(0, 4, shape)
+    if kind == "object":  # Python ints whose sums pass 2**63
+        return values.astype(object) * 2**62 + rng.integers(0, 2, shape).astype(object)
+    return values
+
+
+@pytest.mark.parametrize("kinds", [("int64",) * 3, ("float64",) * 3, ("object",) * 3,
+                                   ("float64", "int64", "float64"), ("int64", "int64", "float64")],
+                         ids=["int64", "float64", "object", "float inflow int down", "float births"])
+@pytest.mark.parametrize("replicas", [(), (3,)], ids=["one field", "replica axis"])
+def test_front_sweep_equals_the_plan_sweep_bit_for_bit(kinds, replicas):
+    rng = np.random.default_rng([len(replicas), *map(len, kinds)])
+    for n, m in SWEEP_SHAPES:
+        domain = RectDomain(n, m)
+        sizes = (n, m, n * m)
+        up, down, born = (_masses(rng, k, (size, *replicas)) for k, size in zip(kinds, sizes))
+        expected = plan_sweep(domain, up, down, born)
+        mass = sweep(domain, up, down, born)
+        assert (mass.dtype, mass.shape) == (expected.dtype, expected.shape), (n, m)
+        if mass.dtype == object:
+            assert [type(v) for v in mass.flat] == [type(v) for v in expected.flat]
+            assert mass.tolist() == expected.tolist(), (n, m)
+        else:
+            assert mass.tobytes() == expected.tobytes(), (n, m)
+        # the final front is the exits, in side order
+        ups, downs = flow.front(domain, up, down, (born[c] for c in domain.plan.columns))
+        assert np.array_equal(ups, expected[domain.side_edges[2]]), (n, m)
+        assert np.array_equal(downs, expected[domain.side_edges[3]]), (n, m)
 
 
 @pytest.mark.parametrize(
