@@ -453,11 +453,11 @@ def consistency_test(
     inner = RectDomain(n_inner, m_inner)
     lam_direct = lam if inner_lam is None else inner_lam
 
-    # the inner rectangle's edges, found among the outer rows
     def sampled(domain: RectDomain, lam: float, tag: int) -> np.ndarray:  # every edge's masses
         up, down, births = _replica_draws(domain, _chain(lam), seed, tag, nsamples)
         return sweep(domain, up, down, births(slice(None)))
 
+    # the inner rectangle's edges, found among the outer rows
     rows = outer.plan.find_edges(*inner.plan.edge_points())
     restricted = sampled(outer, lam, _TAG_OUTER)[rows]
     direct = sampled(inner, lam_direct, _TAG_INNER)
