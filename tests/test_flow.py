@@ -394,7 +394,7 @@ def _masses(rng, kind: str, shape: tuple) -> np.ndarray:
                          ids=["int64", "float64", "object", "float inflow int down", "float births"])
 @pytest.mark.parametrize("replicas", [(), (3,)], ids=["one field", "replica axis"])
 def test_front_sweep_equals_the_plan_sweep_bit_for_bit(kinds, replicas):
-    rng = np.random.default_rng([len(replicas), *map(len, kinds)])
+    rng = np.random.default_rng(7)
     for n, m in SWEEP_SHAPES:
         domain = RectDomain(n, m)
         sizes = (n, m, n * m)
