@@ -149,16 +149,13 @@ class Decomposition:
 
     @cached_property
     def entries(self) -> tuple[tuple[BrokenTrace, float], ...]:
-        # sorted, each run of equal sites is one distinct site
-        order = np.lexsort((self.x, self.t))
-        t, x = self.t[order], self.x[order]
-        new = np.ones(len(t), bool)
-        new[1:] = (t[1:] != t[:-1]) | (x[1:] != x[:-1])
-        distinct = np.fromiter(zip(t[new].tolist(), x[new].tolist()), object, np.count_nonzero(new))
-        sites = np.empty(len(t), object)
-        sites[order] = distinct[np.cumsum(new) - 1]
+        # the first tuple built for a site stands for it in every trace through it;
+        # a dict, not a sort of the site arrays, whose one-word-per-site temporaries
+        # left malloc's heap larger by an amount that varied from process to process
+        shared = {}
+        sites = [shared.setdefault(site, site) for site in zip(self.t.tolist(), self.x.tolist())]
         ends = np.cumsum(self.counts).tolist()
-        traces = (BrokenTrace(tuple(sites[a:b].tolist())) for a, b in zip([0, *ends], ends))
+        traces = (BrokenTrace(tuple(sites[a:b])) for a, b in zip([0, *ends], ends))
         return tuple(zip(traces, self.line_weights))
 
     def __eq__(self, other) -> bool:
