@@ -116,8 +116,9 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
     Raises ``ValueError`` on an empty sample or one holding NaN.
     """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)  # one copy each, sorted in place
+    a.sort()
+    b.sort()
     if a.size == 0 or b.size == 0:
         raise ValueError("the KS distance needs two nonempty samples")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
@@ -125,9 +126,11 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return max(_cdf_rise(a, b), _cdf_rise(b, a))
 
 
-# Run ends per stretch.  A whole in-process ``verify`` round took 162 ms
-# with every run end looked up, and 113, 112, 124, 133 and 147 ms at
-# strides 16, 32, 64, 128 and 256 (medians of 11 rounds, 2 cores).
+# Run ends per stretch.  A whole in-process ``verify`` round of this code
+# took 225-246 ms with every run end looked up (stride 1), and 131-147,
+# 127-143, 130-146, 141-158 and 165-186 ms at strides 16, 32, 64, 128 and
+# 256 (medians of 11 rounds, strides interleaved; the two ends of each
+# range are two runs on a shared 2-core host whose speed drifted between them).
 _STRIDE = 32
 
 

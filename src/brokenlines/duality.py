@@ -290,22 +290,29 @@ def reversal_invariance_test(
     pairwise product moments are z-tested; sub-checks run at a
     Bonferroni-corrected level so the report rejects a truly invariant
     triple with probability at most ``significance``.
+
+    The six samples are the rows of one ``(6, nsamples)`` float64 block,
+    each drawn and inverted where it lies.  The field draws ``r`` and ``s``
+    go to rows 0 and 1, their minimum, the annihilated mass, to row 2, and
+    ``t`` to row 3; the site update then turns rows 0 and 1 into the two
+    outflows in place.  Row 3 is free again, and rows 3 to 5 take the
+    fresh draws of the three laws.
     """
     if nsamples < 10_000:
         raise ValueError("need at least 10^4 samples")
 
-    def draws(tag: int) -> list[np.ndarray]:
-        specs = enumerate((triple.pi1, triple.pi2, triple.pi3))
-        counters = np.arange(nsamples)
-        return [
-            p.from_negated_uniform(negated_uniforms(stream_base(seed, tag, i), counters))
-            for i, p in specs
-        ]
+    block = np.empty((6, nsamples))
 
-    r, s, t = draws(_TAG_FIELD)
-    outs = (*site_outflows(r, s, t), np.minimum(r, s))
-    del r, s, t  # not held while the fresh draws are made
-    fresh = draws(_TAG_FRESH)
+    def draw(tag: int, i: int, row: int) -> np.ndarray:
+        spec, base = (triple.pi1, triple.pi2, triple.pi3)[i], stream_base(seed, tag, i)
+        return spec.from_negated_uniform(negated_uniforms(base, np.arange(nsamples), out=block[row]))
+
+    r, s, t = (draw(_TAG_FIELD, i, row) for i, row in enumerate((0, 1, 3)))
+    np.minimum(r, s, out=block[2])
+    site_outflows(r, s, t, out=(r, s))
+    for i in range(3):
+        draw(_TAG_FRESH, i, 3 + i)
+    outs, fresh = block[:3], block[3:]
 
     def marginal(i: int):
         return lambda: (outs[i], fresh[i])

@@ -23,8 +23,9 @@ order are read as arrays too, each where it lies; a site-keyed dict is
 placed by site first.  The forward evolution, :func:`front`, moves one
 ascending mass per matrix row and one descending mass per matrix column
 across the rectangle, one ``t``-column (an anti-diagonal of the matrix) at a
-time, with an optional trailing replica axis; :func:`sweep` scatters its
-outflows once into canonical edge order.  The dtype is float64
+time, with an optional trailing replica axis, and updates it in place;
+:func:`sweep` has it write each column's outflows straight into the
+canonical edge array, where they form one run.  The dtype is float64
 in float mode; in int mode int64 when the sum of the masses' sizes (for a
 sweep, of its inflows and births) is below ``2**63``, which bounds every
 mass, height and sum the operations form, else exact Python ints in an
@@ -228,17 +229,24 @@ def mass_array(values: list, mode: str) -> np.ndarray:
     return np.array(values, dtype=np.int64 if exact else object)
 
 
-def site_outflows(in_up, in_down, born):
+def site_outflows(in_up, in_down, born, out=None):
     """The site update: ``born + [in_up - in_down]^+`` and its mirror image.
 
     Elementwise, so it runs on plain numbers and on per-replica arrays alike.
+    Given ``out``, a pair of arrays that may be ``in_up`` and ``in_down``
+    themselves, the same operations write the outflows there and return them.
     """
     up = in_up - in_down
-    down = in_down - in_up
-    return born + up * (up > 0), born + down * (down > 0)
+    if out is None:
+        down = in_down - in_up
+        return born + up * (up > 0), born + down * (down > 0)
+    down = np.subtract(in_down, in_up, out=out[1])
+    up *= up > 0
+    down *= down > 0
+    return np.add(born, up, out=out[0]), np.add(born, down, out=down)
 
 
-def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, outflows=None):
+def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, mass=None):
     """Forward evolution of complete, already checked data on a moving front; no validation.
 
     The front holds one ascending mass per matrix row, ``ups[i]``, and one
@@ -248,24 +256,29 @@ def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, ou
     ``t``-column in turn, in site order: anti-diagonal ``d`` holds the cells
     ``(i, d - i)`` for ``i`` from ``hi = min(n - 1, d)`` down to
     ``lo = max(0, d - m + 1)``, so its inflows are the views
-    ``ups[lo:hi + 1][::-1]`` and ``downs[d - hi:d - lo + 1]``, which take its
-    outflows in place.  A trailing replica axis is allowed.  Given
-    ``outflows``, a ``(2, sites, ...)`` array, each site's ascending and
-    descending outflows are also written there, in site order.  The front's
-    dtype is the ``np.result_type`` of the inflows and the first column's
-    births.  Returns the final ``ups`` and ``downs``: the outflows of the
-    northeast and southeast sides, in their order.
+    ``ups[lo:hi + 1][::-1]`` and ``downs[d - hi:d - lo + 1]``, which
+    :func:`site_outflows` updates in place.  A trailing replica axis is
+    allowed.  Given ``mass``, an array with one row per edge in canonical
+    order, each column's outflows are also written there: the ``k`` sites of
+    a column leave by the edges ``ne, ne + 1, .., ne + 2k - 1`` from the
+    first site's ascending edge ``ne``, ascending and descending in turn.
+    The front's dtype is the ``np.result_type`` of the inflows and the first
+    column's births.  Returns the final ``ups`` and ``downs``: the outflows
+    of the northeast and southeast sides, in their order.
     """
-    n, m = domain.n, domain.m
-    for d, (column, born) in enumerate(zip(domain.plan.columns, births)):
+    n, m, plan = domain.n, domain.m, domain.plan
+    if mass is not None:  # the ascending edge of each column's first site
+        firsts = plan.incident[2][[column.start for column in plan.columns]].tolist()
+    for d, born in enumerate(births):
         if d == 0:
             dtype = np.result_type(up_in, down_in, born)
             ups, downs = up_in.astype(dtype), down_in.astype(dtype)
         lo, hi = max(0, d - m + 1), min(n - 1, d)
         up, down = ups[lo : hi + 1][::-1], downs[d - hi : d - lo + 1]
-        up[...], down[...] = site_outflows(up, down, born)
-        if outflows is not None:
-            outflows[0, column], outflows[1, column] = up, down
+        site_outflows(up, down, born, out=(up, down))
+        if mass is not None:
+            k, end = firsts[d], firsts[d] + 2 * len(up)
+            mass[k:end:2], mass[k + 1 : end : 2] = up, down
     return ups, downs
 
 
@@ -273,15 +286,13 @@ def sweep(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, born: np.n
     """The mass of every edge in canonical order, from :func:`front` on the
     births ``born`` of every site of ``domain.sites``.
 
-    Every edge either enters a west side or leaves a site, so the inflows and
-    the sites' outflows are scattered once, each through its edge indices.
+    Every edge either enters a west side or leaves a site, so the inflows are
+    placed through their edge indices and the front writes the rest, one
+    column's outflows at a time.
     """
-    outflows = np.empty((2, *born.shape), np.result_type(up_in, down_in, born))
-    front(domain, up_in, down_in, (born[column] for column in domain.plan.columns), outflows)
-    mass = np.empty((len(domain.plan.edge_keys), *born.shape[1:]), outflows.dtype)
-    edges = (*domain.side_edges[:2], *domain.plan.incident[2:])
-    for at, values in zip(edges, (up_in, down_in, *outflows)):
-        mass[at] = values
+    mass = np.empty((len(domain.plan.edge_keys), *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass[domain.side_edges[0]], mass[domain.side_edges[1]] = up_in, down_in
+    front(domain, up_in, down_in, (born[column] for column in domain.plan.columns), mass)
     return mass
 
 

@@ -89,9 +89,10 @@ def uniform(seed: int, *keys: int) -> float:
     return (stream_base(seed, *keys) >> 11) * _TO_UNIT
 
 
-def negated_uniforms(base, *keys) -> np.ndarray:
+def negated_uniforms(base, *keys, out: np.ndarray | None = None) -> np.ndarray:
     """Minus the uniform at every key of the broadcast integer arrays ``keys``
-    on the stream ids ``base``, in a fresh float64 array.
+    on the stream ids ``base``, in a fresh float64 array or in ``out``, a
+    float64 array of the keys' broadcast shape.
 
     ``negated_uniforms(stream_base(seed, *prefix), *keys)`` holds
     ``-uniform(seed, *prefix, *key)`` bit for bit, ``-0.0`` for ``u = 0``,
@@ -106,7 +107,7 @@ def negated_uniforms(base, *keys) -> np.ndarray:
     *prefix, last = keys
     h, w = _fold(base, prefix), _key_word(last)
     h = np.atleast_1d(np.bitwise_xor(_first_step(h), _first_step(w), dtype=np.uint64))
-    scratch = np.empty_like(h)
+    scratch = np.empty_like(h) if out is None else out.view(np.uint64)
     np.right_shift(_mix_after_first_step(h, scratch), _S11, out=h)
     # the scratch words are free again and take the result
     return np.multiply(h, _TO_NEGATED_UNIT, out=scratch.view(np.float64))

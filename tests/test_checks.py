@@ -115,6 +115,16 @@ def test_ks_statistic_looks_up_few_run_ends_in_one_law(monkeypatch):
     assert sum(keys) < pooled.size / 4
 
 
+def test_ks_statistic_reads_an_int_sample_as_its_float_copy_and_leaves_both_as_they_are():
+    # the burke geometric exits are int64: cast once, then sorted in place
+    rng = np.random.default_rng(23)
+    a, b = rng.geometric(0.4, 5_000) - 1, rng.exponential(2.0, 4_000).round(0)
+    a_before, b_before = a.copy(), b.copy()
+    d = ks_statistic(a, b)
+    assert d == ks_statistic(a.astype(float), b) == ks_distance(a.astype(float), b)
+    assert a.dtype == np.int64 and np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
 @pytest.mark.parametrize("a, b", [
     ([], [1.0]),
     ([1.0], []),

@@ -440,6 +440,19 @@ def test_burke_holds_the_front_not_the_field():
     assert peak < 8 * 2**20
 
 
+def test_reversal_holds_its_samples_in_one_block():
+    # the six 10^5-sample rows take 4.6 MiB; six separate arrays and the site
+    # update's temporaries peaked at 7.75 MiB, the block may not add to that
+    triple = parse_triple("exp:1,exp:2,exp:3")
+    tracemalloc.start()
+    try:
+        reversal_invariance_test(triple, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # ------------------------------------------------------------ reversal of fields
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,43 @@ def test_front_sweep_equals_the_plan_sweep_bit_for_bit(kinds, replicas):
         ups, downs = flow.front(domain, up, down, (born[c] for c in domain.plan.columns))
         assert np.array_equal(ups, expected[domain.side_edges[2]]), (n, m)
         assert np.array_equal(downs, expected[domain.side_edges[3]]), (n, m)
+
+
+@pytest.mark.parametrize("kinds", [("int64",) * 3, ("float64",) * 3, ("object",) * 3,
+                                   ("float64", "float64", "int64")],
+                         ids=["int64", "float64", "object", "int births"])
+def test_the_site_update_in_place_has_the_bits_of_its_returning_form(kinds):
+    rng = np.random.default_rng(11)
+    up, down, born = (_masses(rng, k, (50, 3)) for k in kinds)
+    expected = flow.site_outflows(up, down, born)
+    a, b = up.copy(), down.copy()
+    # into fresh arrays, and over the inflows themselves
+    for in_up, in_down, out in ((up, down, (np.empty_like(up), np.empty_like(down))), (a, b, (a, b))):
+        got = flow.site_outflows(in_up, in_down, born, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        for have, want in zip(out, expected):
+            assert have.dtype == want.dtype
+            if have.dtype == object:
+                assert [type(v) for v in have.flat] == [type(v) for v in want.flat]
+                assert have.tolist() == want.tolist()
+            else:
+                assert have.tobytes() == want.tobytes()
+
+
+def test_a_replica_sweep_holds_its_masses_and_the_front():
+    # a (2, sites, replicas) outflow array scattered into the masses peaked at 11.9 MiB;
+    # the masses alone take 6.4 MiB and the front 0.9 MiB
+    domain = RectDomain(6, 6)
+    domain.plan, domain.side_edges  # the geometry is not counted
+    rng = np.random.default_rng(3)
+    up, down, born = (rng.integers(0, 5, (k, 10_000)) for k in (6, 6, 36))
+    tracemalloc.start()
+    try:
+        sweep(domain, up, down, born)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 @pytest.mark.parametrize(

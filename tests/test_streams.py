@@ -180,6 +180,18 @@ def test_negated_uniforms_are_minus_uniform_bit_for_bit(case):
     assert np.array_equal(ids, before)
 
 
+@pytest.mark.parametrize("case", DRAWS, ids=str)
+def test_negated_uniforms_draw_into_out_where_it_lies(case):
+    seed, prefix, keys = DRAWS[case]
+    ids = stream_base(seed, *prefix)
+    expected = negated_uniforms(ids, *keys)
+    block = np.full((2, *expected.shape), np.nan)
+    v = negated_uniforms(ids, *keys, out=block[1])
+    assert np.shares_memory(v, block[1]) and v.shape == expected.shape
+    assert same_bits(block[1], expected)
+    assert np.isnan(block[0]).all()
+
+
 def test_a_zero_draw_is_minus_zero(monkeypatch):
     # u = 0 is -0.0, which from_negated_uniform reads as -u
     monkeypatch.setattr(streams, "_mix_after_first_step", lambda h, scratch: np.bitwise_and(h, 0, out=h))
