@@ -344,8 +344,8 @@ def _site_draws(domain: RectDomain, triple: Triple, site_ids, *replica) -> tuple
     onto those ids, the side sites' taken by index.  Geometric counts are
     cast to the int64 masses the sweep reads.
     """
-    ids = site_ids(*domain.plan.decode(domain.plan.site_keys))
-    sw, nw = domain.neighbours[:2] < 0
+    ids = site_ids(*domain.plan.points(domain.plan.cells))
+    sw, nw = domain.plan.neighbours[:2] < 0
 
     def draw(spec: DistSpec, at, role: int) -> np.ndarray:
         x = spec.from_negated_uniform(negated_uniforms(ids[at], role, *replica))

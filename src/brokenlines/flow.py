@@ -15,7 +15,7 @@ because real strips narrower than ``REL_TOL * C`` occur.
 
 Layout: one storage form, views on read.  A field holds its masses only
 as ``FlowField.values``, one flat array in canonical edge order (the order
-of the plan's ``edge_keys`` and of ``domain.edges``), which the field
+of ``domain.edges`` and of the plan's edge grid), which the field
 operations, JSON included, read with the domain's index plans; an
 ``Edge``-keyed dict is read into it at once, and the dict ``FlowField.mass``
 is a view built on first read.  Births in site order and inflows in side
@@ -93,7 +93,7 @@ class BirthField:
     @cached_property
     def births(self) -> dict[Site, float]:
         values = self._given[1]
-        _require_one_per_site(values, len(self.domain.plan.site_keys))
+        _require_one_per_site(values, self.domain.n * self.domain.m)
         return dict(zip(self.domain.sites, values.tolist()))
 
     @cached_property
@@ -290,7 +290,7 @@ def sweep(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, born: np.n
     placed through their edge indices and the front writes the rest, one
     column's outflows at a time.
     """
-    mass = np.empty((len(domain.plan.edge_keys), *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass = np.empty((domain.plan.edge_count, *born.shape[1:]), np.result_type(up_in, down_in, born))
     mass[domain.side_edges[0]], mass[domain.side_edges[1]] = up_in, down_in
     front(domain, up_in, down_in, (born[column] for column in domain.plan.columns), mass)
     return mass
@@ -304,8 +304,7 @@ def _site_index(domain: RectDomain, values: dict, on: np.ndarray | None, what: s
     if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
         raise ValueError(f"{what}: {[k for k in keys if type(k) is not tuple or len(k) != 2]}")
     flat = as_integers(list(chain.from_iterable(keys)), "a site coordinate")
-    plan = domain.plan
-    index = plan.find(plan.site_keys, flat[0::2], flat[1::2])
+    index = domain.plan.find_sites(flat[0::2], flat[1::2])
     bad = index < 0
     if on is not None:
         bad[~bad] = ~on[index[~bad]]
@@ -325,16 +324,16 @@ def _site_masses(domain: RectDomain, entries: list, mode: str | None) -> tuple[n
     (a list, or a 1-D array whose numbers share one type) holds one mass per site of
     ``domain.sites[where]`` and goes through :func:`as_masses` in ``mode``, by default the
     :func:`infer_mode` of every value.  Rows are int64 when all masses sum below ``2**63``."""
-    plan, sample = domain.plan, []
-    keys = [plan.site_keys[where] for where, _ in entries]
-    for (_, v), k in zip(entries, keys):
+    plan, sample, sites = domain.plan, [], np.arange(domain.n * domain.m)
+    picked = [sites[where] for where, _ in entries]
+    for (_, v), k in zip(entries, picked):
         _require_one_per_site(v, len(k))
         sample.extend(v if getattr(v, "dtype", object) == object else v[:1].astype(object))
     mode = infer_mode(sample) if mode is None else mode
-    masses = [as_masses(v, mode, lambda i, k=k: plan.points(k[i : i + 1])[0])
-              for (_, v), k in zip(entries, keys)]
+    masses = [as_masses(v, mode, lambda i, k=k: plan.sites_of(k[i : i + 1])[0])
+              for (_, v), k in zip(entries, picked)]
     wide = mode == "int" and sum(int(m.sum(dtype=object)) for m in masses) >= 1 << 63  # no wrap
-    out = np.zeros((len(entries), len(plan.site_keys)), object if wide else masses[0].dtype)
+    out = np.zeros((len(entries), len(sites)), object if wide else masses[0].dtype)
     for row, (where, _), m in zip(out, entries, masses):
         row[where] = m
     return out, mode
@@ -357,7 +356,7 @@ def field_from_birth(
     if births.domain != domain:
         raise ValueError("birth field belongs to a different domain")
 
-    sw, nw = domain.neighbours[:2] < 0
+    sw, nw = domain.plan.neighbours[:2] < 0
     inflows = (
         (boundary.up_in, sw, "ascending inflow keyed off the southwest side"),
         (boundary.down_in, nw, "descending inflow keyed off the northwest side"),
@@ -374,7 +373,7 @@ def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
     residual = abs((b + c) - (a + d))
     scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
     bad = np.flatnonzero(residual > tolerance(scale, field.mode))
-    sites = field.domain.plan.points(field.domain.plan.site_keys[bad])
+    sites = field.domain.plan.sites_of(bad)
     return list(zip(sites, residual[bad].tolist()))
 
 
@@ -478,6 +477,6 @@ def field_from_dict(d: dict) -> FlowField:
     if repeats.size:
         raise ValueError(f"edge {edge(int(repeats.min()))} listed twice")
     masses = as_masses([row["mass"] for row in rows], mode, edge)
-    values = np.zeros(len(plan.edge_keys), masses.dtype)
+    values = np.zeros(plan.edge_count, masses.dtype)
     values[found] = masses
     return FlowField.from_values(domain, values, mode)

@@ -1,15 +1,12 @@
 """Geometry of the tilted integer lattice and its rectangular domains.
 
 Sites are pairs ``(t, x)`` with ``t + x`` even; edges join sites at diagonal
-distance 1 in each coordinate.  A domain is an ``n x m`` rectangle: the
-cells of an ``n x m`` matrix turned by 45 degrees, cell ``(i, j)``, 0-based,
-at ``(i + j, j - i)``.  Each ``t``-column of sites is an anti-diagonal of the
-matrix, each matrix row a chain of ascending edges and each matrix column a
-chain of descending ones, which is the front that ``flow.front`` moves one
-anti-diagonal at a time.  The index arrays are built from the column bounds
-(:class:`ColumnPlan`).  The midpoints of an ``n x m`` rectangle, where the
-brick diagram's heights live, are the face corners of its site grid: the
-sites of the ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``.
+distance 1 in each coordinate.  A domain is an ``n x m`` rectangle, an
+``n x m`` matrix turned by 45 degrees.  The cell rule: cell ``(i, j)``,
+0-based, sits at ``(i + j, j - i)``, and a point of even parity is the cell
+``((t - x) / 2, (t + x) / 2)``.  Each ``t``-column of sites is an
+anti-diagonal, each matrix row a chain of ascending edges and each column one
+of descending edges.  Every index array follows from the rule (:class:`ColumnPlan`).
 """
 
 from __future__ import annotations
@@ -39,86 +36,20 @@ class Edge(NamedTuple):
         return (self.t, self.x)
 
 
-class ColumnPlan(NamedTuple):
-    """Index arrays of one domain, for sweeps one ``t``-column at a time.
-
-    A point ``(t, x)`` is keyed ``(t - t_lo) * width + (x - x_lo)`` on a box
-    two steps wider than the domain on every side, and an edge by twice its
-    base's key, plus one when it descends.  Sorting keys therefore sorts
-    points by ``(t, x)`` and edges in canonical order, so positions in the
-    sorted key arrays index ``domain.sites``, ``domain.closure`` and
-    ``domain.edges``.  Only this module forms keys or takes edge keys apart:
-    other modules look points and edges up by their coordinates and read the
-    edges' coordinates from :meth:`edge_points`.
-    """
-
-    t_lo: int
-    x_lo: int
-    width: int
-    site_keys: np.ndarray
-    closure_keys: np.ndarray
-    edge_keys: np.ndarray
-    incident: np.ndarray  # (4, sites): the sw, nw, ne, se edge index of each site
-    columns: tuple[slice, ...]  # the sites of each t, in order
-
-    def key(self, t, x) -> np.ndarray:
-        """Key of each point ``(t, x)``, exact for int64 arrays and for Python
-        ints of any size: each coordinate is first clipped onto the rim of the
-        box, where no closure point lies, so a point outside the box never keys
-        one inside and no key wraps around 64 bits."""
-        w = self.width
-        t = _clipped(t, self.t_lo, self.t_lo + int(self.closure_keys[-1]) // w + 1) - self.t_lo
-        return t * w + (_clipped(x, self.x_lo, self.x_lo + w - 1) - self.x_lo)
-
-    def find(self, sorted_keys: np.ndarray, t, x) -> np.ndarray:
-        """Position of each point ``(t, x)`` in ``sorted_keys``, -1 where it is absent."""
-        return _find(sorted_keys, self.key(t, x))
-
-    def find_edges(self, t, x, down) -> np.ndarray:
-        """Canonical index of each edge from ``(t, x)``, descending where ``down``; -1 if none."""
-        return _find(self.edge_keys, 2 * self.key(t, x) + down)
-
-    def edge_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Base ``t``, base ``x`` and descending bit (1 or 0) of every edge, in canonical order."""
-        t, x = self.decode(self.edge_keys >> 1)
-        return t, x, self.edge_keys & 1
-
-    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return keys // self.width + self.t_lo, keys % self.width + self.x_lo
-
-    def points(self, keys: np.ndarray) -> tuple[Site, ...]:
-        t, x = self.decode(keys)
-        return tuple(zip(t.tolist(), x.tolist()))
-
-    def step_edges(self, t, x) -> np.ndarray:
-        """Canonical index of the edge of each step ``(t, x)[i] -> (t, x)[i + 1]``
-        between diagonal neighbours, -1 where it is no domain edge."""
-        k = self.key(t, x)
-        # a step's base is its end of smaller t, which has the smaller key: a
-        # step up in t raises the key by width + 1, a step down lowers it by
-        # width - 1 (and a clipped end keys on the rim, where no edge is based)
-        a, b = k[:-1], k[1:]
-        return _find(self.edge_keys, 2 * np.minimum(a, b) + (b < a))
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``keys`` (``np.unique``, through a plain sort)."""
-    keys = np.sort(keys, axis=None)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-
-
-def _find(sorted_keys: np.ndarray, keys) -> np.ndarray:
-    """Position of each key in ``sorted_keys``, -1 where it is absent."""
-    pos = np.searchsorted(sorted_keys, keys)
-    return np.where(sorted_keys.take(pos, mode="clip") == keys, pos, -1)
+def _box(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column of each cell of an ``a x b`` box, 0-based, in ``(t, x)`` order,
+    and the cell count of each anti-diagonal: diagonal ``d`` holds the cells
+    ``(i, d - i)``, ``i`` falling from ``min(d, a - 1)`` to ``max(0, d - b + 1)``."""
+    d = np.arange(a + b - 1)
+    top = np.minimum(d, a - 1)
+    counts = top - np.maximum(d - b + 1, 0) + 1
+    i = np.repeat(top + counts.cumsum() - counts, counts) - np.arange(a * b)
+    return i, np.repeat(d, counts) - i, counts
 
 
 def _clipped(values, lo: int, hi: int) -> np.ndarray:
-    """Integers ``values`` as int64, clipped to ``[lo, hi]``: exact for Python
-    ints of any size, and an int64 array already inside is not copied."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        inside = not values.size or (lo <= values.min() and values.max() <= hi)
-        return values if inside else values.clip(lo, hi)
+    """Integers ``values`` as a fresh int64 array, clipped to ``[lo, hi]``: exact
+    for Python ints of any size."""
     try:
         values = np.array(values, dtype=np.int64)
     except OverflowError:  # a Python int beyond 64 bits
@@ -128,9 +59,123 @@ def _clipped(values, lo: int, hi: int) -> np.ndarray:
     return np.minimum(values, hi, out=values).astype(np.int64, copy=False)
 
 
+class ColumnPlan:
+    """Index arrays of an ``n x m`` rectangle, for sweeps one ``t``-column at a time.
+
+    Every array follows from the cell rule, boxes of cells read in ``(t, x)``
+    order (:func:`_box`): the sites are the ``n x m`` box, the closure the
+    ``(n + 2) x (m + 2)`` box from ``(-1, -1)`` less its corners, and the edge
+    bases the ``(n + 1) x (m + 1)`` box from ``(-1, -1)``, a base ``(i, j)``
+    having an ascending edge where ``i >= 0``, then a descending one where
+    ``j >= 0``.  Lookups gather from grids on a frame of cells two wider than
+    the domain on every side, holding the index of a site, closure point or
+    edge (two slots a cell) at its cell and -1 elsewhere.  Only this module
+    turns coordinates into cells or positions.
+    """
+
+    _TURN = np.array([[-1], [1]])  # the sign of x in t - x and t + x
+
+    def __init__(self, n: int, m: int) -> None:
+        i, j, counts = _box(n, m)
+        ends = counts.cumsum()
+        self.n, self.m, self.cells = n, m, (i, j)  # the matrix cell of each site
+        self.columns = tuple(map(slice, (ends - counts).tolist(), ends.tolist()))  # the sites of each t
+        self.edge_count = 2 * n * m + n + m
+        self._width = w = m + 4
+        self._last = np.array([[n + 1], [m + 1]])  # the frame's last row and column
+        self._at = self._position(i, j)
+        self._sites = self._grid(self._at)
+        i, j, has = self._bases()
+        at = 2 * self._position(i, j)  # each base's ascending slot, its descending one next
+        self._edges = self._grid(np.array((at, at + 1)).T[has], slots=2)
+        # the sw, nw, ne, se edge index of each site
+        self.incident = self._edges.take(2 * self._at + np.array([[-2], [1 - 2 * w], [0], [1]]))
+
+    def _position(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The frame position of each cell ``(i, j)``, rows and columns from -2."""
+        return i * self._width + j + 2 * (self._width + 1)
+
+    def _grid(self, at: np.ndarray, slots: int = 1) -> np.ndarray:
+        grid = np.full((self.n + 4) * self._width * slots, -1)
+        grid[at] = np.arange(len(at))
+        return grid
+
+    def _bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of the edge bases, and whether each has an ascending and a descending edge."""
+        i, j, _ = _box(self.n + 1, self.m + 1)
+        return i - 1, j - 1, np.array((i, j)).T > 0
+
+    def _positions(self, t, x) -> np.ndarray:
+        """The frame position of each point ``(t, x)``: the rim corner 0 where
+        ``t + x`` is odd, else its cell clipped onto the rim.  Each coordinate is
+        first clipped beyond the frame, so the cell is exact for any integers."""
+        reach = self.n + self.m + 3
+        t, x = _clipped((t, x), -reach, reach)
+        cells = t + x * self._TURN
+        odd = cells[1] & 1
+        cells >>= 1
+        np.maximum(cells, -2, out=cells)
+        np.minimum(cells, self._last, out=cells)
+        return np.where(odd, 0, self._position(*cells))
+
+    @cached_property
+    def closure_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix cell of each closure point, in closure order."""
+        i, j, _ = _box(self.n + 2, self.m + 2)
+        corner = ((i == 0) | (i == self.n + 1)) & ((j == 0) | (j == self.m + 1))
+        return i[~corner] - 1, j[~corner] - 1
+
+    @cached_property
+    def _closure(self) -> np.ndarray:
+        return self._grid(self._position(*self.closure_cells))
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """(4, sites): each site's sw, nw, ne, se neighbour's index in ``domain.sites``, or -1."""
+        w = self._width
+        return self._sites.take(self._at + np.array([[-1], [-w], [1], [w]]))
+
+    def find_sites(self, t, x) -> np.ndarray:
+        """Index in ``domain.sites`` of each point ``(t, x)``, -1 where it is none."""
+        return self._sites.take(self._positions(t, x))
+
+    def find_closure(self, t, x) -> np.ndarray:
+        """Index in ``domain.closure`` of each point ``(t, x)``, -1 where it is none."""
+        return self._closure.take(self._positions(t, x))
+
+    def find_edges(self, t, x, down) -> np.ndarray:
+        """Canonical index of each edge from ``(t, x)``, descending where ``down``; -1 if none."""
+        return self._edges.take(2 * self._positions(t, x) + down)
+
+    def step_edges(self, t, x) -> np.ndarray:
+        """Canonical index of the edge of each step ``(t, x)[k] -> (t, x)[k + 1]``
+        between diagonal neighbours, ``x`` rising by one, -1 where it is no domain edge."""
+        # a step up in t moves one cell along a row, a step down one back up a column,
+        # so the base is the end placed first, its descending edge where that is the
+        # second end; a clipped end has the other on the rim
+        at = 2 * self._positions(t, x)
+        return self._edges.take(np.minimum(at[:-1], at[1:] + 1))
+
+    def edge_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Base ``t``, base ``x`` and descending bit (1 or 0) of every edge, in canonical order."""
+        i, j, has = self._bases()
+        edge = np.flatnonzero(has)
+        return *self.points((i[edge >> 1], j[edge >> 1])), edge & 1
+
+    @staticmethod
+    def points(cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``t`` and ``x`` of the matrix cells ``(i, j)``."""
+        return cells[0] + cells[1], cells[1] - cells[0]
+
+    def sites_of(self, at) -> tuple[Site, ...]:
+        """The sites ``domain.sites[at]``, for an index array, mask or slice ``at``."""
+        t, x = self.points((self.cells[0][at], self.cells[1][at]))
+        return tuple(zip(t.tolist(), x.tolist()))
+
+
 def _side(k: int, name: str) -> cached_property:
     def side(self) -> tuple[Site, ...]:
-        return self.plan.points(self.plan.site_keys[self._on_side[k]])
+        return self.plan.sites_of(self._on_side[k])
 
     side.__doc__ = f"The sites of the {name} side, sorted by ``(t, x)``."
     return cached_property(side)
@@ -140,19 +185,12 @@ def _side(k: int, name: str) -> cached_property:
 class RectDomain:
     """Rectangle of ``n * m`` sites: ``0 <= t+x <= 2(m-1)``, ``0 <= t-x <= 2(n-1)``.
 
-    ``n`` counts sites along the southwest side (anti-diagonal width) and
-    ``m`` along the northwest side (diagonal height), matching the bijection
-    with the matrix ``{1..n} x {1..m}`` where cell ``(i, j)`` sits at
-    ``t - x = 2(i-1)``, ``t + x = 2(j-1)``.  The ``t``-column of the sites at
-    ``t = d`` is therefore the matrix's anti-diagonal ``i + j = d + 2``.
-
-    Everything else is derived from the column bounds: column ``t`` holds the
-    sites ``x = lo, lo + 2, .., hi``.  The :class:`ColumnPlan` is built once
-    per domain with numpy and cached with the tuples read off it.  The
-    boundary too: a site lies on the southwest, northwest, northeast or
-    southeast side when its neighbour across its edge of that direction lies
-    outside the domain.  Flows enter through the southwest and northwest
-    sides and leave through the other two.
+    ``n`` counts sites along the southwest side and ``m`` along the northwest
+    side: the sites are the cells of the matrix ``{1..n} x {1..m}``, cell
+    ``(i, j)`` at ``t - x = 2(i-1)``, ``t + x = 2(j-1)``, and everything else
+    follows through the :class:`ColumnPlan`.  A site is on the southwest,
+    northwest, northeast or southeast side when its neighbour across its edge
+    of that direction is outside; flows enter through the first two.
     """
 
     n: int
@@ -164,31 +202,12 @@ class RectDomain:
 
     @cached_property
     def plan(self) -> ColumnPlan:
-        t = np.arange(self.n + self.m - 1)
-        lo, hi = np.maximum(-t, t - 2 * (self.n - 1)), np.minimum(t, 2 * (self.m - 1) - t)
-        x_lo = int(lo.min()) - 2
-        width = int(hi.max()) - x_lo + 3
-        counts = (hi - lo) // 2 + 1
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        # column k's keys run from its lowest site's key up in steps of 2
-        first = ((t + 2) * width + lo - x_lo) - 2 * starts
-        s = np.repeat(first, counts) + 2 * np.arange(ends[-1])
-        # each site and its four diagonal neighbours
-        near = np.array([[0], [width + 1], [width - 1], [1 - width], [-1 - width]])
-        closure = _distinct(s + near)
-        # twice the key of each edge's base, plus one when it descends
-        incident = 2 * s + np.array([[-2 * width - 2], [-2 * width + 3], [0], [1]])
-        edge_keys = _distinct(incident)
-        columns = tuple(map(slice, starts.tolist(), ends.tolist()))
-        return ColumnPlan(
-            -2, x_lo, width, s, closure, edge_keys, np.searchsorted(edge_keys, incident), columns
-        )
+        return ColumnPlan(self.n, self.m)
 
     @cached_property
     def sites(self) -> tuple[Site, ...]:
         """The sites sorted by ``(t, x)``: column by column."""
-        return self.plan.points(self.plan.site_keys)
+        return self.plan.sites_of(slice(None))
 
     @cached_property
     def site_set(self) -> frozenset[Site]:
@@ -197,7 +216,8 @@ class RectDomain:
     @cached_property
     def closure(self) -> tuple[Site, ...]:
         """S plus all its diagonal neighbours, sorted."""
-        return self.plan.points(self.plan.closure_keys)
+        t, x = self.plan.points(self.plan.closure_cells)
+        return tuple(zip(t.tolist(), x.tolist()))
 
     @cached_property
     def closure_set(self) -> frozenset[Site]:
@@ -208,16 +228,9 @@ class RectDomain:
         return y in self.site_set
 
     @cached_property
-    def neighbours(self) -> np.ndarray:
-        """(4, sites): the index in ``sites`` of each site's sw, nw, ne, se
-        neighbour, -1 where it lies outside."""
-        s, w = self.plan.site_keys, self.plan.width
-        return _find(s, s + np.array([[-w - 1], [-w + 1], [w + 1], [w - 1]]))
-
-    @cached_property
     def _on_side(self) -> np.ndarray:
         """(4, sites): whether each site's sw, nw, ne, se neighbour lies outside."""
-        return self.neighbours < 0
+        return self.plan.neighbours < 0
 
     southwest_side = _side(0, "southwest")
     northwest_side = _side(1, "northwest")
@@ -240,16 +253,6 @@ class RectDomain:
         """Edge indices, in side order, of the inflow of the southwest and the
         northwest sides and of the outflow of the northeast and southeast sides."""
         return tuple(edges[on] for edges, on in zip(self.plan.incident, self._on_side))
-
-    def cell_to_site(self, i: int, j: int) -> Site:
-        """Matrix cell ``(i, j)``, 1-based, to lattice coordinates."""
-        return (i + j - 2, j - i)
-
-    @cached_property
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """The 0-based matrix row and column of each site of ``sites``, as index arrays."""
-        t, x = self.plan.decode(self.plan.site_keys)
-        return (t - x) // 2, (t + x) // 2
 
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
@@ -287,13 +290,11 @@ def in_midpoint_order(corners: np.ndarray) -> np.ndarray:
     """The values ``corners[a, b]`` on the face corners of an ``n x m``
     rectangle's site grid, an ``(n + 1, m + 1)`` array, in :func:`midpoints` order.
 
-    Corner ``(a, b)`` lies between matrix rows ``a - 1`` and ``a`` and columns
-    ``b - 1`` and ``b``, 0-based: it is the midpoint ``(a + b - 1, b - a)``.
-    Sorted by ``(t, x)``, the corners run along the anti-diagonals, ``a``
-    falling within each: the diagonals of the array turned upside down.
+    Corner ``(a, b)``, between matrix rows ``a - 1`` and ``a`` and columns ``b - 1``
+    and ``b``, is the midpoint ``(a + b - 1, b - a)``: the box's cells in order.
     """
-    n, m = corners.shape[0] - 1, corners.shape[1] - 1
-    return np.concatenate([corners[::-1].diagonal(k) for k in range(-n, m + 1)])
+    a, b, _ = _box(*corners.shape)
+    return corners[a, b]
 
 
 def midpoints(domain: RectDomain) -> tuple[Site, ...]:
@@ -303,5 +304,6 @@ def midpoints(domain: RectDomain) -> tuple[Site, ...]:
     corner of the site grid (see :func:`in_midpoint_order`): the sites of the
     ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``, in the same order.
     """
-    a, b = np.indices((domain.n + 1, domain.m + 1))
-    return tuple(zip(in_midpoint_order(a + b - 1).tolist(), in_midpoint_order(b - a).tolist()))
+    a, b, _ = _box(domain.n + 1, domain.m + 1)
+    t, x = ColumnPlan.points((a, b))
+    return tuple(zip((t - 1).tolist(), x.tolist()))

@@ -65,8 +65,8 @@ def _crossing(domain: RectDomain, t: np.ndarray, x: np.ndarray, counts: np.ndarr
     """For traces of ``counts`` sites each, laid end to end in ``t, x``: whether
     each spans the domain, with outer endpoints and an inner body."""
     plan = domain.plan
-    inside = plan.find(plan.site_keys, t, x) >= 0
-    outer = ~inside & (plan.find(plan.closure_keys, t, x) >= 0)
+    inside = plan.find_sites(t, x) >= 0
+    outer = ~inside & (plan.find_closure(t, x) >= 0)
     last = np.cumsum(counts) - 1
     strays = np.bincount(np.repeat(np.arange(len(counts)), counts)[~inside], minlength=len(counts))
     return outer[last - counts + 1] & outer[last] & (strays == 2) & (counts > 2)
@@ -214,9 +214,7 @@ class BrickDiagram:
     @cached_property
     def _brick_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`site_range` of every closure site, in closure order."""
-        plan = self.domain.plan
-        t, x = plan.decode(plan.closure_keys)
-        i, j = (t - x) // 2, (t + x) // 2  # the closure site's matrix cell
+        i, j = self.domain.plan.closure_cells
         n, m = self.domain.n, self.domain.m
         q = np.array(self.breakpoints, dtype=self.grid.dtype)
         # the last breakpoint at or below each corner, read at each brick's two corners
@@ -224,8 +222,7 @@ class BrickDiagram:
         return below[i.clip(0, n), j.clip(0, m)], below[(i + 1).clip(0, n), (j + 1).clip(0, m)]
 
     def _site_ranges(self, t, x) -> tuple[np.ndarray, np.ndarray]:
-        plan = self.domain.plan
-        index = plan.find(plan.closure_keys, t, x)
+        index = self.domain.plan.find_closure(t, x)
         if (index < 0).any():
             k = int(np.argmax(index < 0))
             raise ValueError(f"trace leaves the domain closure at {(int(t[k]), int(x[k]))}")
@@ -274,11 +271,11 @@ class BrickDiagram:
         first = np.cumsum(counts) - counts
         strip = np.repeat(lo + 1 - first, counts) + np.arange(len(site))
         plan = self.domain.plan
-        _, closure_x = plan.decode(plan.closure_keys)
+        closure_t, closure_x = plan.points(plan.closure_cells)
         x_min = closure_x.min()
         span = closure_x.max() - x_min + 1
-        order = np.argsort(strip * span + (closure_x[site] - x_min))
-        t, x = plan.decode(plan.closure_keys[site[order]])
+        site = site[np.argsort(strip * span + (closure_x[site] - x_min))]
+        t, x = closure_t[site], closure_x[site]
         q = self.breakpoints
         per_strip = np.bincount(strip, minlength=len(q))[1:]
         return Decomposition(t, x, per_strip, tuple(map(sub, q[1:], q[:-1])))
@@ -312,7 +309,7 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     slack = tolerance(total_crossing_flow(field), field.mode)
 
     n, m = domain.n, domain.m
-    i, j = domain.cells
+    i, j = domain.plan.cells
     sw, nw, ne, se = mass[domain.plan.incident]
     up = np.empty((n, m + 1), mass.dtype)
     up[i, j], up[i, j + 1] = sw, ne
@@ -383,7 +380,7 @@ def compose(
     edges = np.delete(domain.plan.step_edges(t, x), np.cumsum(counts)[:-1] - 1)
     if (edges < 0).any():
         raise ValueError("a trace step leaves the domain's edges")
-    values = np.zeros(len(domain.plan.edge_keys), w.dtype)
+    values = np.zeros(domain.plan.edge_count, w.dtype)
     np.add.at(values, edges, np.repeat(w, counts - 1))  # in trace order, like a loop
     return FlowField.from_values(domain, values, mode)
 
@@ -416,7 +413,7 @@ def line_fields(
         down_in[before] = weight
 
     w = mass_array([weight], mode)
-    values = np.zeros(len(domain.plan.edge_keys), w.dtype)
+    values = np.zeros(domain.plan.edge_count, w.dtype)
     values[edges] = w
     return (
         BirthField(domain, births),

@@ -144,7 +144,7 @@ def plan_sweep(domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarray)
     """
     sw, nw, ne, se = domain.plan.incident
     entry_up, entry_down, _, _ = domain.side_edges
-    mass = np.zeros((len(domain.plan.edge_keys), *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass = np.zeros((domain.plan.edge_count, *born.shape[1:]), np.result_type(up_in, down_in, born))
     mass[entry_up] = up_in
     mass[entry_down] = down_in
     for col in domain.plan.columns:
@@ -317,6 +317,54 @@ def swept_heights(field: FlowField) -> dict:
     return {y: h.item() if isinstance(h, np.generic) else h for y, h in heights.items()}
 
 
+def sorted_plan(n: int, m: int) -> dict:
+    """The index arrays of ``RectDomain(n, m)`` built from sorted integer keys.
+
+    The reference for ``lattice.ColumnPlan``'s cell rule.  A point
+    ``(t, x)`` is keyed ``(t + 2) * width + (x - x_lo)`` on a box two steps
+    wider than the domain on every side, and an edge by twice its base's
+    key, plus one when it descends, so sorting keys sorts points by
+    ``(t, x)`` and edges in canonical order.  Each column's site keys run up
+    in steps of 2 from its lowest site's; the closure and the edges are the
+    distinct keys next to the sites, and every index is found by
+    ``searchsorted``.  Returns each array under the name of the domain or
+    plan attribute it is compared with.
+    """
+
+    def find(sorted_keys, keys):
+        pos = np.searchsorted(sorted_keys, keys)
+        return np.where(sorted_keys.take(pos, mode="clip") == keys, pos, -1)
+
+    def points(keys):
+        return keys // width - 2, keys % width + x_lo
+
+    t = np.arange(n + m - 1)
+    lo, hi = np.maximum(-t, t - 2 * (n - 1)), np.minimum(t, 2 * (m - 1) - t)
+    x_lo = int(lo.min()) - 2
+    width = int(hi.max()) - x_lo + 3
+    counts = (hi - lo) // 2 + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    first = ((t + 2) * width + lo - x_lo) - 2 * starts
+    s = np.repeat(first, counts) + 2 * np.arange(ends[-1])
+    closure = np.unique(s + np.array([[0], [width + 1], [width - 1], [1 - width], [-1 - width]]))
+    incident = 2 * s + np.array([[-2 * width - 2], [-2 * width + 3], [0], [1]])
+    edge_keys = np.unique(incident)
+    neighbours = find(s, s + np.array([[-width - 1], [-width + 1], [width + 1], [width - 1]]))
+    incident = np.searchsorted(edge_keys, incident)
+    site_t, site_x = points(s)
+    return {
+        "sites": (site_t, site_x),
+        "closure": points(closure),
+        "edges": (*points(edge_keys >> 1), edge_keys & 1),
+        "incident": incident,
+        "neighbours": neighbours,
+        "columns": tuple(map(slice, starts.tolist(), ends.tolist())),
+        "sides": tuple(tuple(zip(site_t[out].tolist(), site_x[out].tolist())) for out in neighbours < 0),
+        "side_edges": tuple(edges[out] for edges, out in zip(incident, neighbours < 0)),
+    }
+
+
 # The sides and membership of a rectangle by their explicit definitions: the
 # reference for the neighbour rule that the domain reads off its plan.
 def rect_sides(d: RectDomain) -> tuple[tuple, tuple, tuple, tuple]:
@@ -328,6 +376,11 @@ def rect_sides(d: RectDomain) -> tuple[tuple, tuple, tuple, tuple]:
         tuple((m - 1 + k, m - 1 - k) for k in range(n)),
         tuple((n - 1 + k, -(n - 1) + k) for k in range(m)),
     )
+
+
+def cell_to_site(i: int, j: int) -> tuple[int, int]:
+    """Matrix cell ``(i, j)``, 1-based, to lattice coordinates."""
+    return (i + j - 2, j - i)
 
 
 def rect_contains(d: RectDomain, y) -> bool:

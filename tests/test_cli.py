@@ -14,7 +14,7 @@ from brokenlines.cli import build_parser, run
 from brokenlines.flow import field_to_dict
 from brokenlines.lattice import RectDomain
 from brokenlines.render import render_field_svg
-from helpers import random_field, zero_field
+from helpers import cell_to_site, random_field, zero_field
 
 
 def write_matrix(path, rows):
@@ -258,7 +258,7 @@ def test_path_subcommand_on_ties(tmp_path, capsys, matrix):
     assert run(["path", "--field", str(field_json)]) == 0
     path = json.loads(capsys.readouterr().out.split("\n", 1)[1])["path"]
     assert path[0] == [0, 0]
-    assert path[-1] == list(births.domain.cell_to_site(*np.shape(matrix)))
+    assert path[-1] == list(cell_to_site(*np.shape(matrix)))
 
 
 def test_duality_check_triple_exit_codes(tmp_path):

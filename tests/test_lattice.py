@@ -10,6 +10,7 @@ from brokenlines import lattice
 from brokenlines.lattice import Edge, RectDomain, domain_from_dict, midpoints
 from helpers import (
     DIAGONALS,
+    cell_to_site,
     edge_between,
     edge_head,
     incident_edges,
@@ -20,6 +21,7 @@ from helpers import (
     outer_southwest,
     rect_contains,
     rect_sides,
+    sorted_plan,
 )
 
 
@@ -134,13 +136,13 @@ def test_cell_bijection():
     seen = set()
     for i in range(1, 4):
         for j in range(1, 5):
-            y = d.cell_to_site(i, j)
+            y = cell_to_site(i, j)
             assert d.contains(y)
             seen.add(y)
     assert seen == set(d.sites)
     # cells is the inverse: the 0-based cell of each site, in the order of sites
-    rows, cols = d.cells
-    assert [d.cell_to_site(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(d.sites)
+    rows, cols = d.plan.cells
+    assert [cell_to_site(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(d.sites)
 
 
 def check_sides_and_membership(domain, sides, contains, span=24):
@@ -212,8 +214,8 @@ def test_lookups_are_exact_for_integers_of_any_size(domain, t, x, down):
     if max(abs(t), abs(x)) < 2**63 - 1:
         forms.append((np.array([t]), np.array([x])))
     for ts, xs in forms:
-        assert (plan.find(plan.closure_keys, ts, xs)[0] >= 0) == ((t, x) in domain.closure_set)
-        assert (plan.find(plan.site_keys, ts, xs)[0] >= 0) == domain.contains((t, x))
+        assert (plan.find_closure(ts, xs)[0] >= 0) == ((t, x) in domain.closure_set)
+        assert (plan.find_sites(ts, xs)[0] >= 0) == domain.contains((t, x))
         found = plan.find_edges(ts, xs, int(down))[0]
         assert (found >= 0) == (Edge(t, x, not down) in domain.edge_set)
         if found >= 0:
@@ -224,11 +226,12 @@ def test_lookups_are_exact_for_integers_of_any_size(domain, t, x, down):
             assert (edge >= 0) == (edge_between(*zip(step_t, step_x)) in domain.edge_set)
 
 
-def test_edge_keys_live_in_lattice_only():
+def test_cells_and_positions_live_in_lattice_only():
     # one lookup rule: other modules pass coordinates to the plans and never
-    # form, shift or mask a key themselves
+    # take a point's cell or frame position, or read a position grid, themselves
     package = Path(lattice.__file__).parent
-    pattern = r"\b_find\b|\b_boxed\b|\.key\(|edge_keys\s*(>>|<<|&|\|)"
+    pattern = (r"\b_positions?\b|\b_box\b|\b_grid\b|\.(_sites|_closure|_edges|_at|_width)\b"
+               r"|\(t\s*[-+]\s*x\)\s*(//|>>)")
     found = [
         f"{path.name}:{number}: {line.strip()}"
         for path in sorted(package.glob("*.py"))
@@ -237,3 +240,37 @@ def test_edge_keys_live_in_lattice_only():
         if re.search(pattern, line)
     ]
     assert found == []
+
+
+def test_the_plan_is_built_in_closed_form():
+    # every index array comes from cell arithmetic: lattice sorts nothing and
+    # searches no sorted array
+    source = Path(lattice.__file__).read_text()
+    assert re.findall(r"\b(sort|sorted|argsort|lexsort|unique|searchsorted)\s*\(", source) == []
+
+
+ORACLE_SHAPES = sorted({(n, m) for n in range(1, 13) for m in range(1, 13)}
+                       | {shape for k in range(1, 201) for shape in ((1, k), (k, 1))} | {(37, 53)})
+
+
+def test_the_plan_equals_the_sorted_key_plan():
+    for n, m in ORACLE_SHAPES:
+        domain, want = RectDomain(n, m), sorted_plan(n, m)
+        plan = domain.plan
+        got = {
+            "sites": plan.points(plan.cells),
+            "closure": plan.points(plan.closure_cells),
+            "edges": plan.edge_points(),
+            "incident": plan.incident,
+            "neighbours": plan.neighbours,
+            "columns": plan.columns,
+            "sides": (domain.southwest_side, domain.northwest_side,
+                      domain.northeast_side, domain.southeast_side),
+            "side_edges": domain.side_edges,
+        }
+        for name, value in want.items():
+            if name in ("columns", "sides"):
+                assert got[name] == value, (n, m, name)
+            else:
+                assert len(got[name]) == len(value), (n, m, name)
+                assert all(map(np.array_equal, got[name], value)), (n, m, name)

@@ -891,7 +891,7 @@ def test_brick_diagram_refuses_heights_that_drift_apart():
     field = field_from_birth(domain, births=births)
     incident = domain.plan.incident
     scale = field.values[incident].max(axis=0)  # the largest of each site's four masses
-    rows, cols = domain.cells
+    rows, cols = domain.plan.cells
     site = {(r, c): k for k, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
     values = field.values.copy()
     for r in range(6):

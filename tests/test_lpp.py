@@ -33,7 +33,7 @@ from brokenlines.lpp import (
     path_sum,
 )
 from brokenlines.streams import uniform
-from helpers import births_to_csv_text, random_birth_field, random_inputs
+from helpers import births_to_csv_text, cell_to_site, random_birth_field, random_inputs
 
 XI_2X2 = births_from_matrix([[1.0, 2.0], [3.0, 4.0]])
 
@@ -142,7 +142,7 @@ def test_dp_path_is_the_textbook_backtrack_on_tied_matrices(n):
             xi = births_from_matrix(matrix)
             result = lpp_dp(xi)
             assert result.value == textbook_passage_value(matrix)
-            assert result.path.sites == tuple(xi.domain.cell_to_site(*cell) for cell in textbook_path(matrix))
+            assert result.path.sites == tuple(cell_to_site(*cell) for cell in textbook_path(matrix))
 
 
 @pytest.mark.parametrize(
@@ -205,7 +205,7 @@ def test_crossing_flow_with_inflow_is_augmented_passage_value(seed, n, m, mode):
     field = field_from_birth(domain, inflow, births, mode=mode)
     matrix = np.zeros((n + 1, m + 1))
     matrix[1:, 1:] = birth_matrix(births)
-    cell = dict(zip(domain.sites, zip(*domain.cells)))
+    cell = dict(zip(domain.sites, zip(*domain.plan.cells)))
     for y, v in inflow.up_in.items():
         matrix[cell[y][0] + 1, 0] = v
     for y, v in inflow.down_in.items():
@@ -235,8 +235,8 @@ def test_backward_ties_go_southwest():
     d = xi.domain
     field = field_from_birth(d, births=xi)
     path = optimal_path_backward(field)
-    staircase = [d.cell_to_site(i, 1) for i in range(1, 4)]
-    staircase += [d.cell_to_site(3, j) for j in range(2, 5)]
+    staircase = [cell_to_site(i, 1) for i in range(1, 4)]
+    staircase += [cell_to_site(3, j) for j in range(2, 5)]
     assert path.sites == tuple(staircase)
 
 
@@ -257,8 +257,8 @@ def test_backward_path_on_every_zero_one_matrix(n, m):
         matrix = [[(bits >> (i * m + j)) & 1 for j in range(m)] for i in range(n)]
         xi = births_from_matrix(matrix)
         path = optimal_path_backward(field_from_birth(xi.domain, births=xi))
-        assert path.sites[0] == xi.domain.cell_to_site(1, 1)
-        assert path.sites[-1] == xi.domain.cell_to_site(n, m)
+        assert path.sites[0] == cell_to_site(1, 1)
+        assert path.sites[-1] == cell_to_site(n, m)
         assert path_sum(xi, path) == lpp_dp(xi, with_path=False).value
 
 
