@@ -76,10 +76,6 @@ def _load_field(path: str):
         return field_from_dict(json.load(fh))
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def _write_report(args, report, rows: list, csv_path: str | None) -> int:
     """The report as JSON, or as the CSV ``rows`` under ``--format csv``;
     the rows go to ``csv_path`` as well when one is given."""
@@ -131,7 +127,7 @@ def _compose(args) -> int:
 
 
 def _lpp(args) -> int:
-    xi = lpp.births_from_matrix(_load_matrix(args.xi))
+    xi = lpp.births_from_matrix(np.loadtxt(args.xi, delimiter=",", ndmin=2))
     result = lpp.lpp_dp(xi)
     payload = result.to_dict()
     passed = True

@@ -344,8 +344,8 @@ def _site_draws(domain: RectDomain, triple: Triple, site_ids, *replica) -> tuple
     onto those ids, the side sites' taken by index.  Geometric counts are
     cast to the int64 masses the sweep reads.
     """
-    ids = site_ids(*domain.plan.points(domain.plan.cells))
-    sw, nw = domain.plan.neighbours[:2] < 0
+    ids = site_ids(*domain.points(domain.cells))
+    sw, nw = domain.neighbours[:2] < 0
 
     def draw(spec: DistSpec, at, role: int) -> np.ndarray:
         x = spec.from_negated_uniform(negated_uniforms(ids[at], role, *replica))
@@ -398,7 +398,7 @@ def burke_exit_test(
         raise ValueError(f"triple {triple.token()} is not self-dual ({verdict.reason})")
 
     up, down, births = _replica_draws(domain, triple, seed, _TAG_FIELD, nsamples)
-    ups, downs = front(domain, up, down, map(births, domain.plan.columns))
+    ups, downs = front(domain, up, down, map(births, domain.columns))
     replica = np.arange(nsamples)
     pending, exits = [], []
     sides = (("up", triple.pi1, domain.northeast_side, ups),
@@ -465,11 +465,11 @@ def consistency_test(
         return sweep(domain, up, down, births(slice(None)))
 
     # the inner rectangle's edges, found among the outer rows
-    rows = outer.plan.find_edges(*inner.plan.edge_points())
+    rows = outer.find_edges(*inner.edge_points())
     restricted = sampled(outer, lam, _TAG_OUTER)[rows]
     direct = sampled(inner, lam_direct, _TAG_INNER)
 
-    ne, se = inner.plan.incident[2:]
+    ne, se = inner.incident[2:]
 
     def joint(k: int):  # the products are made when their check runs
         return lambda: (restricted[ne[k]] * restricted[se[k]], direct[ne[k]] * direct[se[k]])

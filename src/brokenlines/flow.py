@@ -15,8 +15,8 @@ because real strips narrower than ``REL_TOL * C`` occur.
 
 Layout: one storage form, views on read.  A field holds its masses only
 as ``FlowField.values``, one flat array in canonical edge order (the order
-of ``domain.edges`` and of the plan's edge grid), which the field
-operations, JSON included, read with the domain's index plans; an
+of ``domain.edges`` and of the domain's edge grid), which the field
+operations, JSON included, read with the domain's index arrays; an
 ``Edge``-keyed dict is read into it at once, and the dict ``FlowField.mass``
 is a view built on first read.  Births in site order and inflows in side
 order are read as arrays too, each where it lies; a site-keyed dict is
@@ -266,9 +266,9 @@ def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, ma
     column's births.  Returns the final ``ups`` and ``downs``: the outflows
     of the northeast and southeast sides, in their order.
     """
-    n, m, plan = domain.n, domain.m, domain.plan
+    n, m = domain.n, domain.m
     if mass is not None:  # the ascending edge of each column's first site
-        firsts = plan.incident[2][[column.start for column in plan.columns]].tolist()
+        firsts = domain.incident[2][[column.start for column in domain.columns]].tolist()
     for d, born in enumerate(births):
         if d == 0:
             dtype = np.result_type(up_in, down_in, born)
@@ -290,9 +290,9 @@ def sweep(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, born: np.n
     placed through their edge indices and the front writes the rest, one
     column's outflows at a time.
     """
-    mass = np.empty((domain.plan.edge_count, *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass = np.empty((domain.edge_count, *born.shape[1:]), np.result_type(up_in, down_in, born))
     mass[domain.side_edges[0]], mass[domain.side_edges[1]] = up_in, down_in
-    front(domain, up_in, down_in, (born[column] for column in domain.plan.columns), mass)
+    front(domain, up_in, down_in, (born[column] for column in domain.columns), mass)
     return mass
 
 
@@ -304,7 +304,7 @@ def _site_index(domain: RectDomain, values: dict, on: np.ndarray | None, what: s
     if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
         raise ValueError(f"{what}: {[k for k in keys if type(k) is not tuple or len(k) != 2]}")
     flat = as_integers(list(chain.from_iterable(keys)), "a site coordinate")
-    index = domain.plan.find_sites(flat[0::2], flat[1::2])
+    index = domain.find_sites(flat[0::2], flat[1::2])
     bad = index < 0
     if on is not None:
         bad[~bad] = ~on[index[~bad]]
@@ -324,13 +324,13 @@ def _site_masses(domain: RectDomain, entries: list, mode: str | None) -> tuple[n
     (a list, or a 1-D array whose numbers share one type) holds one mass per site of
     ``domain.sites[where]`` and goes through :func:`as_masses` in ``mode``, by default the
     :func:`infer_mode` of every value.  Rows are int64 when all masses sum below ``2**63``."""
-    plan, sample, sites = domain.plan, [], np.arange(domain.n * domain.m)
+    sample, sites = [], np.arange(domain.n * domain.m)
     picked = [sites[where] for where, _ in entries]
     for (_, v), k in zip(entries, picked):
         _require_one_per_site(v, len(k))
         sample.extend(v if getattr(v, "dtype", object) == object else v[:1].astype(object))
     mode = infer_mode(sample) if mode is None else mode
-    masses = [as_masses(v, mode, lambda i, k=k: plan.sites_of(k[i : i + 1])[0])
+    masses = [as_masses(v, mode, lambda i, k=k: domain.sites_of(k[i : i + 1])[0])
               for (_, v), k in zip(entries, picked)]
     wide = mode == "int" and sum(int(m.sum(dtype=object)) for m in masses) >= 1 << 63  # no wrap
     out = np.zeros((len(entries), len(sites)), object if wide else masses[0].dtype)
@@ -356,7 +356,7 @@ def field_from_birth(
     if births.domain != domain:
         raise ValueError("birth field belongs to a different domain")
 
-    sw, nw = domain.plan.neighbours[:2] < 0
+    sw, nw = domain.neighbours[:2] < 0
     inflows = (
         (boundary.up_in, sw, "ascending inflow keyed off the southwest side"),
         (boundary.down_in, nw, "descending inflow keyed off the northwest side"),
@@ -369,11 +369,11 @@ def field_from_birth(
 
 def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
     """Sites where inflow and outflow disagree beyond tolerance, with residuals."""
-    a, b, c, d = field.values[field.domain.plan.incident]
+    a, b, c, d = field.values[field.domain.incident]
     residual = abs((b + c) - (a + d))
     scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
     bad = np.flatnonzero(residual > tolerance(scale, field.mode))
-    sites = field.domain.plan.sites_of(bad)
+    sites = field.domain.sites_of(bad)
     return list(zip(sites, residual[bad].tolist()))
 
 
@@ -396,7 +396,7 @@ def extract(field: FlowField) -> tuple[BoundaryFlow, BirthField, ExitFlow]:
     def side(sites, slope: int) -> dict:
         return dict(zip(sites, side_masses(field, slope)))
 
-    _, _, up, down = field.values[domain.plan.incident]
+    _, _, up, down = field.values[domain.incident]
     smaller = np.where(down < up, down, up)
     born = np.flatnonzero(smaller != 0)
     sites = domain.sites
@@ -429,8 +429,7 @@ def total_crossing_flow(field: FlowField):
 
 
 def field_to_dict(f: FlowField) -> dict:
-    plan = f.domain.plan
-    t, x, down = plan.edge_points()
+    t, x, down = f.domain.edge_points()
     slopes = map(("up", "down").__getitem__, down.tolist())
     return {
         "domain": f.domain.to_dict(),
@@ -468,8 +467,7 @@ def field_from_dict(d: dict) -> FlowField:
     def edge(k: int) -> Edge:
         return Edge(t[k], x[k], not down[k])
 
-    plan = domain.plan
-    found = plan.find_edges(t, x, down)
+    found = domain.find_edges(t, x, down)
     if (found < 0).any():
         raise ValueError(f"edge {edge(int(np.argmin(found)))} outside the domain closure")
     order = np.argsort(found, kind="stable")
@@ -477,6 +475,6 @@ def field_from_dict(d: dict) -> FlowField:
     if repeats.size:
         raise ValueError(f"edge {edge(int(repeats.min()))} listed twice")
     masses = as_masses([row["mass"] for row in rows], mode, edge)
-    values = np.zeros(plan.edge_count, masses.dtype)
+    values = np.zeros(domain.edge_count, masses.dtype)
     values[found] = masses
     return FlowField.from_values(domain, values, mode)

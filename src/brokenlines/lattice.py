@@ -6,13 +6,15 @@ distance 1 in each coordinate.  A domain is an ``n x m`` rectangle, an
 0-based, sits at ``(i + j, j - i)``, and a point of even parity is the cell
 ``((t - x) / 2, (t + x) / 2)``.  Each ``t``-column of sites is an
 anti-diagonal, each matrix row a chain of ascending edges and each column one
-of descending edges.  Every index array follows from the rule (:class:`ColumnPlan`).
+of descending edges.  Every index array of a domain follows from the rule,
+each built on first read (:class:`RectDomain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -36,15 +38,21 @@ class Edge(NamedTuple):
         return (self.t, self.x)
 
 
-def _box(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column of each cell of an ``a x b`` box, 0-based, in ``(t, x)`` order,
-    and the cell count of each anti-diagonal: diagonal ``d`` holds the cells
-    ``(i, d - i)``, ``i`` falling from ``min(d, a - 1)`` to ``max(0, d - b + 1)``."""
+def _box(a: int, b: int, origin: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each cell of an ``a x b`` box from ``(origin, origin)``, in
+    ``(t, x)`` order: diagonal ``d`` holds ``(i, d - i)``, ``i`` falling from ``min(d,
+    a - 1)`` to ``max(0, d - b + 1)``, both shifted by ``origin``.  Each is a running
+    sum, in place, of steps of -1 or +1 save at a diagonal's first cell."""
     d = np.arange(a + b - 1)
     top = np.minimum(d, a - 1)
     counts = top - np.maximum(d - b + 1, 0) + 1
-    i = np.repeat(top + counts.cumsum() - counts, counts) - np.arange(a * b)
-    return i, np.repeat(d, counts) - i, counts
+    starts = counts.cumsum() - counts
+    i = np.full(a * b, -1)
+    i[starts] = top - np.append(0, (top - counts + 1)[:-1])
+    j = np.negative(i)
+    j[starts[1:]] += 1
+    i[0] = j[0] = origin
+    return np.cumsum(i, out=i), np.cumsum(j, out=j)
 
 
 def _clipped(values, lo: int, hi: int) -> np.ndarray:
@@ -59,51 +67,114 @@ def _clipped(values, lo: int, hi: int) -> np.ndarray:
     return np.minimum(values, hi, out=values).astype(np.int64, copy=False)
 
 
-class ColumnPlan:
-    """Index arrays of an ``n x m`` rectangle, for sweeps one ``t``-column at a time.
+def _side(k: int, name: str) -> cached_property:
+    def side(self) -> tuple[Site, ...]:
+        return self.sites_of(self.neighbours[k] < 0)
 
-    Every array follows from the cell rule, boxes of cells read in ``(t, x)``
+    side.__doc__ = f"The sites of the {name} side, sorted by ``(t, x)``."
+    return cached_property(side)
+
+
+@dataclass(frozen=True)
+class RectDomain:
+    """Rectangle of ``n * m`` sites: ``0 <= t+x <= 2(m-1)``, ``0 <= t-x <= 2(n-1)``.
+
+    ``n`` counts sites along the southwest side and ``m`` along the northwest
+    side: the sites are the cells of the matrix ``{1..n} x {1..m}``, cell
+    ``(i, j)`` at ``t - x = 2(i-1)``, ``t + x = 2(j-1)``.  A site is on a side
+    when its neighbour across that side's edge is outside; flows enter
+    through the southwest and northwest sides.
+
+    Each index array is built on first read from boxes of cells in ``(t, x)``
     order (:func:`_box`): the sites are the ``n x m`` box, the closure the
     ``(n + 2) x (m + 2)`` box from ``(-1, -1)`` less its corners, and the edge
     bases the ``(n + 1) x (m + 1)`` box from ``(-1, -1)``, a base ``(i, j)``
     having an ascending edge where ``i >= 0``, then a descending one where
-    ``j >= 0``.  Lookups gather from grids on a frame of cells two wider than
-    the domain on every side, holding the index of a site, closure point or
-    edge (two slots a cell) at its cell and -1 elsewhere.  Only this module
-    turns coordinates into cells or positions.
+    ``j >= 0``.  Lookups gather from grids on a frame two cells wider than the
+    domain on every side, holding the index of each site, closure point or
+    edge (two slots a cell) at its cell and -1 elsewhere.
     """
+
+    n: int
+    m: int
 
     _TURN = np.array([[-1], [1]])  # the sign of x in t - x and t + x
 
-    def __init__(self, n: int, m: int) -> None:
-        i, j, counts = _box(n, m)
-        ends = counts.cumsum()
-        self.n, self.m, self.cells = n, m, (i, j)  # the matrix cell of each site
-        self.columns = tuple(map(slice, (ends - counts).tolist(), ends.tolist()))  # the sites of each t
-        self.edge_count = 2 * n * m + n + m
-        self._width = w = m + 4
-        self._last = np.array([[n + 1], [m + 1]])  # the frame's last row and column
-        self._at = self._position(i, j)
-        self._sites = self._grid(self._at)
-        i, j, has = self._bases()
-        at = 2 * self._position(i, j)  # each base's ascending slot, its descending one next
-        self._edges = self._grid(np.array((at, at + 1)).T[has], slots=2)
-        # the sw, nw, ne, se edge index of each site
-        self.incident = self._edges.take(2 * self._at + np.array([[-2], [1 - 2 * w], [0], [1]]))
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.m < 1:
+            raise ValueError(f"domain needs n >= 1 and m >= 1, got {self.n}x{self.m}")
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix cell ``(i, j)``, 0-based, of each site, in site order."""
+        return _box(self.n, self.m)
+
+    @cached_property
+    def columns(self) -> tuple[slice, ...]:
+        """The slice of ``sites`` of each ``t``, in ``t`` order."""
+        n, m = self.n, self.m
+        ends = list(accumulate(min(d + 1, n, m, n + m - 1 - d) for d in range(n + m - 1)))
+        return tuple(map(slice, [0, *ends[:-1]], ends))
+
+    @property
+    def edge_count(self) -> int:
+        """The number of ``edges``."""
+        return 2 * self.n * self.m + self.n + self.m
+
+    @cached_property
+    def _last(self) -> np.ndarray:
+        return np.array([[self.n + 1], [self.m + 1]])  # the frame's last row and column
 
     def _position(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The frame position of each cell ``(i, j)``, rows and columns from -2."""
-        return i * self._width + j + 2 * (self._width + 1)
+        return (i + 2) * (self.m + 4) + j + 2
 
     def _grid(self, at: np.ndarray, slots: int = 1) -> np.ndarray:
-        grid = np.full((self.n + 4) * self._width * slots, -1)
+        grid = np.full((self.n + 4) * (self.m + 4) * slots, -1)
         grid[at] = np.arange(len(at))
         return grid
 
+    @cached_property
+    def _at(self) -> np.ndarray:
+        return self._position(*self.cells)
+
+    @cached_property
+    def _sites(self) -> np.ndarray:
+        return self._grid(self._at)
+
     def _bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cells of the edge bases, and whether each has an ascending and a descending edge."""
-        i, j, _ = _box(self.n + 1, self.m + 1)
-        return i - 1, j - 1, np.array((i, j)).T > 0
+        i, j = _box(self.n + 1, self.m + 1, -1)
+        return i, j, np.array((i >= 0, j >= 0)).T
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        i, j, has = self._bases()
+        at = self._position(i, j)
+        at <<= 1  # each base's ascending slot, its descending one next
+        return self._grid((at[:, None] + (0, 1))[has], slots=2)
+
+    @cached_property
+    def incident(self) -> np.ndarray:
+        """(4, sites): each site's sw, nw, ne, se edge index in ``edges``."""
+        return self._edges.take(2 * self._at + np.array([[-2], [1 - 2 * (self.m + 4)], [0], [1]]))
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """(4, sites): each site's sw, nw, ne, se neighbour's index in ``sites``, or -1."""
+        w = self.m + 4
+        return self._sites.take(self._at + np.array([[-1], [-w], [1], [w]]))
+
+    @cached_property
+    def closure_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix cell of each closure point, in closure order."""
+        i, j = _box(self.n + 2, self.m + 2, -1)
+        corner = ((i == -1) | (i == self.n)) & ((j == -1) | (j == self.m))
+        return i[~corner], j[~corner]
+
+    @cached_property
+    def _closure(self) -> np.ndarray:
+        return self._grid(self._position(*self.closure_cells))
 
     def _positions(self, t, x) -> np.ndarray:
         """The frame position of each point ``(t, x)``: the rim corner 0 where
@@ -118,29 +189,12 @@ class ColumnPlan:
         np.minimum(cells, self._last, out=cells)
         return np.where(odd, 0, self._position(*cells))
 
-    @cached_property
-    def closure_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """The matrix cell of each closure point, in closure order."""
-        i, j, _ = _box(self.n + 2, self.m + 2)
-        corner = ((i == 0) | (i == self.n + 1)) & ((j == 0) | (j == self.m + 1))
-        return i[~corner] - 1, j[~corner] - 1
-
-    @cached_property
-    def _closure(self) -> np.ndarray:
-        return self._grid(self._position(*self.closure_cells))
-
-    @cached_property
-    def neighbours(self) -> np.ndarray:
-        """(4, sites): each site's sw, nw, ne, se neighbour's index in ``domain.sites``, or -1."""
-        w = self._width
-        return self._sites.take(self._at + np.array([[-1], [-w], [1], [w]]))
-
     def find_sites(self, t, x) -> np.ndarray:
-        """Index in ``domain.sites`` of each point ``(t, x)``, -1 where it is none."""
+        """Index in ``sites`` of each point ``(t, x)``, -1 where it is none."""
         return self._sites.take(self._positions(t, x))
 
     def find_closure(self, t, x) -> np.ndarray:
-        """Index in ``domain.closure`` of each point ``(t, x)``, -1 where it is none."""
+        """Index in ``closure`` of each point ``(t, x)``, -1 where it is none."""
         return self._closure.take(self._positions(t, x))
 
     def find_edges(self, t, x, down) -> np.ndarray:
@@ -168,46 +222,14 @@ class ColumnPlan:
         return cells[0] + cells[1], cells[1] - cells[0]
 
     def sites_of(self, at) -> tuple[Site, ...]:
-        """The sites ``domain.sites[at]``, for an index array, mask or slice ``at``."""
+        """The sites ``sites[at]``, for an index array, mask or slice ``at``."""
         t, x = self.points((self.cells[0][at], self.cells[1][at]))
         return tuple(zip(t.tolist(), x.tolist()))
-
-
-def _side(k: int, name: str) -> cached_property:
-    def side(self) -> tuple[Site, ...]:
-        return self.plan.sites_of(self._on_side[k])
-
-    side.__doc__ = f"The sites of the {name} side, sorted by ``(t, x)``."
-    return cached_property(side)
-
-
-@dataclass(frozen=True)
-class RectDomain:
-    """Rectangle of ``n * m`` sites: ``0 <= t+x <= 2(m-1)``, ``0 <= t-x <= 2(n-1)``.
-
-    ``n`` counts sites along the southwest side and ``m`` along the northwest
-    side: the sites are the cells of the matrix ``{1..n} x {1..m}``, cell
-    ``(i, j)`` at ``t - x = 2(i-1)``, ``t + x = 2(j-1)``, and everything else
-    follows through the :class:`ColumnPlan`.  A site is on the southwest,
-    northwest, northeast or southeast side when its neighbour across its edge
-    of that direction is outside; flows enter through the first two.
-    """
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"domain needs n >= 1 and m >= 1, got {self.n}x{self.m}")
-
-    @cached_property
-    def plan(self) -> ColumnPlan:
-        return ColumnPlan(self.n, self.m)
 
     @cached_property
     def sites(self) -> tuple[Site, ...]:
         """The sites sorted by ``(t, x)``: column by column."""
-        return self.plan.sites_of(slice(None))
+        return self.sites_of(slice(None))
 
     @cached_property
     def site_set(self) -> frozenset[Site]:
@@ -216,7 +238,7 @@ class RectDomain:
     @cached_property
     def closure(self) -> tuple[Site, ...]:
         """S plus all its diagonal neighbours, sorted."""
-        t, x = self.plan.points(self.plan.closure_cells)
+        t, x = self.points(self.closure_cells)
         return tuple(zip(t.tolist(), x.tolist()))
 
     @cached_property
@@ -227,11 +249,6 @@ class RectDomain:
         """Whether ``y`` is a site of the domain."""
         return y in self.site_set
 
-    @cached_property
-    def _on_side(self) -> np.ndarray:
-        """(4, sites): whether each site's sw, nw, ne, se neighbour lies outside."""
-        return self.plan.neighbours < 0
-
     southwest_side = _side(0, "southwest")
     northwest_side = _side(1, "northwest")
     northeast_side = _side(2, "northeast")
@@ -240,7 +257,7 @@ class RectDomain:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Edges with at least one endpoint in the domain, canonical order."""
-        t, x, down = self.plan.edge_points()
+        t, x, down = self.edge_points()
         edge = partial(tuple.__new__, Edge)  # Edge's own __new__, without its Python frame
         return tuple(map(edge, zip(t.tolist(), x.tolist(), (down == 0).tolist())))
 
@@ -252,7 +269,7 @@ class RectDomain:
     def side_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Edge indices, in side order, of the inflow of the southwest and the
         northwest sides and of the outflow of the northeast and southeast sides."""
-        return tuple(edges[on] for edges, on in zip(self.plan.incident, self._on_side))
+        return tuple(edges[on] for edges, on in zip(self.incident, self.neighbours < 0))
 
     def to_dict(self) -> dict:
         return {"type": "rect", "N": self.n, "M": self.m}
@@ -293,8 +310,7 @@ def in_midpoint_order(corners: np.ndarray) -> np.ndarray:
     Corner ``(a, b)``, between matrix rows ``a - 1`` and ``a`` and columns ``b - 1``
     and ``b``, is the midpoint ``(a + b - 1, b - a)``: the box's cells in order.
     """
-    a, b, _ = _box(*corners.shape)
-    return corners[a, b]
+    return corners[_box(*corners.shape)]
 
 
 def midpoints(domain: RectDomain) -> tuple[Site, ...]:
@@ -304,6 +320,5 @@ def midpoints(domain: RectDomain) -> tuple[Site, ...]:
     corner of the site grid (see :func:`in_midpoint_order`): the sites of the
     ``(n + 1) x (m + 1)`` rectangle one step earlier in ``t``, in the same order.
     """
-    a, b, _ = _box(domain.n + 1, domain.m + 1)
-    t, x = ColumnPlan.points((a, b))
+    t, x = RectDomain.points(_box(domain.n + 1, domain.m + 1))
     return tuple(zip((t - 1).tolist(), x.tolist()))

@@ -64,9 +64,8 @@ class BrokenTrace:
 def _crossing(domain: RectDomain, t: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """For traces of ``counts`` sites each, laid end to end in ``t, x``: whether
     each spans the domain, with outer endpoints and an inner body."""
-    plan = domain.plan
-    inside = plan.find_sites(t, x) >= 0
-    outer = ~inside & (plan.find_closure(t, x) >= 0)
+    inside = domain.find_sites(t, x) >= 0
+    outer = ~inside & (domain.find_closure(t, x) >= 0)
     last = np.cumsum(counts) - 1
     strays = np.bincount(np.repeat(np.arange(len(counts)), counts)[~inside], minlength=len(counts))
     return outer[last - counts + 1] & outer[last] & (strays == 2) & (counts > 2)
@@ -214,7 +213,7 @@ class BrickDiagram:
     @cached_property
     def _brick_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`site_range` of every closure site, in closure order."""
-        i, j = self.domain.plan.closure_cells
+        i, j = self.domain.closure_cells
         n, m = self.domain.n, self.domain.m
         q = np.array(self.breakpoints, dtype=self.grid.dtype)
         # the last breakpoint at or below each corner, read at each brick's two corners
@@ -222,7 +221,7 @@ class BrickDiagram:
         return below[i.clip(0, n), j.clip(0, m)], below[(i + 1).clip(0, n), (j + 1).clip(0, m)]
 
     def _site_ranges(self, t, x) -> tuple[np.ndarray, np.ndarray]:
-        index = self.domain.plan.find_closure(t, x)
+        index = self.domain.find_closure(t, x)
         if (index < 0).any():
             k = int(np.argmax(index < 0))
             raise ValueError(f"trace leaves the domain closure at {(int(t[k]), int(x[k]))}")
@@ -270,8 +269,7 @@ class BrickDiagram:
         site = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
         strip = np.repeat(lo + 1 - first, counts) + np.arange(len(site))
-        plan = self.domain.plan
-        closure_t, closure_x = plan.points(plan.closure_cells)
+        closure_t, closure_x = self.domain.points(self.domain.closure_cells)
         x_min = closure_x.min()
         span = closure_x.max() - x_min + 1
         site = site[np.argsort(strip * span + (closure_x[site] - x_min))]
@@ -309,8 +307,8 @@ def brick_diagram(field: FlowField) -> BrickDiagram:
     slack = tolerance(total_crossing_flow(field), field.mode)
 
     n, m = domain.n, domain.m
-    i, j = domain.plan.cells
-    sw, nw, ne, se = mass[domain.plan.incident]
+    i, j = domain.cells
+    sw, nw, ne, se = mass[domain.incident]
     up = np.empty((n, m + 1), mass.dtype)
     up[i, j], up[i, j + 1] = sw, ne
     down = np.empty((n + 1, m), mass.dtype)
@@ -377,10 +375,10 @@ def compose(
         raise ValueError("traces are not strictly ordered left to right")
 
     # the step from each trace's last site to the next trace's first is no step
-    edges = np.delete(domain.plan.step_edges(t, x), np.cumsum(counts)[:-1] - 1)
+    edges = np.delete(domain.step_edges(t, x), np.cumsum(counts)[:-1] - 1)
     if (edges < 0).any():
         raise ValueError("a trace step leaves the domain's edges")
-    values = np.zeros(domain.plan.edge_count, w.dtype)
+    values = np.zeros(domain.edge_count, w.dtype)
     np.add.at(values, edges, np.repeat(w, counts - 1))  # in trace order, like a loop
     return FlowField.from_values(domain, values, mode)
 
@@ -398,7 +396,7 @@ def line_fields(
     """
     mode = infer_mode([weight])
     weight = as_mass(weight, mode, "line weight")
-    edges = domain.plan.step_edges(*zip(*trace.sites))
+    edges = domain.step_edges(*zip(*trace.sites))
     if (edges < 0).any():
         raise ValueError("trace leaves the domain closure")
 
@@ -413,7 +411,7 @@ def line_fields(
         down_in[before] = weight
 
     w = mass_array([weight], mode)
-    values = np.zeros(domain.plan.edge_count, w.dtype)
+    values = np.zeros(domain.edge_count, w.dtype)
     values[edges] = w
     return (
         BirthField(domain, births),

@@ -61,9 +61,8 @@ class LppResult:
 
 def birth_matrix(xi: BirthField) -> np.ndarray:
     """The checked births as the (n, m) matrix indexed by the cell bijection."""
-    domain = xi.domain
-    out = np.zeros((domain.n, domain.m))
-    out[domain.plan.cells] = xi.masses("float")
+    out = np.zeros((xi.domain.n, xi.domain.m))
+    out[xi.domain.cells] = xi.masses("float")
     return out
 
 
@@ -72,9 +71,8 @@ def births_from_matrix(matrix: np.ndarray) -> BirthField:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not ((0 <= matrix) & (matrix < np.inf)).all():
         raise ValueError("birth matrix cells must be finite and nonnegative")
-    n, m = matrix.shape
-    domain = RectDomain(n, m)
-    return BirthField.from_values(domain, matrix[domain.plan.cells] + 0.0)  # no negative zero
+    domain = RectDomain(*matrix.shape)
+    return BirthField.from_values(domain, matrix[domain.cells] + 0.0)  # no negative zero
 
 
 def _diagonals(n: int, m: int, births):
@@ -132,7 +130,7 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
     if not with_path:
         return LppResult(float(sums[-1]), None)
     table = np.empty((domain.n, domain.m))
-    table[domain.plan.cells] = sums
+    table[domain.cells] = sums
     i, j = domain.n - 1, domain.m - 1
     cells = [(i, j)]
     while i > 0 or j > 0:
@@ -141,7 +139,7 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
         else:
             j -= 1
         cells.append((i, j))
-    t, x = domain.plan.points(np.array(cells[::-1]).T)
+    t, x = domain.points(np.array(cells[::-1]).T)
     return LppResult(float(sums[-1]), LatticePath(tuple(zip(t.tolist(), x.tolist()))))
 
 
@@ -189,20 +187,20 @@ def optimal_path_backward(field: FlowField) -> LatticePath:
     if inflow > tolerance(field.max_mass, field.mode):
         raise ValueError("backward path needs a field with zero boundary inflow")
     mass = field.values
-    sw_edge, nw_edge = domain.plan.incident[:2]
-    sw, nw = domain.plan.neighbours[:2]
+    sw_edge, nw_edge = domain.incident[:2]
+    sw, nw = domain.neighbours[:2]
     i = len(sw) - 1  # the east corner, the last site in (t, x) order
     rev = [i]
     for _ in range(domain.n + domain.m - 2):  # down one t-column a step, to the west corner
         i = sw[i] if nw[i] < 0 or sw[i] >= 0 and mass[sw_edge[i]] >= mass[nw_edge[i]] else nw[i]
         rev.append(i)
-    return LatticePath(domain.plan.sites_of(rev[::-1]))
+    return LatticePath(domain.sites_of(rev[::-1]))
 
 
 def path_sum(xi: BirthField, path: LatticePath) -> float:
     """Total birth mass along a path inside the domain, in path order and the births' mode."""
     flat = as_integers(list(chain.from_iterable(path.sites)), "a path coordinate")
-    at = xi.domain.plan.find_sites(flat[0::2], flat[1::2])
+    at = xi.domain.find_sites(flat[0::2], flat[1::2])
     if (at < 0).any():
         raise ValueError(f"path leaves the domain at {path.sites[int(np.argmin(at))]}")
     return sum(xi.masses()[at].tolist())

@@ -3,7 +3,10 @@
 Every draw is a pure function of ``(seed, key...)``: an integer key tuple is
 hashed to a uniform in [0, 1) and the target CDF is inverted on top of it.
 Lattice sites and Monte Carlo replicas can therefore be sampled in any
-order, or in parallel, without sharing generator state.
+order, or in parallel, without sharing generator state.  That uniform,
+``uniform(seed, *keys)``, is the top 53 bits of ``stream_base(seed, *keys)``
+scaled by ``2**-53``; its scalar definition, which every array draw here
+reproduces bit for bit, is ``tests/helpers.uniform``.
 
 The hash is SplitMix64's finalizer, folded over the keys one at a time;
 :func:`stream_base` folds scalar keys into one stream id and broadcast
@@ -84,18 +87,14 @@ def _key_word(k):
     return np.asarray(k, np.int64).view(np.uint64) + _U_GOLDEN
 
 
-def uniform(seed: int, *keys: int) -> float:
-    """One uniform in [0, 1) addressed purely by ``(seed, keys)``."""
-    return (stream_base(seed, *keys) >> 11) * _TO_UNIT
-
-
 def negated_uniforms(base, *keys, out: np.ndarray | None = None) -> np.ndarray:
     """Minus the uniform at every key of the broadcast integer arrays ``keys``
     on the stream ids ``base``, in a fresh float64 array or in ``out``, a
     float64 array of the keys' broadcast shape.
 
     ``negated_uniforms(stream_base(seed, *prefix), *keys)`` holds
-    ``-uniform(seed, *prefix, *key)`` bit for bit, ``-0.0`` for ``u = 0``,
+    ``-uniform(seed, *prefix, *key)`` bit for bit (the scalar draw,
+    ``tests/helpers.uniform``), ``-0.0`` for ``u = 0``,
     for every key of the broadcast ``keys``, and has at least one
     dimension.  The keys before the last fold onto ``base`` as
     :func:`stream_base` folds them.  SplitMix64's first step is then taken
@@ -113,15 +112,10 @@ def negated_uniforms(base, *keys, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(h, _TO_NEGATED_UNIT, out=scratch.view(np.float64))
 
 
-def _mix_array(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """SplitMix64 finalizer on an array, in place when it already holds uint64.
-
-    ``scratch``, an array of ``h``'s shape, holds the shifted words, so a
-    caller that passes one allocates nothing.
-    """
+def _mix_array(h: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on an array, in place when it already holds uint64."""
     h = h.astype(np.uint64, copy=False)
-    if scratch is None:
-        scratch = np.empty_like(h)
+    scratch = np.empty_like(h)  # the shifted words
     np.right_shift(h, _S30, out=scratch)
     h ^= scratch
     return _mix_after_first_step(h, scratch)

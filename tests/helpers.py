@@ -15,7 +15,14 @@ from brokenlines.flow import site_outflows
 from brokenlines.lattice import Edge
 from brokenlines.lines import Decomposition
 from brokenlines.lpp import birth_matrix
-from brokenlines.streams import negated_uniforms, stream_base, uniform
+from brokenlines.streams import negated_uniforms, stream_base
+
+
+def uniform(seed: int, *keys: int) -> float:
+    """One uniform in [0, 1) addressed purely by ``(seed, keys)``: the top 53
+    bits of the stream id ``stream_base(seed, *keys)``, the scalar definition
+    of every draw in ``brokenlines.streams``."""
+    return (stream_base(seed, *keys) >> 11) * 2.0**-53
 
 
 def exp_draw(seed: int, *key: int) -> float:
@@ -135,19 +142,19 @@ def dict_sweep(domain, up_in: dict, down_in: dict, born: dict) -> dict:
 
 
 def plan_sweep(domain, up_in: np.ndarray, down_in: np.ndarray, born: np.ndarray) -> np.ndarray:
-    """The forward sweep one ``t``-column at a time on a full edge array, through the index plan.
+    """The forward sweep one ``t``-column at a time on a full edge array, by index arrays.
 
     The reference that ``flow.sweep`` is tested against, dtype and bits: the
     masses start as zeros of ``np.result_type`` of the inflows and births,
-    and each column gathers its sites' incoming edges by ``plan.incident``
+    and each column gathers its sites' incoming edges by ``domain.incident``
     and scatters their outflows the same way.
     """
-    sw, nw, ne, se = domain.plan.incident
+    sw, nw, ne, se = domain.incident
     entry_up, entry_down, _, _ = domain.side_edges
-    mass = np.zeros((domain.plan.edge_count, *born.shape[1:]), np.result_type(up_in, down_in, born))
+    mass = np.zeros((domain.edge_count, *born.shape[1:]), np.result_type(up_in, down_in, born))
     mass[entry_up] = up_in
     mass[entry_down] = down_in
-    for col in domain.plan.columns:
+    for col in domain.columns:
         mass[ne[col]], mass[se[col]] = site_outflows(mass[sw[col]], mass[nw[col]], born[col])
     return mass
 
@@ -320,15 +327,15 @@ def swept_heights(field: FlowField) -> dict:
 def sorted_plan(n: int, m: int) -> dict:
     """The index arrays of ``RectDomain(n, m)`` built from sorted integer keys.
 
-    The reference for ``lattice.ColumnPlan``'s cell rule.  A point
+    The reference for ``lattice.RectDomain``'s cell rule.  A point
     ``(t, x)`` is keyed ``(t + 2) * width + (x - x_lo)`` on a box two steps
     wider than the domain on every side, and an edge by twice its base's
     key, plus one when it descends, so sorting keys sorts points by
     ``(t, x)`` and edges in canonical order.  Each column's site keys run up
     in steps of 2 from its lowest site's; the closure and the edges are the
     distinct keys next to the sites, and every index is found by
-    ``searchsorted``.  Returns each array under the name of the domain or
-    plan attribute it is compared with.
+    ``searchsorted``.  Returns each array under the name of the domain
+    attribute it is compared with.
     """
 
     def find(sorted_keys, keys):
@@ -366,7 +373,7 @@ def sorted_plan(n: int, m: int) -> dict:
 
 
 # The sides and membership of a rectangle by their explicit definitions: the
-# reference for the neighbour rule that the domain reads off its plan.
+# reference for the neighbour rule that the domain reads off its index arrays.
 def rect_sides(d: RectDomain) -> tuple[tuple, tuple, tuple, tuple]:
     """Southwest, northwest, northeast and southeast sides, each along its path."""
     n, m = d.n, d.m

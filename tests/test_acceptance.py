@@ -31,8 +31,7 @@ from brokenlines.lpp import (
     optimal_path_backward,
     path_sum,
 )
-from brokenlines.streams import uniform
-from helpers import max_edge_gap, random_birth_field, random_domain, random_field
+from helpers import max_edge_gap, random_birth_field, random_domain, random_field, uniform
 
 SEED = 2026
 

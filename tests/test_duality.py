@@ -36,12 +36,12 @@ from brokenlines.flow import (
     total_crossing_flow,
 )
 from brokenlines.lattice import Edge, RectDomain
-from brokenlines.streams import uniform
 from helpers import (
     kernel_residual_loop,
     max_edge_gap,
     plan_sweep,
     time_reverse,
+    uniform,
     uniforms,
     uniforms_at,
     zero_field,
@@ -430,7 +430,7 @@ def test_burke_holds_the_front_not_the_field():
     # a sweep into the full (edges, samples) masses, every birth drawn first,
     # peaked at 39.8 MiB here; the front and one column of births take under 1 MiB
     domain, triple = RectDomain(40, 40), parse_triple("exp:1,exp:1,exp:2")
-    domain.plan, domain.northeast_side, domain.southeast_side  # the geometry is not counted
+    domain.columns, domain.northeast_side, domain.southeast_side  # the geometry is not counted
     tracemalloc.start()
     try:
         burke_exit_test(domain, triple, 1_000, seed=1)

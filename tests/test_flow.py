@@ -409,7 +409,7 @@ def test_front_sweep_equals_the_plan_sweep_bit_for_bit(kinds, replicas):
         else:
             assert mass.tobytes() == expected.tobytes(), (n, m)
         # the final front is the exits, in side order
-        ups, downs = flow.front(domain, up, down, (born[c] for c in domain.plan.columns))
+        ups, downs = flow.front(domain, up, down, (born[c] for c in domain.columns))
         assert np.array_equal(ups, expected[domain.side_edges[2]]), (n, m)
         assert np.array_equal(downs, expected[domain.side_edges[3]]), (n, m)
 
@@ -439,7 +439,7 @@ def test_a_replica_sweep_holds_its_masses_and_the_front():
     # a (2, sites, replicas) outflow array scattered into the masses peaked at 11.9 MiB;
     # the masses alone take 6.4 MiB and the front 0.9 MiB
     domain = RectDomain(6, 6)
-    domain.plan, domain.side_edges  # the geometry is not counted
+    domain.columns, domain.side_edges  # the geometry is not counted
     rng = np.random.default_rng(3)
     up, down, born = (rng.integers(0, 5, (k, 10_000)) for k in (6, 6, 36))
     tracemalloc.start()

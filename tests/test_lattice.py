@@ -141,7 +141,7 @@ def test_cell_bijection():
             seen.add(y)
     assert seen == set(d.sites)
     # cells is the inverse: the 0-based cell of each site, in the order of sites
-    rows, cols = d.plan.cells
+    rows, cols = d.cells
     assert [cell_to_site(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(d.sites)
 
 
@@ -193,7 +193,7 @@ def test_midpoints_are_odd_neighbours(shape):
 
 @pytest.mark.parametrize("domain", [RectDomain(1, 1), RectDomain(2, 3)], ids=["1x1", "2x3"])
 def test_edge_points_and_find_edges_invert_each_other(domain):
-    plan = domain.plan
+    plan = domain
     t, x, down = plan.edge_points()
     assert list(zip(t.tolist(), x.tolist(), (down == 0).tolist())) == list(domain.edges)
     assert plan.find_edges(t, x, down).tolist() == list(range(len(domain.edges)))
@@ -209,7 +209,7 @@ FAR = st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70),
 def test_lookups_are_exact_for_integers_of_any_size(domain, t, x, down):
     # a point or edge is found exactly when it is one of the domain's, as
     # Python ints of any size and, where they fit, as int64 arrays
-    plan = domain.plan
+    plan = domain
     forms = [([t], [x])]
     if max(abs(t), abs(x)) < 2**63 - 1:
         forms.append((np.array([t]), np.array([x])))
@@ -256,7 +256,7 @@ ORACLE_SHAPES = sorted({(n, m) for n in range(1, 13) for m in range(1, 13)}
 def test_the_plan_equals_the_sorted_key_plan():
     for n, m in ORACLE_SHAPES:
         domain, want = RectDomain(n, m), sorted_plan(n, m)
-        plan = domain.plan
+        plan = domain
         got = {
             "sites": plan.points(plan.cells),
             "closure": plan.points(plan.closure_cells),

@@ -36,7 +36,6 @@ from brokenlines.lines import (
 )
 from brokenlines.lpp import births_from_matrix
 from brokenlines.render import render_field_svg
-from brokenlines.streams import uniform
 from helpers import (
     decomposition_from_csv_rows_loop,
     decomposition_of,
@@ -55,6 +54,7 @@ from helpers import (
     trace_edges,
     trace_order,
     trace_t_at,
+    uniform,
     uniforms_at,
     zero_field,
 )
@@ -417,7 +417,7 @@ OUT_OF_BOX = (
 
 @pytest.mark.parametrize("trace", OUT_OF_BOX, ids=["step", "wedge", "wrapping step"])
 def test_traces_outside_the_index_box_are_rejected(trace):
-    assert (D3.plan.step_edges(*zip(*trace.sites)) == -1).all()
+    assert (D3.step_edges(*zip(*trace.sites)) == -1).all()
     f = field_from_birth(D3, births=BirthField(D3, {y: 1.0 for y in D3.sites}))
     with pytest.raises(ValueError):
         brick_diagram(f).weight_of(trace)
@@ -889,9 +889,9 @@ def test_brick_diagram_refuses_heights_that_drift_apart():
     births = births_from_matrix(matrix)
     domain = births.domain
     field = field_from_birth(domain, births=births)
-    incident = domain.plan.incident
+    incident = domain.incident
     scale = field.values[incident].max(axis=0)  # the largest of each site's four masses
-    rows, cols = domain.plan.cells
+    rows, cols = domain.cells
     site = {(r, c): k for k, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
     values = field.values.copy()
     for r in range(6):

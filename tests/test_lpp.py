@@ -32,8 +32,7 @@ from brokenlines.lpp import (
     passage_value,
     path_sum,
 )
-from brokenlines.streams import uniform
-from helpers import births_to_csv_text, cell_to_site, random_birth_field, random_inputs
+from helpers import births_to_csv_text, cell_to_site, random_birth_field, random_inputs, uniform
 
 XI_2X2 = births_from_matrix([[1.0, 2.0], [3.0, 4.0]])
 
@@ -205,7 +204,7 @@ def test_crossing_flow_with_inflow_is_augmented_passage_value(seed, n, m, mode):
     field = field_from_birth(domain, inflow, births, mode=mode)
     matrix = np.zeros((n + 1, m + 1))
     matrix[1:, 1:] = birth_matrix(births)
-    cell = dict(zip(domain.sites, zip(*domain.plan.cells)))
+    cell = dict(zip(domain.sites, zip(*domain.cells)))
     for y, v in inflow.up_in.items():
         matrix[cell[y][0] + 1, 0] = v
     for y, v in inflow.down_in.items():
@@ -220,6 +219,19 @@ def test_flow_identity_random(seed):
     xi = random_birth_field(RectDomain(1 + seed % 6, 1 + (seed // 6) % 6), seed)
     value = lpp_dp(xi, with_path=False).value
     assert flow_identity_residual(xi, value) <= 1e-9 * max(1.0, value)
+
+
+def test_the_passage_value_builds_only_the_cell_order():
+    # births_from_matrix and lpp_dp read the cells alone; the frame grids and the
+    # site and edge arrays are built where a field first reads them, and give the
+    # values pinned when every array was built with the domain
+    xi = births_from_matrix(np.random.default_rng(34).exponential(size=(30, 40)))
+    value = lpp_dp(xi).value
+    lazy = ("_at", "_sites", "_edges", "_closure", "incident", "neighbours", "closure_cells")
+    assert [name for name in lazy if name in vars(xi.domain)] == []
+    assert value == 126.3456822129251
+    assert flow_identity_residual(xi, value) == 5.684341886080802e-14
+    assert {"_at", "_sites", "_edges", "incident", "neighbours"} <= set(vars(xi.domain))
 
 
 def test_backward_path_on_example():

@@ -11,10 +11,9 @@ from brokenlines.streams import (
     negated_uniform_diagonals,
     negated_uniforms,
     stream_base,
-    uniform,
     uniform_grid,
 )
-from helpers import uniforms
+from helpers import uniform, uniforms
 
 
 def minus_uniform_at(seed: int, *keys) -> np.ndarray:
