@@ -18,9 +18,9 @@ as ``FlowField.values``, one flat array in canonical edge order (the order
 of ``domain.edges`` and of the domain's edge grid), which the field
 operations, JSON included, read with the domain's index arrays; an
 ``Edge``-keyed dict is read into it at once, and the dict ``FlowField.mass``
-is a view built on first read.  Births in site order and inflows in side
-order are read as arrays too, each where it lies; a site-keyed dict is
-placed by site first.  The forward evolution, :func:`front`, moves one
+is a view built on first read.  Births are read in site order and each
+inflow in its side's order, a site-keyed dict put in that order first, zero
+at each site it omits.  The forward evolution, :func:`front`, moves one
 ascending mass per matrix row and one descending mass per matrix column
 across the rectangle, one ``t``-column (an anti-diagonal of the matrix) at a
 time, with an optional trailing replica axis, and updates it in place;
@@ -46,6 +46,7 @@ from .lattice import Edge, RectDomain, Site, as_integers, domain_from_dict
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+_OUTSIDE = "births outside the domain"
 
 
 def tolerance(scale, mode: str):
@@ -60,8 +61,8 @@ def tolerance(scale, mode: str):
 
 @dataclass(frozen=True)
 class BoundaryFlow:
-    """Inflow data, ascending on the southwest side and descending on the northwest
-    side: keyed by side site, missing sites carrying zero, or arrays in side order."""
+    """Inflow data, ascending on the southwest side and descending on the northwest side:
+    arrays in side order, or dicts keyed by side site, zero at every site they omit."""
 
     up_in: dict[Site, float] | np.ndarray
     down_in: dict[Site, float] | np.ndarray
@@ -71,39 +72,33 @@ class BoundaryFlow:
 class BirthField:
     """Mass of pair creation per site; support inside the domain.
 
-    ``BirthField(domain, births)`` takes a site-keyed dict, placed by site on first read;
-    :meth:`from_values` a 1-D array, one mass per site of ``domain.sites``, of which
-    ``births`` is a view built on first read.  Either way ``_given`` alone holds ``(where,
-    masses)``, unchecked until :meth:`masses`, the one read other modules make.
+    ``BirthField(domain, births)`` takes a site-keyed dict, zero at every site it omits;
+    :meth:`from_values` a 1-D array, one mass per site of ``domain.sites``, and ``births``
+    is then :meth:`masses` keyed by site.  Either way ``_values`` holds the data as given,
+    unchecked until :meth:`masses`, the one read other modules make.
     """
 
     domain: RectDomain
     births: dict[Site, float]
 
     def __init__(self, domain: RectDomain, births: dict[Site, float]) -> None:
-        self.__dict__.update(domain=domain, births=births)
+        self.__dict__.update(domain=domain, births=births, _values=births)
 
     @classmethod
     def from_values(cls, domain: RectDomain, values: np.ndarray) -> "BirthField":
         """The births ``values``, in the order of ``domain.sites``."""
         field = cls.__new__(cls)
-        field.__dict__.update(domain=domain, _given=(slice(None), values))
+        field.__dict__.update(domain=domain, _values=values)
         return field
 
     @cached_property
     def births(self) -> dict[Site, float]:
-        values = self._given[1]
-        _require_one_per_site(values, self.domain.n * self.domain.m)
-        return dict(zip(self.domain.sites, values.tolist()))
-
-    @cached_property
-    def _given(self) -> tuple:
-        return _site_index(self.domain, self.births, None, "births outside the domain")
+        return dict(zip(self.domain.sites, self.masses().tolist()))
 
     def masses(self, mode: str | None = None) -> np.ndarray:
         """One mass per site of ``domain.sites`` in ``mode`` (inferred when
         None), read and checked as :func:`field_from_birth` reads births."""
-        return _site_masses(self.domain, [self._given], mode)[0][0]
+        return _site_masses(self.domain, [(self._values, None, _OUTSIDE)], mode)[0][0]
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,8 @@ class FlowField:
     construction and safe to share.  A field holds one array, ``values``,
     the masses in canonical edge order (see :func:`mass_array`).
     :meth:`from_values` takes that array; ``FlowField(domain, mass, mode)``
-    reads an ``Edge``-keyed dict into it at once.  ``mass`` is a view of
+    reads an ``Edge``-keyed dict into it at once, through :func:`as_masses`,
+    and refuses a key that is no edge of the domain.  ``mass`` is a view of
     ``values`` built on first read; it stays a dataclass field, so
     ``dataclasses.replace(field, mass=d)`` gives the field of the dict ``d``
     and ``==`` compares domains, masses and modes.
@@ -135,7 +131,10 @@ class FlowField:
     mode: str = "float"
 
     def __init__(self, domain: RectDomain, mass: dict[Edge, float], mode: str = "float") -> None:
-        self._hold(domain, mass_array(list(map(mass.__getitem__, domain.edges)), mode), mode)
+        values = as_masses(list(map(mass.__getitem__, domain.edges)), mode, domain.edges.__getitem__)
+        if len(mass) > len(values):  # every edge is a key, so the others are no edge
+            raise ValueError(f"mass keyed off the edges: {[k for k in mass if k not in domain.edge_set]}")
+        self._hold(domain, values, mode)
 
     @classmethod
     def from_values(cls, domain: RectDomain, values: np.ndarray, mode: str) -> "FlowField":
@@ -296,10 +295,10 @@ def sweep(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, born: np.n
     return mass
 
 
-def _site_index(domain: RectDomain, values: dict, on: np.ndarray | None, what: str) -> tuple:
-    """Position in ``domain.sites`` of each key of ``values``, and the values; ValueError
-    ``what: [keys]`` listing the keys that are no site, or no site where
-    ``on`` holds."""
+def _site_index(domain: RectDomain, values: dict, on: np.ndarray | None, what: str) -> list:
+    """The values of the site-keyed dict ``values`` in the order of ``domain.sites``, or of
+    the sites where the mask ``on`` holds, with 0 at every site it omits; ValueError
+    ``what: [keys]`` listing the keys that are no site, or no site where ``on`` holds."""
     keys = list(values)
     if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
         raise ValueError(f"{what}: {[k for k in keys if type(k) is not tuple or len(k) != 2]}")
@@ -310,33 +309,31 @@ def _site_index(domain: RectDomain, values: dict, on: np.ndarray | None, what: s
         bad[~bad] = ~on[index[~bad]]
     if bad.any():
         raise ValueError(f"{what}: {sorted(k for k, b in zip(keys, bad.tolist()) if b)}")
-    return index, list(values.values())
+    placed = np.zeros(domain.n * domain.m, object)
+    placed[index] = np.fromiter(values.values(), object, len(keys))
+    return (placed if on is None else placed[on]).tolist()
 
 
-def _require_one_per_site(values, sites: int) -> None:
-    """ValueError unless ``values``, a list or an array, is 1-D with ``sites`` entries."""
-    if getattr(values, "ndim", 1) != 1 or len(values) != sites:
-        raise ValueError(f"masses of shape {np.shape(values)} for {sites} sites")
-
-
-def _site_masses(domain: RectDomain, entries: list, mode: str | None) -> tuple[np.ndarray, str]:
-    """One row of masses per site for each ``(where, values)`` entry, and the mode.  ``values``
-    (a list, or a 1-D array whose numbers share one type) holds one mass per site of
-    ``domain.sites[where]`` and goes through :func:`as_masses` in ``mode``, by default the
-    :func:`infer_mode` of every value.  Rows are int64 when all masses sum below ``2**63``."""
-    sample, sites = [], np.arange(domain.n * domain.m)
-    picked = [sites[where] for where, _ in entries]
-    for (_, v), k in zip(entries, picked):
-        _require_one_per_site(v, len(k))
-        sample.extend(v if getattr(v, "dtype", object) == object else v[:1].astype(object))
+def _site_masses(domain: RectDomain, entries: list, mode: str | None) -> tuple[list, str]:
+    """An array of masses per ``(values, on, what)`` entry, and the mode.  ``values``, a list,
+    a 1-D array whose numbers share one type or a site-keyed dict (see :func:`_site_index`),
+    holds one mass per site where ``on`` holds (every site if None), in site order, and goes
+    through :func:`as_masses` in ``mode``, by default the :func:`infer_mode` of every value.
+    Int-mode masses are int64 when all of them sum below ``2**63``, else exact Python ints."""
+    read, sample = [], []
+    for values, on, what in entries:
+        if isinstance(values, dict):
+            values = _site_index(domain, values, on, what)
+        at = range(domain.n * domain.m) if on is None else np.flatnonzero(on)  # the sites, in order
+        if getattr(values, "ndim", 1) != 1 or len(values) != len(at):
+            raise ValueError(f"masses of shape {np.shape(values)} for {len(at)} sites")
+        read.append((values, at))
+        sample.extend(values if getattr(values, "dtype", object) == object else values[:1].astype(object))
     mode = infer_mode(sample) if mode is None else mode
-    masses = [as_masses(v, mode, lambda i, k=k: domain.sites_of(k[i : i + 1])[0])
-              for (_, v), k in zip(entries, picked)]
-    wide = mode == "int" and sum(int(m.sum(dtype=object)) for m in masses) >= 1 << 63  # no wrap
-    out = np.zeros((len(entries), len(sites)), object if wide else masses[0].dtype)
-    for row, (where, _), m in zip(out, entries, masses):
-        row[where] = m
-    return out, mode
+    masses = [as_masses(v, mode, lambda i, at=at: domain.sites_of(at[i : i + 1])[0]) for v, at in read]
+    if mode == "int" and sum(int(m.sum(dtype=object)) for m in masses) >= 1 << 63:  # no wrap
+        masses = [m.astype(object) for m in masses]
+    return masses, mode
 
 
 def field_from_birth(
@@ -357,14 +354,13 @@ def field_from_birth(
         raise ValueError("birth field belongs to a different domain")
 
     sw, nw = domain.neighbours[:2] < 0
-    inflows = (
+    entries = [
         (boundary.up_in, sw, "ascending inflow keyed off the southwest side"),
         (boundary.down_in, nw, "descending inflow keyed off the northwest side"),
-    )
-    entries = [_site_index(domain, d, on, what) if isinstance(d, dict) else (on, d)
-               for d, on, what in inflows] + [births._given]
+        (births._values, None, _OUTSIDE),
+    ]
     (up, down, born), mode = _site_masses(domain, entries, mode)
-    return FlowField.from_values(domain, sweep(domain, up[sw], down[nw], born), mode)
+    return FlowField.from_values(domain, sweep(domain, up, down, born), mode)
 
 
 def check_conservation(field: FlowField) -> list[tuple[Site, float]]:
