@@ -19,20 +19,24 @@ the coefficients of DLMF 8.12.12), each where scipy takes it.
 
 The two-sample Kolmogorov-Smirnov distance is the largest gap between the
 two empirical CDFs over the pooled points.  ``F_a - F_b`` rises only where
-``F_a`` steps, so its largest value is taken at the last of a run of equal
-values of sorted ``a``, and that of ``F_b - F_a`` at one of ``b``.  Those
-run ends are bounded before they are looked up.  They go in stretches, and
-the first run end of each is looked up in the other sample, which gives a
-best exact gap; a stretch's gaps are at most its last count of ``a`` over
-``a``'s size minus its first count of ``b`` over ``b``'s size.  Only the
-stretches whose bound beats the best gap are looked up in full.  Counts
-are monotone in the value, and rounded division and subtraction are
-monotone in their operands, so the computed bound caps every computed gap
-of its stretch: no skipped stretch holds a larger gap, and the distance is
-the float of evaluating both CDFs at every pooled point, bit for bit.  Two
-identical samples keep every stretch open and cost one lookup per run end,
-as a full lookup does.  An empty sample or one holding NaN is refused.
-Each normal critical value is computed once per level.
+``F_a`` steps, so its largest value is taken at a position ``r`` of sorted
+``a``, with the gap ``(r + 1)/n - F_b(a[r])``, and that of ``F_b - F_a`` at
+one of ``b``.  A position's gap is at most that of the last position of its
+run of equal values, which is the gap of the pooled point itself, so the
+largest gap over positions is the distance.  Positions are bounded before
+they are looked up.  They go in stretches, and the first position of each,
+``a[::stride]``, is looked up in the other sample, which gives a best exact
+gap; a stretch's gaps are at most its end over ``a``'s size minus the count
+of ``b`` at its first position over ``b``'s size.  Only the stretches whose
+bound beats the best gap are looked up in full.  Counts are monotone in the
+value, and rounded division and subtraction are monotone in their operands,
+so the computed bound caps every computed gap of its stretch: no skipped
+stretch holds a larger gap, and the distance is the float of evaluating both
+CDFs at every pooled point, bit for bit.  Two identical samples keep every
+stretch open and cost one lookup per position.  An empty sample or one
+holding NaN is refused, and so is every sample another check cannot judge.
+Each normal critical value is computed once per level, and each sample's
+mean is summed once.
 """
 
 from __future__ import annotations
@@ -75,8 +79,10 @@ class TestReport:
 
         ``samples()`` returns the check's two samples and is called only when
         that check runs, so samples made for one check (products, say) are
-        held only while it runs.
+        held only while it runs.  Raises ``ValueError`` with no pending check.
         """
+        if not pending:
+            raise ValueError("a Bonferroni report needs at least one pending check")
         alpha = significance / len(pending)
         checks = tuple(check(name, *samples(), alpha) for check, name, samples in pending)
         return cls(test, params, seed, nsamples, significance, checks)
@@ -126,33 +132,33 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return max(_cdf_rise(a, b), _cdf_rise(b, a))
 
 
-# Run ends per stretch.  A whole in-process ``verify`` round of this code
-# took 225-246 ms with every run end looked up (stride 1), and 131-147,
-# 127-143, 130-146, 141-158 and 165-186 ms at strides 16, 32, 64, 128 and
-# 256 (medians of 11 rounds, strides interleaved; the two ends of each
-# range are two runs on a shared 2-core host whose speed drifted between them).
+# Positions per stretch.  A whole in-process ``verify`` round of this code
+# took 106.8, 104.6 and 105.4 ms at strides 16, 32 and 64, of which its KS
+# checks took 34.4, 31.5 and 35.0 ms (medians of 25 rounds, strides
+# interleaved, on a shared 2-core x86_64 host).
 _STRIDE = 32
 
 
 def _cdf_rise(a: np.ndarray, b: np.ndarray) -> float:
     """Largest ``F_a(x) - F_b(x)`` over the pooled points of sorted ``a`` and ``b``.
 
-    Taken at the last of each run of equal values of ``a``, where ``F_a``
-    counts the run's index plus one and ``F_b`` the values of ``b`` up to it.
-    The run ends go in stretches of ``_STRIDE``, the last padded with its
-    final run end.  Each stretch's first run end is looked up in ``b``, and
-    the best of those gaps is exact.  A stretch's gaps are at most its last
-    count over ``a.size`` minus its first ``b`` count over ``b.size``, so
-    the other run ends are looked up only in stretches whose bound beats
-    that best.
+    Taken over the positions ``r`` of ``a``, where ``F_a`` counts ``r + 1``
+    (at most, within a run of equal values) and ``F_b`` the values of ``b``
+    up to ``a[r]``.  The positions go in stretches of ``_STRIDE``.  Each
+    stretch's first position is looked up in ``b``, and the best of those
+    gaps is exact.  A stretch's gaps are at most its end, ``head + _STRIDE``
+    or ``a.size``, over ``a.size`` minus its first ``b`` count over
+    ``b.size``, so the other positions are looked up only in stretches whose
+    bound beats that best.
     """
-    last = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-    stretches = np.append(last, np.repeat(last[-1], -last.size % _STRIDE)).reshape(-1, _STRIDE)
-    first = stretches[:, 0]
-    below = np.searchsorted(b, a[first], side="right") / b.size
-    best = np.max((first + 1) / a.size - below)
-    rest = stretches[(stretches[:, -1] + 1) / a.size - below > best, 1:].ravel()
-    gaps = (rest + 1) / a.size - np.searchsorted(b, a[rest], side="right") / b.size
+    n = a.size
+    heads = np.arange(0, n, _STRIDE)
+    below = np.searchsorted(b, a[::_STRIDE], side="right") / b.size
+    best = np.max((heads + 1) / n - below)
+    ends = np.minimum(heads + _STRIDE, n)
+    rest = heads[ends / n - below > best, None] + np.arange(1, _STRIDE)
+    rest = rest[rest < n]
+    gaps = (rest + 1) / n - np.searchsorted(b, a[rest], side="right") / b.size
     return float(np.max(gaps, initial=best))
 
 
@@ -168,12 +174,26 @@ def ks_check(name: str, a: np.ndarray, b: np.ndarray, alpha: float) -> Check:
     return Check(name, d, crit, d <= crit)
 
 
+def _variance(a: np.ndarray, mean, ddof: int):
+    """The variance of ``a``, with ``ddof`` delta degrees of freedom, about its
+    ``mean``: ``np.var(a, ddof=ddof)`` bit for bit, which squares the
+    deviations in place and sums them in this order."""
+    deviations = a - mean
+    return np.square(deviations, out=deviations).sum() / (a.size - ddof)
+
+
 def mean_z_check(name: str, a: np.ndarray, b: np.ndarray, alpha: float) -> Check:
-    """Welch z-test that two samples share a mean."""
+    """Welch z-test that two samples share a mean.
+
+    Raises ``ValueError`` unless each sample holds two values or more.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-    gap = abs(float(a.mean() - b.mean()))
+    if a.size < 2 or b.size < 2:
+        raise ValueError("the mean z-test needs two samples of two values or more")
+    mean_a, mean_b = a.mean(), b.mean()
+    se = math.sqrt(_variance(a, mean_a, 1) / a.size + _variance(b, mean_b, 1) / b.size)
+    gap = abs(float(mean_a - mean_b))
     if se > 0:
         z = gap / se
     else:  # two constant samples: they share a mean or they do not
@@ -193,12 +213,16 @@ class Centred:
 def centred(a) -> Centred:
     """``a`` read once for :func:`correlation_check`; a :class:`Centred` stream as it is.
 
-    A stream paired with many others is centred once, not once per pair.
+    A stream paired with many others is centred once, not once per pair, and
+    its mean is summed once.  Raises ``ValueError`` on an empty stream.
     """
     if isinstance(a, Centred):
         return a
     a = np.asarray(a, dtype=float)
-    return Centred(a - a.mean(), a.std())
+    if a.size == 0:
+        raise ValueError("the correlation check needs two nonempty streams")
+    mean = a.mean()
+    return Centred(a - mean, np.sqrt(_variance(a, mean, 0)))
 
 
 def correlation_check(name: str, a, b, alpha: float) -> Check:
@@ -228,18 +252,19 @@ def chi2_homogeneity_check(
     Counts are pooled from the upper tail until every cell's expected count
     reaches ``min_expected``.  The statistic reported is ``1 - p``, with ``p``
     the one ``scipy.stats.chi2_contingency`` gives (Yates-corrected when k = 2).
+    Raises ``ValueError`` unless both samples are nonempty and hold
+    nonnegative integers.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    top = int(max(a.max(initial=0), b.max(initial=0)))
-    ca = np.bincount(a.astype(int), minlength=top + 1).astype(float)
-    cb = np.bincount(b.astype(int), minlength=top + 1).astype(float)
+    a, b = _counted(a), _counted(b)
+    top = int(max(a.max(), b.max()))
+    try:
+        ca = np.bincount(a, minlength=top + 1).astype(float)
+        cb = np.bincount(b, minlength=top + 1).astype(float)
+    except ValueError:  # bincount's own scan found a negative value
+        raise ValueError("the chi-square check counts nonnegative values only") from None
     total = ca + cb
     scale = min(ca.sum(), cb.sum()) / (ca.sum() + cb.sum())
-    # merge tail bins upward until each kept bin is well populated
-    keep = len(total)
-    while keep > 1 and total[keep - 1 :].sum() * scale < min_expected:
-        keep -= 1
+    keep = _cells_kept(total, scale, min_expected)
     ca = np.concatenate([ca[: keep - 1], [ca[keep - 1 :].sum()]])
     cb = np.concatenate([cb[: keep - 1], [cb[keep - 1 :].sum()]])
     mask = (ca + cb) > 0
@@ -252,6 +277,32 @@ def chi2_homogeneity_check(
         table = table + np.minimum(0.5, np.abs(gap)) * np.sign(gap)
     p = chdtrc(table.shape[1] - 1, float(((table - expected) ** 2 / expected).sum()))
     return Check(name, 1.0 - p, 1.0 - alpha, bool(p >= alpha))
+
+
+def _counted(sample) -> np.ndarray:
+    """A nonempty sample of the chi-square check as the integers it holds."""
+    sample = np.asarray(sample)
+    if sample.size == 0:
+        raise ValueError("the chi-square check needs two nonempty samples")
+    if sample.dtype.kind not in "biu" and not (
+        np.isfinite(sample).all() and (np.trunc(sample) == sample).all()
+    ):
+        raise ValueError("the chi-square check counts integers only")
+    return sample.astype(int, copy=False)
+
+
+def _cells_kept(total: np.ndarray, scale: float, min_expected: float) -> int:
+    """How many cells of the pooled ``total`` counts stay once the upper tail is
+    merged into one cell: the most such that the last, the tail from it up,
+    expects ``min_expected`` at the ``scale`` of the smaller sample.
+
+    The tail sums, from the top cell's down to the second cell's, are one
+    ``cumsum`` of the reversed counts, exact for counts below 2**53.  They
+    grow downward, so the cells whose tail expects too little are the top
+    ones, all merged.
+    """
+    tails = np.cumsum(total[::-1])[:-1]
+    return total.size - int(np.count_nonzero(tails * scale < min_expected))
 
 
 # ------------------------------------------------ normal and chi-square tails

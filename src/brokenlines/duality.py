@@ -36,7 +36,7 @@ from .flow import (
     sweep,
 )
 from .lattice import RectDomain
-from .streams import negated_uniforms, stream_base
+from .streams import hashed_keys, negated_uniforms, negated_uniforms_hashed, stream_base
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -296,16 +296,18 @@ def reversal_invariance_test(
     go to rows 0 and 1, their minimum, the annihilated mass, to row 2, and
     ``t`` to row 3; the site update then turns rows 0 and 1 into the two
     outflows in place.  Row 3 is free again, and rows 3 to 5 take the
-    fresh draws of the three laws.
+    fresh draws of the three laws.  The counters ``0 .. nsamples-1`` are
+    hashed once (:func:`streams.hashed_keys`) for all six draws.
     """
     if nsamples < 10_000:
         raise ValueError("need at least 10^4 samples")
 
     block = np.empty((6, nsamples))
+    replicas = hashed_keys(np.arange(nsamples))
 
     def draw(tag: int, i: int, row: int) -> np.ndarray:
         spec, base = (triple.pi1, triple.pi2, triple.pi3)[i], stream_base(seed, tag, i)
-        return spec.from_negated_uniform(negated_uniforms(base, np.arange(nsamples), out=block[row]))
+        return spec.from_negated_uniform(negated_uniforms_hashed(base, replicas, out=block[row]))
 
     r, s, t = (draw(_TAG_FIELD, i, row) for i, row in enumerate((0, 1, 3)))
     np.minimum(r, s, out=block[2])
@@ -334,37 +336,40 @@ def _chain(lam: float) -> Triple:
     return Triple(inflow, inflow, DistSpec.geometric(lam * lam))
 
 
-def _site_draws(domain: RectDomain, triple: Triple, site_ids, *replica) -> tuple:
+def _site_draws(domain: RectDomain, triple: Triple, site_ids, uniforms) -> tuple:
     """``triple``'s draws on the southwest side and the northwest side, in the
     order :func:`flow.front` reads them, and the function that draws the
     births at the sites ``domain.sites[at]``.
 
     ``site_ids(t, x)`` hashes the sites' shared key prefix once, on their
-    coordinates; the draws of each role fold the role and then ``replica``
-    onto those ids, the side sites' taken by index.  Geometric counts are
-    cast to the int64 masses the sweep reads.
+    coordinates, and ``uniforms(ids, role)`` draws minus the uniforms of a
+    role on ids taken from them by index, the side sites' or a column's.
+    Geometric counts are cast to the int64 masses the sweep reads.
     """
     ids = site_ids(*domain.points(domain.cells))
     sw, nw = domain.neighbours[:2] < 0
 
     def draw(spec: DistSpec, at, role: int) -> np.ndarray:
-        x = spec.from_negated_uniform(negated_uniforms(ids[at], role, *replica))
+        x = spec.from_negated_uniform(uniforms(ids[at], role))
         return x.astype(np.int64) if spec.kind == GEOMETRIC else x
 
     return (draw(triple.pi1, sw, ROLE_UP_IN), draw(triple.pi2, nw, ROLE_DOWN_IN),
             lambda at: draw(triple.pi3, at, ROLE_BIRTH))
 
 
-def _replica_draws(domain: RectDomain, triple: Triple, seed: int, tag: int, count: int) -> tuple:
-    """:func:`_site_draws` of ``count`` replicas at once, the replica axis last.
+def _replica_draws(domain: RectDomain, triple: Triple, seed: int, tag: int, replicas) -> tuple:
+    """:func:`_site_draws` of many replicas at once, the replica axis last.
 
     Replica ``r`` of the draw of ``role`` at site ``(t, x)`` is keyed
     ``(seed, tag, t, x, role, r)``, so replicas and sites can be sampled in
     any order.  The ids of ``(seed, tag, t, x)`` are hashed once for all
-    sites, and each role's draws are :func:`negated_uniforms` calls on them.
+    sites, and each draw folds the role onto them and draws on
+    ``replicas``, the report's replica keys hashed once by
+    :func:`streams.hashed_keys`.
     """
     return _site_draws(
-        domain, triple, lambda t, x: stream_base(seed, tag, t[:, None], x[:, None]), np.arange(count)
+        domain, triple, lambda t, x: stream_base(seed, tag, t[:, None], x[:, None]),
+        lambda ids, role: negated_uniforms_hashed(ids, role, replicas),
     )
 
 
@@ -397,15 +402,15 @@ def burke_exit_test(
     if not verdict.self_dual:
         raise ValueError(f"triple {triple.token()} is not self-dual ({verdict.reason})")
 
-    up, down, births = _replica_draws(domain, triple, seed, _TAG_FIELD, nsamples)
+    replicas = hashed_keys(np.arange(nsamples))
+    up, down, births = _replica_draws(domain, triple, seed, _TAG_FIELD, replicas)
     ups, downs = front(domain, up, down, map(births, domain.columns))
-    replica = np.arange(nsamples)
     pending, exits = [], []
     sides = (("up", triple.pi1, domain.northeast_side, ups),
              ("down", triple.pi2, domain.southeast_side, downs))
     for side, (kind, spec, sites, rows) in enumerate(sides, 1):
         ids = stream_base(seed, _TAG_FRESH, side, np.arange(len(sites))[:, None])
-        fresh = spec.from_negated_uniform(negated_uniforms(ids, replica))
+        fresh = spec.from_negated_uniform(negated_uniforms_hashed(ids, replicas))
         pending += [
             (ks_check, f"ks_{kind}_exit_{y}", given(a, b)) for y, a, b in zip(sites, rows, fresh)
         ]
@@ -426,7 +431,9 @@ def evolve_chain(domain: RectDomain, lam: float, seed: int) -> FlowField:
     forward evolution of those draws and is reproduced bit for bit by the
     same seed.
     """
-    up, down, born = _site_draws(domain, _chain(lam), lambda t, x: stream_base(seed, t, x))
+    up, down, born = _site_draws(
+        domain, _chain(lam), lambda t, x: stream_base(seed, t, x), negated_uniforms
+    )
     births = BirthField.from_values(domain, born(slice(None)))
     return field_from_birth(domain, BoundaryFlow(up, down), births, mode="int")
 
@@ -459,9 +466,10 @@ def consistency_test(
     outer = RectDomain(n_outer, m_outer)
     inner = RectDomain(n_inner, m_inner)
     lam_direct = lam if inner_lam is None else inner_lam
+    replicas = hashed_keys(np.arange(nsamples))
 
     def sampled(domain: RectDomain, lam: float, tag: int) -> np.ndarray:  # every edge's masses
-        up, down, births = _replica_draws(domain, _chain(lam), seed, tag, nsamples)
+        up, down, births = _replica_draws(domain, _chain(lam), seed, tag, replicas)
         return sweep(domain, up, down, births(slice(None)))
 
     # the inner rectangle's edges, found among the outer rows

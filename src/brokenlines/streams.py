@@ -18,6 +18,14 @@ The replica sweeps draw a whole grid per replica by
 :func:`negated_uniform_diagonals`, row keys against column keys; the Monte
 Carlo reports draw by :func:`negated_uniforms`, shared ids (a site's, say,
 hashed once) against a last key (a replica axis, say).
+
+The last key is hashed apart from the ids: :func:`hashed_keys` gives its
+words, ``k + golden`` after the finalizer's first step, and
+:func:`negated_uniforms_hashed` draws on words so given, each draw a fold
+of the ids, one XOR and the rest of the finalizer.  A report hashes its
+replica keys ``0 .. nsamples-1`` once and makes every draw of the report
+on those words; :func:`negated_uniforms` is the same draw with the last key
+hashed in the call.  The words live as long as the report that holds them.
 """
 
 from __future__ import annotations
@@ -104,8 +112,31 @@ def negated_uniforms(base, *keys, out: np.ndarray | None = None) -> np.ndarray:
     :meth:`DistSpec.from_negated_uniform` to invert in place.
     """
     *prefix, last = keys
-    h, w = _fold(base, prefix), _key_word(last)
-    h = np.atleast_1d(np.bitwise_xor(_first_step(h), _first_step(w), dtype=np.uint64))
+    return negated_uniforms_hashed(base, *prefix, hashed_keys(last), out=out)
+
+
+def hashed_keys(keys):
+    """Integer keys hashed as the last key of a draw: ``k + golden`` modulo
+    2**64 after SplitMix64's first step, a python int for a scalar key and a
+    uint64 array for an array of them.
+
+    ``negated_uniforms_hashed(base, *prefix, hashed_keys(k))`` is
+    ``negated_uniforms(base, *prefix, k)`` bit for bit, so keys hashed once
+    serve every draw on them.
+    """
+    return _first_step(_key_word(keys))
+
+
+def negated_uniforms_hashed(base, *keys, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`negated_uniforms` with its last key given as :func:`hashed_keys` of it.
+
+    The keys before the last fold onto ``base``, whose ids then take
+    SplitMix64's first step and are XORed with the words; each draw pays
+    only the rest of the finalizer.  ``base`` and the words are left as
+    they were.
+    """
+    *prefix, words = keys
+    h = np.atleast_1d(np.bitwise_xor(_first_step(_fold(base, prefix)), words, dtype=np.uint64))
     scratch = np.empty_like(h) if out is None else out.view(np.uint64)
     np.right_shift(_mix_after_first_step(h, scratch), _S11, out=h)
     # the scratch words are free again and take the result

@@ -49,16 +49,45 @@ def geom_draw(seed: int, lam: float, *key: int) -> int:
     return int(math.floor(math.log1p(-uniform(seed, *key)) / math.log(lam)))
 
 
+def site_uniforms(seed: int, role: int, sites) -> list[float]:
+    """``uniform(seed, role, t, x)`` at each site ``(t, x)`` of ``sites``, as
+    python floats, by one :func:`uniforms_at` call."""
+    t, x = np.array(sites, dtype=np.int64).reshape(-1, 2).T
+    return uniforms_at(seed, role, t, x).tolist()
+
+
+def exp_draws(seed: int, role: int, sites) -> dict:
+    """``exp_draw(seed, role, *y)`` at each site ``y`` of ``sites``, bit for bit:
+    the uniforms drawn at once, ``-math.log1p(-u)`` taken on each."""
+    return {y: -math.log1p(-u) for y, u in zip(sites, site_uniforms(seed, role, sites))}
+
+
+def geom_draws(seed: int, lam: float, role: int, sites) -> dict:
+    """``geom_draw(seed, lam, role, *y)`` at each site ``y`` of ``sites``, bit for
+    bit: the uniforms drawn at once, ``math.floor`` taken on each."""
+    log_lam = math.log(lam)
+    return {
+        y: int(math.floor(math.log1p(-u) / log_lam))
+        for y, u in zip(sites, site_uniforms(seed, role, sites))
+    }
+
+
 def random_inputs(domain: RectDomain, seed: int, mode: str = "float", boundary: bool = True):
-    """Random inflows and births: exponential in float mode, geometric in int."""
+    """Random inflows and births: exponential in float mode, geometric in int.
+
+    The draw of role 1 (ascending inflow), 2 (descending inflow) or 3
+    (birth) at site ``y`` is ``exp_draw(seed, role, *y)`` or
+    ``geom_draw(seed, lam, role, *y)``, with ``lam`` 0.5 for the inflows and
+    0.4 for the births; each side and the sites are drawn at once.
+    """
     if mode == "float":
-        up = {y: exp_draw(seed, 1, *y) for y in domain.southwest_side} if boundary else {}
-        down = {y: exp_draw(seed, 2, *y) for y in domain.northwest_side} if boundary else {}
-        births = {y: exp_draw(seed, 3, *y) for y in domain.sites}
+        up = exp_draws(seed, 1, domain.southwest_side) if boundary else {}
+        down = exp_draws(seed, 2, domain.northwest_side) if boundary else {}
+        births = exp_draws(seed, 3, domain.sites)
     else:
-        up = {y: geom_draw(seed, 0.5, 1, *y) for y in domain.southwest_side} if boundary else {}
-        down = {y: geom_draw(seed, 0.5, 2, *y) for y in domain.northwest_side} if boundary else {}
-        births = {y: geom_draw(seed, 0.4, 3, *y) for y in domain.sites}
+        up = geom_draws(seed, 0.5, 1, domain.southwest_side) if boundary else {}
+        down = geom_draws(seed, 0.5, 2, domain.northwest_side) if boundary else {}
+        births = geom_draws(seed, 0.4, 3, domain.sites)
     return BoundaryFlow(up, down), BirthField(domain, births)
 
 
@@ -69,7 +98,7 @@ def random_field(domain: RectDomain, seed: int, mode: str = "float", boundary: b
 
 
 def random_birth_field(domain: RectDomain, seed: int) -> BirthField:
-    return BirthField(domain, {y: exp_draw(seed, 3, *y) for y in domain.sites})
+    return BirthField(domain, exp_draws(seed, 3, domain.sites))
 
 
 def random_domain(seed: int, max_side: int = 8) -> RectDomain:
@@ -86,6 +115,20 @@ def ks_distance(a, b) -> float:
     """
     a, b = sorted(map(float, a)), sorted(map(float, b))
     return max(abs(bisect_right(a, x) / len(a) - bisect_right(b, x) / len(b)) for x in a + b)
+
+
+def cells_kept_loop(total: np.ndarray, scale: float, min_expected: float) -> int:
+    """The cells of the pooled counts ``total`` that the chi-square check keeps,
+    merging the upper tail one cell at a time.
+
+    The reference for ``checks._cells_kept``: while more than one cell is
+    kept and the tail from the last kept cell up, summed afresh, expects
+    less than ``min_expected`` at ``scale``, one cell fewer is kept.
+    """
+    keep = len(total)
+    while keep > 1 and total[keep - 1 :].sum() * scale < min_expected:
+        keep -= 1
+    return keep
 
 
 def kernel_residual_loop(lam: float, kmax: int) -> float:

@@ -17,7 +17,7 @@ from brokenlines.checks import (
     mean_z_check,
     ndtri,
 )
-from helpers import ks_distance
+from helpers import cells_kept_loop, ks_distance
 
 _rng = np.random.default_rng(2024)
 
@@ -35,7 +35,7 @@ KS_CASES = {
     "rounded normals": (np.round(_rng.normal(size=300), 1), np.round(_rng.normal(size=200), 1)),
 }
 
-# Thousands of values, so that ``_cdf_rise`` has many stretches of run ends.
+# Thousands of values, so that ``_cdf_rise`` has many stretches of positions.
 _same = _rng.exponential(size=3000)
 # 30 values of a below all of b, then a and b evenly interleaved: the
 # distance, 30/3000, is taken in the first stretch of a; negated, in the
@@ -94,8 +94,9 @@ def test_ks_statistic_equals_the_brute_force_distance_on_random_pairs(pair):
     assert ks_statistic(b, a) == d
 
 
-def test_ks_statistic_looks_up_few_run_ends_in_one_law(monkeypatch):
-    # two continuous 10^5 samples of one law: the bound closes most stretches
+def test_ks_statistic_looks_up_few_positions_in_one_law(monkeypatch):
+    # two continuous 10^5 samples of one law: the bound closes most stretches,
+    # and no array of run ends is built
     rng = np.random.default_rng(19)
     a, b = rng.exponential(size=100_000), rng.exponential(size=100_000)
     pooled = np.concatenate([a, b])
@@ -111,6 +112,8 @@ def test_ks_statistic_looks_up_few_run_ends_in_one_law(monkeypatch):
         return searchsorted(sorted_values, values, side=side)
 
     monkeypatch.setattr(np, "searchsorted", counted)
+    for name in ("append", "flatnonzero"):
+        monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(name))
     assert ks_statistic(a, b) == full
     assert sum(keys) < pooled.size / 4
 
@@ -134,6 +137,48 @@ def test_ks_statistic_reads_an_int_sample_as_its_float_copy_and_leaves_both_as_t
 def test_ks_statistic_refuses_an_empty_or_nan_sample(a, b):
     with pytest.raises(ValueError, match="KS distance"):
         ks_statistic(np.array(a), np.array(b))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0], []),
+    ([1.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [2.0]),
+], ids=["empty a", "empty b", "one value in a", "one value in b"])
+def test_mean_z_check_refuses_a_sample_of_fewer_than_two_values(a, b):
+    # with no variance to read, the empty sample passed at 0 and a single
+    # value failed at inf
+    with pytest.raises(ValueError, match="mean z-test"):
+        mean_z_check("m", np.array(a), np.array(b), 0.01)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], []),
+    ([], [1.0, 2.0]),
+    ([1.0, 2.0], []),
+], ids=["both empty", "empty a", "empty b"])
+def test_correlation_check_refuses_an_empty_stream(a, b):
+    with pytest.raises(ValueError, match="correlation check"):
+        correlation_check("c", np.array(a), np.array(b), 0.01)
+
+
+@pytest.mark.parametrize("a, b, match", [
+    ([], [], "nonempty"),
+    ([1, 2], [], "nonempty"),
+    ([1.5, 2.0], [1.0, 2.0], "integers"),
+    ([1.0, np.nan], [1.0, 2.0], "integers"),
+    ([1.0, 2.0], [np.inf, 2.0], "integers"),
+    ([0, -1], [0, 1], "nonnegative"),
+    ([-2, -1], [-1, -3], "nonnegative"),
+], ids=["both empty", "empty b", "a fraction", "nan", "inf", "a negative", "all negative"])
+def test_chi2_homogeneity_check_refuses_what_it_cannot_count(a, b, match):
+    with pytest.raises(ValueError, match=f"chi-square check .*{match}"):
+        chi2_homogeneity_check("c", np.array(a), np.array(b), 0.01)
+
+
+def test_a_report_refuses_to_split_its_level_over_no_check():
+    with pytest.raises(ValueError, match="Bonferroni"):
+        checks.TestReport.bonferroni("t", {}, 0, 10, 0.01, [])
 
 
 def test_mean_z_check_fails_two_constant_samples_with_different_means():
@@ -262,3 +307,40 @@ def test_chi2_homogeneity_check_is_chi2_contingency_bit_for_bit():
             gap = abs(np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum() - table)
             yates.add(bool(gap[0, 0] < 0.5))
     assert yates == {True, False}  # both branches of Yates' correction ran
+
+
+def _moment_samples():
+    """Random arrays of 2 to 10^5 values, constant ones included."""
+    rng = np.random.default_rng(34)
+    for size in (2, 3, 7, 100, 1_001, 10_000, 100_000):
+        yield rng.exponential(size=size)
+        yield rng.normal(1e6, 1e-3, size=size)
+        yield rng.geometric(0.3, size=size) * 1.0
+        yield np.full(size, rng.uniform(-5, 5))
+
+
+def test_one_mean_spreads_are_numpys_bit_for_bit():
+    # mean_z_check and centred sum each mean once and take the variance or
+    # the standard deviation from it; numpy sums the mean again
+    for a in _moment_samples():
+        assert np.array_equal(bits(checks._variance(a, a.mean(), 1)), bits(np.var(a, ddof=1)))
+        assert np.array_equal(bits(centred(a).std), bits(np.std(a)))
+        b = a[::-1] + 1.0
+        se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        gap = abs(float(a.mean() - b.mean()))
+        z = gap / se if se > 0 else (math.inf if gap > 0 else 0.0)
+        assert mean_z_check("m", a, b, 0.01).statistic == z
+
+
+@pytest.mark.parametrize("min_expected", [1.0, 5.0, 50.0, 1e6])
+def test_the_pooled_tail_is_the_merging_loop(monkeypatch, min_expected):
+    # the reversed cumsum keeps the cells the one-cell-at-a-time loop keeps;
+    # checks compare by repr, since a NaN statistic is not equal to itself
+    rng = np.random.default_rng(int(min_expected))
+    samples = [
+        (rng.geometric(p, rng.integers(1, 3000)) - 1, rng.geometric(q, rng.integers(1, 3000)) - 1)
+        for p, q in rng.uniform(0.05, 0.95, size=(100, 2))
+    ]
+    kept = [repr(chi2_homogeneity_check("c", a, b, 0.01, min_expected)) for a, b in samples]
+    monkeypatch.setattr(checks, "_cells_kept", cells_kept_loop)
+    assert kept == [repr(chi2_homogeneity_check("c", a, b, 0.01, min_expected)) for a, b in samples]

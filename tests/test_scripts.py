@@ -5,6 +5,7 @@ sample counts, so it costs no interpreter start.
 """
 
 import csv
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -53,3 +54,59 @@ def test_run_growth_experiments_refuses_threads(tmp_path, monkeypatch):
                    "--outdir", str(tmp_path))
     assert exit_info.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+def bench_pairs():
+    """The functions of ``bench_pairs.py``, loaded without running it."""
+    return runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+
+
+def canned_output(rounds, setup_s, cells_per_s, peak_rss_mb, raw_setup_s, raw_cells_per_s,
+                  attempted=100, failed=0):
+    """What ``benchmarks/run.py --workload verify`` prints for one run."""
+    summary = (f"# verify: {rounds} rounds; setup_s {setup_s:.6g} s, cells_per_s {cells_per_s:.6g} "
+               f"1/s, peak_rss_mb {peak_rss_mb:.6g} MB; unscaled: setup_s {raw_setup_s:.6g} s, "
+               f"cells_per_s {raw_cells_per_s:.6g} 1/s")
+    metrics = {"setup_s": {"value": setup_s, "unit": "s"},
+               "cells_per_s": {"value": cells_per_s, "unit": "1/s"},
+               "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
+    result = {"correct": True, "attempted": attempted, "failed": failed, "metrics": metrics}
+    return f"{summary}\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_reads_the_scaled_and_the_unscaled_figures():
+    run = bench_pairs()["parse_run"](canned_output(83, 0.25, 1.1e7, 48.5, 0.234, 1.2e7, 1162, 1))
+    assert run == {"setup_s": 0.25, "cells_per_s": 1.1e7, "peak_rss_mb": 48.5,
+                   "unscaled_setup_s": 0.234, "unscaled_cells_per_s": 1.2e7,
+                   "attempted": 1162, "failed": 1, "correct": True, "rounds": 83}
+    with pytest.raises(ValueError, match="summary line"):
+        bench_pairs()["parse_run"](canned_output(1, 1, 1, 1, 1, 1).splitlines()[-1])
+
+
+def test_bench_pairs_summarises_medians_wins_and_spreads():
+    parse_run, summarize = bench_pairs()["parse_run"], bench_pairs()["summarize"]
+    # cells_per_s per pair (parent, change); every other figure follows it
+    rates = [(10.0, 12.0), (11.0, 10.5), (12.0, 13.0), (14.0, 15.0), (9.0, 11.0)]
+    runs = []
+    for pair, sides in enumerate(rates):
+        for side, rate in zip(("parent", "change"), sides):
+            figures = canned_output(10, 1 / rate, rate, 100 - rate, 2 / rate, 2 * rate, attempted=10)
+            runs.append({"workload": "verify", "pair": pair, "side": side, **parse_run(figures)})
+    # a pair cut short is left out
+    runs.append({"workload": "verify", "pair": 5, "side": "parent", **runs[0]})
+    summary = summarize(runs)["verify"]
+    assert (summary["pairs"], summary["failed"], summary["attempted"], summary["all_correct"]) == (
+        5, {"parent": 0, "change": 0}, {"parent": 50, "change": 50}, True
+    )
+    rate = summary["cells_per_s"]
+    assert (rate["parent_median"], rate["change_median"], rate["ratio"]) == (11.0, 12.0, 12.0 / 11.0)
+    assert rate["change_better_pairs"] == 4
+    # exclusive quartiles of 9, 10, 11, 12, 14: 9.5 and 13
+    assert rate["parent_iqr"] == 3.5
+    assert (rate["parent_range"], rate["change_range"]) == ([9.0, 14.0], [10.5, 15.0])
+    assert summary["unscaled_cells_per_s"]["parent_median"] == 22.0
+    # lower is better for the times and the peak: the same four pairs win
+    for name in ("setup_s", "unscaled_setup_s", "peak_rss_mb"):
+        assert summary[name]["change_better_pairs"] == 4
+    assert summary["setup_s"]["parent_median"] == 1 / 11.0
+    assert summary["peak_rss_mb"]["ratio"] == 88.0 / 89.0

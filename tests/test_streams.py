@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -6,14 +7,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brokenlines import streams
+from brokenlines import RectDomain, streams
 from brokenlines.streams import (
+    hashed_keys,
     negated_uniform_diagonals,
     negated_uniforms,
+    negated_uniforms_hashed,
     stream_base,
     uniform_grid,
 )
-from helpers import uniform, uniforms
+from helpers import (
+    exp_draw,
+    geom_draw,
+    random_birth_field,
+    random_domain,
+    random_inputs,
+    uniform,
+    uniforms,
+)
 
 
 def minus_uniform_at(seed: int, *keys) -> np.ndarray:
@@ -189,6 +200,60 @@ def test_negated_uniforms_draw_into_out_where_it_lies(case):
     assert np.shares_memory(v, block[1]) and v.shape == expected.shape
     assert same_bits(block[1], expected)
     assert np.isnan(block[0]).all()
+
+
+@pytest.mark.parametrize("case", DRAWS, ids=str)
+def test_draws_on_hashed_words_are_the_draws_on_their_keys(case):
+    # a report hashes its replica keys once and makes every draw on the words
+    seed, prefix, keys = DRAWS[case]
+    *rest, last = keys
+    ids, words = stream_base(seed, *prefix), hashed_keys(last)
+    words_before = np.copy(words)
+    expected = minus_uniform_at(seed, *prefix, *keys)
+    for _ in range(2):
+        v = negated_uniforms_hashed(ids, *rest, words)
+        assert same_bits(v, expected)
+        assert same_bits(v, negated_uniforms(ids, *keys))
+    out = np.full_like(expected, np.nan)
+    assert np.shares_memory(negated_uniforms_hashed(ids, *rest, words, out=out), out)
+    assert same_bits(out, expected)
+    assert np.array_equal(words, words_before)
+
+
+def _acceptance_draws():
+    """``(seed, role, lam, draws)`` of every random field the acceptance
+    criteria draw: criterion 6's births, then criterion 3's inflows and
+    births, each a site-keyed dict of draws of ``role``, geometric of
+    parameter ``lam`` or exponential where ``lam`` is None."""
+    square = RectDomain(20, 20)
+    for k in range(500):
+        yield 80_000 + k, 3, None, random_birth_field(square, 80_000 + k).births
+    for k in range(200):
+        seed = 90_000 + k
+        yield seed, 3, None, random_birth_field(random_domain(seed, max_side=10), seed).births
+    for k in range(1000):
+        seed = 2026 * 1000 + k
+        inflow, births = random_inputs(random_domain(seed, max_side=8), seed, "float" if k < 500 else "int")
+        lams = (None, None, None) if k < 500 else (0.5, 0.5, 0.4)
+        yield from zip((seed,) * 3, (1, 2, 3), lams, (inflow.up_in, inflow.down_in, births.births))
+
+
+# sha256 of the reprs of those dicts' items, each dict built by exp_draw or
+# geom_draw one site at a time
+ACCEPTANCE_DRAWS_DIGEST = "12cfdcfa90fcf621d0f3118ab555e1768b54d4289e28abce5c581a352533ed21"
+
+
+def test_the_acceptance_fields_are_the_draws_made_one_site_at_a_time():
+    # the helpers draw a side or all sites at once: the acceptance data must
+    # stay the same floats; one dict in a hundred is drawn again here
+    digest = hashlib.sha256()
+    for k, (seed, role, lam, draws) in enumerate(_acceptance_draws()):
+        digest.update(repr(list(draws.items())).encode())
+        if k % 100 == 0:
+            key = (seed,) if lam is None else (seed, lam)
+            draw = exp_draw if lam is None else geom_draw
+            assert draws == {y: draw(*key, role, *y) for y in draws}
+    assert digest.hexdigest() == ACCEPTANCE_DRAWS_DIGEST
 
 
 def test_a_zero_draw_is_minus_zero(monkeypatch):
