@@ -12,7 +12,11 @@ directories.  Every run records the scaled figures of its last output line
 and the unscaled ``setup_s`` and ``cells_per_s`` of its ``#`` line.  The
 summary gives, per workload and metric, scaled or unscaled, each side's
 median, their ratio (change over parent), the pairs the change won, the
-parent's interquartile range and each side's range.
+parent's interquartile range and each side's range, and whether the gain
+rule is met: the change won at least 9 of 10 pairs and its median beats
+the parent's by more than that range.  Each end-to-end metric with a
+``bound`` in ``BENCHMARK.json`` also gets a verdict (:func:`verdict`), and
+each side the share of its operations that failed.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ METRICS = {
     "unscaled_cells_per_s": True,
     "peak_rss_mb": False,
 }
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 UNSCALED = re.compile(r"^# (\w+): (\d+) rounds;.*unscaled: setup_s (\S+) s, cells_per_s (\S+) 1/s$")
 
 
@@ -70,14 +75,46 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(runs: list[dict]) -> dict:
+def read_bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """The relative ``bound`` of each end-to-end metric the benchmark declares."""
+    return {metric["name"]: metric["bound"] for metric in json.loads(path.read_text())["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], higher: bool, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` of the parent's; else ``unresolved`` when the parent's
+    interquartile range exceeds ``bound`` of its median and some change run
+    fails to beat every parent run; else ``within bound``."""
+    sign = 1 if higher else -1
+    median = statistics.median(parent)
+    if sign * (median - statistics.median(change)) > bound * abs(median):
+        return "worse"
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    if _iqr(parent) > bound * abs(median) and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def gain_rule_met(parent: list[float], change: list[float], higher: bool) -> bool:
+    """Whether the change won at least 9 of 10 pairs, ties counting for
+    neither side, and its median beats the parent's by more than the
+    parent's interquartile range."""
+    sign = 1 if higher else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    return 10 * wins >= 9 * len(parent) and gap > _iqr(parent)
+
+
+def summarize(runs: list[dict], bounds: dict[str, float] | None = None) -> dict:
     """Per workload, the complete pairs of ``runs`` compared metric by metric.
 
     Each run holds ``workload``, ``pair`` and ``side`` (``parent`` or
     ``change``) besides the figures of :func:`parse_run`.  A pair is won
     when the change's figure is strictly better than the parent's; the
-    ratio is the change's median over the parent's.
+    ratio is the change's median over the parent's.  A metric named in
+    ``bounds`` (by default :func:`read_bounds`) gets its :func:`verdict`.
     """
+    bounds = read_bounds() if bounds is None else bounds
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = {}
@@ -86,10 +123,13 @@ def summarize(runs: list[dict]) -> dict:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run
         pairs = [pair for _, pair in sorted(pairs.items()) if len(pair) == 2]
         sides = {side: [pair[side] for pair in pairs] for side in ("parent", "change")}
+        failed = {side: sum(run["failed"] for run in sides[side]) for side in sides}
+        attempted = {side: sum(run["attempted"] for run in sides[side]) for side in sides}
         entry = {
             "pairs": len(pairs),
-            "failed": {side: sum(run["failed"] for run in sides[side]) for side in sides},
-            "attempted": {side: sum(run["attempted"] for run in sides[side]) for side in sides},
+            "failed": failed,
+            "attempted": attempted,
+            "failed_share": {side: failed[side] / max(1, attempted[side]) for side in sides},
             "all_correct": all(run["correct"] for side in sides.values() for run in side),
         }
         for name, higher in METRICS.items():
@@ -104,7 +144,10 @@ def summarize(runs: list[dict]) -> dict:
                 "parent_iqr": _iqr(parent),
                 "parent_range": [min(parent), max(parent)],
                 "change_range": [min(change), max(change)],
+                "gain_rule_met": gain_rule_met(parent, change, higher),
             }
+            if name in bounds:
+                entry[name]["verdict"] = verdict(parent, change, higher, bounds[name])
         summary[workload] = entry
     return summary
 

@@ -79,8 +79,11 @@ class TestReport:
 
         ``samples()`` returns the check's two samples and is called only when
         that check runs, so samples made for one check (products, say) are
-        held only while it runs.  Raises ``ValueError`` with no pending check.
+        held only while it runs.  Raises ``ValueError`` with no pending check
+        or a ``significance`` outside the open interval (0, 1), NaN included.
         """
+        if not 0 < significance < 1:
+            raise ValueError(f"significance must lie strictly between 0 and 1, not {significance!r}")
         if not pending:
             raise ValueError("a Bonferroni report needs at least one pending check")
         alpha = significance / len(pending)

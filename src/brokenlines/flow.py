@@ -42,7 +42,7 @@ from numbers import Real
 
 import numpy as np
 
-from .lattice import Edge, RectDomain, Site, as_integers, domain_from_dict
+from .lattice import Edge, RectDomain, Site, as_integers, diagonal_rows, domain_from_dict
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -131,7 +131,12 @@ class FlowField:
     mode: str = "float"
 
     def __init__(self, domain: RectDomain, mass: dict[Edge, float], mode: str = "float") -> None:
-        values = as_masses(list(map(mass.__getitem__, domain.edges)), mode, domain.edges.__getitem__)
+        try:
+            values = list(map(mass.__getitem__, domain.edges))
+        except KeyError:
+            missing = [e for e in domain.edges if e not in mass]
+            raise ValueError(f"mass missing at the edges: {missing}") from None
+        values = as_masses(values, mode, domain.edges.__getitem__)
         if len(mass) > len(values):  # every edge is a key, so the others are no edge
             raise ValueError(f"mass keyed off the edges: {[k for k in mass if k not in domain.edge_set]}")
         self._hold(domain, values, mode)
@@ -252,10 +257,9 @@ def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, ma
     descending mass per matrix column, ``downs[j]``, at first copies of the
     inflows ``up_in`` and ``down_in`` at each site of the southwest and
     northwest sides, in their order.  ``births`` yields the births of each
-    ``t``-column in turn, in site order: anti-diagonal ``d`` holds the cells
-    ``(i, d - i)`` for ``i`` from ``hi = min(n - 1, d)`` down to
-    ``lo = max(0, d - m + 1)``, so its inflows are the views
-    ``ups[lo:hi + 1][::-1]`` and ``downs[d - hi:d - lo + 1]``, which
+    ``t``-column in turn, in site order: anti-diagonal ``d``, rows ``lo`` to
+    ``hi`` (:func:`lattice.diagonal_rows`) from the last, so its inflows are
+    the views ``ups[lo:hi + 1][::-1]`` and ``downs[d - hi:d - lo + 1]``, which
     :func:`site_outflows` updates in place.  A trailing replica axis is
     allowed.  Given ``mass``, an array with one row per edge in canonical
     order, each column's outflows are also written there: the ``k`` sites of
@@ -265,14 +269,13 @@ def front(domain: RectDomain, up_in: np.ndarray, down_in: np.ndarray, births, ma
     column's births.  Returns the final ``ups`` and ``downs``: the outflows
     of the northeast and southeast sides, in their order.
     """
-    n, m = domain.n, domain.m
     if mass is not None:  # the ascending edge of each column's first site
         firsts = domain.incident[2][[column.start for column in domain.columns]].tolist()
-    for d, born in enumerate(births):
+    rows = zip(*(bound.tolist() for bound in diagonal_rows(domain.n, domain.m)))
+    for d, ((lo, hi), born) in enumerate(zip(rows, births)):
         if d == 0:
             dtype = np.result_type(up_in, down_in, born)
             ups, downs = up_in.astype(dtype), down_in.astype(dtype)
-        lo, hi = max(0, d - m + 1), min(n - 1, d)
         up, down = ups[lo : hi + 1][::-1], downs[d - hi : d - lo + 1]
         site_outflows(up, down, born, out=(up, down))
         if mass is not None:
@@ -440,21 +443,24 @@ def field_to_dict(f: FlowField) -> dict:
 def field_from_dict(d: dict) -> FlowField:
     """Read :func:`field_to_dict` output; edges it omits carry zero.
 
-    Raises ValueError on a payload that is not an object with a list of
-    edge objects, an unknown mode or slope, a non-integral coordinate, an
-    edge outside the domain closure or listed twice, and a mass
-    :func:`as_mass` refuses.
+    Raises ValueError on a payload that is not an object with a domain and a
+    list of edge objects, a missing key, an unknown mode or slope, a
+    non-integral coordinate, an edge outside the domain closure or listed
+    twice, and a mass :func:`as_mass` refuses.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a field must be a JSON object, not {type(d).__name__}")
+    missing = [key for key in ("domain", "edges") if key not in d]
+    if missing:
+        raise ValueError(f"a field needs the key {missing[0]!r}")
     domain = domain_from_dict(d["domain"])
     mode = d.get("mode", "float")
     rows = d["edges"]
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("field edges must be a list of objects")
-    t = as_integers([row["t"] for row in rows], "edge t")
-    x = as_integers([row["x"] for row in rows], "edge x")
-    slopes = [row["slope"] for row in rows]
+    t = as_integers(_column(rows, "t"), "edge t")
+    x = as_integers(_column(rows, "x"), "edge x")
+    slopes = _column(rows, "slope")
     bad = [s for s in slopes if s != "up" and s != "down"]
     if bad:
         raise ValueError(f"edge slope must be 'up' or 'down', not {bad[0]!r}")
@@ -470,7 +476,16 @@ def field_from_dict(d: dict) -> FlowField:
     repeats = order[1:][found[order[1:]] == found[order[:-1]]]
     if repeats.size:
         raise ValueError(f"edge {edge(int(repeats.min()))} listed twice")
-    masses = as_masses([row["mass"] for row in rows], mode, edge)
+    masses = as_masses(_column(rows, "mass"), mode, edge)
     values = np.zeros(domain.edge_count, masses.dtype)
     values[found] = masses
     return FlowField.from_values(domain, values, mode)
+
+
+def _column(rows: list, key: str) -> list:
+    """``row[key]`` of every edge row; ValueError naming the first row without ``key``."""
+    try:
+        return [row[key] for row in rows]
+    except KeyError:
+        first = next(i for i, row in enumerate(rows) if key not in row)
+        raise ValueError(f"edge row {first} has no key {key!r}") from None

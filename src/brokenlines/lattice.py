@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -38,17 +37,22 @@ class Edge(NamedTuple):
         return (self.t, self.x)
 
 
+def diagonal_rows(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``i = lo[d] .. hi[d]`` of the cells ``(i, d - i)`` of each anti-diagonal
+    ``d = 0 .. a + b - 2`` of an ``a x b`` box: ``max(0, d - b + 1) .. min(a - 1, d)``."""
+    d = np.arange(a + b - 1)
+    return np.maximum(d - b + 1, 0), np.minimum(d, a - 1)
+
+
 def _box(a: int, b: int, origin: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each cell of an ``a x b`` box from ``(origin, origin)``, in
-    ``(t, x)`` order: diagonal ``d`` holds ``(i, d - i)``, ``i`` falling from ``min(d,
-    a - 1)`` to ``max(0, d - b + 1)``, both shifted by ``origin``.  Each is a running
-    sum, in place, of steps of -1 or +1 save at a diagonal's first cell."""
-    d = np.arange(a + b - 1)
-    top = np.minimum(d, a - 1)
-    counts = top - np.maximum(d - b + 1, 0) + 1
+    ``(t, x)`` order: by :func:`diagonal_rows`, each diagonal's row falling.  Each is
+    a running sum, in place, of steps of -1 or +1 save at a diagonal's first cell."""
+    lo, top = diagonal_rows(a, b)
+    counts = top - lo + 1
     starts = counts.cumsum() - counts
     i = np.full(a * b, -1)
-    i[starts] = top - np.append(0, (top - counts + 1)[:-1])
+    i[starts] = top - np.append(0, lo[:-1])
     j = np.negative(i)
     j[starts[1:]] += 1
     i[0] = j[0] = origin
@@ -112,8 +116,8 @@ class RectDomain:
     @cached_property
     def columns(self) -> tuple[slice, ...]:
         """The slice of ``sites`` of each ``t``, in ``t`` order."""
-        n, m = self.n, self.m
-        ends = list(accumulate(min(d + 1, n, m, n + m - 1 - d) for d in range(n + m - 1)))
+        lo, hi = diagonal_rows(self.n, self.m)
+        ends = np.cumsum(hi - lo + 1).tolist()
         return tuple(map(slice, [0, *ends[:-1]], ends))
 
     @property
@@ -294,11 +298,14 @@ def as_integers(values, what: str) -> list[int]:
 
 
 def domain_from_dict(d: dict) -> RectDomain:
-    """Read ``to_dict`` output; ValueError on a value of the wrong type or size."""
+    """Read ``to_dict`` output; ValueError on a missing key or a value of the wrong type or size."""
     if not isinstance(d, dict):
         raise ValueError(f"a domain must be a JSON object, not {d!r}")
     kind = d.get("type")
     if kind == "rect":
+        missing = [key for key in ("N", "M") if key not in d]
+        if missing:
+            raise ValueError(f"a rect domain needs the key {missing[0]!r}")
         return RectDomain(as_integer(d["N"], "N"), as_integer(d["M"], "M"))
     raise ValueError(f"unknown domain type {kind!r}")
 

@@ -32,7 +32,7 @@ from .flow import (
     tolerance,
     total_crossing_flow,
 )
-from .lattice import RectDomain, Site, as_integers
+from .lattice import RectDomain, Site, as_integers, diagonal_rows
 
 
 @dataclass(frozen=True)
@@ -78,33 +78,30 @@ def births_from_matrix(matrix: np.ndarray) -> BirthField:
 def _diagonals(n: int, m: int, births):
     """Yield the best-path sums anti-diagonal by anti-diagonal, holding one diagonal.
 
-    ``G[i, j] = x[i, j] + max(G[i-1, j], G[i, j-1])`` for the cells
-    ``(i, d - i)`` of diagonal ``d``, ``i = lo .. hi`` with
-    ``lo = max(0, d - m + 1)`` and ``hi = min(n - 1, d)``; rows ``i`` are the
-    index that ascends within a diagonal, so :func:`lpp_dp` passes ``(m, n)``
-    and ``experiments.replica_passage`` ``(n, m)``.  ``births`` yields
-    runs: the ``(hi - lo + 1, ...)`` births of consecutive whole diagonals,
-    ``d = 0, 1, ...`` in order, stacked along the first axis.  Trailing axes
-    are independent matrices.  The state ``g[i + 1]`` holds ``G`` at row
-    ``i`` of the latest diagonal over a ``-inf`` border ``g[0]``, so a step is
-    one maximum and one sum over contiguous rows, in place, rounded as the
-    scalar recurrence rounds.  Each yielded view is overwritten by the next
-    step.
+    ``G[i, j] = x[i, j] + max(G[i-1, j], G[i, j-1])`` for the cells of each
+    anti-diagonal of the ``n x m`` box, rows ``lo .. hi``
+    (:func:`lattice.diagonal_rows`); rows ``i`` are the index that ascends
+    within a diagonal, so :func:`lpp_dp` passes ``(m, n)`` and
+    ``experiments.replica_passage`` ``(n, m)``.  ``births`` yields runs: the
+    ``(hi - lo + 1, ...)`` births of consecutive whole diagonals, ``d = 0, 1,
+    ...`` in order, stacked along the first axis.  Trailing axes are
+    independent matrices.  The state ``g[i + 1]`` holds ``G`` at row ``i`` of
+    the latest diagonal over a ``-inf`` border ``g[0]``, so a step is one
+    maximum and one sum over contiguous rows, in place, rounded as the scalar
+    recurrence rounds.  Each yielded view is overwritten by the next step.
     """
-    d = 0
-    for run in births:
-        if d == 0:
-            g = np.full((n + 1, *run.shape[1:]), -np.inf)
-            g[1] = 0.0  # the empty path into cell (0, 0)
-            best = np.empty((min(n, m), *run.shape[1:]))
-        at = 0
-        while at < len(run):
-            lo, hi = max(0, d - m + 1), min(n - 1, d)
-            k = hi - lo + 1
-            np.maximum(g[lo : hi + 1], g[lo + 1 : hi + 2], out=best[:k])
-            yield np.add(best[:k], run[at : at + k], out=g[lo + 1 : hi + 2])
-            at += k
-            d += 1
+    births = iter(births)
+    run, at = next(births), 0
+    g = np.full((n + 1, *run.shape[1:]), -np.inf)
+    g[1] = 0.0  # the empty path into cell (0, 0)
+    best = np.empty((min(n, m), *run.shape[1:]))
+    for lo, hi in zip(*(bound.tolist() for bound in diagonal_rows(n, m))):
+        if at == len(run):
+            run, at = next(births), 0
+        k = hi - lo + 1
+        np.maximum(g[lo : hi + 1], g[lo + 1 : hi + 2], out=best[:k])
+        yield np.add(best[:k], run[at : at + k], out=g[lo + 1 : hi + 2])
+        at += k
 
 
 def passage_value(matrix: np.ndarray) -> float:
@@ -123,10 +120,8 @@ def lpp_dp(xi: BirthField, with_path: bool = True) -> LppResult:
     domain = xi.domain
     births = xi.masses("float")
     sums = np.empty_like(births)
-    at = 0
-    for diagonal in _diagonals(domain.m, domain.n, [births]):
-        sums[at : at + len(diagonal)] = diagonal
-        at += len(diagonal)
+    for column, diagonal in zip(domain.columns, _diagonals(domain.m, domain.n, [births])):
+        sums[column] = diagonal
     if not with_path:
         return LppResult(float(sums[-1]), None)
     table = np.empty((domain.n, domain.m))

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .lattice import diagonal_rows
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -193,12 +195,11 @@ def uniform_grid(base: int, rows: int, cols: int) -> np.ndarray:
 def negated_uniform_diagonals(bases, rows: int, cols: int):
     """Yield minus the uniform grid of every base, anti-diagonal by anti-diagonal, in runs.
 
-    Anti-diagonal ``d`` holds ``-uniform`` at ``(base, i, d - i)`` for
-    ``i = lo .. hi``, with ``lo = max(0, d - cols + 1)`` and
-    ``hi = min(rows - 1, d)``, as ``hi - lo + 1`` rows of ``len(bases)``.  A
-    run is the rows of consecutive whole diagonals, ``d = 0, 1, ...`` in
-    order, stacked; it holds at most ``_RUN_CELLS`` draws unless one
-    diagonal alone holds more.
+    Anti-diagonal ``d`` holds ``-uniform`` at ``(base, i, d - i)`` for its
+    rows ``i = lo .. hi`` (:func:`lattice.diagonal_rows`), as ``hi - lo + 1``
+    rows of ``len(bases)``.  A run is the rows of consecutive whole
+    diagonals, ``d = 0, 1, ...`` in order, stacked; it holds at most
+    ``_RUN_CELLS`` draws unless one diagonal alone holds more.
 
     The row keys are mixed once and the column keys held in descending
     order, so each diagonal is one contiguous XOR.  Both keys take
@@ -213,16 +214,16 @@ def negated_uniform_diagonals(bases, rows: int, cols: int):
     row_keys = _first_step(_mix_array(_counters(rows)[:, None] ^ bases))
     # col_keys[p] holds the key of column cols - 1 - p, once per base
     col_keys = np.repeat(_first_step(_counters(cols))[::-1, None], len(bases), axis=1)
-    count, side = rows + cols - 1, min(rows, cols)
+    lo, hi = (bound.tolist() for bound in diagonal_rows(rows, cols))
+    side = min(rows, cols)
     run = max(1, _RUN_CELLS // (side * len(bases)))
     shape = (min(run * side, rows * cols), len(bases))
     h, scratch, v = np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape)
-    for first in range(0, count, run):
+    for first in range(0, len(lo), run):
         c = 0
-        for d in range(first, min(first + run, count)):
-            lo, hi = max(0, d - cols + 1), min(rows - 1, d)
-            k, p = hi - lo + 1, cols - 1 - d + lo
-            np.bitwise_xor(row_keys[lo : hi + 1], col_keys[p : p + k], out=h[c : c + k])
+        for d in range(first, min(first + run, len(lo))):
+            k, p = hi[d] - lo[d] + 1, cols - 1 - d + lo[d]
+            np.bitwise_xor(row_keys[lo[d] : hi[d] + 1], col_keys[p : p + k], out=h[c : c + k])
             c += k
         _mix_after_first_step(h[:c], scratch[:c])
         np.right_shift(h[:c], _S11, out=h[:c])

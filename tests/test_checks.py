@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from brokenlines.checks import (
     mean_z_check,
     ndtri,
 )
+from brokenlines.duality import parse_triple, reversal_invariance_test
 from helpers import cells_kept_loop, ks_distance
 
 _rng = np.random.default_rng(2024)
@@ -179,6 +181,19 @@ def test_chi2_homogeneity_check_refuses_what_it_cannot_count(a, b, match):
 def test_a_report_refuses_to_split_its_level_over_no_check():
     with pytest.raises(ValueError, match="Bonferroni"):
         checks.TestReport.bonferroni("t", {}, 0, 10, 0.01, [])
+
+
+@pytest.mark.parametrize("significance", [0, -1, 1, 1.5, math.nan])
+def test_a_report_refuses_a_significance_outside_the_open_unit_interval(significance):
+    # 0 and -1 once failed in ks_threshold with a math domain error, and 1.5 and NaN
+    # made thresholds under which a self-dual triple read as failed
+    refusal = re.escape(f"significance must lie strictly between 0 and 1, not {significance!r}")
+    pending = [(mean_z_check, "m", lambda: (np.arange(4.0), np.arange(4.0)))]
+    with pytest.raises(ValueError, match=refusal):
+        checks.TestReport.bonferroni("t", {}, 0, 4, significance, pending)
+    with pytest.raises(ValueError, match=refusal):
+        reversal_invariance_test(parse_triple("exp:1,exp:2,exp:3"), 10_000,
+                                 significance=significance)
 
 
 def test_mean_z_check_fails_two_constant_samples_with_different_means():

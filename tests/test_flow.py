@@ -316,6 +316,40 @@ def test_json_rejects_malformed_fields(case, tmp_path):
     assert run(["decompose", "--field", str(path), "--out", str(tmp_path / "lines.csv")]) == 1
 
 
+# each once escaped the readers as a KeyError, which the CLI printed as the bare
+# key: the payload part that loses the key, and the error naming it
+MISSING = {
+    "domain": (lambda d: d, "a field needs the key 'domain'"),
+    "edges": (lambda d: d, "a field needs the key 'edges'"),
+    "N": (lambda d: d["domain"], "a rect domain needs the key 'N'"),
+    "M": (lambda d: d["domain"], "a rect domain needs the key 'M'"),
+    **{key: (lambda d: d["edges"][3], f"edge row 3 has no key '{key}'")
+       for key in ("t", "x", "slope", "mass")},
+}
+
+
+@pytest.mark.parametrize("case", [*MISSING, "omitted edge"])
+def test_a_missing_key_is_named_in_a_value_error(case, tmp_path, capsys):
+    from brokenlines.cli import run
+
+    domain = RectDomain(2, 2)
+    if case == "omitted edge":
+        masses = dict.fromkeys(domain.edges[:2] + domain.edges[3:5] + domain.edges[6:], 1)
+        expected = f"mass missing at the edges: {[domain.edges[2], domain.edges[5]]}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            FlowField(domain, masses, "int")
+        return
+    payload = field_to_dict(zero_field(domain, "int"))
+    part, expected = MISSING[case]
+    del part(payload)[case]
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        field_from_dict(payload)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(payload))
+    assert run(["decompose", "--field", str(path), "--out", str(tmp_path / "lines.csv")]) == 1
+    assert f"error: {expected}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coordinate", ["t", "x"])
 @pytest.mark.parametrize("far", [10**30, -(10**30)])
 def test_json_names_a_far_coordinate_as_given(coordinate, far, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -247,6 +248,37 @@ def test_the_plan_is_built_in_closed_form():
     # searches no sorted array
     source = Path(lattice.__file__).read_text()
     assert re.findall(r"\b(sort|sorted|argsort|lexsort|unique|searchsorted)\s*\(", source) == []
+
+
+def test_diagonal_rows_are_the_rows_of_each_anti_diagonal():
+    shapes = [(a, b) for a in range(1, 10) for b in range(1, 10)] + [(1, 60), (60, 1), (3, 41)]
+    for a, b in shapes:
+        rows = {}
+        for i in range(a):
+            for j in range(b):
+                rows.setdefault(i + j, []).append(i)
+        lo, hi = lattice.diagonal_rows(a, b)
+        assert (lo.dtype.kind, hi.dtype.kind) == ("i", "i")
+        assert [list(range(first, last + 1)) for first, last in zip(lo.tolist(), hi.tolist())] == [
+            rows[d] for d in range(a + b - 1)
+        ], (a, b)
+
+
+def test_only_diagonal_rows_states_the_anti_diagonal_bounds():
+    # one rule for the rows of an anti-diagonal: the boxes, the columns, the
+    # front, the LPP sweep and the replica draws read it from diagonal_rows,
+    # and no other place clamps an index by a max or min with a +-1 term
+    package = Path(lattice.__file__).parent
+    bound = re.compile(r"\b(max|min|maximum|minimum)\([^()\[]*[-+]\s*1\b[^()\[]*\)")
+    lines, first = inspect.getsourcelines(lattice.diagonal_rows)
+    own = range(first, first + len(lines))
+    found = [
+        (path.name, number)
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if bound.search(line)
+    ]
+    assert found and all(name == "lattice.py" and number in own for name, number in found), found
 
 
 ORACLE_SHAPES = sorted({(n, m) for n in range(1, 13) for m in range(1, 13)}

@@ -110,3 +110,56 @@ def test_bench_pairs_summarises_medians_wins_and_spreads():
         assert summary[name]["change_better_pairs"] == 4
     assert summary["setup_s"]["parent_median"] == 1 / 11.0
     assert summary["peak_rss_mb"]["ratio"] == 88.0 / 89.0
+
+
+def test_bench_pairs_reads_a_bound_for_each_end_to_end_metric():
+    assert sorted(bench_pairs()["read_bounds"]()) == ["cells_per_s", "peak_rss_mb", "setup_s"]
+
+
+def test_bench_pairs_verdicts_follow_the_bound_and_the_parents_spread():
+    verdict = bench_pairs()["verdict"]
+    steady, wide = [10.0, 10.1, 9.9, 10.0, 10.2], [6.0, 10.0, 14.0, 8.0, 12.0]
+    # higher is better: a median 30 % down is worse, 20 % down is within a 25 % bound
+    assert verdict(steady, [7.0] * 5, True, 0.25) == "worse"
+    assert verdict(steady, [8.0] * 5, True, 0.25) == "within bound"
+    # the parent's interquartile range, 6, exceeds 25 % of its median, 10: only a
+    # change whose every run beats every parent run is resolved
+    assert verdict(wide, [11.0] * 5, True, 0.25) == "unresolved"
+    assert verdict(wide, [14.5] * 5, True, 0.25) == "within bound"
+    # lower is better for a time or a peak
+    assert verdict([100.0] * 5, [111.0] * 5, False, 0.1) == "worse"
+    assert verdict([100.0] * 5, [109.0] * 5, False, 0.1) == "within bound"
+    assert verdict(wide, [9.0] * 5, False, 0.25) == "unresolved"
+    assert verdict(wide, [5.0] * 5, False, 0.25) == "within bound"
+
+
+def test_bench_pairs_gain_rule_needs_nine_of_ten_pairs_and_a_gap_beyond_the_spread():
+    gain = bench_pairs()["gain_rule_met"]
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.25
+    assert gain(parent, [p + 1 for p in parent], True)
+    # a tie counts for neither side: nine wins still meet the rule, eight do not
+    assert gain(parent, [p + 1 for p in parent[:9]] + [parent[9]], True)
+    assert not gain(parent, [p + 1 for p in parent[:8]] + parent[8:], True)
+    # ten wins by a gap inside the parent's spread do not
+    assert not gain(parent, [p + 0.2 for p in parent], True)
+    assert gain(parent, [p - 1 for p in parent], False)
+    assert not gain(parent, [p - 1 for p in parent], True)
+
+
+def test_bench_pairs_summary_holds_verdicts_gains_and_failed_shares():
+    parse_run, summarize = bench_pairs()["parse_run"], bench_pairs()["summarize"]
+    runs = []
+    for pair in range(10):
+        for side, rate, failed in (("parent", 10.0 + pair % 2, 0), ("change", 20.0 + pair % 2, 1)):
+            figures = canned_output(10, 1 / rate, rate, 50.0 + (side == "change") * 10, 1 / rate,
+                                    rate, attempted=20, failed=failed)
+            runs.append({"workload": "verify", "pair": pair, "side": side, **parse_run(figures)})
+    summary = summarize(runs, {"setup_s": 0.25, "cells_per_s": 0.25, "peak_rss_mb": 0.1})["verify"]
+    assert summary["failed_share"] == {"parent": 0.0, "change": 0.05}
+    assert (summary["cells_per_s"]["verdict"], summary["cells_per_s"]["gain_rule_met"]) == (
+        "within bound", True)
+    assert (summary["setup_s"]["verdict"], summary["setup_s"]["gain_rule_met"]) == ("within bound", True)
+    # a peak 20 % up is worse than its 10 % bound
+    assert (summary["peak_rss_mb"]["verdict"], summary["peak_rss_mb"]["gain_rule_met"]) == ("worse", False)
+    # a metric with no bound gets no verdict
+    assert "verdict" not in summary["unscaled_cells_per_s"]
