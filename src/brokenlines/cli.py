@@ -193,6 +193,9 @@ def _read_manifest(args) -> None:
     manifest = json.loads(Path(args.manifest).read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"a manifest must be a JSON object, not {type(manifest).__name__}")
+    missing = [key for key in ("n", "beta", "dist", "replicas") if key not in manifest]
+    if missing:
+        raise ValueError(f"a manifest needs the key {missing[0]!r}")
     args.n = as_integer(manifest["n"], "manifest n")
     beta = manifest["beta"]
     if type(beta) not in (int, float):

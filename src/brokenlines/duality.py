@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -201,7 +202,9 @@ def classify_triple(triple: Triple) -> Verdict:
     measure invariant under the site reversal: exponentials whose birth rate
     is the sum of the inflow rates, and geometrics (on the same integer
     lattice) whose birth parameter is the product of the inflow parameters.
-    Parameter comparisons are exact.
+    Parameter comparisons are exact, in floats or in the decimals the
+    parameters were written as: ``exp:0.1,exp:0.2,exp:0.3`` splits, though
+    ``0.1 + 0.2`` is not the float ``0.3``.
     """
     p1, p2, p3 = triple.pi1, triple.pi2, triple.pi3
     if p3.kind == POINTMASS:
@@ -211,14 +214,19 @@ def classify_triple(triple: Triple) -> Verdict:
         )
         return Verdict(dual, DEGENERATE)
     if p1.kind == p2.kind == p3.kind == EXPONENTIAL:
-        if p3.rate == p1.rate + p2.rate:
+        if p3.rate == p1.rate + p2.rate or _decimal(p3.rate) == _decimal(p1.rate) + _decimal(p2.rate):
             return Verdict(True, EXPONENTIAL_FAMILY)
         return Verdict(False, NOT_SELF_DUAL)
     if p1.kind == p2.kind == p3.kind == GEOMETRIC:
-        if p3.lam == p1.lam * p2.lam:
+        if p3.lam == p1.lam * p2.lam or _decimal(p3.lam) == _decimal(p1.lam) * _decimal(p2.lam):
             return Verdict(True, GEOMETRIC_FAMILY)
         return Verdict(False, NOT_SELF_DUAL)
     return Verdict(False, NOT_SELF_DUAL)
+
+
+def _decimal(x: float) -> Fraction:
+    """The shortest decimal that reads back as ``x``, exactly: the one that was typed."""
+    return Fraction(repr(float(x)))
 
 
 def reverse_through_site(in_up, in_down, birth):

@@ -330,6 +330,13 @@ def test_burke_subcommand(tmp_path):
     assert code == 1  # refused triple is a usage error, not a failed check
 
 
+def test_burke_takes_a_split_written_in_decimals(tmp_path):
+    # the rates 0.1 and 0.2 add up to 0.3 as decimals, not as floats
+    out = tmp_path / "burke.json"
+    assert run(["burke", "--triple", "exp:0.1,exp:0.2,exp:0.3", "--samples", "1000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
 def test_consistency_subcommand(tmp_path):
     out = tmp_path / "consistency.json"
     base = ["consistency", "--n", "3", "--m", "3", "--sub-n", "2", "--lam", "0.5",
@@ -405,6 +412,15 @@ def test_lln_manifest_is_echoed_and_its_integers_checked(tmp_path, capsys):
         manifest.write_text(json.dumps(dict(good, beta=value)))
         assert run(["lln", "--manifest", str(manifest)]) == 1
         assert f"error: manifest beta must be a number, not {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n", "beta", "dist", "replicas"])
+def test_lln_manifest_names_a_missing_key(key, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    good = {"n": 20, "beta": 1.0, "dist": "exp:1", "replicas": 3}
+    manifest.write_text(json.dumps({k: v for k, v in good.items() if k != key}))
+    assert run(["lln", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == f"error: a manifest needs the key {key!r}\n"
 
 
 def test_concentration_subcommand(tmp_path):

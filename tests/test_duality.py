@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,36 @@ def test_classify_families():
     assert classify_triple(parse_triple("exp:1,geom:0.5,exp:3")).self_dual is False
 
 
+# the parameters 0.05, 0.10, ..., 0.95, as the decimals a user types
+GRID = [Decimal(5 * k) / 100 for k in range(1, 20)]
+
+
+def test_every_decimal_split_on_the_grid_is_self_dual():
+    # 0.1 + 0.2 is not the float 0.3, nor 0.05 * 0.05 the float 0.0025
+    for a in GRID:
+        for b in GRID:
+            exp = parse_triple(f"exp:{a},exp:{b},exp:{a + b}")
+            geom = parse_triple(f"geom:{a},geom:{b},geom:{a * b}")
+            assert classify_triple(exp) == Verdict(True, "exponential_family"), (a, b)
+            assert classify_triple(geom) == Verdict(True, "geometric_family"), (a, b)
+
+
+@pytest.mark.parametrize("miss", [1 - 1e-6, 1 + 1e-6])
+def test_a_split_missed_by_a_millionth_is_not_self_dual(miss):
+    for a in map(float, GRID):
+        for b in map(float, GRID):
+            exp = duality.Triple(DistSpec.exponential(a), DistSpec.exponential(b), DistSpec.exponential((a + b) * miss))
+            geom = duality.Triple(DistSpec.geometric(a), DistSpec.geometric(b), DistSpec.geometric(a * b * miss))
+            assert classify_triple(exp) == Verdict(False, "not_self_dual"), (a, b)
+            assert classify_triple(geom) == Verdict(False, "not_self_dual"), (a, b)
+
+
+def test_the_chain_triple_is_self_dual():
+    # its birth parameter is the float lam * lam, not the decimal lam squared
+    for lam in (0.1, 0.3, 0.5, 0.7, 0.9, *map(float, GRID)):
+        assert classify_triple(duality._chain(lam)) == Verdict(True, "geometric_family"), lam
+
+
 def test_classify_degenerate_birth():
     assert classify_triple(parse_triple("unif:0:1,unif:0:1,point:0")).reason == "degenerate"
     # a degenerate inflow pinned at the birth value is genuinely invariant
@@ -535,11 +566,11 @@ REPORT_DIGESTS = {
     ("burke", 6, "geom:0.5,geom:0.5,geom:0.25"):
         "7fd339acb5559ae68de36637b7a70b8bb1b40087bdf704216b8706362e496b53",
     ("consistency", "n_inner", None):
-        "e417f7b20515bcabe3b41c491f5751414e42acb9869f66a82689b0251c7b7303",
+        "01b40699d1c6e9df599e9b289827d5bc69f784c3524543eac466fdfb3801fed5",
     ("consistency", "n_inner", 0.6):
         "b1738e6f86d362b2dc32c0ff7eef8a197e5fa7abe6afb0bc5bfd9c882473c4d3",
     ("consistency", "m_inner", None):
-        "72bb67ed8db973ce7ed6f3c7eff488b4cdb57687dd25a52f62d31f71455db2be",
+        "74f02b37912db29311a0cc97747b2259729e0863e95a9dcacef842957d14bbcb",
     ("consistency", "m_inner", 0.6):
         "7fd17438b1740f5d767adc2ee7dcc5d6f723dbabf7dfa83dcb6ba044861e9702",
     ("reversal", "exp:1,exp:2,exp:3"):
